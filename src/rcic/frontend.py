@@ -449,7 +449,12 @@ class _Parser:
 def parse_term(text: str, allow_reserved: bool = False) -> Term:
     """Parse a single term; the whole input must be consumed."""
     p = _Parser(text, allow_reserved)
-    t = p.term()
+    try:
+        t = p.term()
+    except RecursionError:
+        # Input nested beyond the interpreter's recursion limit; the
+        # error points at the token the parser had reached.
+        raise p.error("nesting too deep") from None
     tok = p.peek()
     if tok.kind != "eof":
         raise p.error(f"unexpected {tok.describe()} after the term")
@@ -458,7 +463,11 @@ def parse_term(text: str, allow_reserved: bool = False) -> Term:
 
 def parse_file(text: str, allow_reserved: bool = False) -> SourceFile:
     """Parse a sequence of declarations, each terminated by a period."""
-    return _Parser(text, allow_reserved).file()
+    p = _Parser(text, allow_reserved)
+    try:
+        return p.file()
+    except RecursionError:
+        raise p.error("nesting too deep") from None
 
 
 def elaborate(env: GlobalEnv, t: Term) -> Term:

@@ -293,13 +293,11 @@ def _conv_whnf(env: GlobalEnv, a: Term, b: Term) -> bool:
         case Prod(xa, da, ca), Prod(xb, db, cb):
             if not conv(env, da, db):
                 return False
-            fresh = fresh_name(xa, free_vars(ca) | free_vars(cb) | {xa, xb})
-            return conv(env, subst(ca, xa, Var(fresh)), subst(cb, xb, Var(fresh)))
+            return conv(env, *_open_pair(env, xa, ca, xb, cb))
         case Lam(xa, ta, ba), Lam(xb, tb, bb):
             if not conv(env, ta, tb):
                 return False
-            fresh = fresh_name(xa, free_vars(ba) | free_vars(bb) | {xa, xb})
-            return conv(env, subst(ba, xa, Var(fresh)), subst(bb, xb, Var(fresh)))
+            return conv(env, *_open_pair(env, xa, ba, xb, bb))
         case Case(ia, sa, pa, ma, bra), Case(ib, sb, pb, mb, brb):
             if ia != ib or len(pa) != len(pb) or len(bra) != len(brb):
                 return False
@@ -313,9 +311,26 @@ def _conv_whnf(env: GlobalEnv, a: Term, b: Term) -> bool:
         case Fix(xa, ta, ba, ka), Fix(xb, tb, bb, kb):
             if ka != kb or not conv(env, ta, tb):
                 return False
-            fresh = fresh_name(xa, free_vars(ba) | free_vars(bb) | {xa, xb})
-            return conv(env, subst(ba, xa, Var(fresh)), subst(bb, xb, Var(fresh)))
+            return conv(env, *_open_pair(env, xa, ba, xb, bb))
     return False
+
+
+def _open_pair(env: GlobalEnv, xa: str, ba: Term, xb: str,
+               bb: Term) -> tuple[Term, Term]:
+    """The bodies of two binders, `xa` over `ba` and `xb` over `bb`, with
+    both binders named alike so the bodies can be compared directly.
+
+    The common name is `xa` itself unless that would capture a free
+    variable of `bb`, or names a definition, which whnf would unfold as the
+    global.  Only then are both bodies renamed to a fresh name.
+    """
+    if env.definition(xa) is None:
+        if xa == xb:
+            return ba, bb
+        if xa not in free_vars(bb):
+            return ba, subst(bb, xb, Var(xa))
+    fresh = fresh_name(xa, free_vars(ba) | free_vars(bb) | {xa, xb})
+    return subst(ba, xa, Var(fresh)), subst(bb, xb, Var(fresh))
 
 
 def subtype(env: GlobalEnv, a: Term, b: Term) -> bool:
@@ -329,8 +344,7 @@ def subtype(env: GlobalEnv, a: Term, b: Term) -> bool:
         case Prod(xa, da, ca), Prod(xb, db, cb):
             if not conv(env, da, db):
                 return False
-            fresh = fresh_name(xa, free_vars(ca) | free_vars(cb) | {xa, xb})
-            return subtype(env, subst(ca, xa, Var(fresh)), subst(cb, xb, Var(fresh)))
+            return subtype(env, *_open_pair(env, xa, ca, xb, cb))
         case _:
             return _conv_whnf(env, a, b)
 

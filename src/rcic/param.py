@@ -134,10 +134,6 @@ def prime(t: Term, globals_: frozenset[str] = frozenset()) -> Term:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _definition_names(env: GlobalEnv) -> frozenset[str]:
-    return frozenset(n for n in env.names() if env.definition(n) is not None)
-
-
 def _assert_clean(t: Term) -> None:
     """Reject terms that already use the reserved name suffixes."""
     for name in _all_names(t):
@@ -229,7 +225,7 @@ def _translate(env: GlobalEnv, t: Term, bound: frozenset[str],
                alias: Alias | None = None) -> Term:
     # Binders in scope shadow any same-named definition, so they must not
     # survive priming the way true globals do.
-    g = _definition_names(env) - bound
+    g = env.definition_names() - bound
     match t:
         case Var(name):
             if name not in bound and env.definition(name) is not None:
@@ -346,7 +342,7 @@ def case_motive(env: GlobalEnv, ind: str, params: tuple[Term, ...],
 
 def _case_motive(env: GlobalEnv, t: Case, bound: frozenset[str],
                  alias: Alias | None = None) -> Term:
-    g = _definition_names(env) - bound
+    g = env.definition_names() - bound
     rdecl = _ensure_inductive(env, t.ind).relation
     src = env.inductive(t.ind)
     assert src is not None
@@ -529,7 +525,7 @@ def translate_inductive(env: GlobalEnv, decl: InductiveDecl) -> TranslatedInduct
 
 def translate_context(env: GlobalEnv, ctx: Context) -> Context:
     """Triple every context entry: the original, its copy, its witness."""
-    g = _definition_names(env)
+    g = env.definition_names()
     out = Context()
     bound: frozenset[str] = frozenset()
     for name, ty in ctx:
@@ -550,7 +546,7 @@ def abstraction_check(env: GlobalEnv, ctx: Context, term: Term,
     """Whether term, its copy, and its witness all check in the tripled
     context: the executable face of the abstraction theorem."""
     names = frozenset(name for name, _ in ctx)
-    g = _definition_names(env) - names
+    g = env.definition_names() - names
     try:
         _assert_clean(term)
         _assert_clean(ty)

@@ -2,7 +2,9 @@
 
 Terms use named binders.  Substitution is capture-avoiding and renames
 binders on demand; alpha_eq compares terms up to consistent renaming of
-bound names.  Every value here is immutable except GlobalEnv, which is an
+bound names.  Term nodes are immutable and must never be mutated: each
+carries a lazily filled cache of its free variables, which equality,
+hashing and repr do not see.  GlobalEnv is the one mutable value, an
 append-only map of checked declarations.
 """
 
@@ -223,27 +225,60 @@ def strip_lams(t: Term) -> tuple[list[tuple[str, Term]], Term]:
 # Binding operations
 
 
+# Each node's free-variable set is computed once and kept in the node's
+# instance dict under this key.  It is not a dataclass field, so equality,
+# hashing and repr never see it.  Where a node's set equals a child's, the
+# child's frozenset object is reused, which keeps the cache small.
+_FV = "_fv"
+_NO_FV: frozenset[str] = frozenset()
+_VAR_FV: dict[str, frozenset[str]] = {}
+
+
 def free_vars(t: Term) -> frozenset[str]:
+    fv = t.__dict__.get(_FV)
+    if fv is None:
+        fv = _free_vars(t)
+        t.__dict__[_FV] = fv
+    return fv
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """a | b, returning `a` or `b` itself when it already is the union."""
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def _minus(s: frozenset[str], name: str) -> frozenset[str]:
+    return s - {name} if name in s else s
+
+
+def _free_vars(t: Term) -> frozenset[str]:
     match t:
         case Var(name):
-            return frozenset((name,))
+            fv = _VAR_FV.get(name)
+            if fv is None:
+                fv = _VAR_FV[name] = frozenset((name,))
+            return fv
         case SortT() | Ind() | Constr():
-            return frozenset()
+            return _NO_FV
         case App(fn, arg):
-            return free_vars(fn) | free_vars(arg)
+            return _union(free_vars(fn), free_vars(arg))
         case Prod(binder, domain, codomain):
-            return free_vars(domain) | (free_vars(codomain) - {binder})
+            return _union(free_vars(domain), _minus(free_vars(codomain), binder))
         case Lam(binder, annotation, body):
-            return free_vars(annotation) | (free_vars(body) - {binder})
+            return _union(free_vars(annotation), _minus(free_vars(body), binder))
         case Case(_, scrutinee, params, motive, branches):
-            out = free_vars(scrutinee) | free_vars(motive)
+            out = _union(free_vars(scrutinee), free_vars(motive))
             for p in params:
-                out |= free_vars(p)
+                out = _union(out, free_vars(p))
             for b in branches:
-                out |= free_vars(b)
+                out = _union(out, free_vars(b))
             return out
         case Fix(binder, annotation, body, _):
-            return free_vars(annotation) | (free_vars(body) - {binder})
+            return _union(free_vars(annotation), _minus(free_vars(body), binder))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -265,11 +300,11 @@ def subst(t: Term, name: str, value: Term) -> Term:
 
 
 def _subst(t: Term, name: str, value: Term, fv_value: frozenset[str]) -> Term:
+    if name not in free_vars(t):
+        return t
     match t:
-        case Var(n):
-            return value if n == name else t
-        case SortT() | Ind() | Constr():
-            return t
+        case Var():
+            return value
         case App(fn, arg):
             return App(_subst(fn, name, value, fv_value),
                        _subst(arg, name, value, fv_value))
@@ -301,18 +336,11 @@ def _subst_under(binder: str, body: Term, name: str, value: Term,
     """Substitute below a binder, renaming it if it would capture."""
     if binder == name:
         return binder, body
-    fv_body = free_vars(body)
-    if name not in fv_body:
-        return binder, body
-    if binder in fv_value:
-        fresh = fresh_name(binder, fv_value | fv_body | {name})
+    if binder in fv_value and name in free_vars(body):
+        fresh = fresh_name(binder, fv_value | free_vars(body) | {name})
         body = _subst(body, binder, Var(fresh), frozenset((fresh,)))
         return fresh, _subst(body, name, value, fv_value)
     return binder, _subst(body, name, value, fv_value)
-
-
-def rename(t: Term, old: str, new: str) -> Term:
-    return subst(t, old, Var(new))
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
@@ -411,11 +439,12 @@ class GlobalEnv:
     kernel's declare functions, after checking.
     """
 
-    __slots__ = ("_entries", "_constr_owner")
+    __slots__ = ("_entries", "_constr_owner", "_definitions")
 
     def __init__(self) -> None:
         self._entries: dict[str, GlobalEntry] = {}
         self._constr_owner: dict[str, str] = {}
+        self._definitions: set[str] = set()
 
     def lookup(self, name: str) -> Optional[GlobalEntry]:
         return self._entries.get(name)
@@ -443,6 +472,12 @@ class GlobalEnv:
     def names(self) -> list[str]:
         return list(self._entries)
 
+    def definition_names(self) -> set[str]:
+        """The names of all definitions.  This is the environment's own set,
+        kept up to date as definitions are added; callers must not modify
+        it."""
+        return self._definitions
+
     def taken(self, name: str) -> bool:
         return name in self._entries or name in self._constr_owner
 
@@ -460,6 +495,7 @@ class GlobalEnv:
         if self.taken(defn.name):
             raise DuplicateNameError(defn.name)
         self._entries[defn.name] = defn
+        self._definitions.add(defn.name)
 
     def with_provisional(self, decl: InductiveDecl) -> "GlobalEnv":
         """A copy with `decl` visible but its constructors unregistered.
@@ -470,5 +506,6 @@ class GlobalEnv:
         out = GlobalEnv()
         out._entries = dict(self._entries)
         out._constr_owner = dict(self._constr_owner)
+        out._definitions = set(self._definitions)
         out._entries[decl.name] = decl
         return out

@@ -1,7 +1,13 @@
 """Tests for the command line driver: outputs and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rcic
 from rcic import prelude_path
 from rcic.cli import main
 
@@ -68,6 +74,29 @@ def test_check_reports_parse_error(tmp_path, capsys):
     assert main(["check", bad]) == 2
     err = capsys.readouterr().err
     assert "bad.rcic:2:" in err
+
+
+def numeral(depth):
+    text = "zero"
+    for _ in range(depth):
+        text = f"succ ({text})"
+    return text
+
+
+def test_check_deep_nesting_is_a_parse_error(prelude, tmp_path, capsys):
+    ok = write(tmp_path, "ok.rcic", f"def n200 : Nat := {numeral(200)}.")
+    assert main(["check", prelude, ok]) == 0
+    assert "n200 : Nat" in capsys.readouterr().out.splitlines()
+
+    deep = write(tmp_path, "deep.rcic", f"def n1200 : Nat := {numeral(1200)}.")
+    env = dict(os.environ, PYTHONPATH=str(Path(rcic.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "rcic.cli", "check", prelude, deep],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 2
+    assert f"{deep}:1:" in run.stderr
+    assert "error: nesting too deep" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_check_missing_file(capsys):

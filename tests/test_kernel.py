@@ -227,6 +227,48 @@ def test_conv_alpha(prelude_env):
     assert not conv(prelude_env, a, Lam("y", BOOL, Var("y")))
 
 
+def test_conv_under_binders(prelude_env):
+    env = prelude_env
+    x, y, z = Var("x"), Var("y"), Var("z")
+    identity = Lam("x", NAT, x)
+    # Equal binder names: the bodies are compared as they are.
+    assert conv(env, identity, Lam("x", NAT, app(Lam("z", NAT, z), x)))
+    assert conv(env, Prod("x", SortT(set_sort(0)), x),
+                Prod("x", SortT(set_sort(0)), x))
+    assert not conv(env, Lam("x", NAT, Lam("y", NAT, x)),
+                    Lam("x", NAT, Lam("y", NAT, y)))
+    # Different names.
+    assert conv(env, identity, Lam("y", NAT, y))
+    assert conv(env, Prod("x", SortT(set_sort(0)), x),
+                Prod("y", SortT(set_sort(0)), y))
+    assert conv(env, Lam("x", NAT, Lam("y", NAT, x)),
+                Lam("y", NAT, Lam("x", NAT, y)))
+    assert not conv(env, Lam("x", NAT, y), Lam("y", NAT, x))
+    assert not conv(env, Prod("x", SortT(set_sort(0)), y),
+                    Prod("y", SortT(set_sort(0)), x))
+    # The first binder's name is free in the other body, so renaming only
+    # that body would capture it.
+    assert not conv(env, identity, Lam("y", NAT, x))
+    assert conv(env, identity, Lam("y", NAT, app(Lam("w", NAT, y), x)))
+    assert not conv(env, Prod("x", SortT(set_sort(0)), x),
+                    Prod("y", SortT(set_sort(0)), x))
+    # A binder named like a definition is abstract, never the global.
+    assert not conv(env, Lam("one", NAT, Var("one")),
+                    Lam("one", NAT, app(Constr("succ"), Constr("zero"))))
+    # Fixpoints, whose binder is in scope in the body.
+    ty = arrow(NAT, NAT)
+
+    def fix(f, n, body):
+        return Fix(f, ty, Lam(n, NAT, body), 0)
+
+    assert conv(env, fix("f", "n", App(Var("f"), Var("n"))),
+                fix("f", "n", App(Var("f"), Var("n"))))
+    assert conv(env, fix("f", "n", App(Var("f"), Var("n"))),
+                fix("g", "m", App(Var("g"), Var("m"))))
+    assert not conv(env, fix("f", "n", App(Var("f"), Var("n"))),
+                    fix("g", "n", App(Var("f"), Var("n"))))
+
+
 def test_conv_computes(prelude_env):
     two_plus_two = term_in(prelude_env, "plus two two")
     four = term_in(prelude_env, "succ (succ (succ (succ zero)))")
@@ -258,6 +300,15 @@ def test_subtype_products(prelude_env):
                        Prod("_", SortT(PROP), SortT(PROP)))
     # Reflexivity via conversion.
     assert subtype(prelude_env, arrow(NAT, NAT), arrow(NAT, NAT))
+    # Codomains are compared under one name for differently named binders.
+    named_small = Prod("x", NAT, SortT(set_sort(0)))
+    named_big = Prod("y", NAT, SortT(set_sort(1)))
+    assert subtype(prelude_env, named_small, named_big)
+    assert not subtype(prelude_env, named_big, named_small)
+    assert subtype(prelude_env, Prod("x", SortT(set_sort(0)), Var("x")),
+                   Prod("y", SortT(set_sort(0)), Var("y")))
+    assert not subtype(prelude_env, Prod("x", SortT(set_sort(0)), Var("x")),
+                       Prod("y", SortT(set_sort(0)), Var("x")))
 
 
 def test_subtype_unfolds(prelude_env):

@@ -32,7 +32,7 @@ from rcic import (
     subst,
     type_sort,
 )
-from rcic.syntax import fresh_name, rename, strip_lams, strip_prods, unfold_app
+from rcic.syntax import fresh_name, strip_lams, strip_prods, unfold_app
 
 from gen import random_term
 from nameless import subst_free, to_nameless
@@ -128,20 +128,45 @@ def test_subst_capture_in_case_and_fix():
     assert out.body == App(Var(out.binder), Var("f"))
 
 
+def _free_leaves(nameless) -> set[str]:
+    """The names of the ("free", n) leaves of a nameless term."""
+    if isinstance(nameless, tuple):
+        if len(nameless) == 2 and nameless[0] == "free":
+            return {nameless[1]}
+        return set().union(*(_free_leaves(part) for part in nameless))
+    return set()
+
+
 def test_subst_matches_nameless_oracle():
     rng = random.Random(20260814)
     for _ in range(400):
         t = random_term(rng, rng.randrange(1, 5))
         name = rng.choice(("a", "b", "c", "x", "y", "z"))
         value = random_term(rng, rng.randrange(0, 3))
-        got = to_nameless(subst(t, name, value))
+        out = subst(t, name, value)
+        got = to_nameless(out)
         want = subst_free(to_nameless(t), name, to_nameless(value))
         assert got == want
+        assert free_vars(t) == _free_leaves(to_nameless(t))
+        assert free_vars(out) == _free_leaves(want)
+
+
+def test_free_var_cache_is_invisible():
+    t = Lam("y", NAT, App(Var("x"), Var("y")))
+    u = Lam("y", NAT, App(Var("x"), Var("y")))
+    before = repr(t)
+    assert free_vars(t) == {"x"}
+    assert t == u and u == t
+    assert hash(t) == hash(u)
+    assert repr(t) == repr(u) == before
+    assert subst(t, "z", Var("w")) is t
+    assert subst(t, "y", Var("w")) is t
 
 
 def test_rename():
     t = Lam("y", NAT, App(Var("x"), Var("y")))
-    assert alpha_eq(rename(t, "x", "z"), Lam("y", NAT, App(Var("z"), Var("y"))))
+    assert alpha_eq(subst(t, "x", Var("z")),
+                    Lam("y", NAT, App(Var("z"), Var("y"))))
 
 
 def test_alpha_eq_basics():
