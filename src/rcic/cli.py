@@ -8,8 +8,9 @@ across the files in argument order:
   param-check  run the abstraction check on every definition, printing
                one PASS or FAIL line per definition
 
-Exit status: 0 on success, 1 for type errors or abstraction failures, 2 for
-parse and I/O errors.  Diagnostics go to stderr as path:line:col: error: ...
+Exit status: 0 on success, 1 for type errors, abstraction failures and
+declarations nested too deep to check, 2 for parse and I/O errors.
+Diagnostics go to stderr as path:line:col: error: ...
 """
 
 from __future__ import annotations
@@ -91,6 +92,10 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
             except (TypeCheckError, DuplicateNameError, ValueError) as err:
                 print(f"{path}:{decl.line}:{decl.col}: error: {err}",
+                      file=sys.stderr)
+                return 1
+            except RecursionError:
+                print(f"{path}:{decl.line}:{decl.col}: error: nesting too deep",
                       file=sys.stderr)
                 return 1
     return 1 if failures else 0

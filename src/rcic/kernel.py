@@ -9,6 +9,12 @@ inclusion between the Set and Type families.
 Strong elimination (a case whose motive lands in a Type sort) is gated by
 the elimination mode: STAR restricts it to small inductives, FULL lifts the
 restriction.
+
+Conversion and cumulativity evaluate both sides to closures and neutral
+values and compare those, unfolding a definition only when comparing its
+applications argument by argument fails (lazy delta).  `whnf` stays on
+terms, because `infer` returns its result.  `beta_normalize` contracts
+redexes by hereditary substitution, in one pass.
 """
 
 from __future__ import annotations
@@ -180,33 +186,98 @@ def beta_normalize(t: Term) -> Term:
     """Full normalization under beta alone (no delta, iota, or fix).
 
     Used to collapse the administrative redexes that the relational
-    translation produces; on well-typed input this terminates.
+    translation produces; on well-typed input this terminates.  A redex is
+    contracted by hereditary substitution (`_hsubst`), which substitutes
+    and normalises in one pass.  Subterms that are already normal are
+    returned as they are, not rebuilt.
     """
     match t:
         case Var() | SortT() | Ind() | Constr():
             return t
         case App(fn, arg):
-            fn = beta_normalize(fn)
-            arg = beta_normalize(arg)
-            if isinstance(fn, Lam):
-                return beta_normalize(subst(fn.body, fn.binder, arg))
-            return App(fn, arg)
-        case Prod(binder, domain, codomain):
-            return Prod(binder, beta_normalize(domain), beta_normalize(codomain))
-        case Lam(binder, annotation, body):
-            return Lam(binder, beta_normalize(annotation), beta_normalize(body))
+            fn2 = beta_normalize(fn)
+            arg2 = beta_normalize(arg)
+            if isinstance(fn2, Lam):
+                return _hsubst(fn2.body, fn2.binder, arg2, free_vars(arg2))
+            if fn2 is fn and arg2 is arg:
+                return t
+            return App(fn2, arg2)
+        case Prod(binder, domain, body) | Lam(binder, domain, body):
+            domain2 = beta_normalize(domain)
+            body2 = beta_normalize(body)
+            if domain2 is domain and body2 is body:
+                return t
+            return type(t)(binder, domain2, body2)
+        case Case(ind, scrutinee, params, motive, branches):
+            scrutinee2 = beta_normalize(scrutinee)
+            params2 = tuple(beta_normalize(p) for p in params)
+            motive2 = beta_normalize(motive)
+            branches2 = tuple(beta_normalize(b) for b in branches)
+            if (scrutinee2 is scrutinee and motive2 is motive
+                    and all(x is y for x, y in zip(params2, params))
+                    and all(x is y for x, y in zip(branches2, branches))):
+                return t
+            return Case(ind, scrutinee2, params2, motive2, branches2)
+        case Fix(binder, annotation, body, decreasing):
+            annotation2 = beta_normalize(annotation)
+            body2 = beta_normalize(body)
+            if annotation2 is annotation and body2 is body:
+                return t
+            return Fix(binder, annotation2, body2, decreasing)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _hsubst(t: Term, name: str, value: Term, fv_value: frozenset[str]) -> Term:
+    """`beta_normalize(subst(t, name, value))` for beta-normal `t` and
+    `value`, in one pass.
+
+    Substituting into a normal term makes a redex only where `name` is the
+    head of an application and `value` is a Lam; that redex is contracted
+    on the spot by the same means.  Binders are renamed exactly as `subst`
+    renames them, so the result has the same binder names.
+    """
+    if name not in free_vars(t):
+        return t
+    match t:
+        case Var():
+            return value
+        case App(fn, arg):
+            fn2 = _hsubst(fn, name, value, fv_value)
+            arg2 = _hsubst(arg, name, value, fv_value)
+            if isinstance(fn2, Lam):
+                return _hsubst(fn2.body, fn2.binder, arg2, free_vars(arg2))
+            return App(fn2, arg2)
+        case Prod(binder, domain, body) | Lam(binder, domain, body):
+            domain2 = _hsubst(domain, name, value, fv_value)
+            binder2, body2 = _hsubst_under(binder, body, name, value, fv_value)
+            return type(t)(binder2, domain2, body2)
         case Case(ind, scrutinee, params, motive, branches):
             return Case(
                 ind,
-                beta_normalize(scrutinee),
-                tuple(beta_normalize(p) for p in params),
-                beta_normalize(motive),
-                tuple(beta_normalize(b) for b in branches),
+                _hsubst(scrutinee, name, value, fv_value),
+                tuple(_hsubst(p, name, value, fv_value) for p in params),
+                _hsubst(motive, name, value, fv_value),
+                tuple(_hsubst(b, name, value, fv_value) for b in branches),
             )
         case Fix(binder, annotation, body, decreasing):
-            return Fix(binder, beta_normalize(annotation), beta_normalize(body),
-                       decreasing)
+            annotation2 = _hsubst(annotation, name, value, fv_value)
+            binder2, body2 = _hsubst_under(binder, body, name, value, fv_value)
+            return Fix(binder2, annotation2, body2, decreasing)
     raise TypeError(f"not a term: {t!r}")
+
+
+def _hsubst_under(binder: str, body: Term, name: str, value: Term,
+                  fv_value: frozenset[str]) -> tuple[str, Term]:
+    """`_hsubst` below a binder, renaming it as `subst` would: only if it
+    would capture a free variable of `value`."""
+    if binder == name:
+        return binder, body
+    if binder in fv_value and name in free_vars(body):
+        fresh = fresh_name(binder, fv_value | free_vars(body) | {name})
+        body = subst(body, binder, Var(fresh))
+    else:
+        fresh = binder
+    return fresh, _hsubst(body, name, value, fv_value)
 
 
 def one_step_reducts(env: GlobalEnv, t: Term) -> list[Term]:
@@ -266,87 +337,298 @@ def one_step_reducts(env: GlobalEnv, t: Term) -> list[Term]:
 
 # ---------------------------------------------------------------------------
 # Conversion and cumulativity
+#
+# Conversion evaluates both sides to values and compares the values.  A value
+# is a Sort, a closure (an environment and a Lam or Prod term), or a neutral:
+# a head and a spine of arguments, each evaluated at most once and only when
+# needed.  Variables bound inside the compared terms are looked up in the
+# environment, so evaluation never substitutes; a binder that the comparison
+# opens becomes a de Bruijn level, so it never makes a fresh name.
+#
+# Evaluation does beta, iota and fix unfolding by the same rules as whnf, but
+# leaves a defined global in head position folded.  Two applications of the
+# same global are compared argument by argument first and unfolded only if
+# that fails (lazy delta).
+
+# Neutral head kinds, with what `_Neutral.head` holds for each.
+_LEVEL = 0   # a binder opened by the comparison: its de Bruijn level
+_FREE = 1    # a free variable that names no definition: the name
+_GLOBAL = 2  # a definition, unfolded on demand: the name
+_IND = 3     # the name
+_CONSTR = 4  # the name
+_CASE = 5    # a case stuck on its scrutinee: (rho, case, scrutinee value)
+_FIX = 6     # a fix whose decreasing argument is missing or is not a
+             # constructor: (rho, fix)
+_STUCK = 7   # a sort or product applied to arguments: that value
+
+
+class _Thunk:
+    """A term in an environment, evaluated at most once."""
+
+    __slots__ = ("rho", "term", "value")
+
+    def __init__(self, rho: Optional[dict], term: Optional[Term], value=None):
+        self.rho = rho
+        self.term = term
+        self.value = value
+
+
+class _Closure:
+    """The value of a Lam or Prod: the term and the environment of its
+    free variables."""
+
+    __slots__ = ("rho", "term")
+
+    def __init__(self, rho: dict, term: Term):
+        self.rho = rho
+        self.term = term
+
+
+class _Neutral:
+    """A head (see the kinds above) applied to a spine of thunks.  A global
+    head keeps the value it unfolds to once it has been unfolded."""
+
+    __slots__ = ("kind", "head", "spine", "unfolded")
+
+    def __init__(self, kind: int, head, spine: tuple[_Thunk, ...] = ()):
+        self.kind = kind
+        self.head = head
+        self.spine = spine
+        self.unfolded = None
+
+
+_EMPTY: dict[str, _Thunk] = {}
+_VALUE = "_value"
+
+
+def _force(env: GlobalEnv, th: _Thunk):
+    v = th.value
+    if v is None:
+        v = th.value = _eval(env, th.rho, th.term)
+    return v
+
+
+def _eval(env: GlobalEnv, rho: dict, t: Term):
+    """The value of `t` with its bound variables looked up in `rho`."""
+    match t:
+        case Var(name):
+            th = rho.get(name)
+            if th is not None:
+                return _force(env, th)
+            defn = env.definition(name)
+            if defn is None:
+                return _Neutral(_FREE, name)
+            # One shared value per definition, so that its unfolding is
+            # computed once.  It is kept in the definition's instance dict,
+            # which equality, hashing and repr do not see; the body is
+            # closed, so its value is the same wherever it is used.
+            v = defn.__dict__.get(_VALUE)
+            if v is None:
+                v = defn.__dict__[_VALUE] = _Neutral(_GLOBAL, name)
+            return v
+        case App(fn, arg):
+            th = rho.get(arg.name) if type(arg) is Var else None
+            return _apply(env, _eval(env, rho, fn), th or _Thunk(rho, arg))
+        case Lam() | Prod():
+            return _Closure(rho, t)
+        case SortT(s):
+            return s
+        case Ind(name):
+            return _Neutral(_IND, name)
+        case Constr(name):
+            return _Neutral(_CONSTR, name)
+        case Case(ind, scrutinee, _, _, branches):
+            s = _unfold_head(env, _eval(env, rho, scrutinee))
+            if type(s) is _Neutral and s.kind == _CONSTR:
+                info = env.constructor(s.head)
+                if info is not None and info[0].name == ind:
+                    decl, i = info
+                    v = _eval(env, rho, branches[i])
+                    for th in s.spine[decl.params:]:
+                        v = _apply(env, v, th)
+                    return v
+            return _Neutral(_CASE, (rho, t, s))
+        case Fix():
+            return _Neutral(_FIX, (rho, t))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _apply(env: GlobalEnv, f, arg: _Thunk):
+    """The value of `f` applied to `arg`: beta for a Lam closure, fix
+    unfolding once the decreasing argument is there and is a constructor."""
+    if type(f) is _Neutral:
+        spine = f.spine + (arg,)
+        if f.kind == _FIX:
+            rho, fix = f.head
+            # Checked once, when the decreasing argument arrives: if it is
+            # not a constructor then, it never will be.
+            if len(spine) == fix.decreasing + 1:
+                d = _unfold_head(env, _force(env, arg))
+                if type(d) is _Neutral and d.kind == _CONSTR:
+                    itself = _Thunk(None, None, _Neutral(_FIX, f.head))
+                    v = _eval(env, {**rho, fix.binder: itself}, fix.body)
+                    for th in spine:
+                        v = _apply(env, v, th)
+                    return v
+        return _Neutral(f.kind, f.head, spine)
+    if type(f) is _Closure and type(f.term) is Lam:
+        return _eval(env, {**f.rho, f.term.binder: arg}, f.term.body)
+    return _Neutral(_STUCK, f, (arg,))
+
+
+def _unfold_head(env: GlobalEnv, v):
+    """`v` with defined globals in head position unfolded: a value in weak
+    head normal form."""
+    while type(v) is _Neutral and v.kind == _GLOBAL:
+        v = _unfold(env, v)
+    return v
+
+
+def _unfold(env: GlobalEnv, v: _Neutral):
+    """One delta step at the head of a global-headed neutral, done once."""
+    out = v.unfolded
+    if out is None:
+        out = _eval(env, _EMPTY, env.definition(v.head).body)
+        for th in v.spine:
+            out = _apply(env, out, th)
+        v.unfolded = out
+    return out
+
+
+def _binder_parts(t: Lam | Prod) -> tuple[Term, Term]:
+    """The domain and body of a Lam or Prod term."""
+    if type(t) is Lam:
+        return t.annotation, t.body
+    return t.domain, t.codomain
+
+
+def _conv(env: GlobalEnv, k: int, a, b, cumulative: bool = False) -> bool:
+    """Whether values `a` and `b` are convertible, or with `cumulative`,
+    whether `a` is a subtype of `b`.  Levels below `k` are in use."""
+    while True:
+        # Lazy delta.
+        while True:
+            if a is b:
+                return True
+            ga = type(a) is _Neutral and a.kind == _GLOBAL
+            gb = type(b) is _Neutral and b.kind == _GLOBAL
+            if ga and gb:
+                if a.head == b.head and _conv_spines(env, k, a.spine, b.spine):
+                    return True
+                a, b = _unfold(env, a), _unfold(env, b)
+            elif ga:
+                a = _unfold(env, a)
+            elif gb:
+                b = _unfold(env, b)
+            else:
+                break
+        if type(a) is not type(b):
+            return False
+        if type(a) is Sort:
+            return subsort(a, b) if cumulative else a == b
+        if type(a) is _Closure:
+            ta, tb = a.term, b.term
+            if type(ta) is not type(tb):
+                return False
+            da, ba = _binder_parts(ta)
+            db, bb = _binder_parts(tb)
+            if not _conv_terms(env, k, a.rho, da, b.rho, db):
+                return False
+            level = _Thunk(None, None, _Neutral(_LEVEL, k))
+            cumulative = cumulative and type(ta) is Prod
+            a = _eval(env, {**a.rho, ta.binder: level}, ba)
+            b = _eval(env, {**b.rho, tb.binder: level}, bb)
+            k += 1
+            continue
+        # Two neutrals: compare the heads, then the spines; the last
+        # argument is compared by the loop.
+        if a.kind != b.kind or len(a.spine) != len(b.spine):
+            return False
+        if not _conv_heads(env, k, a, b):
+            return False
+        if not a.spine:
+            return True
+        if not _conv_spines(env, k, a.spine[:-1], b.spine[:-1]):
+            return False
+        ta, tb = a.spine[-1], b.spine[-1]
+        if _same_thunk(ta, tb):
+            return True
+        a, b = _force(env, ta), _force(env, tb)
+        cumulative = False
+
+
+def _same_thunk(a: _Thunk, b: _Thunk) -> bool:
+    """Whether two thunks have one value without evaluating either."""
+    return a is b or (a.term is b.term and a.rho is b.rho and a.term is not None)
+
+
+def _conv_spines(env: GlobalEnv, k: int, sa: tuple, sb: tuple) -> bool:
+    if len(sa) != len(sb):
+        return False
+    for x, y in zip(sa, sb):
+        if not (_same_thunk(x, y) or _conv(env, k, _force(env, x), _force(env, y))):
+            return False
+    return True
+
+
+def _conv_terms(env: GlobalEnv, k: int, rho_a: dict, a: Term, rho_b: dict,
+                b: Term) -> bool:
+    if a is b and rho_a is rho_b:
+        return True
+    return _conv(env, k, _eval(env, rho_a, a), _eval(env, rho_b, b))
+
+
+def _conv_heads(env: GlobalEnv, k: int, a: _Neutral, b: _Neutral) -> bool:
+    """Whether two neutrals of one kind have convertible heads."""
+    if a.kind == _CASE:
+        rho_a, ca, sa = a.head
+        rho_b, cb, sb = b.head
+        if (ca.ind != cb.ind or len(ca.params) != len(cb.params)
+                or len(ca.branches) != len(cb.branches)):
+            return False
+        return (_conv(env, k, sa, sb)
+                and all(_conv_terms(env, k, rho_a, x, rho_b, y)
+                        for x, y in zip(ca.params, cb.params))
+                and _conv_terms(env, k, rho_a, ca.motive, rho_b, cb.motive)
+                and all(_conv_terms(env, k, rho_a, x, rho_b, y)
+                        for x, y in zip(ca.branches, cb.branches)))
+    if a.kind == _FIX:
+        rho_a, fa = a.head
+        rho_b, fb = b.head
+        if fa.decreasing != fb.decreasing or not _conv_terms(
+                env, k, rho_a, fa.annotation, rho_b, fb.annotation):
+            return False
+        level = _Thunk(None, None, _Neutral(_LEVEL, k))
+        return _conv(env, k + 1, _eval(env, {**rho_a, fa.binder: level}, fa.body),
+                     _eval(env, {**rho_b, fb.binder: level}, fb.body))
+    if a.kind == _STUCK:
+        return _conv(env, k, a.head, b.head)
+    return a.head == b.head
 
 
 def conv(env: GlobalEnv, a: Term, b: Term) -> bool:
-    """Convertibility: reduce both sides to weak head form and compare
-    structurally, recursing on subterms.  No eta."""
-    if alpha_eq(a, b):
-        return True
-    return _conv_whnf(env, whnf(env, a), whnf(env, b))
+    """Convertibility under beta, delta, iota and fix unfolding.  No eta.
 
-
-def _conv_whnf(env: GlobalEnv, a: Term, b: Term) -> bool:
-    if alpha_eq(a, b):
-        return True
-    match a, b:
-        case Var(na), Var(nb):
-            return na == nb
-        case SortT(sa), SortT(sb):
-            return sa == sb
-        case Ind(na), Ind(nb):
-            return na == nb
-        case Constr(na), Constr(nb):
-            return na == nb
-        case App(fa, aa), App(fb, ab):
-            return _conv_whnf(env, fa, fb) and conv(env, aa, ab)
-        case Prod(xa, da, ca), Prod(xb, db, cb):
-            if not conv(env, da, db):
-                return False
-            return conv(env, *_open_pair(env, xa, ca, xb, cb))
-        case Lam(xa, ta, ba), Lam(xb, tb, bb):
-            if not conv(env, ta, tb):
-                return False
-            return conv(env, *_open_pair(env, xa, ba, xb, bb))
-        case Case(ia, sa, pa, ma, bra), Case(ib, sb, pb, mb, brb):
-            if ia != ib or len(pa) != len(pb) or len(bra) != len(brb):
-                return False
-            if not conv(env, sa, sb):
-                return False
-            if not all(conv(env, x, y) for x, y in zip(pa, pb)):
-                return False
-            if not conv(env, ma, mb):
-                return False
-            return all(conv(env, x, y) for x, y in zip(bra, brb))
-        case Fix(xa, ta, ba, ka), Fix(xb, tb, bb, kb):
-            if ka != kb or not conv(env, ta, tb):
-                return False
-            return conv(env, *_open_pair(env, xa, ba, xb, bb))
-    return False
-
-
-def _open_pair(env: GlobalEnv, xa: str, ba: Term, xb: str,
-               bb: Term) -> tuple[Term, Term]:
-    """The bodies of two binders, `xa` over `ba` and `xb` over `bb`, with
-    both binders named alike so the bodies can be compared directly.
-
-    The common name is `xa` itself unless that would capture a free
-    variable of `bb`, or names a definition, which whnf would unfold as the
-    global.  Only then are both bodies renamed to a fresh name.
+    Alpha-equal terms are convertible at once.  Otherwise both sides are
+    evaluated to closures and neutrals and compared on their weak head
+    forms, recursing on the parts, with lazy delta: applications of the
+    same global are compared argument by argument before either is
+    unfolded.  (whnf stays on terms, because infer returns its result.)
     """
-    if env.definition(xa) is None:
-        if xa == xb:
-            return ba, bb
-        if xa not in free_vars(bb):
-            return ba, subst(bb, xb, Var(xa))
-    fresh = fresh_name(xa, free_vars(ba) | free_vars(bb) | {xa, xb})
-    return subst(ba, xa, Var(fresh)), subst(bb, xb, Var(fresh))
+    if alpha_eq(a, b):
+        return True
+    return _conv(env, 0, _eval(env, _EMPTY, a), _eval(env, _EMPTY, b))
 
 
 def subtype(env: GlobalEnv, a: Term, b: Term) -> bool:
     """Cumulativity: conversion, or sort inclusion, or products compared
-    with convertible domains and subtyped codomains."""
-    a = whnf(env, a)
-    b = whnf(env, b)
-    match a, b:
-        case SortT(sa), SortT(sb):
-            return subsort(sa, sb)
-        case Prod(xa, da, ca), Prod(xb, db, cb):
-            if not conv(env, da, db):
-                return False
-            return subtype(env, *_open_pair(env, xa, ca, xb, cb))
-        case _:
-            return _conv_whnf(env, a, b)
+    with convertible domains and subtyped codomains.
+
+    Decided like `conv`, on values with lazy delta, after the same
+    alpha-equality fast path."""
+    if alpha_eq(a, b):
+        return True
+    return _conv(env, 0, _eval(env, _EMPTY, a), _eval(env, _EMPTY, b), True)
 
 
 # ---------------------------------------------------------------------------

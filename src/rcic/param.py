@@ -328,20 +328,14 @@ def _pick_pair(base: str, avoid: frozenset[str]) -> tuple[str, str]:
     return candidate, primed(candidate)
 
 
-def case_motive(env: GlobalEnv, ind: str, params: tuple[Term, ...],
-                motive: Term, branches: tuple[Term, ...]) -> Term:
+def _case_motive(env: GlobalEnv, t: Case, bound: frozenset[str],
+                 alias: Alias | None = None) -> Term:
     """The motive of the translated case over the relation inductive.
 
     It abstracts a triple per index of the source inductive, the two related
     scrutinees, and the relation witness, and returns the motive's own
     relation applied to both original case expressions.
     """
-    return _case_motive(env, Case(ind, Var("_scrut_"), params, motive,
-                                  branches), frozenset())
-
-
-def _case_motive(env: GlobalEnv, t: Case, bound: frozenset[str],
-                 alias: Alias | None = None) -> Term:
     g = env.definition_names() - bound
     rdecl = _ensure_inductive(env, t.ind).relation
     src = env.inductive(t.ind)

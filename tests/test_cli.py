@@ -99,6 +99,27 @@ def test_check_deep_nesting_is_a_parse_error(prelude, tmp_path, capsys):
     assert "Traceback" not in run.stderr
 
 
+def test_param_check_too_deep_is_a_diagnostic(prelude, tmp_path):
+    # The translated witness nests three binders per source binder, which
+    # overflows the interpreter's recursion limit; `check` alone does not.
+    n = 150
+    text = (f"def f : {' -> '.join(['Nat'] * (n + 1))} :=\n"
+            f"  fun ({' '.join(f'y{i}' for i in range(n))} : Nat) => y0.\n")
+    deep = write(tmp_path, "binders.rcic", text)
+    env = dict(os.environ, PYTHONPATH=str(Path(rcic.__file__).parents[1]))
+
+    def run(command):
+        return subprocess.run(
+            [sys.executable, "-m", "rcic.cli", command, prelude, deep],
+            capture_output=True, text=True, env=env, timeout=120)
+
+    failed = run("param-check")
+    assert failed.returncode == 1
+    assert f"{deep}:1:1: error: nesting too deep" in failed.stderr
+    assert "Traceback" not in failed.stderr
+    assert run("check").returncode == 0
+
+
 def test_check_missing_file(capsys):
     assert main(["check", "/does/not/exist.rcic"]) == 2
     assert "error" in capsys.readouterr().err

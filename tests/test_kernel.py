@@ -41,12 +41,18 @@ from rcic import (
     set_sort,
     sort_of_product,
     subsort,
+    subst,
     subtype,
+    translate_term,
     type_sort,
     whnf,
 )
 
+from rcic.syntax import unfold_app
+
 from conftest import load_declarations, term_in
+from gen import LIST_NAT, UNIT, random_typed
+from nameless import to_nameless
 
 NAT = Ind("Nat")
 BOOL = Ind("Bool")
@@ -201,6 +207,60 @@ def test_beta_normalize():
     assert beta_normalize(t) == Lam("x", NAT, Var("x"))
 
 
+def _beta_normalize_by_subst(t):
+    """The reference beta normaliser: substitute, then normalise again."""
+    match t:
+        case App(fn, arg):
+            fn, arg = _beta_normalize_by_subst(fn), _beta_normalize_by_subst(arg)
+            if isinstance(fn, Lam):
+                return _beta_normalize_by_subst(subst(fn.body, fn.binder, arg))
+            return App(fn, arg)
+        case Prod(binder, domain, codomain):
+            return Prod(binder, _beta_normalize_by_subst(domain),
+                        _beta_normalize_by_subst(codomain))
+        case Lam(binder, annotation, body):
+            return Lam(binder, _beta_normalize_by_subst(annotation),
+                       _beta_normalize_by_subst(body))
+        case Case(ind, scrutinee, params, motive, branches):
+            return Case(ind, _beta_normalize_by_subst(scrutinee),
+                        tuple(map(_beta_normalize_by_subst, params)),
+                        _beta_normalize_by_subst(motive),
+                        tuple(map(_beta_normalize_by_subst, branches)))
+        case Fix(binder, annotation, body, decreasing):
+            return Fix(binder, _beta_normalize_by_subst(annotation),
+                       _beta_normalize_by_subst(body), decreasing)
+    return t
+
+
+def test_beta_normalize_keeps_names_and_sharing():
+    x = Var("x")
+    # The substituted `x` is free under the binder `x`, which is renamed
+    # exactly as `subst` renames it.
+    redex = App(Lam("y", NAT, Lam("x", NAT, App(Var("y"), x))), x)
+    assert beta_normalize(redex) == Lam("x1", NAT, App(x, Var("x1")))
+    # A redex made by the substitution itself, in head position.
+    t = App(Lam("f", arrow(NAT, NAT), Lam("n", NAT, App(Var("f"), Var("n")))),
+            Lam("m", NAT, App(Constr("succ"), Var("m"))))
+    assert beta_normalize(t) == Lam("n", NAT, App(Constr("succ"), Var("n")))
+    # A normal term comes back as the same object.
+    normal = Lam("n", NAT, Case("Nat", Var("n"), (), Lam("k", NAT, NAT),
+                                (Constr("zero"), Lam("k", NAT, Var("k")))))
+    assert beta_normalize(normal) is normal
+    applied = App(Var("f"), normal)
+    assert beta_normalize(applied) is applied
+
+
+def test_beta_normalize_matches_reference_on_translations(fresh_env):
+    # The relational translation is where beta_normalize earns its keep:
+    # its raw images are full of administrative redexes.
+    for name in ("id", "compose", "flip", "plus", "double", "not_not",
+                 "append", "map", "fold_right"):
+        defn = fresh_env.definition(name)
+        for raw in (translate_term(fresh_env, defn.body),
+                    translate_term(fresh_env, defn.type)):
+            assert beta_normalize(raw) == _beta_normalize_by_subst(raw), name
+
+
 def test_one_step_reducts(prelude_env):
     redex = App(Lam("x", NAT, Var("x")), Constr("zero"))
     assert Constr("zero") in one_step_reducts(prelude_env, redex)
@@ -277,6 +337,70 @@ def test_conv_computes(prelude_env):
     # Unfolding on both sides.
     assert conv(prelude_env, term_in(prelude_env, "double two"),
                 term_in(prelude_env, "plus two two"))
+
+
+def test_conv_open_terms(prelude_env):
+    env = prelude_env
+    x = Var("x")  # x : Nat, free
+
+    def plus(a, b):
+        return app(Var("plus"), a, b)
+
+    def succ(a):
+        return App(Constr("succ"), a)
+
+    zero, one, two = Constr("zero"), Var("one"), Var("two")
+    # Same global head: the arguments are compared before unfolding.
+    assert conv(env, plus(x, two), plus(x, succ(one)))
+    # Unfolding and iota on a constructor-headed decreasing argument.
+    assert conv(env, plus(zero, x), x)
+    assert conv(env, plus(succ(x), zero), succ(plus(x, zero)))
+    # Stuck on the free variable.
+    assert not conv(env, plus(x, zero), x)
+    assert not conv(env, plus(x, one), plus(one, x))
+
+    def stuck(succ_branch):
+        return Case("Nat", x, (), Lam("n", NAT, BOOL),
+                    (Constr("true"), Lam("k", NAT, succ_branch)))
+
+    assert conv(env, stuck(App(Var("negb"), Constr("true"))),
+                stuck(Constr("false")))
+    assert not conv(env, stuck(Constr("true")), stuck(Constr("false")))
+
+
+def _constructor_form(env, t):
+    """The oracle normal form of a closed first-order term: whnf, then the
+    same for every argument of the constructor it reaches."""
+    head, args = unfold_app(whnf(env, t))
+    assert isinstance(head, (Constr, Ind)), head
+    return app(head, *(_constructor_form(env, a) for a in args))
+
+
+def test_conv_agrees_with_normal_form_oracle(prelude_env):
+    env = prelude_env
+    rng = random.Random(20240)
+    first_order = (NAT, BOOL, LIST_NAT, UNIT)
+    terms = []
+    while len(terms) < 200:
+        t, ty = random_typed(rng, depth=4)
+        if any(alpha_eq(ty, target) for target in first_order):
+            terms.append((t, ty, _constructor_form(env, t)))
+    for t, _, nf in terms:
+        assert conv(env, t, nf)
+        assert conv(env, nf, t)
+    pairs = convertible = 0
+    for (a, ty_a, nf_a), (b, ty_b, nf_b) in zip(terms, terms[1:]):
+        if not alpha_eq(ty_a, ty_b):
+            continue
+        pairs += 1
+        expected = to_nameless(nf_a) == to_nameless(nf_b)
+        convertible += expected
+        assert conv(env, a, b) == expected
+        assert conv(env, b, a) == expected
+        assert subtype(env, a, b) == expected
+        assert subtype(env, b, a) == expected
+    # Both verdicts are exercised.
+    assert pairs >= 50 and 0 < convertible < pairs
 
 
 def test_conv_no_eta(prelude_env):
