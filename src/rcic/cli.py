@@ -19,15 +19,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from .syntax import Context, DuplicateNameError, GlobalEnv, InductiveDecl
+from .syntax import Context, DuplicateNameError, GlobalEnv
 from .kernel import ErrorKind, FULL, STAR, TypeCheckError, infer, infer_sort
-from .kernel import declare_definition, declare_inductive
 from .frontend import (
     DCheck,
     DDef,
     DInductive,
     DParamCheck,
     ParseError,
+    declare,
     elaborate,
     parse_file,
 )
@@ -114,29 +114,23 @@ def _process(env: GlobalEnv, decl, args, mode) -> int:
         print(line)
 
     match decl:
-        case DInductive(name, params, raw_arity, raw_ctors):
-            arity = elaborate(env, raw_arity)
-            provisional = env.with_provisional(InductiveDecl(name, params, arity, ()))
-            ctors = tuple((c, elaborate(provisional, cty)) for c, cty in raw_ctors)
-            ind = InductiveDecl(name, params, arity, ctors)
-            declare_inductive(env, ind, mode)
+        case DInductive(name):
+            ind = declare(env, decl, mode)
             if command in ("check", "translate"):
-                show(name, arity)
-                for cname, cty in ctors:
+                show(name, ind.arity)
+                for cname, cty in ind.constructors:
                     show(cname, cty)
             if command == "translate" and only in (None, name):
                 print(print_inductive(translate_inductive(env, ind).relation, env))
             return 0
-        case DDef(name, raw_ty, raw_body):
-            ty = elaborate(env, raw_ty)
-            body = elaborate(env, raw_body)
-            declare_definition(env, name, ty, body, mode)
+        case DDef(name):
+            defn = declare(env, decl, mode)
             if command in ("check", "translate"):
-                show(name, ty)
+                show(name, defn.type)
             if command == "translate" and only in (None, name):
                 print(print_definition(translate_definition(env, name), env))
             if command == "param-check":
-                ok = abstraction_check(env, Context(), body, ty)
+                ok = abstraction_check(env, Context(), defn.body, defn.type)
                 print(f"{'PASS' if ok else 'FAIL'} {name}")
                 return 0 if ok else 1
             return 0

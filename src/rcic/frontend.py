@@ -2,15 +2,16 @@
 
 The parser is environment free and produces kernel term nodes directly,
 except that every name is a Var and every match is a RawMatch placeholder.
-Elaboration resolves names against a global environment (rewriting
-references to inductives and constructors), renames shadowing binders so
-binder names are locally unique, and expands each RawMatch into a fully
-annotated case: the motive and branch binders get their types from the
-inductive's declaration.
+Elaboration resolves names against a global environment (free names of
+inductives, constructors and definitions become Ind, Constr and Const),
+renames shadowing binders so binder names are locally unique, and expands
+each RawMatch into a fully annotated case: the motive and branch binders
+get their types from the inductive's declaration.  `declare` elaborates
+and kernel-checks one parsed inductive or definition.
 
-Names ending in ' or _R are reserved for generated copies and witnesses and
-are rejected unless the caller opts in (useful for reading generated code
-back in).
+Names ending in ' or _R (`param.is_reserved`) are reserved for generated
+copies and witnesses and are rejected unless the caller opts in (useful for
+reading generated code back in).
 """
 
 from __future__ import annotations
@@ -21,10 +22,13 @@ from dataclasses import dataclass
 from .syntax import (
     App,
     Case,
+    Const,
     Constr,
+    Definition,
     Fix,
     GlobalEnv,
     Ind,
+    InductiveDecl,
     Lam,
     Prod,
     Sort,
@@ -38,6 +42,8 @@ from .syntax import (
     strip_prods,
     subst,
 )
+from .kernel import STAR, EliminationMode, declare_definition, declare_inductive
+from .param import PRIME_SUFFIX, WITNESS_SUFFIX, is_reserved
 
 
 class ParseError(Exception):
@@ -132,8 +138,9 @@ def tokenize(text: str, allow_reserved: bool = False) -> list[Token]:
             if word in ("Set", "Type"):
                 raise ParseError(f"{word} needs an explicit level, like {word}1",
                                  tok_line, tok_col)
-            if not allow_reserved and _is_reserved_name(word):
-                suffix = "'" if word.endswith("'") else "_R"
+            if not allow_reserved and is_reserved(word):
+                suffix = (PRIME_SUFFIX if word.endswith(PRIME_SUFFIX)
+                          else WITNESS_SUFFIX)
                 raise ParseError(
                     f"names ending in {suffix} are reserved: {word}",
                     tok_line, tok_col)
@@ -168,10 +175,6 @@ def _parse_sort(word: str, line: int, col: int) -> Sort:
     if kind == "Type" and level < 1:
         raise ParseError("Type levels start at 1", line, col)
     return Sort(kind, level)
-
-
-def _is_reserved_name(name: str) -> bool:
-    return name.endswith("'") or name.endswith("_R")
 
 
 @dataclass(frozen=True)
@@ -473,10 +476,11 @@ def parse_file(text: str, allow_reserved: bool = False) -> SourceFile:
 def elaborate(env: GlobalEnv, t: Term) -> Term:
     """Resolve names and expand matches into annotated cases.
 
-    Occurrences of inductive and constructor names become Ind and Constr
-    nodes; other names stay Var (definitions and context variables look the
-    same to the parser).  Binders that shadow an enclosing binder or a
-    global are renamed, so every binder name is locally unique.
+    Bound names stay Var.  A free name becomes an Ind, Constr or Const node
+    if it names an inductive, constructor or definition, and stays a Var
+    otherwise (a context variable, or unknown).  Binders that shadow an
+    enclosing binder or a global are renamed, so every binder name is
+    locally unique.
     """
     taken = _names_of(t)
     return _elab(env, t, {}, taken)
@@ -526,6 +530,9 @@ def _names_of(t: Term) -> set[str]:
 
 def _bind(env: GlobalEnv, name: str, scope: dict[str, str],
           taken: set[str]) -> tuple[str, dict[str, str]]:
+    """Bind `name`, renamed if it shadows a binder or a global.  The kernel
+    does not need the latter (a Var is never a global); it keeps printed
+    terms unambiguous, as fresh names avoid no Ind or Constr name."""
     if name == "_":
         return name, scope
     if (name in scope or env.lookup(name) is not None
@@ -543,12 +550,15 @@ def _elab(env: GlobalEnv, t: Term, scope: dict[str, str],
         case Var(name):
             if name in scope:
                 return Var(scope[name])
-            if env.inductive(name) is not None:
+            entry = env.lookup(name)
+            if isinstance(entry, Definition):
+                return Const(name)
+            if entry is not None:
                 return Ind(name)
             if env.constructor(name) is not None:
                 return Constr(name)
             return t
-        case SortT() | Ind() | Constr():
+        case SortT() | Ind() | Constr() | Const():
             return t
         case App(fn, arg):
             return App(_elab(env, fn, scope, taken),
@@ -653,3 +663,20 @@ def _elab_match(env: GlobalEnv, rm: RawMatch, scope: dict[str, str],
         branches.append(lams(field_binders, _elab(env, body, binner, taken)))
 
     return Case(rm.ind, scrutinee, params, motive, tuple(branches))
+
+
+def declare(env: GlobalEnv, decl: DInductive | DDef,
+            mode: EliminationMode = STAR) -> InductiveDecl | Definition:
+    """Elaborate one parsed inductive or definition, declare it in `env`
+    through the kernel, and return the checked entry."""
+    if isinstance(decl, DDef):
+        declare_definition(env, decl.name, elaborate(env, decl.type),
+                           elaborate(env, decl.body), mode)
+        return env.definition(decl.name)
+    arity = elaborate(env, decl.arity)
+    # Constructor types see the inductive, not yet its constructors.
+    seed = env.with_provisional(InductiveDecl(decl.name, decl.params, arity, ()))
+    ctors = tuple((c, elaborate(seed, ty)) for c, ty in decl.constructors)
+    ind = InductiveDecl(decl.name, decl.params, arity, ctors)
+    declare_inductive(env, ind, mode)
+    return ind

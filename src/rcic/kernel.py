@@ -20,7 +20,6 @@ redexes by hereditary substitution, in one pass.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -28,6 +27,7 @@ from .syntax import (
     PROP,
     App,
     Case,
+    Const,
     Constr,
     Context,
     Definition,
@@ -119,24 +119,6 @@ def subsort(a: Sort, b: Sort) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class CicSort:
-    """A sort of the unrefined target calculus, where Type0 exists."""
-
-    kind: str
-    level: Optional[int] = None
-
-    def __str__(self) -> str:
-        return self.kind if self.level is None else f"{self.kind}{self.level}"
-
-
-def embed_sort(s: Sort) -> CicSort:
-    """Collapse the Set family into the target's Type family."""
-    if s.kind == "Prop":
-        return CicSort("Prop")
-    return CicSort("Type", s.level)
-
-
 # ---------------------------------------------------------------------------
 # Reduction
 
@@ -144,7 +126,7 @@ def embed_sort(s: Sort) -> CicSort:
 def whnf(env: GlobalEnv, t: Term) -> Term:
     """Weak head normal form under beta, iota, fix unfolding, and delta.
 
-    Delta unfolds a defined global only when it sits in head position.  Fix
+    Delta unfolds a Const only when it sits in head position.  Fix
     unfolds only when the decreasing argument is constructor-headed, so
     reduction of well-typed terms terminates.
     """
@@ -154,7 +136,7 @@ def whnf(env: GlobalEnv, t: Term) -> Term:
             case Lam(binder, _, body) if args:
                 t = app(subst(body, binder, args[0]), *args[1:])
                 continue
-            case Var(name):
+            case Const(name):
                 defn = env.definition(name)
                 if defn is not None:
                     t = app(defn.body, *args)
@@ -192,7 +174,7 @@ def beta_normalize(t: Term) -> Term:
     returned as they are, not rebuilt.
     """
     match t:
-        case Var() | SortT() | Ind() | Constr():
+        case Var() | Const() | SortT() | Ind() | Constr():
             return t
         case App(fn, arg):
             fn2 = beta_normalize(fn)
@@ -263,6 +245,8 @@ def _hsubst(t: Term, name: str, value: Term, fv_value: frozenset[str]) -> Term:
             annotation2 = _hsubst(annotation, name, value, fv_value)
             binder2, body2 = _hsubst_under(binder, body, name, value, fv_value)
             return Fix(binder2, annotation2, body2, decreasing)
+        case Const():
+            return t
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -291,11 +275,11 @@ def one_step_reducts(env: GlobalEnv, t: Term) -> list[Term]:
             out.append(app(subst(head.body, head.binder, head), *spine))
 
     match t:
-        case Var(name):
+        case Const(name):
             defn = env.definition(name)
             if defn is not None:
                 out.append(defn.body)
-        case SortT() | Ind() | Constr():
+        case Var() | SortT() | Ind() | Constr():
             pass
         case App(fn, arg):
             if isinstance(fn, Lam):
@@ -352,7 +336,8 @@ def one_step_reducts(env: GlobalEnv, t: Term) -> list[Term]:
 
 # Neutral head kinds, with what `_Neutral.head` holds for each.
 _LEVEL = 0   # a binder opened by the comparison: its de Bruijn level
-_FREE = 1    # a free variable that names no definition: the name
+_FREE = 1    # a free variable: the name; a Const that names no
+             # definition: the Const itself, which equals no name
 _GLOBAL = 2  # a definition, unfolded on demand: the name
 _IND = 3     # the name
 _CONSTR = 4  # the name
@@ -415,17 +400,7 @@ def _eval(env: GlobalEnv, rho: dict, t: Term):
             th = rho.get(name)
             if th is not None:
                 return _force(env, th)
-            defn = env.definition(name)
-            if defn is None:
-                return _Neutral(_FREE, name)
-            # One shared value per definition, so that its unfolding is
-            # computed once.  It is kept in the definition's instance dict,
-            # which equality, hashing and repr do not see; the body is
-            # closed, so its value is the same wherever it is used.
-            v = defn.__dict__.get(_VALUE)
-            if v is None:
-                v = defn.__dict__[_VALUE] = _Neutral(_GLOBAL, name)
-            return v
+            return _Neutral(_FREE, name)
         case App(fn, arg):
             th = rho.get(arg.name) if type(arg) is Var else None
             return _apply(env, _eval(env, rho, fn), th or _Thunk(rho, arg))
@@ -450,6 +425,18 @@ def _eval(env: GlobalEnv, rho: dict, t: Term):
             return _Neutral(_CASE, (rho, t, s))
         case Fix():
             return _Neutral(_FIX, (rho, t))
+        case Const(name):
+            defn = env.definition(name)
+            if defn is None:
+                return _Neutral(_FREE, t)
+            # One shared value per definition, so that its unfolding is
+            # computed once.  It is kept in the definition's instance dict,
+            # which equality, hashing and repr do not see; the body is
+            # closed, so its value is the same wherever it is used.
+            v = defn.__dict__.get(_VALUE)
+            if v is None:
+                v = defn.__dict__[_VALUE] = _Neutral(_GLOBAL, name)
+            return v
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -666,13 +653,16 @@ def _infer(env: GlobalEnv, ctx: Context, t: Term,
     match t:
         case Var(name):
             ty = ctx.lookup(name)
-            if ty is not None:
-                return ty
+            if ty is None:
+                raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
+                                     f"unbound variable {name}", term=t)
+            return ty
+        case Const(name):
             defn = env.definition(name)
-            if defn is not None:
-                return defn.type
-            raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
-                                 f"unbound variable {name}", term=t)
+            if defn is None:
+                raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
+                                     f"unknown definition {name}", term=t)
+            return defn.type
         case SortT(s):
             return SortT(axiom_sort(s))
         case Prod(binder, domain, codomain):
@@ -946,7 +936,7 @@ def _guard(env: GlobalEnv, f: str, k: int, t: Term,
                 raise TypeCheckError(ErrorKind.GUARD_VIOLATION,
                                      f"fix variable {f} escapes its recursive "
                                      f"call position", term=t)
-        case SortT() | Ind() | Constr():
+        case Const() | SortT() | Ind() | Constr():
             pass
         case Prod(binder, domain, codomain):
             _guard(env, f, k, domain, dec_var, smaller)
@@ -1050,7 +1040,7 @@ def _ind_occurs(t: Term) -> frozenset[str]:
     match t:
         case Ind(name):
             return frozenset((name,))
-        case Var() | SortT() | Constr():
+        case Var() | Const() | SortT() | Constr():
             return frozenset()
         case App(fn, arg):
             return _ind_occurs(fn) | _ind_occurs(arg)
@@ -1080,8 +1070,7 @@ def check_inductive(env: GlobalEnv, decl: InductiveDecl,
         return TypeCheckError(ErrorKind.ILL_FORMED_INDUCTIVE,
                               f"{decl.name}: {msg}", **kw)
 
-    if free_vars(decl.arity):
-        raise bad("arity is not closed", term=decl.arity)
+    # Checking in the empty context rejects any free variable.
     infer_sort(env, Context(), decl.arity, mode)
     arity_binders, arity_core = strip_prods(decl.arity)
     if not isinstance(arity_core, SortT):
@@ -1100,8 +1089,6 @@ def check_inductive(env: GlobalEnv, decl: InductiveDecl,
         if cname in seen:
             raise bad(f"duplicate constructor name {cname}")
         seen.add(cname)
-        if free_vars(cty):
-            raise bad(f"constructor {cname} has a non-closed type", term=cty)
         infer_sort(env2, Context(), cty, mode)
 
         # The parameter prefix must match the arity's, up to alpha.

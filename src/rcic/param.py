@@ -8,10 +8,10 @@ related results.  Inductives get a freshly declared relation inductive with
 tripled parameters and indices; its constructors relate the source
 constructors pointwise.
 
-Name scheme: the copy of x is x', its witness x_R; globals keep their name
-in the copy and gain the _R suffix for their relation.  Input terms must not
-use names with either suffix (the frontend rejects them), which is what
-keeps the generated names from colliding.
+Name scheme: the copy of a variable (Var) x is x', its witness x_R; a
+global (Const, Ind, Constr) keeps its name in the copy and gains the _R
+suffix for its relation.  Input terms must not use names with either suffix
+(the frontend rejects them), which keeps generated names from colliding.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .syntax import (
     PROP,
     App,
     Case,
+    Const,
     Constr,
     Context,
     Definition,
@@ -107,30 +108,26 @@ def relation_sort(s: Sort) -> Sort:
     return PROP
 
 
-def prime(t: Term, globals_: frozenset[str] = frozenset()) -> Term:
-    """Rename every variable x to x', bound or free, leaving names in
-    `globals_` (and inductive/constructor references) unchanged."""
+def prime(t: Term) -> Term:
+    """Rename every variable x to x', bound or free, leaving references to
+    globals unchanged."""
     match t:
         case Var(name):
-            return t if name in globals_ else Var(primed(name))
-        case SortT() | Ind() | Constr():
+            return Var(primed(name))
+        case Const() | SortT() | Ind() | Constr():
             return t
         case App(fn, arg):
-            return App(prime(fn, globals_), prime(arg, globals_))
+            return App(prime(fn), prime(arg))
         case Prod(binder, domain, codomain):
-            return Prod(primed(binder), prime(domain, globals_),
-                        prime(codomain, globals_ - {binder}))
+            return Prod(primed(binder), prime(domain), prime(codomain))
         case Lam(binder, annotation, body):
-            return Lam(primed(binder), prime(annotation, globals_),
-                       prime(body, globals_ - {binder}))
+            return Lam(primed(binder), prime(annotation), prime(body))
         case Case(ind, scrutinee, params, motive, branches):
-            return Case(ind, prime(scrutinee, globals_),
-                        tuple(prime(p, globals_) for p in params),
-                        prime(motive, globals_),
-                        tuple(prime(b, globals_) for b in branches))
+            return Case(ind, prime(scrutinee), tuple(prime(p) for p in params),
+                        prime(motive), tuple(prime(b) for b in branches))
         case Fix(binder, annotation, body, decreasing):
-            return Fix(primed(binder), prime(annotation, globals_),
-                       prime(body, globals_ - {binder}), decreasing)
+            return Fix(primed(binder), prime(annotation), prime(body),
+                       decreasing)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -147,7 +144,7 @@ def _all_names(t: Term) -> set[str]:
 
     def go(u: Term) -> None:
         match u:
-            case Var(name):
+            case Var(name) | Const(name):
                 out.add(name)
             case SortT() | Ind() | Constr():
                 pass
@@ -201,7 +198,7 @@ def translate_term(env: GlobalEnv, t: Term) -> Term:
     readable form.
     """
     _assert_clean(t)
-    return _translate(env, t, frozenset())
+    return _translate(env, t)
 
 
 @dataclass(frozen=True)
@@ -221,16 +218,13 @@ class Alias:
     guard: str | None = None
 
 
-def _translate(env: GlobalEnv, t: Term, bound: frozenset[str],
-               alias: Alias | None = None) -> Term:
-    # Binders in scope shadow any same-named definition, so they must not
-    # survive priming the way true globals do.
-    g = env.definition_names() - bound
+def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
     match t:
         case Var(name):
-            if name not in bound and env.definition(name) is not None:
-                _ensure_definition(env, name)
             return Var(witness(name))
+        case Const(name):
+            _ensure_definition(env, name)
+            return Const(relation_name(name))
         case SortT(s):
             x = NameTriple.from_base("x")
             return Lam(x.base, t, Lam(x.copy, t,
@@ -245,9 +239,9 @@ def _translate(env: GlobalEnv, t: Term, bound: frozenset[str],
                 _ensure_inductive(env, info[0].name)
             return Constr(relation_name(name))
         case Prod(binder, domain, codomain):
-            dom_c = prime(domain, g)
-            dom_r = _translate(env, domain, bound)
-            cod_r = _translate(env, codomain, bound | {binder})
+            dom_c = prime(domain)
+            dom_r = _translate(env, domain)
+            cod_r = _translate(env, codomain)
             x = _pick_triple(binder, free_vars(dom_c) | free_vars(dom_r))
             if binder != "_" and x.base != binder:
                 cod_r = _rename_triple(cod_r, binder, x)
@@ -261,10 +255,10 @@ def _translate(env: GlobalEnv, t: Term, bound: frozenset[str],
                                  app(cod_r,
                                      App(Var(f[0]), Var(x.base)),
                                      App(Var(f[1]), Var(x.copy))))))
-            return Lam(f[0], t, Lam(f[1], prime(t, g), rel))
+            return Lam(f[0], t, Lam(f[1], prime(t), rel))
         case Lam(binder, annotation, body):
-            ann_c = prime(annotation, g)
-            ann_r = _translate(env, annotation, bound)
+            ann_c = prime(annotation)
+            ann_r = _translate(env, annotation)
             inner = None
             if (alias is not None and binder != "_"
                     and binder not in free_vars(alias.raw)
@@ -272,7 +266,7 @@ def _translate(env: GlobalEnv, t: Term, bound: frozenset[str],
                 inner = Alias(App(alias.raw, Var(binder)),
                               App(alias.primed, Var(primed(binder))),
                               alias.guard)
-            body_r = _translate(env, body, bound | {binder}, inner)
+            body_r = _translate(env, body, inner)
             x = _pick_triple(binder, free_vars(ann_c) | free_vars(ann_r))
             if binder != "_" and x.base != binder:
                 body_r = _rename_triple(body_r, binder, x)
@@ -281,29 +275,29 @@ def _translate(env: GlobalEnv, t: Term, bound: frozenset[str],
                            Lam(x.rel, app(ann_r, Var(x.base), Var(x.copy)),
                                body_r)))
         case App(fn, arg):
-            return app(_translate(env, fn, bound),
-                       arg, prime(arg, g), _translate(env, arg, bound))
+            return app(_translate(env, fn), arg, prime(arg),
+                       _translate(env, arg))
         case Case(ind, scrutinee, params, motive, branches):
             _ensure_inductive(env, ind)
             params3: list[Term] = []
             for q in params:
-                params3 += [q, prime(q, g), _translate(env, q, bound)]
-            motive_r = _case_motive(env, t, bound, alias)
+                params3 += [q, prime(q), _translate(env, q)]
+            motive_r = _case_motive(env, t, alias)
             return Case(relation_name(ind),
-                        _translate(env, scrutinee, bound),
+                        _translate(env, scrutinee),
                         tuple(params3),
                         motive_r,
-                        tuple(_translate(env, b, bound) for b in branches))
+                        tuple(_translate(env, b) for b in branches))
         case Fix(binder, annotation, body, decreasing):
             raw, copy = (alias.raw, alias.primed) if alias is not None \
-                else (t, prime(t, g))
+                else (t, prime(t))
             spine, _ = strip_lams(body)
             guard = None
             if decreasing < len(spine) and spine[decreasing][0] != "_":
                 guard = spine[decreasing][0]
             selves = Alias(raw, copy, guard)
-            ann_r = _translate(env, annotation, bound)
-            body_r = _translate(env, body, bound | {binder}, selves)
+            ann_r = _translate(env, annotation)
+            body_r = _translate(env, body, selves)
             rel = Fix(witness(binder),
                       app(ann_r, Var(binder), Var(primed(binder))),
                       body_r,
@@ -328,25 +322,23 @@ def _pick_pair(base: str, avoid: frozenset[str]) -> tuple[str, str]:
     return candidate, primed(candidate)
 
 
-def _case_motive(env: GlobalEnv, t: Case, bound: frozenset[str],
-                 alias: Alias | None = None) -> Term:
+def _case_motive(env: GlobalEnv, t: Case, alias: Alias | None = None) -> Term:
     """The motive of the translated case over the relation inductive.
 
     It abstracts a triple per index of the source inductive, the two related
     scrutinees, and the relation witness, and returns the motive's own
     relation applied to both original case expressions.
     """
-    g = env.definition_names() - bound
     rdecl = _ensure_inductive(env, t.ind).relation
     src = env.inductive(t.ind)
     assert src is not None
-    motive_r = _translate(env, t.motive, bound)
-    motive_c = prime(t.motive, g)
-    branches_c = tuple(prime(b, g) for b in t.branches)
-    params_c = tuple(prime(q, g) for q in t.params)
+    motive_r = _translate(env, t.motive)
+    motive_c = prime(t.motive)
+    branches_c = tuple(prime(b) for b in t.branches)
+    params_c = tuple(prime(q) for q in t.params)
     params3: list[Term] = []
     for q, q_c in zip(t.params, params_c):
-        params3 += [q, q_c, _translate(env, q, bound)]
+        params3 += [q, q_c, _translate(env, q)]
 
     avoid = set(free_vars(motive_r) | free_vars(t.motive) | free_vars(motive_c))
     pieces = [*t.branches, *branches_c, *params3]
@@ -418,40 +410,35 @@ def _ensure_inductive(env: GlobalEnv, name: str) -> TranslatedInductive:
 def translate_definition(env: GlobalEnv, name: str) -> Definition:
     """Declare (or fetch) the relation witness of the definition `name`:
     a new definition relating the body to itself at the translated type."""
+    _ensure_definition(env, name)
+    return env.definition(relation_name(name))
+
+
+def _ensure_definition(env: GlobalEnv, name: str) -> None:
     defn = env.definition(name)
     if defn is None:
         raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
                              f"unknown definition {name}")
-    _ensure_definition(env, name)
-    out = env.definition(relation_name(name))
-    assert out is not None
-    return out
-
-
-def _ensure_definition(env: GlobalEnv, name: str) -> None:
     if env.lookup(relation_name(name)) is not None:
         return
-    defn = env.definition(name)
-    assert defn is not None
     _assert_clean(defn.type)
     _assert_clean(defn.body)
     # The definition's own name is a definitional alias for its body, which
     # keeps the generated witness referencing `name` instead of copies of
     # the body.
-    self_ref = Alias(Var(name), Var(name))
-    body_r = beta_normalize(_translate(env, defn.body, frozenset(), self_ref))
-    ty_r = beta_normalize(app(_translate(env, defn.type, frozenset()),
-                              Var(name), Var(name)))
+    self_ref = Alias(Const(name), Const(name))
+    body_r = beta_normalize(_translate(env, defn.body, self_ref))
+    ty_r = beta_normalize(app(_translate(env, defn.type),
+                              Const(name), Const(name)))
     declare_definition(env, relation_name(name), ty_r, body_r, STAR)
 
 
 def _ensure_dependencies(env: GlobalEnv, t: Term, skip: str) -> None:
     """Translate every global `t` mentions, except `skip` itself."""
     match t:
-        case Var(name):
-            if env.definition(name) is not None:
-                _ensure_definition(env, name)
-        case SortT():
+        case Const(name):
+            _ensure_definition(env, name)
+        case Var() | SortT():
             pass
         case Ind(name):
             if name != skip:
@@ -504,12 +491,12 @@ def translate_inductive(env: GlobalEnv, decl: InductiveDecl) -> TranslatedInduct
     for _, cty in decl.constructors:
         _ensure_dependencies(env, cty, decl.name)
 
-    arity_r = beta_normalize(app(_translate(env, decl.arity, frozenset()),
+    arity_r = beta_normalize(app(_translate(env, decl.arity),
                                  Ind(decl.name), Ind(decl.name)))
     prov = env.with_provisional(InductiveDecl(rn, 3 * decl.params, arity_r, ()))
     ctors = tuple(
         (relation_name(c),
-         beta_normalize(app(_translate(prov, cty, frozenset()),
+         beta_normalize(app(_translate(prov, cty),
                             Constr(c), Constr(c))))
         for c, cty in decl.constructors)
     rdecl = InductiveDecl(rn, 3 * decl.params, arity_r, ctors)
@@ -519,19 +506,16 @@ def translate_inductive(env: GlobalEnv, decl: InductiveDecl) -> TranslatedInduct
 
 def translate_context(env: GlobalEnv, ctx: Context) -> Context:
     """Triple every context entry: the original, its copy, its witness."""
-    g = env.definition_names()
     out = Context()
-    bound: frozenset[str] = frozenset()
     for name, ty in ctx:
         _assert_clean(ty)
         if is_reserved(name):
             raise ValueError(f"context name {name!r} uses a reserved suffix")
-        rel = beta_normalize(app(_translate(env, ty, bound),
+        rel = beta_normalize(app(_translate(env, ty),
                                  Var(name), Var(primed(name))))
         out = out.extend(name, ty)
-        out = out.extend(primed(name), prime(ty, g - bound))
+        out = out.extend(primed(name), prime(ty))
         out = out.extend(witness(name), rel)
-        bound = bound | {name}
     return out
 
 
@@ -539,17 +523,14 @@ def abstraction_check(env: GlobalEnv, ctx: Context, term: Term,
                       ty: Term) -> bool:
     """Whether term, its copy, and its witness all check in the tripled
     context: the executable face of the abstraction theorem."""
-    names = frozenset(name for name, _ in ctx)
-    g = env.definition_names() - names
     try:
         _assert_clean(term)
         _assert_clean(ty)
         tctx = translate_context(env, ctx)
         check(env, tctx, term, ty, STAR)
-        check(env, tctx, prime(term, g), prime(ty, g), STAR)
-        term_r = _translate(env, term, names)
-        expected = beta_normalize(app(_translate(env, ty, names),
-                                      term, prime(term, g)))
+        check(env, tctx, prime(term), prime(ty), STAR)
+        term_r = _translate(env, term)
+        expected = beta_normalize(app(_translate(env, ty), term, prime(term)))
         check(env, tctx, term_r, expected, STAR)
         return True
     except (TypeCheckError, ValueError) as err:

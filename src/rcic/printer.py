@@ -10,6 +10,7 @@ from __future__ import annotations
 from .syntax import (
     App,
     Case,
+    Const,
     Constr,
     Definition,
     Fix,
@@ -47,9 +48,7 @@ def _pr(t: Term, level: int, env: GlobalEnv | None) -> str:
 
 def _render(t: Term, env: GlobalEnv | None) -> tuple[str, int]:
     match t:
-        case Var(name):
-            return name, _ATOM
-        case Ind(name) | Constr(name):
+        case Var(name) | Ind(name) | Constr(name) | Const(name):
             return name, _ATOM
         case SortT(s):
             return str(s), _ATOM

@@ -1,5 +1,8 @@
 """Core term language: sorts, terms, declarations, contexts.
 
+A Var is a bound or context variable, never a global.  A Const refers to a
+global definition, as Ind and Constr refer to inductives and constructors.
+
 Terms use named binders.  Substitution is capture-avoiding and renames
 binders on demand; alpha_eq compares terms up to consistent renaming of
 bound names.  Term nodes are immutable and must never be mutated: each
@@ -61,7 +64,14 @@ class Term:
 
 @dataclass(frozen=True)
 class Var(Term):
-    """A variable, or a reference to a defined global."""
+    """A bound or context variable.  Never a reference to a global."""
+
+    name: str
+
+
+@dataclass(frozen=True)
+class Const(Term):
+    """A reference to a global definition."""
 
     name: str
 
@@ -149,8 +159,8 @@ class InductiveDecl:
     """An inductive type: name, parameter count, arity, constructors.
 
     The arity is the full type of the inductive; its first `params` binders
-    are the parameters.  Constructor types are closed and start with the same
-    parameter binders.
+    are the parameters.  Constructor types have no free Var (they may mention
+    globals) and start with the same parameter binders.
     """
 
     name: str
@@ -235,6 +245,8 @@ _VAR_FV: dict[str, frozenset[str]] = {}
 
 
 def free_vars(t: Term) -> frozenset[str]:
+    """The names a binder around `t` must not capture: its free Vars and
+    its Consts, so that fresh names never print like a global."""
     fv = t.__dict__.get(_FV)
     if fv is None:
         fv = _free_vars(t)
@@ -257,7 +269,7 @@ def _minus(s: frozenset[str], name: str) -> frozenset[str]:
 
 def _free_vars(t: Term) -> frozenset[str]:
     match t:
-        case Var(name):
+        case Var(name) | Const(name):
             fv = _VAR_FV.get(name)
             if fv is None:
                 fv = _VAR_FV[name] = frozenset((name,))
@@ -328,6 +340,8 @@ def _subst(t: Term, name: str, value: Term, fv_value: frozenset[str]) -> Term:
             annotation2 = _subst(annotation, name, value, fv_value)
             binder2, body2 = _subst_under(binder, body, name, value, fv_value)
             return Fix(binder2, annotation2, body2, decreasing)
+        case Const():
+            return t
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -387,6 +401,8 @@ def _alpha(a: Term, b: Term, env_a: dict[str, int], env_b: dict[str, int],
                     and _alpha(ta, tb, env_a, env_b, depth)
                     and _alpha(ba, bb, {**env_a, xa: depth},
                                {**env_b, xb: depth}, depth + 1))
+        case Const(na), Const(nb):
+            return na == nb
     return False
 
 
@@ -439,12 +455,11 @@ class GlobalEnv:
     kernel's declare functions, after checking.
     """
 
-    __slots__ = ("_entries", "_constr_owner", "_definitions")
+    __slots__ = ("_entries", "_constr_owner")
 
     def __init__(self) -> None:
         self._entries: dict[str, GlobalEntry] = {}
         self._constr_owner: dict[str, str] = {}
-        self._definitions: set[str] = set()
 
     def lookup(self, name: str) -> Optional[GlobalEntry]:
         return self._entries.get(name)
@@ -472,12 +487,6 @@ class GlobalEnv:
     def names(self) -> list[str]:
         return list(self._entries)
 
-    def definition_names(self) -> set[str]:
-        """The names of all definitions.  This is the environment's own set,
-        kept up to date as definitions are added; callers must not modify
-        it."""
-        return self._definitions
-
     def taken(self, name: str) -> bool:
         return name in self._entries or name in self._constr_owner
 
@@ -495,7 +504,6 @@ class GlobalEnv:
         if self.taken(defn.name):
             raise DuplicateNameError(defn.name)
         self._entries[defn.name] = defn
-        self._definitions.add(defn.name)
 
     def with_provisional(self, decl: InductiveDecl) -> "GlobalEnv":
         """A copy with `decl` visible but its constructors unregistered.
@@ -506,6 +514,5 @@ class GlobalEnv:
         out = GlobalEnv()
         out._entries = dict(self._entries)
         out._constr_owner = dict(self._constr_owner)
-        out._definitions = set(self._definitions)
         out._entries[decl.name] = decl
         return out

@@ -4,9 +4,7 @@ import pytest
 
 from rcic import (
     GlobalEnv,
-    InductiveDecl,
-    declare_definition,
-    declare_inductive,
+    declare,
     elaborate,
     parse_file,
     parse_term,
@@ -17,22 +15,11 @@ from rcic import (
 from rcic.frontend import DDef, DInductive
 
 
-def load_declarations(env, text, allow_reserved=False, mode=None):
+def load_declarations(env, text):
     """Parse `text` and declare every inductive and definition into `env`."""
-    kwargs = {} if mode is None else {"mode": mode}
-    for decl in parse_file(text, allow_reserved=allow_reserved).decls:
-        if isinstance(decl, DInductive):
-            arity = elaborate(env, decl.arity)
-            provisional = env.with_provisional(
-                InductiveDecl(decl.name, decl.params, arity, ()))
-            constructors = tuple((cname, elaborate(provisional, cty))
-                                 for cname, cty in decl.constructors)
-            declare_inductive(
-                env, InductiveDecl(decl.name, decl.params, arity, constructors),
-                **kwargs)
-        elif isinstance(decl, DDef):
-            declare_definition(env, decl.name, elaborate(env, decl.type),
-                               elaborate(env, decl.body), **kwargs)
+    for decl in parse_file(text).decls:
+        if isinstance(decl, (DInductive, DDef)):
+            declare(env, decl)
     return env
 
 

@@ -12,6 +12,7 @@ import random
 from rcic import (
     App,
     Case,
+    Const,
     Constr,
     Fix,
     Ind,
@@ -136,12 +137,12 @@ def _gen(rng, ctx, ty, depth, counter):
     if alpha_eq(ty, NAT):
         options += [
             lambda: App(Constr("succ"), sub(NAT)),
-            lambda: app(Var("plus"), sub(NAT), sub(NAT)),
-            lambda: app(Var("mult"), sub(NAT), sub(NAT)),
-            lambda: App(Var("pred"), sub(NAT)),
-            lambda: App(Var("double"), sub(NAT)),
-            lambda: app(Var("length"), NAT, sub(LIST_NAT)),
-            lambda: app(Var("if_then_else"), NAT, sub(BOOL), sub(NAT), sub(NAT)),
+            lambda: app(Const("plus"), sub(NAT), sub(NAT)),
+            lambda: app(Const("mult"), sub(NAT), sub(NAT)),
+            lambda: App(Const("pred"), sub(NAT)),
+            lambda: App(Const("double"), sub(NAT)),
+            lambda: app(Const("length"), NAT, sub(LIST_NAT)),
+            lambda: app(Const("if_then_else"), NAT, sub(BOOL), sub(NAT), sub(NAT)),
             lambda: _case_bool(rng, ctx, ty, depth, counter),
             lambda: _case_nat(rng, ctx, ty, depth, counter),
             lambda: App(_gen(rng, ctx, Prod("_", NAT, NAT), depth - 1, counter),
@@ -149,26 +150,26 @@ def _gen(rng, ctx, ty, depth, counter):
         ]
     elif alpha_eq(ty, BOOL):
         options += [
-            lambda: App(Var("negb"), sub(BOOL)),
-            lambda: app(Var("andb"), sub(BOOL), sub(BOOL)),
-            lambda: app(Var("orb"), sub(BOOL), sub(BOOL)),
-            lambda: App(Var("is_zero"), sub(NAT)),
+            lambda: App(Const("negb"), sub(BOOL)),
+            lambda: app(Const("andb"), sub(BOOL), sub(BOOL)),
+            lambda: app(Const("orb"), sub(BOOL), sub(BOOL)),
+            lambda: App(Const("is_zero"), sub(NAT)),
             lambda: _case_bool(rng, ctx, ty, depth, counter),
         ]
     elif alpha_eq(ty, LIST_NAT):
         options += [
             lambda: app(Constr("cons"), NAT, sub(NAT), sub(LIST_NAT)),
-            lambda: app(Var("append"), NAT, sub(LIST_NAT), sub(LIST_NAT)),
-            lambda: app(Var("rev"), NAT, sub(LIST_NAT)),
-            lambda: app(Var("singleton"), NAT, sub(NAT)),
-            lambda: app(Var("tail"), NAT, sub(LIST_NAT)),
-            lambda: app(Var("map"), NAT, NAT,
+            lambda: app(Const("append"), NAT, sub(LIST_NAT), sub(LIST_NAT)),
+            lambda: app(Const("rev"), NAT, sub(LIST_NAT)),
+            lambda: app(Const("singleton"), NAT, sub(NAT)),
+            lambda: app(Const("tail"), NAT, sub(LIST_NAT)),
+            lambda: app(Const("map"), NAT, NAT,
                         sub(Prod("_", NAT, NAT)), sub(LIST_NAT)),
         ]
     elif alpha_eq(ty, SET0):
         options += [
             lambda: App(Ind("List"), sub(SET0)),
-            lambda: App(Var("neg"), sub(SET0)),
+            lambda: App(Const("neg"), sub(SET0)),
         ]
     return rng.choice(options)()
 

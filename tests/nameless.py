@@ -6,7 +6,8 @@ substituting for a free name can never capture.  The named-side operations
 in rcic.syntax are checked against these.
 """
 
-from rcic import App, Case, Constr, Fix, Ind, Lam, Prod, SortT, Term, Var
+from rcic import (App, Case, Const, Constr, Fix, Ind, Lam, Prod, SortT, Term,
+                  Var)
 
 
 def to_nameless(t: Term, stack: tuple[str, ...] = ()):
@@ -20,6 +21,8 @@ def to_nameless(t: Term, stack: tuple[str, ...] = ()):
             return ("free", name)
         case SortT(s):
             return ("sort", s.kind, s.level)
+        case Const(name):
+            return ("const", name)
         case Ind(name):
             return ("ind", name)
         case Constr(name):
@@ -52,7 +55,7 @@ def subst_free(t, name: str, value):
     tag = t[0]
     if tag == "free":
         return value if t[1] == name else t
-    if tag in ("bound", "sort", "ind", "constr"):
+    if tag in ("bound", "sort", "const", "ind", "constr"):
         return t
     if tag == "app":
         return ("app", subst_free(t[1], name, value),

@@ -15,6 +15,7 @@ import pytest
 from rcic import (
     PROP,
     App,
+    Const,
     Context,
     Ind,
     Prod,
@@ -151,7 +152,8 @@ def test_5_relations_over_small_types_are_propositions(capsys, translated_env):
                 continue
             # The relation of d's type, applied to the definition and its
             # (identical) copy, must itself be a proposition.
-            applied = App(App(translate_term(env, d.type), Var(name)), Var(name))
+            applied = App(App(translate_term(env, d.type), Const(name)),
+                          Const(name))
             assert infer_sort(env, ctx, applied) == PROP
             assert infer_sort(env, ctx, env.definition(relation_name(name)).type) == PROP
             probed += 1
@@ -251,7 +253,7 @@ def test_8_subject_reduction(capsys, prelude_env):
             d = env.definition(name)
             if d is None:
                 continue
-            probe, residual = _saturate(env, Var(name), d.type)
+            probe, residual = _saturate(env, Const(name), d.type)
             # Sample up to 100 single-step edges from the reduction graph of
             # the probe; every reduct must keep the probe's type.
             frontier, seen, samples = [probe], {probe}, 0

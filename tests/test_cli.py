@@ -154,6 +154,23 @@ def test_translate_whole_file(prelude, capsys):
     assert "def rev_R :" in out
 
 
+def test_translate_prelude_matches_golden(prelude, capsys):
+    assert main(["translate", prelude]) == 0
+    golden = Path(__file__).with_name("golden") / "prelude_translate.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_inductive_over_a_definition(prelude, tmp_path, capsys):
+    src = write(tmp_path, "n.rcic", "def N : Set0 := Nat.\n"
+                                    "inductive Foo : N -> Set0 := foo : Foo zero.\n")
+    for command in ("check", "translate", "param-check"):
+        assert main([command, prelude, src]) == 0, command
+    out = capsys.readouterr().out.splitlines()
+    assert "foo : Foo zero" in out
+    assert ("inductive Foo_R : forall (x x' : N), N_R x x' -> Foo x -> Foo x' "
+            "-> Prop := foo_R : Foo_R zero zero zero_R foo foo.") in out
+
+
 def test_translate_single_definition(prelude, capsys):
     assert main(["translate", "--def", "negb", prelude]) == 0
     out = capsys.readouterr().out

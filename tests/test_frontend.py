@@ -5,6 +5,7 @@ import pytest
 from rcic import (
     App,
     Case,
+    Const,
     Constr,
     Context,
     Fix,
@@ -226,8 +227,8 @@ def test_parse_file_positions():
 
 def test_elaborate_resolves_globals(prelude_env):
     t = elaborate(prelude_env, parse_term("plus (succ zero) one"))
-    assert t == App(App(Var("plus"), App(Constr("succ"), Constr("zero"))),
-                    Var("one"))
+    assert t == App(App(Const("plus"), App(Constr("succ"), Constr("zero"))),
+                    Const("one"))
     assert elaborate(prelude_env, parse_term("Nat")) == NAT
     assert elaborate(prelude_env, parse_term("List Nat")) == App(Ind("List"), NAT)
 

@@ -8,6 +8,7 @@ import pytest
 from rcic import (
     App,
     Case,
+    Const,
     Constr,
     Context,
     ErrorKind,
@@ -33,7 +34,6 @@ from rcic import (
     check_inductive,
     conv,
     declare_inductive,
-    embed_sort,
     infer,
     infer_sort,
     is_small,
@@ -136,13 +136,6 @@ def test_subsort_spot():
     assert not subsort(PROP, type_sort(1))
 
 
-def test_embed_sort():
-    assert str(embed_sort(PROP)) == "Prop"
-    assert str(embed_sort(set_sort(0))) == "Type0"
-    assert str(embed_sort(set_sort(2))) == "Type2"
-    assert str(embed_sort(type_sort(3))) == "Type3"
-
-
 # ---------------------------------------------------------------------------
 # Reduction
 
@@ -159,7 +152,7 @@ def test_whnf_beta(prelude_env):
 
 
 def test_whnf_delta(prelude_env):
-    assert whnf(prelude_env, Var("one")) == App(Constr("succ"), Constr("zero"))
+    assert whnf(prelude_env, Const("one")) == App(Constr("succ"), Constr("zero"))
 
 
 def test_whnf_iota(prelude_env):
@@ -266,7 +259,7 @@ def test_one_step_reducts(prelude_env):
     assert Constr("zero") in one_step_reducts(prelude_env, redex)
     # Delta at a defined name.
     assert (App(Constr("succ"), Constr("zero"))
-            in one_step_reducts(prelude_env, Var("one")))
+            in one_step_reducts(prelude_env, Const("one")))
     # No redexes, no reducts.
     assert one_step_reducts(prelude_env, Lam("x", NAT, Var("x"))) == []
     # A single iota step applies the branch without reducing further.
@@ -344,12 +337,12 @@ def test_conv_open_terms(prelude_env):
     x = Var("x")  # x : Nat, free
 
     def plus(a, b):
-        return app(Var("plus"), a, b)
+        return app(Const("plus"), a, b)
 
     def succ(a):
         return App(Constr("succ"), a)
 
-    zero, one, two = Constr("zero"), Var("one"), Var("two")
+    zero, one, two = Constr("zero"), Const("one"), Const("two")
     # Same global head: the arguments are compared before unfolding.
     assert conv(env, plus(x, two), plus(x, succ(one)))
     # Unfolding and iota on a constructor-headed decreasing argument.
@@ -363,7 +356,7 @@ def test_conv_open_terms(prelude_env):
         return Case("Nat", x, (), Lam("n", NAT, BOOL),
                     (Constr("true"), Lam("k", NAT, succ_branch)))
 
-    assert conv(env, stuck(App(Var("negb"), Constr("true"))),
+    assert conv(env, stuck(App(Const("negb"), Constr("true"))),
                 stuck(Constr("false")))
     assert not conv(env, stuck(Constr("true")), stuck(Constr("false")))
 
@@ -481,7 +474,7 @@ def test_infer_globals(prelude_env):
     ctx = Context()
     assert infer(prelude_env, ctx, NAT) == SortT(set_sort(0))
     assert alpha_eq(infer(prelude_env, ctx, Constr("succ")), arrow(NAT, NAT))
-    assert alpha_eq(infer(prelude_env, ctx, Var("plus")),
+    assert alpha_eq(infer(prelude_env, ctx, Const("plus")),
                     arrow(NAT, arrow(NAT, NAT)))
 
 
@@ -762,8 +755,65 @@ def test_strong_elim_over_small_is_fine(prelude_env):
 def test_subject_reduction_sample(prelude_env):
     rng = random.Random(99)
     body = prelude_env.definition("plus").body
-    ty = prelude_env.definition("plus").type
-    reducts = one_step_reducts(prelude_env, body)
-    assert reducts
-    for r in rng.sample(reducts, min(10, len(reducts))):
-        check(prelude_env, Context(), r, ty)
+    # Applied, the fixpoint has redexes: delta at the numerals, and fix
+    # unfolding once the decreasing argument is constructor-headed.
+    for arg in (Const("two"), App(Constr("succ"), Const("one"))):
+        reducts = one_step_reducts(prelude_env, App(body, arg))
+        assert reducts
+        for r in rng.sample(reducts, min(10, len(reducts))):
+            check(prelude_env, Context(), r, arrow(NAT, NAT))
+
+
+# ---------------------------------------------------------------------------
+# Locals and globals
+
+
+def test_a_local_named_like_a_definition_stays_abstract(fresh_env):
+    load_declarations(fresh_env, "def T : Set0 := Nat.")
+    # The shadowing probe: in this context T is an abstract type, so y is
+    # not a Nat.
+    ctx = Context((("T", SortT(set_sort(0))), ("y", Var("T"))))
+    with pytest.raises(TypeCheckError) as err:
+        check(fresh_env, ctx, Var("y"), NAT)
+    assert err.value.kind == ErrorKind.NOT_CONVERTIBLE
+    check(fresh_env, Context((("y", Const("T")),)), Var("y"), NAT)
+    # Only the Const is the definition, for conversion, reduction and
+    # typing alike.
+    assert not conv(fresh_env, Var("T"), NAT)
+    assert conv(fresh_env, Const("T"), NAT)
+    assert whnf(fresh_env, Var("T")) == Var("T")
+    assert whnf(fresh_env, Const("T")) == NAT
+    assert infer(fresh_env, ctx, Var("T")) == SortT(set_sort(0))
+    with pytest.raises(TypeCheckError) as err:
+        infer(fresh_env, Context(), Var("T"))
+    assert err.value.kind == ErrorKind.UNBOUND_VARIABLE
+    with pytest.raises(TypeCheckError) as err:
+        infer(fresh_env, Context(), Const("nowhere"))
+    assert err.value.kind == ErrorKind.UNBOUND_VARIABLE
+    # An unknown Const is stuck, and is not the variable of its name.
+    assert not conv(fresh_env, Const("nowhere"), Var("nowhere"))
+
+
+def test_one_step_reducts_keep_fix_binders(prelude_env):
+    # The body of plus is `fix plus ...`; the `plus` it calls is its own
+    # binder, not the global, and the unapplied fix has no redex.
+    body = prelude_env.definition("plus").body
+    assert isinstance(body, Fix) and body.binder == "plus"
+    assert one_step_reducts(prelude_env, body) == []
+
+
+def test_inductive_may_mention_definitions(fresh_env):
+    load_declarations(fresh_env, """
+        def N : Set0 := Nat.
+        inductive Foo : N -> Set0 := foo : Foo zero.
+    """)
+    assert fresh_env.inductive("Foo").arity == arrow(Const("N"), SortT(set_sort(0)))
+    # Free variables are still rejected, by checking in the empty context.
+    set0 = SortT(set_sort(0))
+    for decl in (InductiveDecl("Bar", 0, arrow(Var("zz"), set0), ()),
+                 InductiveDecl("Bar", 0, set0,
+                               (("bar", arrow(Var("zz"), Ind("Bar"))),))):
+        with pytest.raises(TypeCheckError) as err:
+            check_inductive(fresh_env, decl)
+        assert err.value.kind == ErrorKind.UNBOUND_VARIABLE
+        assert err.value.message == "unbound variable zz"

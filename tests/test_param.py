@@ -4,6 +4,7 @@ import pytest
 
 from rcic import (
     App,
+    Const,
     Constr,
     Context,
     ErrorKind,
@@ -67,11 +68,11 @@ def test_prime():
     # Both the binder and free variables are renamed.
     assert prime(t) == Lam("x'", NAT, App(Var("f'"), Var("x'")))
     # Globals keep their names.
-    assert prime(t, frozenset({"f"})) == Lam("x'", NAT, App(Var("f"), Var("x'")))
-    # A binder shadowing a global is still renamed, and so are its uses.
-    shadow = Lam("f", NAT, App(Var("f"), Var("y")))
-    assert prime(shadow, frozenset({"f"})) == Lam("f'", NAT,
-                                                  App(Var("f'"), Var("y'")))
+    t = Lam("x", NAT, App(Const("f"), Var("x")))
+    assert prime(t) == Lam("x'", NAT, App(Const("f"), Var("x'")))
+    # A binder named like a global is still renamed, and so are its uses.
+    shadow = Lam("f", NAT, App(Const("f"), Var("f")))
+    assert prime(shadow) == Lam("f'", NAT, App(Const("f"), Var("f'")))
 
 
 def test_relation_sort():
@@ -100,14 +101,24 @@ def test_translate_variable_and_globals(fresh_env):
     assert rel == Constr("succ_R")
     rel = translate_term(fresh_env, NAT)
     assert rel == Ind("Nat_R")
-    rel = translate_term(fresh_env, Var("double"))
-    assert rel == Var("double_R")
+    rel = translate_term(fresh_env, Const("double"))
+    assert rel == Const("double_R")
     assert fresh_env.definition("double_R") is not None
+
+
+def test_translation_binders_avoid_globals(fresh_env):
+    # The global d is free in the translated type, so the binder named d
+    # is renamed there.
+    load_declarations(fresh_env,
+                      "def d : forall (d : Nat), Nat := fun (x : Nat) => x.")
+    assert print_definition(translate_definition(fresh_env, "d"), fresh_env) == (
+        "def d_R : forall (d1 d' : Nat), Nat_R d1 d' -> Nat_R (d d1) (d d') "
+        ":= fun (x x' : Nat) (x_R : Nat_R x x') => x_R.")
 
 
 def test_translate_product_clause(fresh_env):
     rel = beta_normalize(app(translate_term(fresh_env, arrow(NAT, NAT)),
-                             Var("plus"), Var("plus")))
+                             Const("plus"), Const("plus")))
     # Elaborate the expectation with reserved names allowed.
     want = elaborate(fresh_env, parse_file(
         "check forall (x : Nat) (x' : Nat), Nat_R x x' "
@@ -303,7 +314,7 @@ def test_translate_context(fresh_env):
 def test_abstraction_check_prelude(translated_env):
     for name in ("id", "const", "compose", "negb", "plus", "rev"):
         d = translated_env.definition(name)
-        assert abstraction_check(translated_env, Context(), Var(name), d.type)
+        assert abstraction_check(translated_env, Context(), Const(name), d.type)
 
 
 def test_abstraction_check_open_term(translated_env):

@@ -7,6 +7,7 @@ import pytest
 from rcic import (
     App,
     Case,
+    Const,
     Constr,
     Context,
     Definition,
@@ -86,6 +87,17 @@ def test_free_vars():
     assert free_vars(t) == {"n", "p", "m", "b0"}
     f = Fix("f", Var("t"), App(Var("f"), Var("x")), 0)
     assert free_vars(f) == {"t", "x"}
+
+
+def test_const_names():
+    # A Const is never substituted, but binders still avoid its name.
+    t = App(Const("c"), Var("c"))
+    assert free_vars(t) == {"c"}
+    assert subst(t, "c", Var("z")) == App(Const("c"), Var("z"))
+    out = subst(Lam("c", NAT, Var("y")), "y", Const("c"))
+    assert out == Lam("c1", NAT, Const("c"))
+    assert not alpha_eq(Const("c"), Var("c"))
+    assert alpha_eq(Lam("x", NAT, Const("c")), Lam("y", NAT, Const("c")))
 
 
 def test_fresh_name():
