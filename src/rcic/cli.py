@@ -9,7 +9,8 @@ across the files in argument order:
                one PASS or FAIL line per definition
 
 Exit status: 0 on success, 1 for type errors, abstraction failures and
-declarations nested too deep to check, 2 for parse and I/O errors.
+declarations nested too deep to check, 2 for parse and I/O errors (a file
+that is not UTF-8 is an I/O error).
 Diagnostics go to stderr as path:line:col: error: ...
 """
 
@@ -73,8 +74,8 @@ def main(argv: list[str] | None = None) -> int:
     failures = 0
     for path in args.files:
         try:
-            text = Path(path).read_text()
-        except OSError as err:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
             print(f"{path}: error: {err}", file=sys.stderr)
             return 2
         try:

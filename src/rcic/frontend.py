@@ -38,6 +38,7 @@ from .syntax import (
     app,
     fresh_name,
     lams,
+    names,
     prods,
     strip_prods,
     subst,
@@ -189,6 +190,15 @@ class RawMatch(Term):
     branches: tuple[tuple[str, tuple[str, ...], Term], ...]
     line: int
     col: int
+
+    # What syntax.children and syntax.names need of a node kind they do
+    # not know.
+    def children(self) -> tuple[Term, ...]:
+        return (self.scrutinee, *self.atoms, self.motive,
+                *(body for _, _, body in self.branches))
+
+    def binders(self) -> tuple[str, ...]:
+        return (self.as_name, *(a for _, args, _ in self.branches for a in args))
 
 
 @dataclass(frozen=True)
@@ -482,50 +492,8 @@ def elaborate(env: GlobalEnv, t: Term) -> Term:
     enclosing binder or a global are renamed, so every binder name is
     locally unique.
     """
-    taken = _names_of(t)
+    taken = names(t)
     return _elab(env, t, {}, taken)
-
-
-def _names_of(t: Term) -> set[str]:
-    out: set[str] = set()
-
-    def go(u: Term) -> None:
-        match u:
-            case Var(name):
-                out.add(name)
-            case SortT() | Ind() | Constr():
-                pass
-            case App(fn, arg):
-                go(fn)
-                go(arg)
-            case Prod(binder, domain, codomain) | Lam(binder, domain, codomain):
-                out.add(binder)
-                go(domain)
-                go(codomain)
-            case Fix(binder, annotation, body, _):
-                out.add(binder)
-                go(annotation)
-                go(body)
-            case Case(_, scrutinee, params, motive, branches):
-                go(scrutinee)
-                for p in params:
-                    go(p)
-                go(motive)
-                for b in branches:
-                    go(b)
-            case RawMatch(scrutinee, as_name, _, atoms, motive, branches):
-                out.add(as_name)
-                go(scrutinee)
-                for a in atoms:
-                    go(a)
-                go(motive)
-                for _, args, body in branches:
-                    out.update(args)
-                    go(body)
-
-    go(t)
-    out.discard("_")
-    return out
 
 
 def _bind(env: GlobalEnv, name: str, scope: dict[str, str],

@@ -43,10 +43,14 @@ from .syntax import (
     Var,
     app,
     alpha_eq,
+    children,
     free_vars,
     fresh_name,
+    map_children,
+    rebuild_binder,
     strip_prods,
     subst,
+    subterms,
     type_sort,
     unfold_app,
 )
@@ -174,8 +178,6 @@ def beta_normalize(t: Term) -> Term:
     returned as they are, not rebuilt.
     """
     match t:
-        case Var() | Const() | SortT() | Ind() | Constr():
-            return t
         case App(fn, arg):
             fn2 = beta_normalize(fn)
             arg2 = beta_normalize(arg)
@@ -184,29 +186,7 @@ def beta_normalize(t: Term) -> Term:
             if fn2 is fn and arg2 is arg:
                 return t
             return App(fn2, arg2)
-        case Prod(binder, domain, body) | Lam(binder, domain, body):
-            domain2 = beta_normalize(domain)
-            body2 = beta_normalize(body)
-            if domain2 is domain and body2 is body:
-                return t
-            return type(t)(binder, domain2, body2)
-        case Case(ind, scrutinee, params, motive, branches):
-            scrutinee2 = beta_normalize(scrutinee)
-            params2 = tuple(beta_normalize(p) for p in params)
-            motive2 = beta_normalize(motive)
-            branches2 = tuple(beta_normalize(b) for b in branches)
-            if (scrutinee2 is scrutinee and motive2 is motive
-                    and all(x is y for x, y in zip(params2, params))
-                    and all(x is y for x, y in zip(branches2, branches))):
-                return t
-            return Case(ind, scrutinee2, params2, motive2, branches2)
-        case Fix(binder, annotation, body, decreasing):
-            annotation2 = beta_normalize(annotation)
-            body2 = beta_normalize(body)
-            if annotation2 is annotation and body2 is body:
-                return t
-            return Fix(binder, annotation2, body2, decreasing)
-    raise TypeError(f"not a term: {t!r}")
+    return map_children(t, beta_normalize)
 
 
 def _hsubst(t: Term, name: str, value: Term, fv_value: frozenset[str]) -> Term:
@@ -229,25 +209,11 @@ def _hsubst(t: Term, name: str, value: Term, fv_value: frozenset[str]) -> Term:
             if isinstance(fn2, Lam):
                 return _hsubst(fn2.body, fn2.binder, arg2, free_vars(arg2))
             return App(fn2, arg2)
-        case Prod(binder, domain, body) | Lam(binder, domain, body):
-            domain2 = _hsubst(domain, name, value, fv_value)
+        case Prod(binder, dom, body) | Lam(binder, dom, body) | Fix(binder, dom, body):
+            dom2 = _hsubst(dom, name, value, fv_value)
             binder2, body2 = _hsubst_under(binder, body, name, value, fv_value)
-            return type(t)(binder2, domain2, body2)
-        case Case(ind, scrutinee, params, motive, branches):
-            return Case(
-                ind,
-                _hsubst(scrutinee, name, value, fv_value),
-                tuple(_hsubst(p, name, value, fv_value) for p in params),
-                _hsubst(motive, name, value, fv_value),
-                tuple(_hsubst(b, name, value, fv_value) for b in branches),
-            )
-        case Fix(binder, annotation, body, decreasing):
-            annotation2 = _hsubst(annotation, name, value, fv_value)
-            binder2, body2 = _hsubst_under(binder, body, name, value, fv_value)
-            return Fix(binder2, annotation2, body2, decreasing)
-        case Const():
-            return t
-    raise TypeError(f"not a term: {t!r}")
+            return rebuild_binder(t, binder2, dom2, body2)
+    return map_children(t, lambda c: _hsubst(c, name, value, fv_value))
 
 
 def _hsubst_under(binder: str, body: Term, name: str, value: Term,
@@ -279,43 +245,22 @@ def one_step_reducts(env: GlobalEnv, t: Term) -> list[Term]:
             defn = env.definition(name)
             if defn is not None:
                 out.append(defn.body)
-        case Var() | SortT() | Ind() | Constr():
-            pass
-        case App(fn, arg):
-            if isinstance(fn, Lam):
-                out.append(subst(fn.body, fn.binder, arg))
-            out.extend(App(fn2, arg) for fn2 in one_step_reducts(env, fn))
-            out.extend(App(fn, arg2) for arg2 in one_step_reducts(env, arg))
-        case Prod(binder, domain, codomain):
-            out.extend(Prod(binder, d, codomain) for d in one_step_reducts(env, domain))
-            out.extend(Prod(binder, domain, c) for c in one_step_reducts(env, codomain))
-        case Lam(binder, annotation, body):
-            out.extend(Lam(binder, a, body) for a in one_step_reducts(env, annotation))
-            out.extend(Lam(binder, annotation, b) for b in one_step_reducts(env, body))
-        case Case(ind, scrutinee, params, motive, branches):
+        case App(Lam(binder, _, body), arg):
+            out.append(subst(body, binder, arg))
+        case Case(ind, scrutinee, _, _, branches):
             chead, cargs = unfold_app(scrutinee)
             if isinstance(chead, Constr):
                 info = env.constructor(chead.name)
                 if info is not None and info[0].name == ind:
                     decl, i = info
                     out.append(app(branches[i], *cargs[decl.params:]))
-            out.extend(Case(ind, s, params, motive, branches)
-                       for s in one_step_reducts(env, scrutinee))
-            for j, p in enumerate(params):
-                for p2 in one_step_reducts(env, p):
-                    ps = params[:j] + (p2,) + params[j + 1:]
-                    out.append(Case(ind, scrutinee, ps, motive, branches))
-            out.extend(Case(ind, scrutinee, params, m, branches)
-                       for m in one_step_reducts(env, motive))
-            for j, b in enumerate(branches):
-                for b2 in one_step_reducts(env, b):
-                    bs = branches[:j] + (b2,) + branches[j + 1:]
-                    out.append(Case(ind, scrutinee, params, motive, bs))
-        case Fix(binder, annotation, body, decreasing):
-            out.extend(Fix(binder, a, body, decreasing)
-                       for a in one_step_reducts(env, annotation))
-            out.extend(Fix(binder, annotation, b, decreasing)
-                       for b in one_step_reducts(env, body))
+    # Congruence: one child reduced, the others kept.  map_children visits
+    # the children in the order children lists them.
+    kids = children(t)
+    for i, kid in enumerate(kids):
+        for r in one_step_reducts(env, kid):
+            rest = iter(kids[:i] + (r,) + kids[i + 1:])
+            out.append(map_children(t, lambda _: next(rest)))
     return out
 
 
@@ -1024,40 +969,25 @@ def is_small(env: GlobalEnv, name: str) -> bool:
 def _strictly_positive(name: str, ty: Term) -> bool:
     """`name` may occur in `ty` only as the head of its conclusion, and not
     at all in the domains along the way."""
-    if name not in _ind_occurs(ty):
+    if not _ind_occurs(name, ty):
         return True
     binders, core = strip_prods(ty)
     for _, d in binders:
-        if name in _ind_occurs(d):
+        if _ind_occurs(name, d):
             return False
     head, args = unfold_app(core)
     if not (isinstance(head, Ind) and head.name == name):
         return False
-    return all(name not in _ind_occurs(a) for a in args)
+    return not any(_ind_occurs(name, a) for a in args)
 
 
-def _ind_occurs(t: Term) -> frozenset[str]:
-    match t:
-        case Ind(name):
-            return frozenset((name,))
-        case Var() | Const() | SortT() | Constr():
-            return frozenset()
-        case App(fn, arg):
-            return _ind_occurs(fn) | _ind_occurs(arg)
-        case Prod(_, domain, codomain):
-            return _ind_occurs(domain) | _ind_occurs(codomain)
-        case Lam(_, annotation, body):
-            return _ind_occurs(annotation) | _ind_occurs(body)
-        case Case(ind, scrutinee, params, motive, branches):
-            out = frozenset((ind,)) | _ind_occurs(scrutinee) | _ind_occurs(motive)
-            for p in params:
-                out |= _ind_occurs(p)
-            for b in branches:
-                out |= _ind_occurs(b)
-            return out
-        case Fix(_, annotation, body, _):
-            return _ind_occurs(annotation) | _ind_occurs(body)
-    raise TypeError(f"not a term: {t!r}")
+def _ind_occurs(name: str, t: Term) -> bool:
+    """Whether `t` mentions the inductive `name`, as a type or in a case."""
+    for u in subterms(t):
+        match u:
+            case Ind(ind) | Case(ind) if ind == name:
+                return True
+    return False
 
 
 def check_inductive(env: GlobalEnv, decl: InductiveDecl,
@@ -1134,7 +1064,7 @@ def check_inductive(env: GlobalEnv, decl: InductiveDecl,
                 raise bad(f"constructor {cname} must apply {decl.name} to its "
                           f"parameter binders in order", term=core)
         for arg in args[decl.params:]:
-            if decl.name in _ind_occurs(arg):
+            if _ind_occurs(decl.name, arg):
                 raise TypeCheckError(
                     ErrorKind.POSITIVITY_VIOLATION,
                     f"{decl.name} occurs in an index of constructor {cname}",

@@ -40,9 +40,14 @@ from .syntax import (
     app,
     arrow,
     free_vars,
+    fresh_name,
+    map_children,
+    names,
+    rebuild_binder,
     strip_lams,
     strip_prods,
     subst,
+    subterms,
 )
 from .kernel import (
     STAR,
@@ -114,76 +119,30 @@ def prime(t: Term) -> Term:
     match t:
         case Var(name):
             return Var(primed(name))
-        case Const() | SortT() | Ind() | Constr():
-            return t
-        case App(fn, arg):
-            return App(prime(fn), prime(arg))
-        case Prod(binder, domain, codomain):
-            return Prod(primed(binder), prime(domain), prime(codomain))
-        case Lam(binder, annotation, body):
-            return Lam(primed(binder), prime(annotation), prime(body))
-        case Case(ind, scrutinee, params, motive, branches):
-            return Case(ind, prime(scrutinee), tuple(prime(p) for p in params),
-                        prime(motive), tuple(prime(b) for b in branches))
-        case Fix(binder, annotation, body, decreasing):
-            return Fix(primed(binder), prime(annotation), prime(body),
-                       decreasing)
-    raise TypeError(f"not a term: {t!r}")
+        case Prod(binder, dom, body) | Lam(binder, dom, body) | Fix(binder, dom, body):
+            return rebuild_binder(t, primed(binder), prime(dom), prime(body))
+    return map_children(t, prime)
 
 
 def _assert_clean(t: Term) -> None:
     """Reject terms that already use the reserved name suffixes."""
-    for name in _all_names(t):
+    for name in names(t):
         if is_reserved(name):
             raise ValueError(
                 f"cannot translate a term using the reserved name {name!r}")
 
 
-def _all_names(t: Term) -> set[str]:
-    out: set[str] = set()
-
-    def go(u: Term) -> None:
-        match u:
-            case Var(name) | Const(name):
-                out.add(name)
-            case SortT() | Ind() | Constr():
-                pass
-            case App(fn, arg):
-                go(fn)
-                go(arg)
-            case Prod(binder, domain, codomain):
-                out.add(binder)
-                go(domain)
-                go(codomain)
-            case Lam(binder, annotation, body):
-                out.add(binder)
-                go(annotation)
-                go(body)
-            case Case(_, scrutinee, params, motive, branches):
-                go(scrutinee)
-                for p in params:
-                    go(p)
-                go(motive)
-                for b in branches:
-                    go(b)
-            case Fix(binder, annotation, body, _):
-                out.add(binder)
-                go(annotation)
-                go(body)
-
-    go(t)
-    out.discard("_")
-    return out
-
-
-def _pick_triple(base: str, avoid: frozenset[str]) -> NameTriple:
-    """A binder triple whose three names are all free of collisions."""
+def _pick_triple(base: str, avoid: frozenset[str],
+                 suffixes: tuple[str, ...] = ("", PRIME_SUFFIX, WITNESS_SUFFIX),
+                 ) -> NameTriple:
+    """A binder triple whose base, with each of `suffixes` appended, is
+    not in `avoid`: by default all three names; a caller that uses only
+    the base and its copy passes ("", PRIME_SUFFIX)."""
     if base == "_":
         base = "x"
     candidate = base
     i = 0
-    while (candidate in avoid or primed(candidate) in avoid
-           or witness(candidate) in avoid):
+    while any(candidate + suffix in avoid for suffix in suffixes):
         i += 1
         candidate = f"{base}{i}"
     return NameTriple.from_base(candidate)
@@ -248,14 +207,14 @@ def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
             fn_avoid = (free_vars(t) | free_vars(dom_c) | free_vars(dom_r)
                         | free_vars(cod_r)
                         | {x.base, x.copy, x.rel})
-            f = _pick_pair("f", fn_avoid)
+            f = _pick_triple("f", fn_avoid, ("", PRIME_SUFFIX))
             rel = Prod(x.base, domain,
                        Prod(x.copy, dom_c,
                             Prod(x.rel, app(dom_r, Var(x.base), Var(x.copy)),
                                  app(cod_r,
-                                     App(Var(f[0]), Var(x.base)),
-                                     App(Var(f[1]), Var(x.copy))))))
-            return Lam(f[0], t, Lam(f[1], prime(t), rel))
+                                     App(Var(f.base), Var(x.base)),
+                                     App(Var(f.copy), Var(x.copy))))))
+            return Lam(f.base, t, Lam(f.copy, prime(t), rel))
         case Lam(binder, annotation, body):
             ann_c = prime(annotation)
             ann_r = _translate(env, annotation)
@@ -313,15 +272,6 @@ def _rename_triple(t: Term, old: str, new: NameTriple) -> Term:
     return subst(t, witness(old), Var(new.rel))
 
 
-def _pick_pair(base: str, avoid: frozenset[str]) -> tuple[str, str]:
-    candidate = base
-    i = 0
-    while candidate in avoid or primed(candidate) in avoid:
-        i += 1
-        candidate = f"{base}{i}"
-    return candidate, primed(candidate)
-
-
 def _case_motive(env: GlobalEnv, t: Case, alias: Alias | None = None) -> Term:
     """The motive of the translated case over the relation inductive.
 
@@ -362,12 +312,7 @@ def _case_motive(env: GlobalEnv, t: Case, alias: Alias | None = None) -> Term:
     for _ in range(3 * n_indices):
         tele = whnf(env, tele)
         assert isinstance(tele, Prod)
-        base = tele.binder if tele.binder != "_" else "i"
-        name = base
-        k = 0
-        while name in avoid:
-            k += 1
-            name = f"{base}{k}"
+        name = fresh_name(tele.binder if tele.binder != "_" else "i", avoid)
         avoid.add(name)
         idx_names.append(name)
         binders.append((name, tele.domain))
@@ -435,39 +380,16 @@ def _ensure_definition(env: GlobalEnv, name: str) -> None:
 
 def _ensure_dependencies(env: GlobalEnv, t: Term, skip: str) -> None:
     """Translate every global `t` mentions, except `skip` itself."""
-    match t:
-        case Const(name):
-            _ensure_definition(env, name)
-        case Var() | SortT():
-            pass
-        case Ind(name):
-            if name != skip:
+    for u in subterms(t):
+        match u:
+            case Const(name):
+                _ensure_definition(env, name)
+            case Ind(name) | Case(name) if name != skip:
                 _ensure_inductive(env, name)
-        case Constr(name):
-            info = env.constructor(name)
-            if info is not None and info[0].name != skip:
-                _ensure_inductive(env, info[0].name)
-        case App(fn, arg):
-            _ensure_dependencies(env, fn, skip)
-            _ensure_dependencies(env, arg, skip)
-        case Prod(_, domain, codomain):
-            _ensure_dependencies(env, domain, skip)
-            _ensure_dependencies(env, codomain, skip)
-        case Lam(_, annotation, body):
-            _ensure_dependencies(env, annotation, skip)
-            _ensure_dependencies(env, body, skip)
-        case Case(ind, scrutinee, params, motive, branches):
-            if ind != skip:
-                _ensure_inductive(env, ind)
-            _ensure_dependencies(env, scrutinee, skip)
-            for p in params:
-                _ensure_dependencies(env, p, skip)
-            _ensure_dependencies(env, motive, skip)
-            for b in branches:
-                _ensure_dependencies(env, b, skip)
-        case Fix(_, annotation, body, _):
-            _ensure_dependencies(env, annotation, skip)
-            _ensure_dependencies(env, body, skip)
+            case Constr(name):
+                info = env.constructor(name)
+                if info is not None and info[0].name != skip:
+                    _ensure_inductive(env, info[0].name)
 
 
 def translate_inductive(env: GlobalEnv, decl: InductiveDecl) -> TranslatedInductive:

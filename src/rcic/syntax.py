@@ -9,12 +9,21 @@ bound names.  Term nodes are immutable and must never be mutated: each
 carries a lazily filled cache of its free variables, which equality,
 hashing and repr do not see.  GlobalEnv is the one mutable value, an
 append-only map of checked declarations.
+
+Which subterms each node kind has, and in what order, is known only in
+this module.  Walks that treat most kinds alike go through three helpers
+and keep arms only for the kinds with a rule of their own (a Var, a
+binder that renames or scopes, a redex): `children` lists a node's
+immediate subterms in field order, `map_children` rebuilds a node from its
+mapped children (returning the node itself when none changed), and
+`subterms` yields every node in preorder without recursing.
+`rebuild_binder` remakes a Prod, Lam or Fix under a new binder name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 
 class UniverseError(ValueError):
@@ -57,7 +66,12 @@ def type_sort(level: int) -> Sort:
 
 
 class Term:
-    """Base class for term nodes."""
+    """Base class for term nodes.
+
+    A node kind defined outside this module (the frontend's RawMatch)
+    provides `children()` and `binders()`, the names it binds, so that
+    `children`, `subterms` and `names` walk through it.
+    """
 
     __slots__ = ()
 
@@ -232,6 +246,104 @@ def strip_lams(t: Term) -> tuple[list[tuple[str, Term]], Term]:
 
 
 # ---------------------------------------------------------------------------
+# Traversal
+
+
+# The helpers below run once per node of nearly every walk, so they test
+# the node's exact type rather than matching class patterns, which costs
+# an isinstance check per pattern tried.
+_LEAVES = frozenset((Var, Const, SortT, Ind, Constr))
+_KINDS = _LEAVES | {App, Prod, Lam, Case, Fix}
+
+
+def children(t: Term) -> tuple[Term, ...]:
+    """The immediate subterms of `t`, in field order."""
+    kind = type(t)
+    if kind is App:
+        return t.fn, t.arg
+    if kind is Lam or kind is Fix:
+        return t.annotation, t.body
+    if kind is Prod:
+        return t.domain, t.codomain
+    if kind is Case:
+        return t.scrutinee, *t.params, t.motive, *t.branches
+    if kind in _LEAVES:
+        return ()
+    if isinstance(t, Term):
+        return t.children()
+    raise TypeError(f"not a term: {t!r}")
+
+
+def rebuild_binder(t: Prod | Lam | Fix, binder: str, dom: Term,
+                   body: Term) -> Term:
+    """A node of `t`'s kind (with a Fix's decreasing index) binding `binder`
+    over `body`, with `dom` as its domain or annotation."""
+    if type(t) is Fix:
+        return Fix(binder, dom, body, t.decreasing)
+    return type(t)(binder, dom, body)
+
+
+def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
+    """`t` with `f` applied to each child in field order; `t` itself when
+    every child comes back as the same object."""
+    kind = type(t)
+    if kind is App:
+        fn2 = f(t.fn)
+        arg2 = f(t.arg)
+        if fn2 is t.fn and arg2 is t.arg:
+            return t
+        return App(fn2, arg2)
+    if kind is Lam or kind is Prod or kind is Fix:
+        dom, body = children(t)
+        dom2 = f(dom)
+        body2 = f(body)
+        if dom2 is dom and body2 is body:
+            return t
+        return rebuild_binder(t, t.binder, dom2, body2)
+    if kind is Case:
+        scrutinee2 = f(t.scrutinee)
+        params2 = tuple(f(p) for p in t.params)
+        motive2 = f(t.motive)
+        branches2 = tuple(f(b) for b in t.branches)
+        if (scrutinee2 is t.scrutinee and motive2 is t.motive
+                and all(x is y for x, y in zip(params2, t.params))
+                and all(x is y for x, y in zip(branches2, t.branches))):
+            return t
+        return Case(t.ind, scrutinee2, params2, motive2, branches2)
+    if kind in _LEAVES:
+        return t
+    raise TypeError(f"not a term: {t!r}")
+
+
+def subterms(t: Term) -> Iterator[Term]:
+    """Every node of `t`, `t` first, in preorder.  The walk keeps its own
+    stack, so nesting depth is not limited by the interpreter's."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        kids = children(u)
+        if kids:
+            stack.extend(reversed(kids))
+
+
+def names(t: Term) -> set[str]:
+    """Every name `t` uses: its Vars and Consts, bound or free, and the
+    names its binders bind, except `_`."""
+    out: set[str] = set()
+    for u in subterms(t):
+        kind = type(u)
+        if kind is Var or kind is Const:
+            out.add(u.name)
+        elif kind is Lam or kind is Prod or kind is Fix:
+            out.add(u.binder)
+        elif kind not in _KINDS:
+            out.update(u.binders())
+    out.discard("_")
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Binding operations
 
 
@@ -274,24 +386,14 @@ def _free_vars(t: Term) -> frozenset[str]:
             if fv is None:
                 fv = _VAR_FV[name] = frozenset((name,))
             return fv
-        case SortT() | Ind() | Constr():
-            return _NO_FV
         case App(fn, arg):
             return _union(free_vars(fn), free_vars(arg))
-        case Prod(binder, domain, codomain):
-            return _union(free_vars(domain), _minus(free_vars(codomain), binder))
-        case Lam(binder, annotation, body):
-            return _union(free_vars(annotation), _minus(free_vars(body), binder))
-        case Case(_, scrutinee, params, motive, branches):
-            out = _union(free_vars(scrutinee), free_vars(motive))
-            for p in params:
-                out = _union(out, free_vars(p))
-            for b in branches:
-                out = _union(out, free_vars(b))
-            return out
-        case Fix(binder, annotation, body, _):
-            return _union(free_vars(annotation), _minus(free_vars(body), binder))
-    raise TypeError(f"not a term: {t!r}")
+        case Prod(binder, dom, body) | Lam(binder, dom, body) | Fix(binder, dom, body):
+            return _union(free_vars(dom), _minus(free_vars(body), binder))
+    out = _NO_FV
+    for c in children(t):
+        out = _union(out, free_vars(c))
+    return out
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -320,29 +422,11 @@ def _subst(t: Term, name: str, value: Term, fv_value: frozenset[str]) -> Term:
         case App(fn, arg):
             return App(_subst(fn, name, value, fv_value),
                        _subst(arg, name, value, fv_value))
-        case Prod(binder, domain, codomain):
-            domain2 = _subst(domain, name, value, fv_value)
-            binder2, codomain2 = _subst_under(binder, codomain, name, value, fv_value)
-            return Prod(binder2, domain2, codomain2)
-        case Lam(binder, annotation, body):
-            annotation2 = _subst(annotation, name, value, fv_value)
+        case Prod(binder, dom, body) | Lam(binder, dom, body) | Fix(binder, dom, body):
+            dom2 = _subst(dom, name, value, fv_value)
             binder2, body2 = _subst_under(binder, body, name, value, fv_value)
-            return Lam(binder2, annotation2, body2)
-        case Case(ind, scrutinee, params, motive, branches):
-            return Case(
-                ind,
-                _subst(scrutinee, name, value, fv_value),
-                tuple(_subst(p, name, value, fv_value) for p in params),
-                _subst(motive, name, value, fv_value),
-                tuple(_subst(b, name, value, fv_value) for b in branches),
-            )
-        case Fix(binder, annotation, body, decreasing):
-            annotation2 = _subst(annotation, name, value, fv_value)
-            binder2, body2 = _subst_under(binder, body, name, value, fv_value)
-            return Fix(binder2, annotation2, body2, decreasing)
-        case Const():
-            return t
-    raise TypeError(f"not a term: {t!r}")
+            return rebuild_binder(t, binder2, dom2, body2)
+    return map_children(t, lambda c: _subst(c, name, value, fv_value))
 
 
 def _subst_under(binder: str, body: Term, name: str, value: Term,

@@ -125,6 +125,15 @@ def test_check_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_check_non_utf8_file_is_an_io_error(tmp_path, capsys):
+    bad = tmp_path / "bad.rcic"
+    bad.write_bytes(b"\xff\xfe def x")
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bad}: error: ")
+    assert "utf-8" in err
+
+
 def test_check_duplicate_declaration(prelude, tmp_path, capsys):
     dup = write(tmp_path, "dup.rcic", "def plus : Nat := zero.")
     assert main(["check", prelude, dup]) == 1

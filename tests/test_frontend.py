@@ -253,6 +253,12 @@ def test_elaborate_renames_shadowing_binders(prelude_env):
     inner = t.body
     assert t.binder == "q" and inner.binder != "q"
     assert inner.body == Var(inner.binder)
+    # A renamed binder avoids every name the term binds, a match's too.
+    t = elaborate(prelude_env, parse_term(
+        "fun (plus : Nat) (n : Nat) => match n as plus2 in Nat return Nat "
+        "with | zero => plus | succ plus1 => plus end"))
+    assert t.binder not in ("plus", "plus1", "plus2")
+    assert t.body.body.branches[1] == Lam("plus1", NAT, Var(t.binder))
 
 
 def test_elaborate_match_builds_case(prelude_env):

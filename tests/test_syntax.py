@@ -33,7 +33,16 @@ from rcic import (
     subst,
     type_sort,
 )
-from rcic.syntax import fresh_name, strip_lams, strip_prods, unfold_app
+from rcic.syntax import (
+    children,
+    fresh_name,
+    map_children,
+    names,
+    strip_lams,
+    strip_prods,
+    subterms,
+    unfold_app,
+)
 
 from gen import random_term
 from nameless import subst_free, to_nameless
@@ -98,6 +107,79 @@ def test_const_names():
     assert out == Lam("c1", NAT, Const("c"))
     assert not alpha_eq(Const("c"), Var("c"))
     assert alpha_eq(Lam("x", NAT, Const("c")), Lam("y", NAT, Const("c")))
+    # `names` lists every Var, Const and binder name, bound or free.
+    assert names(Lam("c", NAT, App(Const("d"), Var("y")))) == {"c", "d", "y"}
+    assert names(Prod("_", NAT, Fix("f", NAT, Var("f"), 0))) == {"f"}
+
+
+_V = [Var(f"v{i}") for i in range(8)]
+
+
+@pytest.mark.parametrize("t, kids", [
+    (Var("x"), ()),
+    (Const("c"), ()),
+    (SortT(PROP), ()),
+    (NAT, ()),
+    (Constr("zero"), ()),
+    (App(_V[0], _V[1]), (_V[0], _V[1])),
+    (Prod("x", _V[0], _V[1]), (_V[0], _V[1])),
+    (Lam("x", _V[0], _V[1]), (_V[0], _V[1])),
+    (Fix("f", _V[0], _V[1], 0), (_V[0], _V[1])),
+    (Case("Nat", _V[0], (), _V[1], (_V[2], _V[3])),
+     (_V[0], _V[1], _V[2], _V[3])),
+    (Case("List", _V[0], (_V[1],), _V[2], (_V[3], _V[4])),
+     (_V[0], _V[1], _V[2], _V[3], _V[4])),
+    (Case("T", _V[0], (_V[1], _V[2], _V[3]), _V[4], (_V[5],)),
+     (_V[0], _V[1], _V[2], _V[3], _V[4], _V[5])),
+])
+def test_children_in_field_order(t, kids):
+    got = children(t)
+    assert len(got) == len(kids)
+    assert all(a is b for a, b in zip(got, kids))
+    assert map_children(t, lambda c: c) is t
+    assert list(subterms(t)) == [t, *kids]
+
+
+def test_children_reject_non_terms():
+    for walk in (children, lambda t: map_children(t, lambda c: c)):
+        with pytest.raises(TypeError):
+            walk("x")
+
+
+def test_map_children_rebuilds_only_the_changed_path():
+    target = Var("x")
+    t = Lam("y", NAT,
+            Case("Nat", Var("n"), (Var("p"),), Var("m"),
+                 (App(Var("f"), target), Fix("g", NAT, Var("g"), 0))))
+
+    def swap(u):
+        return Var("w") if u is target else map_children(u, swap)
+
+    out = swap(t)
+    assert out == Lam("y", NAT,
+                      Case("Nat", Var("n"), (Var("p"),), Var("m"),
+                           (App(Var("f"), Var("w")), Fix("g", NAT, Var("g"), 0))))
+    assert out.annotation is t.annotation
+    case, old_case = out.body, t.body
+    assert case.scrutinee is old_case.scrutinee
+    assert case.params[0] is old_case.params[0]
+    assert case.motive is old_case.motive
+    assert case.branches[1] is old_case.branches[1]
+    assert case.branches[0].fn is old_case.branches[0].fn
+
+
+def test_walks_do_not_recurse_on_deep_terms():
+    n = 50_000
+    leaves = [Var(f"x{i}") for i in range(n)]
+    left = app(Var("f"), *leaves)           # deep in the function position
+    right = Var("f")
+    for leaf in leaves:
+        right = App(leaf, right)            # deep in the argument position
+    for t in (left, right):
+        assert sum(1 for _ in subterms(t)) == 2 * n + 1
+        assert names(t) == {"f", *(v.name for v in leaves)}
+    walk = subterms(left)
+    assert next(walk) is left and next(walk) is left.fn and next(walk) is left.fn.fn
 
 
 def test_fresh_name():
