@@ -512,6 +512,9 @@ def _bind(env: GlobalEnv, name: str, scope: dict[str, str],
     return new, {**scope, name: new}
 
 
+_CONST = "_const"
+
+
 def _elab(env: GlobalEnv, t: Term, scope: dict[str, str],
           taken: set[str]) -> Term:
     match t:
@@ -520,7 +523,12 @@ def _elab(env: GlobalEnv, t: Term, scope: dict[str, str],
                 return Var(scope[name])
             entry = env.lookup(name)
             if isinstance(entry, Definition):
-                return Const(name)
+                # One Const per definition, kept in its instance dict,
+                # which equality, hashing and repr do not see.
+                const = entry.__dict__.get(_CONST)
+                if const is None:
+                    const = entry.__dict__[_CONST] = Const(name)
+                return const
             if entry is not None:
                 return Ind(name)
             if env.constructor(name) is not None:

@@ -14,7 +14,10 @@ Conversion and cumulativity evaluate both sides to closures and neutral
 values and compare those, unfolding a definition only when comparing its
 applications argument by argument fails (lazy delta).  `whnf` stays on
 terms, because `infer` returns its result.  `beta_normalize` contracts
-redexes by hereditary substitution, in one pass.
+redexes by hereditary substitution, in one pass, with the simultaneous
+substitution map and binder rule of `syntax.subst_all`.  `infer` types an
+application spine against its head's type, inferred once, with the
+arguments held in one pending substitution.
 """
 
 from __future__ import annotations
@@ -50,8 +53,10 @@ from .syntax import (
     rebuild_binder,
     strip_prods,
     subst,
+    subst_all,
     subterms,
     type_sort,
+    under_binder,
     unfold_app,
 )
 
@@ -175,59 +180,58 @@ def beta_normalize(t: Term) -> Term:
     translation produces; on well-typed input this terminates.  A redex is
     contracted by hereditary substitution (`_hsubst`), which substitutes
     and normalises in one pass.  Subterms that are already normal are
-    returned as they are, not rebuilt.
+    returned as they are, not rebuilt.  Each level of a binder telescope or
+    an application costs one Python frame, which keeps deep translated
+    telescopes within the interpreter's recursion limit.
     """
-    match t:
-        case App(fn, arg):
-            fn2 = beta_normalize(fn)
-            arg2 = beta_normalize(arg)
-            if isinstance(fn2, Lam):
-                return _hsubst(fn2.body, fn2.binder, arg2, free_vars(arg2))
-            if fn2 is fn and arg2 is arg:
-                return t
-            return App(fn2, arg2)
+    kind = type(t)
+    if kind is App:
+        fn2 = beta_normalize(t.fn)
+        arg2 = beta_normalize(t.arg)
+        if type(fn2) is Lam:
+            return _hsubst(fn2.body, {fn2.binder: arg2})
+        if fn2 is t.fn and arg2 is t.arg:
+            return t
+        return App(fn2, arg2)
+    if kind is Lam or kind is Prod or kind is Fix:
+        # Binder telescopes are the deep part of a translated term, so this
+        # arm recurses directly rather than through map_children.
+        dom, body = children(t)
+        dom2 = beta_normalize(dom)
+        body2 = beta_normalize(body)
+        if dom2 is dom and body2 is body:
+            return t
+        return rebuild_binder(t, t.binder, dom2, body2)
     return map_children(t, beta_normalize)
 
 
-def _hsubst(t: Term, name: str, value: Term, fv_value: frozenset[str]) -> Term:
-    """`beta_normalize(subst(t, name, value))` for beta-normal `t` and
-    `value`, in one pass.
+def _hsubst(t: Term, sub: dict[str, Term]) -> Term:
+    """`beta_normalize(subst_all(t, sub))` for beta-normal `t` and values,
+    in one pass.
 
-    Substituting into a normal term makes a redex only where `name` is the
-    head of an application and `value` is a Lam; that redex is contracted
-    on the spot by the same means.  Binders are renamed exactly as `subst`
-    renames them, so the result has the same binder names.
+    Substituting into a normal term makes a redex only where a key of `sub`
+    is the head of an application and its value is a Lam; that redex is
+    contracted on the spot with a one-entry map.  Binders follow the rule
+    of `subst_all` (`under_binder`), so the result has the same binder
+    names.
     """
-    if name not in free_vars(t):
+    if free_vars(t).isdisjoint(sub):
         return t
-    match t:
-        case Var():
-            return value
-        case App(fn, arg):
-            fn2 = _hsubst(fn, name, value, fv_value)
-            arg2 = _hsubst(arg, name, value, fv_value)
-            if isinstance(fn2, Lam):
-                return _hsubst(fn2.body, fn2.binder, arg2, free_vars(arg2))
-            return App(fn2, arg2)
-        case Prod(binder, dom, body) | Lam(binder, dom, body) | Fix(binder, dom, body):
-            dom2 = _hsubst(dom, name, value, fv_value)
-            binder2, body2 = _hsubst_under(binder, body, name, value, fv_value)
-            return rebuild_binder(t, binder2, dom2, body2)
-    return map_children(t, lambda c: _hsubst(c, name, value, fv_value))
-
-
-def _hsubst_under(binder: str, body: Term, name: str, value: Term,
-                  fv_value: frozenset[str]) -> tuple[str, Term]:
-    """`_hsubst` below a binder, renaming it as `subst` would: only if it
-    would capture a free variable of `value`."""
-    if binder == name:
-        return binder, body
-    if binder in fv_value and name in free_vars(body):
-        fresh = fresh_name(binder, fv_value | free_vars(body) | {name})
-        body = subst(body, binder, Var(fresh))
-    else:
-        fresh = binder
-    return fresh, _hsubst(body, name, value, fv_value)
+    kind = type(t)
+    if kind is Var:
+        return sub[t.name]
+    if kind is App:
+        fn2 = _hsubst(t.fn, sub)
+        arg2 = _hsubst(t.arg, sub)
+        if type(fn2) is Lam:
+            return _hsubst(fn2.body, {fn2.binder: arg2})
+        return App(fn2, arg2)
+    if kind is Lam or kind is Prod or kind is Fix:
+        dom, body = children(t)
+        binder, inner = under_binder(t.binder, body, sub)
+        return rebuild_binder(t, binder, _hsubst(dom, sub),
+                              _hsubst(body, inner) if inner else body)
+    return map_children(t, lambda c: _hsubst(c, sub))
 
 
 def one_step_reducts(env: GlobalEnv, t: Term) -> list[Term]:
@@ -618,18 +622,8 @@ def _infer(env: GlobalEnv, ctx: Context, t: Term,
             infer_sort(env, ctx, annotation, mode)
             body_ty = _infer(env, ctx.extend(binder, annotation), body, mode)
             return Prod(binder, annotation, body_ty)
-        case App(fn, arg):
-            fn_ty = whnf(env, _infer(env, ctx, fn, mode))
-            if not isinstance(fn_ty, Prod):
-                raise TypeCheckError(ErrorKind.NOT_A_FUNCTION,
-                                     "application head is not a function",
-                                     term=fn, actual=fn_ty)
-            arg_ty = _infer(env, ctx, arg, mode)
-            if not subtype(env, arg_ty, fn_ty.domain):
-                raise TypeCheckError(ErrorKind.NOT_CONVERTIBLE,
-                                     "argument type mismatch", term=t,
-                                     expected=fn_ty.domain, actual=arg_ty)
-            return subst(fn_ty.codomain, fn_ty.binder, arg)
+        case App():
+            return _infer_spine(env, ctx, t, mode)
         case Ind(name):
             decl = env.inductive(name)
             if decl is None:
@@ -648,6 +642,41 @@ def _infer(env: GlobalEnv, ctx: Context, t: Term,
         case Fix():
             return _infer_fix(env, ctx, t, mode)
     raise TypeCheckError(ErrorKind.NOT_CONVERTIBLE, f"not a term: {t!r}")
+
+
+def _infer_spine(env: GlobalEnv, ctx: Context, t: App,
+                 mode: EliminationMode) -> Term:
+    """The type of an application, from its head's type inferred once.
+
+    The arguments are checked against the head's product telescope with the
+    arguments seen so far held in one pending substitution, which is
+    applied to each domain and to the result; it is flushed into the type
+    only where the type must be reduced to show its next product.
+    """
+    nodes: list[App] = []
+    head = t
+    while type(head) is App:
+        nodes.append(head)
+        head = head.fn
+    ty = _infer(env, ctx, head, mode)
+    pending: dict[str, Term] = {}
+    for node in reversed(nodes):
+        if type(ty) is not Prod:
+            ty = whnf(env, subst_all(ty, pending))
+            pending = {}
+            if type(ty) is not Prod:
+                raise TypeCheckError(ErrorKind.NOT_A_FUNCTION,
+                                     "application head is not a function",
+                                     term=node.fn, actual=ty)
+        domain = subst_all(ty.domain, pending)
+        arg_ty = _infer(env, ctx, node.arg, mode)
+        if not subtype(env, arg_ty, domain):
+            raise TypeCheckError(ErrorKind.NOT_CONVERTIBLE,
+                                 "argument type mismatch", term=node,
+                                 expected=domain, actual=arg_ty)
+        pending[ty.binder] = node.arg
+        ty = ty.codomain
+    return subst_all(ty, pending)
 
 
 def _whnf_prod(env: GlobalEnv, t: Term, what: str) -> Prod:

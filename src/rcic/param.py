@@ -47,6 +47,7 @@ from .syntax import (
     strip_lams,
     strip_prods,
     subst,
+    subst_all,
     subterms,
 )
 from .kernel import (
@@ -125,8 +126,9 @@ def prime(t: Term) -> Term:
 
 
 def _assert_clean(t: Term) -> None:
-    """Reject terms that already use the reserved name suffixes."""
-    for name in names(t):
+    """Reject terms that already use the reserved name suffixes, naming the
+    first such name in sorted order."""
+    for name in sorted(names(t)):
         if is_reserved(name):
             raise ValueError(
                 f"cannot translate a term using the reserved name {name!r}")
@@ -261,15 +263,14 @@ def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
                       app(ann_r, Var(binder), Var(primed(binder))),
                       body_r,
                       3 * decreasing + 2)
-            rel = subst(rel, binder, selves.raw)
-            return subst(rel, primed(binder), selves.primed)
+            return subst_all(rel, {binder: selves.raw,
+                                   primed(binder): selves.primed})
     raise TypeError(f"not a term: {t!r}")
 
 
 def _rename_triple(t: Term, old: str, new: NameTriple) -> Term:
-    t = subst(t, old, Var(new.base))
-    t = subst(t, primed(old), Var(new.copy))
-    return subst(t, witness(old), Var(new.rel))
+    return subst_all(t, {old: Var(new.base), primed(old): Var(new.copy),
+                         witness(old): Var(new.rel)})
 
 
 def _case_motive(env: GlobalEnv, t: Case, alias: Alias | None = None) -> Term:

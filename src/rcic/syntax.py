@@ -3,12 +3,15 @@
 A Var is a bound or context variable, never a global.  A Const refers to a
 global definition, as Ind and Constr refer to inductives and constructors.
 
-Terms use named binders.  Substitution is capture-avoiding and renames
-binders on demand; alpha_eq compares terms up to consistent renaming of
-bound names.  Term nodes are immutable and must never be mutated: each
-carries a lazily filled cache of its free variables, which equality,
-hashing and repr do not see.  GlobalEnv is the one mutable value, an
-append-only map of checked declarations.
+Terms use named binders.  Substitution is capture-avoiding and
+simultaneous: `subst_all` applies a map from names to values in one pass,
+and `subst` is its one-entry case.  A binder that would capture is renamed
+by one more entry of the map, never by another pass; `under_binder` is that
+rule, shared with the kernel's hereditary substitution.  alpha_eq compares
+terms up to consistent renaming of bound names.  Term nodes are immutable
+and must never be mutated: each carries a lazily filled cache of its free
+variables, which equality, hashing and repr do not see.  GlobalEnv is the
+one mutable value, an append-only map of checked declarations.
 
 Which subterms each node kind has, and in what order, is known only in
 this module.  Walks that treat most kinds alike go through three helpers
@@ -409,36 +412,55 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 
 
 def subst(t: Term, name: str, value: Term) -> Term:
-    """Capture-avoiding substitution of `value` for free `name` in `t`."""
-    return _subst(t, name, value, free_vars(value))
+    """Capture-avoiding substitution of `value` for free `name` in `t`:
+    `subst_all` with a one-entry map."""
+    return _subst_all(t, {name: value})
 
 
-def _subst(t: Term, name: str, value: Term, fv_value: frozenset[str]) -> Term:
-    if name not in free_vars(t):
+def subst_all(t: Term, sub: dict[str, Term]) -> Term:
+    """Capture-avoiding simultaneous substitution: every free Var of `t`
+    named by a key of `sub` is replaced by that key's value, in one pass.
+    The values are not substituted into, so `{x: y, y: x}` swaps.  A binder
+    is renamed only where it would capture (see `under_binder`)."""
+    return _subst_all(t, sub) if sub else t
+
+
+def _subst_all(t: Term, sub: dict[str, Term]) -> Term:
+    if free_vars(t).isdisjoint(sub):
         return t
-    match t:
-        case Var():
-            return value
-        case App(fn, arg):
-            return App(_subst(fn, name, value, fv_value),
-                       _subst(arg, name, value, fv_value))
-        case Prod(binder, dom, body) | Lam(binder, dom, body) | Fix(binder, dom, body):
-            dom2 = _subst(dom, name, value, fv_value)
-            binder2, body2 = _subst_under(binder, body, name, value, fv_value)
-            return rebuild_binder(t, binder2, dom2, body2)
-    return map_children(t, lambda c: _subst(c, name, value, fv_value))
+    kind = type(t)
+    if kind is Var:
+        return sub[t.name]
+    if kind is App:
+        return App(_subst_all(t.fn, sub), _subst_all(t.arg, sub))
+    if kind is Lam or kind is Prod or kind is Fix:
+        dom, body = children(t)
+        binder, inner = under_binder(t.binder, body, sub)
+        return rebuild_binder(t, binder, _subst_all(dom, sub),
+                              _subst_all(body, inner) if inner else body)
+    return map_children(t, lambda c: _subst_all(c, sub))
 
 
-def _subst_under(binder: str, body: Term, name: str, value: Term,
-                 fv_value: frozenset[str]) -> tuple[str, Term]:
-    """Substitute below a binder, renaming it if it would capture."""
-    if binder == name:
-        return binder, body
-    if binder in fv_value and name in free_vars(body):
-        fresh = fresh_name(binder, fv_value | free_vars(body) | {name})
-        body = _subst(body, binder, Var(fresh), frozenset((fresh,)))
-        return fresh, _subst(body, name, value, fv_value)
-    return binder, _subst(body, name, value, fv_value)
+def under_binder(binder: str, body: Term, sub: dict[str, Term],
+                 ) -> tuple[str, dict[str, Term]]:
+    """The binder rule of the substitution walkers: the name a binder over
+    `body` takes when `sub` is applied below it, and the map for `body`.
+
+    The map keeps only the entries live in `body` and drops the binder's
+    own.  If the binder occurs free in a live value it would capture it,
+    so it is renamed to the first fresh name outside `body`'s free names,
+    the live keys and the live values' free names, and the renaming is
+    one more entry of the map, not another pass.  An empty map means the
+    body is left as it is.
+    """
+    fv_body = free_vars(body)
+    live = {k: v for k, v in sub.items() if k in fv_body and k != binder}
+    if live and any(binder in free_vars(v) for v in live.values()):
+        avoid = fv_body.union(live, *(free_vars(v) for v in live.values()))
+        fresh = fresh_name(binder, avoid)
+        live[binder] = Var(fresh)
+        return fresh, live
+    return binder, live
 
 
 def alpha_eq(a: Term, b: Term) -> bool:

@@ -46,29 +46,28 @@ def to_nameless(t: Term, stack: tuple[str, ...] = ()):
     raise TypeError(f"not a term: {t!r}")
 
 
-def subst_free(t, name: str, value):
-    """Replace the free variable `name` in nameless `t` by nameless `value`.
+def subst_free(t, sub: dict):
+    """Replace each free variable of nameless `t` named by a key of `sub`
+    by that key's nameless value, all at once: values are not substituted
+    into.
 
-    `value` must come from a standalone to_nameless call, so its "bound"
-    indices are internal to it and need no shifting.
+    The values must come from standalone to_nameless calls, so their
+    "bound" indices are internal to them and need no shifting.
     """
     tag = t[0]
     if tag == "free":
-        return value if t[1] == name else t
+        return sub.get(t[1], t)
     if tag in ("bound", "sort", "const", "ind", "constr"):
         return t
     if tag == "app":
-        return ("app", subst_free(t[1], name, value),
-                subst_free(t[2], name, value))
+        return ("app", subst_free(t[1], sub), subst_free(t[2], sub))
     if tag in ("prod", "lam"):
-        return (tag, subst_free(t[1], name, value),
-                subst_free(t[2], name, value))
+        return (tag, subst_free(t[1], sub), subst_free(t[2], sub))
     if tag == "case":
-        return ("case", t[1], subst_free(t[2], name, value),
-                tuple(subst_free(p, name, value) for p in t[3]),
-                subst_free(t[4], name, value),
-                tuple(subst_free(b, name, value) for b in t[5]))
+        return ("case", t[1], subst_free(t[2], sub),
+                tuple(subst_free(p, sub) for p in t[3]),
+                subst_free(t[4], sub),
+                tuple(subst_free(b, sub) for b in t[5]))
     if tag == "fix":
-        return ("fix", subst_free(t[1], name, value),
-                subst_free(t[2], name, value), t[3])
+        return ("fix", subst_free(t[1], sub), subst_free(t[2], sub), t[3])
     raise TypeError(f"not a nameless term: {t!r}")

@@ -11,6 +11,8 @@ import rcic
 from rcic import prelude_path
 from rcic.cli import main
 
+from walker_counts import binder_depth_source
+
 GOOD = """
 inductive Pair (A B : Set0) : Set0 := pair : A -> B -> Pair A B.
 def fst_nat : Pair Nat Nat -> Nat :=
@@ -120,6 +122,18 @@ def test_param_check_too_deep_is_a_diagnostic(prelude, tmp_path):
     assert run("check").returncode == 0
 
 
+def test_param_check_105_binders(prelude, tmp_path):
+    # 105 source binders, three translated binders each, must fit the
+    # interpreter's default recursion limit.
+    src = write(tmp_path, "b105.rcic", binder_depth_source(105))
+    env = dict(os.environ, PYTHONPATH=str(Path(rcic.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "rcic.cli", "param-check", prelude, src],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "PASS b105"
+
+
 def test_check_missing_file(capsys):
     assert main(["check", "/does/not/exist.rcic"]) == 2
     assert "error" in capsys.readouterr().err
@@ -167,6 +181,31 @@ def test_translate_prelude_matches_golden(prelude, capsys):
     assert main(["translate", prelude]) == 0
     golden = Path(__file__).with_name("golden") / "prelude_translate.txt"
     assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_translate_binder_depth_matches_golden(prelude, tmp_path, capsys):
+    # The relation of b8 renames the binder triple of each nested arrow
+    # (x, x1, x11, ...); the names are pinned.
+    src = write(tmp_path, "b8.rcic", binder_depth_source(8))
+    assert main(["translate", "--def", "b8", prelude, src]) == 0
+    golden = Path(__file__).with_name("golden") / "b8_translate.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_check_spine_renames_each_binder_once(prelude, tmp_path, capsys):
+    # The arguments of a spine are substituted into the head's type at
+    # once, so the binder `x` of K's type, which would capture the argument
+    # x1, is renamed once (to x2), not once per argument (to x11).
+    src = write(tmp_path, "k.rcic", """
+inductive Eq (A : Set0) (x : A) : A -> Prop := refl : Eq A x x.
+def K : forall (A : Set0) (a b x : A), Eq A a x -> Eq A b x -> Unit :=
+  fun (A : Set0) (a b x : A) (p : Eq A a x) (q : Eq A b x) => tt.
+check fun (x x1 : Nat) => K Nat x x1.
+""")
+    assert main(["check", prelude, src]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "fun (x x1 : Nat) => K Nat x x1 : "
+        "forall (x x1 x2 : Nat), Eq Nat x x2 -> Eq Nat x1 x2 -> Unit")
 
 
 def test_inductive_over_a_definition(prelude, tmp_path, capsys):

@@ -48,7 +48,7 @@ from rcic import (
     whnf,
 )
 
-from rcic.syntax import unfold_app
+from rcic.syntax import children, unfold_app
 
 from conftest import load_declarations, term_in
 from gen import LIST_NAT, UNIT, random_typed
@@ -468,6 +468,48 @@ def test_infer_lambda_app(prelude_env):
     # Dependent application instantiates the codomain.
     assert alpha_eq(infer(prelude_env, ctx, term_in(prelude_env, "id Nat")),
                     arrow(NAT, NAT))
+
+
+def _applications(t, ctx):
+    """Every App node of `t`, with the context it is typed in."""
+    stack = [(t, ctx)]
+    while stack:
+        u, c = stack.pop()
+        if type(u) is App:
+            yield u, c
+        kids = children(u)
+        if type(u) in (Prod, Lam, Fix):
+            stack += [(kids[0], c), (kids[1], c.extend(u.binder, kids[0]))]
+        else:
+            stack += [(k, c) for k in kids]
+
+
+def _infer_by_steps(env, ctx, t):
+    """The type of an application the sequential way: reduce the head's
+    type to a product and substitute one argument at a time."""
+    head, args = unfold_app(t)
+    ty = infer(env, ctx, head)
+    for arg in args:
+        ty = whnf(env, ty)
+        assert isinstance(ty, Prod)
+        ty = whnf(env, subst(ty.codomain, ty.binder, arg))
+    return ty
+
+
+def test_infer_spine_matches_sequential_substitution(prelude_env):
+    # infer types a spine against the head's type with one pending
+    # simultaneous substitution; the result must be the same type, up to
+    # the names of binders, as substituting the arguments one by one.
+    seen = 0
+    for name in prelude_env.names():
+        defn = prelude_env.definition(name)
+        if defn is None:
+            continue
+        for t, ctx in _applications(defn.body, Context()):
+            assert alpha_eq(infer(prelude_env, ctx, t),
+                            _infer_by_steps(prelude_env, ctx, t)), name
+            seen += 1
+    assert seen > 90
 
 
 def test_infer_globals(prelude_env):

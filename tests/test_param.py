@@ -1,6 +1,13 @@
 """Tests for the relational translation and the abstraction check."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import rcic
 
 from rcic import (
     App,
@@ -44,6 +51,7 @@ from rcic.frontend import DInductive
 from rcic.param import NameTriple, is_reserved
 
 from conftest import fresh_prelude_env, load_declarations, term_in
+from walker_counts import binder_depth_source, walker_calls
 
 NAT = Ind("Nat")
 
@@ -287,6 +295,26 @@ def test_translate_rejects_reserved_input(fresh_env):
         translate_term(fresh_env, Lam("x_R", NAT, Var("x_R")))
 
 
+def test_reserved_name_diagnostic_is_deterministic():
+    # The term uses three reserved names; the diagnostic names the first
+    # in sorted order, whatever the interpreter's string hashing.
+    code = ("from rcic import GlobalEnv, Lam, PROP, SortT, Var, "
+            "translate_term\n"
+            "P = SortT(PROP)\n"
+            "try:\n"
+            "    translate_term(GlobalEnv(),"
+            " Lam(\"a'\", P, Lam('b_R', P, Var('c_R'))))\n"
+            "except ValueError as err:\n"
+            "    print(err)\n")
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=str(Path(rcic.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, timeout=60)
+        assert run.stdout == ("cannot translate a term using the reserved "
+                              "name \"a'\"\n"), seed
+
+
 def test_translated_definitions_check(translated_env):
     for name in list(translated_env.names()):
         d = translated_env.definition(name)
@@ -334,6 +362,21 @@ def test_abstraction_check_rejects_ill_typed(translated_env):
 
 def test_abstraction_check_rejects_reserved_names(translated_env):
     assert not abstraction_check(translated_env, Context(), Var("x'"), NAT)
+
+
+def test_abstraction_check_of_105_binders():
+    # The translated witness nests three binders per source binder; 105
+    # source binders must fit the interpreter's default recursion limit.
+    env = load_declarations(fresh_prelude_env(), binder_depth_source(105))
+    d = env.definition("b105")
+    assert abstraction_check(env, Context(), d.body, d.type)
+
+
+def test_substitution_work_grows_at_most_quadratically():
+    # Twice the binders may cost at most about four times the walker calls:
+    # a contraction under a capturing binder renames it by one more entry
+    # of its substitution map, not by another pass over the body.
+    assert walker_calls(40) / walker_calls(20) <= 4.5
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,12 @@ from rcic.syntax import (
     names,
     strip_lams,
     strip_prods,
+    subst_all,
     subterms,
     unfold_app,
 )
 
-from gen import random_term
+from gen import random_term, random_typed
 from nameless import subst_free, to_nameless
 
 NAT = Ind("Nat")
@@ -239,10 +240,61 @@ def test_subst_matches_nameless_oracle():
         value = random_term(rng, rng.randrange(0, 3))
         out = subst(t, name, value)
         got = to_nameless(out)
-        want = subst_free(to_nameless(t), name, to_nameless(value))
+        want = subst_free(to_nameless(t), {name: to_nameless(value)})
         assert got == want
         assert free_vars(t) == _free_leaves(to_nameless(t))
         assert free_vars(out) == _free_leaves(want)
+
+
+def test_subst_all_is_simultaneous():
+    x, y, f = Var("x"), Var("y"), Var("f")
+    # A swap: the values are not substituted into.
+    assert subst_all(app(f, x, y), {"x": y, "y": x}) == app(f, y, x)
+    # The binder `x` shadows its own entry and would capture the value `x`
+    # of the live entry `y`, so it is renamed by one more entry of the map.
+    t = Lam("x", NAT, App(x, y))
+    assert subst_all(t, {"x": y, "y": x}) == Lam("x1", NAT, App(Var("x1"), x))
+    # Entries not free in the term leave it as it is.
+    assert subst_all(t, {"z": x}) is t
+    assert subst_all(t, {}) is t
+
+
+def test_subst_all_matches_simultaneous_nameless_oracle():
+    # Open subterms of well-typed terms, substituted with two or three
+    # entries whose values mention the subterm's own binder names.
+    rng = random.Random(20261018)
+    checked = swaps = captures = 0
+    for _ in range(200):
+        t, _ = random_typed(rng, 5)
+        for u in subterms(t):
+            free = sorted(_free_leaves(to_nameless(u)))
+            if not free:
+                continue
+            bound = sorted({w.binder for w in subterms(u)
+                            if type(w) in (Lam, Prod, Fix)} - set(free))
+            pool = free + bound + ["w"]
+            # "w" occurs nowhere, so a key "w" is a dead entry.
+            keys = rng.sample(free + ["w"],
+                              min(len(free) + 1, rng.choice((2, 3))))
+            if len(keys) >= 2 and rng.random() < 0.3:
+                sub = {keys[0]: Var(keys[1]), keys[1]: Var(keys[0])}
+                swaps += 1
+            else:
+                sub = {k: rng.choice((
+                    Var(rng.choice(pool)),
+                    App(Var(rng.choice(pool)), Var(rng.choice(pool))),
+                    Lam(rng.choice(pool), NAT, Var(rng.choice(pool)))))
+                    for k in keys}
+            captures += any(b in free_vars(v) for b in bound
+                            for v in sub.values())
+            out = subst_all(u, sub)
+            want = subst_free(to_nameless(u),
+                              {k: to_nameless(v) for k, v in sub.items()})
+            assert to_nameless(out) == want
+            consts = {c.name for c in subterms(out) if type(c) is Const}
+            assert free_vars(out) - consts == _free_leaves(want)
+            checked += 1
+    assert checked > 800 and swaps > 200 and captures > 100
 
 
 def test_free_var_cache_is_invisible():
