@@ -58,7 +58,6 @@ from .kernel import (
     infer,
     infer_sort,
     is_small,
-    one_step_reducts,
     sort_of_product,
     subsort,
     subtype,
@@ -133,7 +132,6 @@ __all__ = [
     "infer_sort",
     "is_small",
     "lams",
-    "one_step_reducts",
     "parse_file",
     "parse_term",
     "prelude_path",

@@ -41,9 +41,9 @@ from .syntax import (
     names,
     prods,
     strip_prods,
-    subst,
 )
-from .kernel import STAR, EliminationMode, declare_definition, declare_inductive
+from .kernel import (STAR, EliminationMode, Telescope, declare_definition,
+                     declare_inductive)
 from .param import PRIME_SUFFIX, WITNESS_SUFFIX, is_reserved
 
 
@@ -584,23 +584,22 @@ def _elab_match(env: GlobalEnv, rm: RawMatch, scope: dict[str, str],
         index_names.append(atom.name)
     scrutinee = _elab(env, rm.scrutinee, scope, taken)
 
-    # Annotate the motive binders from the declared arity.
-    tele = decl.arity
+    # Annotate the motive binders from the declared arity.  Declared
+    # arities and constructor types are syntactic product telescopes.
+    tele = Telescope(env, decl.arity)
     for p in params:
-        assert isinstance(tele, Prod)
-        tele = subst(tele.codomain, tele.binder, p)
+        tele.bind(p)
     inner = scope
     motive_binders: list[tuple[str, Term]] = []
     for given in index_names:
-        assert isinstance(tele, Prod)
         if given == "_":
             # The scrutinee binder's type must name every index.
             new = fresh_name("i", frozenset(taken) | set(inner.values()))
             taken.add(new)
         else:
             new, inner = _bind(env, given, inner, taken)
-        motive_binders.append((new, tele.domain))
-        tele = subst(tele.codomain, tele.binder, Var(new))
+        motive_binders.append((new, tele.domain()))
+        tele.bind(Var(new))
     as_ty = app(Ind(rm.ind), *params, *(Var(name) for name, _ in motive_binders))
     as_new, inner = _bind(env, rm.as_name, inner, taken)
     motive_binders.append((as_new, as_ty))
@@ -620,11 +619,10 @@ def _elab_match(env: GlobalEnv, rm: RawMatch, scope: dict[str, str],
         if not args:
             branches.append(_elab(env, body, scope, taken))
             continue
-        ctele = ctype
+        ctele = Telescope(env, ctype)
         for p in params:
-            assert isinstance(ctele, Prod)
-            ctele = subst(ctele.codomain, ctele.binder, p)
-        fields, _ = strip_prods(ctele)
+            ctele.bind(p)
+        fields, _ = strip_prods(ctele.ty)
         if len(args) != len(fields):
             raise ParseError(
                 f"constructor {cname} has {len(fields)} field(s), "
@@ -632,10 +630,9 @@ def _elab_match(env: GlobalEnv, rm: RawMatch, scope: dict[str, str],
         binner = scope
         field_binders: list[tuple[str, Term]] = []
         for given in args:
-            assert isinstance(ctele, Prod)
             new, binner = _bind(env, given, binner, taken)
-            field_binders.append((new, ctele.domain))
-            ctele = subst(ctele.codomain, ctele.binder, Var(new))
+            field_binders.append((new, ctele.domain()))
+            ctele.bind(Var(new))
         branches.append(lams(field_binders, _elab(env, body, binner, taken)))
 
     return Case(rm.ind, scrutinee, params, motive, tuple(branches))

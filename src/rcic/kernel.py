@@ -234,40 +234,6 @@ def _hsubst(t: Term, sub: dict[str, Term]) -> Term:
     return map_children(t, lambda c: _hsubst(c, sub))
 
 
-def one_step_reducts(env: GlobalEnv, t: Term) -> list[Term]:
-    """All terms reachable from `t` by one beta, iota, fix, or delta step."""
-    out: list[Term] = []
-
-    head, spine = unfold_app(t)
-    if isinstance(head, Fix) and len(spine) > head.decreasing:
-        chead, _ = unfold_app(spine[head.decreasing])
-        if isinstance(chead, Constr):
-            out.append(app(subst(head.body, head.binder, head), *spine))
-
-    match t:
-        case Const(name):
-            defn = env.definition(name)
-            if defn is not None:
-                out.append(defn.body)
-        case App(Lam(binder, _, body), arg):
-            out.append(subst(body, binder, arg))
-        case Case(ind, scrutinee, _, _, branches):
-            chead, cargs = unfold_app(scrutinee)
-            if isinstance(chead, Constr):
-                info = env.constructor(chead.name)
-                if info is not None and info[0].name == ind:
-                    decl, i = info
-                    out.append(app(branches[i], *cargs[decl.params:]))
-    # Congruence: one child reduced, the others kept.  map_children visits
-    # the children in the order children lists them.
-    kids = children(t)
-    for i, kid in enumerate(kids):
-        for r in one_step_reducts(env, kid):
-            rest = iter(kids[:i] + (r,) + kids[i + 1:])
-            out.append(map_children(t, lambda _: next(rest)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Conversion and cumulativity
 #
@@ -646,99 +612,108 @@ def _infer(env: GlobalEnv, ctx: Context, t: Term,
 
 def _infer_spine(env: GlobalEnv, ctx: Context, t: App,
                  mode: EliminationMode) -> Term:
-    """The type of an application, from its head's type inferred once.
-
-    The arguments are checked against the head's product telescope with the
-    arguments seen so far held in one pending substitution, which is
-    applied to each domain and to the result; it is flushed into the type
-    only where the type must be reduced to show its next product.
-    """
+    """The type of an application, from its head's type inferred once and
+    opened by one telescope walk, which takes the arguments as values."""
     nodes: list[App] = []
     head = t
     while type(head) is App:
         nodes.append(head)
         head = head.fn
-    ty = _infer(env, ctx, head, mode)
-    pending: dict[str, Term] = {}
+    tele = Telescope(env, _infer(env, ctx, head, mode))
     for node in reversed(nodes):
-        if type(ty) is not Prod:
-            ty = whnf(env, subst_all(ty, pending))
-            pending = {}
-            if type(ty) is not Prod:
-                raise TypeCheckError(ErrorKind.NOT_A_FUNCTION,
-                                     "application head is not a function",
-                                     term=node.fn, actual=ty)
-        domain = subst_all(ty.domain, pending)
+        if not tele.expose():
+            raise TypeCheckError(ErrorKind.NOT_A_FUNCTION,
+                                 "application head is not a function",
+                                 term=node.fn, actual=tele.ty)
+        domain = tele.domain()
         arg_ty = _infer(env, ctx, node.arg, mode)
         if not subtype(env, arg_ty, domain):
             raise TypeCheckError(ErrorKind.NOT_CONVERTIBLE,
                                  "argument type mismatch", term=node,
                                  expected=domain, actual=arg_ty)
-        pending[ty.binder] = node.arg
-        ty = ty.codomain
-    return subst_all(ty, pending)
+        tele.bind(node.arg)
+    return tele.rest()
 
 
-def _whnf_prod(env: GlobalEnv, t: Term, what: str) -> Prod:
-    t = whnf(env, t)
-    if not isinstance(t, Prod):
-        raise TypeCheckError(ErrorKind.ARITY_MISMATCH,
-                             f"{what}: expected a product", actual=t)
-    return t
+class Telescope:
+    """A product type opened one binder at a time.
+
+    The terms that replace the binders passed so far are held in one
+    pending simultaneous substitution, applied to each domain as it is read
+    and to the rest at the end.  It is flushed into the type, which is then
+    reduced, only where the type is not syntactically a product.  `ty` is
+    the type still to open, without the pending substitution.
+    """
+
+    __slots__ = ("env", "ty", "pending")
+
+    def __init__(self, env: GlobalEnv, ty: Term):
+        self.env = env
+        self.ty = ty
+        self.pending: dict[str, Term] = {}
+
+    def expose(self) -> bool:
+        """Whether a product shows, reducing the type to weak head normal
+        form first if it is not syntactically one."""
+        if type(self.ty) is not Prod:
+            self.ty = whnf(self.env, self.rest())
+            self.pending = {}
+        return type(self.ty) is Prod
+
+    @property
+    def binder(self) -> str:
+        return self.ty.binder
+
+    def domain(self) -> Term:
+        """The domain of the product that shows."""
+        return subst_all(self.ty.domain, self.pending)
+
+    def fresh(self, base: str, avoid: frozenset[str] | set[str]) -> str:
+        """A name from `base` for the binder that shows, outside `avoid` and
+        the free names of its codomain once the pending substitution is
+        applied: the codomain's own free names that no entry replaces, and
+        the free names of the entries that replace one."""
+        prod = self.ty
+        taken = set(avoid)
+        for name in free_vars(prod.codomain):
+            value = self.pending.get(name)
+            if value is None or name == prod.binder:
+                taken.add(name)
+            else:
+                taken |= free_vars(value)
+        return fresh_name(base, taken)
+
+    def bind(self, value: Term) -> None:
+        """Pass the binder that shows, replacing it by `value`."""
+        self.pending[self.ty.binder] = value
+        self.ty = self.ty.codomain
+
+    def rest(self) -> Term:
+        """The type still to open, with the pending substitution applied."""
+        return subst_all(self.ty, self.pending)
 
 
-def index_telescope(env: GlobalEnv, decl: InductiveDecl,
-                    params: tuple[Term, ...]) -> tuple[list[tuple[str, Term]], Sort]:
-    """The index binders of `decl`'s arity with the parameters substituted,
-    binders freshened against the parameter terms, plus the result sort."""
-    avoid = set().union(*(free_vars(p) for p in params)) if params else set()
-    t = decl.arity
+def instantiate(env: GlobalEnv, ty: Term, params: tuple[Term, ...],
+                what: str, avoid: frozenset[str] = frozenset(),
+                ) -> tuple[list[tuple[str, Term]], Term]:
+    """The binders of `ty` after its first `len(params)` ones, which take the
+    parameter terms, plus the weak head normal form it ends in.  Each binder
+    is freshened against `avoid`, the parameters' free names and the
+    binders before it."""
+    tele = Telescope(env, ty)
     for p in params:
-        prod = _whnf_prod(env, t, f"arity of {decl.name}")
-        t = subst(prod.codomain, prod.binder, p)
-    out: list[tuple[str, Term]] = []
-    while True:
-        t = whnf(env, t)
-        if isinstance(t, SortT):
-            return out, t.sort
-        if not isinstance(t, Prod):
-            raise TypeCheckError(ErrorKind.ILL_FORMED_INDUCTIVE,
-                                 f"arity of {decl.name} does not end in a sort",
-                                 actual=t)
-        name = fresh_name(t.binder, avoid | free_vars(t.codomain))
-        out.append((name, t.domain))
-        avoid.add(name)
-        t = subst(t.codomain, t.binder, Var(name))
-
-
-def constructor_fields(env: GlobalEnv, decl: InductiveDecl, cty: Term,
-                       params: tuple[Term, ...],
-                       avoid: frozenset[str] = frozenset(),
-                       ) -> tuple[list[tuple[str, Term]], list[Term]]:
-    """A constructor's non-parameter binders and result indices, with the
-    given parameter terms substituted and binders freshened to dodge
-    `avoid` and the parameters' free variables."""
-    t = cty
-    for p in params:
-        prod = _whnf_prod(env, t, "constructor type")
-        t = subst(prod.codomain, prod.binder, p)
-    taken = set(avoid)
-    for p in params:
-        taken |= free_vars(p)
-    fields: list[tuple[str, Term]] = []
-    while True:
-        t = whnf(env, t)
-        if not isinstance(t, Prod):
-            break
-        name = fresh_name(t.binder, taken | free_vars(t.codomain))
-        fields.append((name, t.domain))
+        if not tele.expose():
+            raise TypeCheckError(ErrorKind.ARITY_MISMATCH,
+                                 f"{what}: expected a product", actual=tele.ty)
+        tele.bind(p)
+    taken = set(avoid).union(*(free_vars(p) for p in params))
+    binders: list[tuple[str, Term]] = []
+    while tele.expose():
+        name = tele.fresh(tele.binder, taken)
+        binders.append((name, tele.domain()))
         taken.add(name)
-        t = subst(t.codomain, t.binder, Var(name))
-    head, args = unfold_app(t)
-    if not (isinstance(head, Ind) and head.name == decl.name):
-        raise TypeCheckError(ErrorKind.ILL_FORMED_INDUCTIVE,
-                             f"constructor does not build {decl.name}", actual=t)
-    return fields, args[decl.params:]
+        tele.bind(Var(name))
+    return binders, tele.ty
 
 
 def _infer_case(env: GlobalEnv, ctx: Context, t: Case,
@@ -762,7 +737,12 @@ def _infer_case(env: GlobalEnv, ctx: Context, t: Case,
         raise TypeCheckError(ErrorKind.NOT_CONVERTIBLE,
                              f"scrutinee is not a {t.ind}",
                              term=t.scrutinee, actual=scrut_ty)
-    indices, _ = index_telescope(env, decl, t.params)
+    indices, end = instantiate(env, decl.arity, t.params,
+                               f"arity of {decl.name}")
+    if not isinstance(end, SortT):
+        raise TypeCheckError(ErrorKind.ILL_FORMED_INDUCTIVE,
+                             f"arity of {decl.name} does not end in a sort",
+                             actual=end)
     if len(args) != decl.params + len(indices):
         raise TypeCheckError(ErrorKind.ARITY_MISMATCH,
                              f"scrutinee type applies {t.ind} to {len(args)} "
@@ -774,37 +754,35 @@ def _infer_case(env: GlobalEnv, ctx: Context, t: Case,
                                  term=t, expected=given, actual=actual)
     actual_indices = args[decl.params:]
 
-    # The motive must take the indices, then the scrutinee, and land in a sort.
-    motive_ty = whnf(env, _infer(env, ctx, t.motive, mode))
-    idx_vars: list[Term] = []
-    for pos, (iname, ity) in enumerate(indices):
-        prod = motive_ty
-        if not isinstance(prod, Prod):
+    # The motive must take the indices, then the scrutinee, and land in a
+    # sort.  Both telescopes take the motive's fresh index variables.
+    motive = Telescope(env, _infer(env, ctx, t.motive, mode))
+    idx_vars: dict[str, Term] = {}
+    for iname, ity in indices:
+        if not motive.expose():
             raise TypeCheckError(ErrorKind.ARITY_MISMATCH,
                                  f"motive of case over {t.ind} takes too few "
                                  f"arguments", term=t.motive)
-        expected = ity
-        for (jname, _), v in zip(indices[:pos], idx_vars):
-            expected = subst(expected, jname, v)
-        if not conv(env, prod.domain, expected):
+        expected = subst_all(ity, idx_vars)
+        domain = motive.domain()
+        if not conv(env, domain, expected):
             raise TypeCheckError(ErrorKind.NOT_CONVERTIBLE,
                                  "motive domain mismatch", term=t.motive,
-                                 expected=expected, actual=prod.domain)
-        fresh = fresh_name(iname, ctx.names() | free_vars(prod.codomain))
-        idx_vars.append(Var(fresh))
-        motive_ty = subst(prod.codomain, prod.binder, Var(fresh))
-        motive_ty = whnf(env, motive_ty)
-    prod = motive_ty
-    if not isinstance(prod, Prod):
+                                 expected=expected, actual=domain)
+        idx_vars[iname] = Var(motive.fresh(iname, ctx.names()))
+        motive.bind(idx_vars[iname])
+    if not motive.expose():
         raise TypeCheckError(ErrorKind.ARITY_MISMATCH,
                              f"motive of case over {t.ind} must abstract the "
                              f"scrutinee", term=t.motive)
-    expected_scrut = app(Ind(t.ind), *t.params, *idx_vars)
-    if not conv(env, prod.domain, expected_scrut):
+    expected_scrut = app(Ind(t.ind), *t.params, *idx_vars.values())
+    domain = motive.domain()
+    if not conv(env, domain, expected_scrut):
         raise TypeCheckError(ErrorKind.NOT_CONVERTIBLE,
                              "motive scrutinee domain mismatch", term=t.motive,
-                             expected=expected_scrut, actual=prod.domain)
-    result = whnf(env, prod.codomain)
+                             expected=expected_scrut, actual=domain)
+    motive.bind(t.scrutinee)
+    result = whnf(env, motive.rest())
     if not isinstance(result, SortT):
         raise TypeCheckError(ErrorKind.NOT_A_SORT,
                              "motive must land in a sort", term=t.motive,
@@ -819,8 +797,14 @@ def _infer_case(env: GlobalEnv, ctx: Context, t: Case,
         avoid = (free_vars(t.motive) | ctx.names()
                  | frozenset(itertools.chain.from_iterable(
                      free_vars(p) for p in t.params)))
-        fields, result_indices = constructor_fields(env, decl, cty, t.params,
-                                                    frozenset(avoid))
+        fields, end = instantiate(env, cty, t.params, "constructor type",
+                                  frozenset(avoid))
+        chead, cargs = unfold_app(end)
+        if not (isinstance(chead, Ind) and chead.name == decl.name):
+            raise TypeCheckError(ErrorKind.ILL_FORMED_INDUCTIVE,
+                                 f"constructor does not build {decl.name}",
+                                 actual=end)
+        result_indices = cargs[decl.params:]
         con_app = app(Constr(cname), *t.params, *(Var(n) for n, _ in fields))
         expected_branch = app(t.motive, *result_indices, con_app)
         for name, ty in reversed(fields):
@@ -834,21 +818,21 @@ def _infer_fix(env: GlobalEnv, ctx: Context, t: Fix,
                mode: EliminationMode) -> Term:
     infer_sort(env, ctx, t.annotation, mode)
     # The decreasing argument must exist and be of inductive type.
-    tele = t.annotation
-    for i in range(t.decreasing + 1):
-        prod = whnf(env, tele)
-        if not isinstance(prod, Prod):
-            raise TypeCheckError(ErrorKind.GUARD_VIOLATION,
-                                 f"fix type has no argument {t.decreasing}",
-                                 term=t)
-        if i == t.decreasing:
-            dhead, _ = unfold_app(whnf(env, prod.domain))
-            if not isinstance(dhead, Ind):
-                raise TypeCheckError(ErrorKind.GUARD_VIOLATION,
-                                     "decreasing argument is not of inductive "
-                                     "type", term=t, actual=prod.domain)
-        fresh = fresh_name(prod.binder, ctx.names() | free_vars(prod.codomain))
-        tele = subst(prod.codomain, prod.binder, Var(fresh))
+    tele = Telescope(env, t.annotation)
+    for _ in range(t.decreasing):
+        if not tele.expose():
+            break
+        tele.bind(Var(tele.fresh(tele.binder, ctx.names())))
+    if not tele.expose():
+        raise TypeCheckError(ErrorKind.GUARD_VIOLATION,
+                             f"fix type has no argument {t.decreasing}",
+                             term=t)
+    domain = tele.domain()
+    dhead, _ = unfold_app(whnf(env, domain))
+    if not isinstance(dhead, Ind):
+        raise TypeCheckError(ErrorKind.GUARD_VIOLATION,
+                             "decreasing argument is not of inductive type",
+                             term=t, actual=domain)
     check(env, ctx.extend(t.binder, t.annotation), t.body, t.annotation, mode)
     check_guard(env, t)
     return t.annotation
@@ -976,22 +960,16 @@ def is_small(env: GlobalEnv, name: str) -> bool:
     if decl is None:
         raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
                              f"unknown inductive {name}")
+    binders, _ = instantiate(env, decl.arity, (), f"arity of {name}")
+    params = binders[:decl.params]
     for _, cty in decl.constructors:
-        ctx = Context()
-        t = cty
-        for _ in range(decl.params):
-            prod = _whnf_prod(env, t, "constructor type")
-            ctx = ctx.extend(prod.binder, prod.domain)
-            t = prod.codomain
-        while True:
-            t = whnf(env, t)
-            if not isinstance(t, Prod):
-                break
-            s = infer_sort(env, ctx, t.domain)
-            if s.kind == "Type":
+        fields, _ = instantiate(env, cty, tuple(Var(n) for n, _ in params),
+                                "constructor type")
+        ctx = Context(tuple(params))
+        for fname, fty in fields:
+            if infer_sort(env, ctx, fty).kind == "Type":
                 return False
-            ctx = ctx.extend(t.binder, t.domain)
-            t = t.codomain
+            ctx = ctx.extend(fname, fty)
     return True
 
 
@@ -1050,24 +1028,21 @@ def check_inductive(env: GlobalEnv, decl: InductiveDecl,
         seen.add(cname)
         infer_sort(env2, Context(), cty, mode)
 
-        # The parameter prefix must match the arity's, up to alpha.
-        t = cty
-        ctx = Context()
-        rename_map: dict[str, str] = {}
+        # The parameter prefix must match the arity's, up to alpha: the
+        # constructor's parameter binders are read as the arity's.
+        tele = Telescope(env2, cty)
         for pname, pty in param_binders:
-            if not isinstance(t, Prod):
+            if not isinstance(tele.ty, Prod):
                 raise bad(f"constructor {cname} is missing parameter binders",
                           term=cty)
-            expected = pty
-            for old, new in rename_map.items():
-                expected = subst(expected, old, Var(new))
-            if not alpha_eq(t.domain, expected):
+            domain = tele.domain()
+            if not alpha_eq(domain, pty):
                 raise bad(f"constructor {cname} disagrees with the arity on "
                           f"parameter {pname}", term=cty,
-                          expected=expected, actual=t.domain)
-            rename_map[pname] = t.binder
-            ctx = ctx.extend(t.binder, t.domain)
-            t = t.codomain
+                          expected=pty, actual=domain)
+            tele.bind(Var(pname))
+        ctx = Context(tuple(param_binders))
+        t = tele.rest()
 
         # Size: the post-parameter part must fit the declared sort.
         s_con = infer_sort(env2, ctx, t, mode)
@@ -1088,8 +1063,7 @@ def check_inductive(env: GlobalEnv, decl: InductiveDecl,
                                  f"the inductive to {len(args)} arguments, "
                                  f"expected {len(arity_binders)}")
         for (pname, _), arg in zip(param_binders, args[:decl.params]):
-            want = rename_map.get(pname, pname)
-            if not (isinstance(arg, Var) and arg.name == want):
+            if not (isinstance(arg, Var) and arg.name == pname):
                 raise bad(f"constructor {cname} must apply {decl.name} to its "
                           f"parameter binders in order", term=core)
         for arg in args[decl.params:]:

@@ -17,7 +17,7 @@ suffix for its relation.  Input terms must not use names with either suffix
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .syntax import (
     PROP,
@@ -49,16 +49,17 @@ from .syntax import (
     subst,
     subst_all,
     subterms,
+    unfold_app,
 )
 from .kernel import (
     STAR,
     ErrorKind,
     TypeCheckError,
+    Telescope,
     beta_normalize,
     check,
     declare_definition,
     declare_inductive,
-    whnf,
 )
 
 logger = logging.getLogger(__name__)
@@ -171,12 +172,15 @@ class Alias:
     case: `guard` names it) embeds the alias instead of copies of the case,
     which is what lets the generated fixpoint check against its own
     annotation: at the bound variable the two sides agree syntactically, and
-    at each constructor instance guarded unfolding closes the gap.
+    at each constructor instance guarded unfolding closes the gap.  The
+    motive binds the case's indices afresh, so `guard_type`, the decreasing
+    binder's annotation, tells which variables of the alias to rebind.
     """
 
     raw: Term
     primed: Term
     guard: str | None = None
+    guard_type: Term | None = None
 
 
 def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
@@ -224,9 +228,8 @@ def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
             if (alias is not None and binder != "_"
                     and binder not in free_vars(alias.raw)
                     and primed(binder) not in free_vars(alias.primed)):
-                inner = Alias(App(alias.raw, Var(binder)),
-                              App(alias.primed, Var(primed(binder))),
-                              alias.guard)
+                inner = replace(alias, raw=App(alias.raw, Var(binder)),
+                                primed=App(alias.primed, Var(primed(binder))))
             body_r = _translate(env, body, inner)
             x = _pick_triple(binder, free_vars(ann_c) | free_vars(ann_r))
             if binder != "_" and x.base != binder:
@@ -253,10 +256,10 @@ def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
             raw, copy = (alias.raw, alias.primed) if alias is not None \
                 else (t, prime(t))
             spine, _ = strip_lams(body)
-            guard = None
+            guard = guard_type = None
             if decreasing < len(spine) and spine[decreasing][0] != "_":
-                guard = spine[decreasing][0]
-            selves = Alias(raw, copy, guard)
+                guard, guard_type = spine[decreasing]
+            selves = Alias(raw, copy, guard, guard_type)
             ann_r = _translate(env, annotation)
             body_r = _translate(env, body, selves)
             rel = Fix(witness(binder),
@@ -300,31 +303,26 @@ def _case_motive(env: GlobalEnv, t: Case, alias: Alias | None = None) -> Term:
 
     # Instantiate the relation's arity with the tripled parameters, then
     # read off the telescope it expects: three binders per source index,
-    # then the two related scrutinees, then their witness.
-    tele = rdecl.arity
+    # then the two related scrutinees, then their witness.  A declared
+    # arity is a syntactic product telescope, so no step needs exposing.
+    tele = Telescope(env, rdecl.arity)
     for q3 in params3:
-        tele = whnf(env, tele)
-        assert isinstance(tele, Prod), "relation arity shorter than its params"
-        tele = subst(tele.codomain, tele.binder, q3)
+        tele.bind(q3)
 
     n_indices = len(strip_prods(src.arity)[0]) - src.params
     binders: list[tuple[str, Term]] = []
     idx_names: list[str] = []
     for _ in range(3 * n_indices):
-        tele = whnf(env, tele)
-        assert isinstance(tele, Prod)
         name = fresh_name(tele.binder if tele.binder != "_" else "i", avoid)
         avoid.add(name)
         idx_names.append(name)
-        binders.append((name, tele.domain))
-        tele = subst(tele.codomain, tele.binder, Var(name))
+        binders.append((name, tele.domain()))
+        tele.bind(Var(name))
 
     pair = _pick_triple("a", frozenset(avoid))
     for scrut in (pair.base, pair.copy):
-        tele = whnf(env, tele)
-        assert isinstance(tele, Prod)
-        binders.append((scrut, tele.domain))
-        tele = subst(tele.codomain, tele.binder, Var(scrut))
+        binders.append((scrut, tele.domain()))
+        tele.bind(Var(scrut))
     rel_ty = app(Ind(rdecl.name), *params3, *(Var(n) for n in idx_names),
                  Var(pair.base), Var(pair.copy))
     binders.append((pair.rel, rel_ty))
@@ -332,9 +330,19 @@ def _case_motive(env: GlobalEnv, t: Case, alias: Alias | None = None) -> Term:
     if (alias is not None and alias.guard is not None
             and isinstance(t.scrutinee, Var)
             and t.scrutinee.name == alias.guard):
+        # The alias at the motive's own scrutinee and indices: an index of
+        # the guard's type that is a variable becomes the index binder.  An
+        # index that is not a variable stays, and the case fails to check.
         v = t.scrutinee.name
-        left = subst(alias.raw, v, Var(pair.base))
-        right = subst(alias.primed, primed(v), Var(pair.copy))
+        left = {v: Var(pair.base)}
+        right = {primed(v): Var(pair.copy)}
+        _, indices = unfold_app(alias.guard_type)
+        for i, index in enumerate(indices[src.params:]):
+            if isinstance(index, Var):
+                left[index.name] = Var(idx_names[3 * i])
+                right[primed(index.name)] = Var(idx_names[3 * i + 1])
+        left = subst_all(alias.raw, left)
+        right = subst_all(alias.primed, right)
     else:
         left = Case(t.ind, Var(pair.base), t.params, t.motive, t.branches)
         right = Case(t.ind, Var(pair.copy), params_c, motive_c, branches_c)

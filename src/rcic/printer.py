@@ -25,7 +25,7 @@ from .syntax import (
     alpha_eq,
     free_vars,
     strip_prods,
-    subst,
+    subst_all,
     unfold_app,
 )
 
@@ -134,8 +134,7 @@ def print_inductive(decl: InductiveDecl, env: GlobalEnv | None = None) -> str:
     binders, _ = strip_prods(decl.arity)
     params = binders[:decl.params]
     rest = decl.arity
-    for name, _ in params:
-        assert isinstance(rest, Prod)
+    for _ in params:
         rest = rest.codomain
     head = f"inductive {decl.name}"
     if params:
@@ -143,11 +142,12 @@ def print_inductive(decl: InductiveDecl, env: GlobalEnv | None = None) -> str:
     head += f" : {_pr(rest, _BINDER, env)} :="
     ctors = []
     for cname, ctype in decl.constructors:
-        body = ctype
+        # The part after the parameters, under the arity's parameter names.
+        body, names = ctype, {}
         for name, _ in params:
-            assert isinstance(body, Prod)
-            body = subst(body.codomain, body.binder, Var(name))
-        ctors.append(f"{cname} : {_pr(body, _BINDER, env)}")
+            names[body.binder] = Var(name)
+            body = body.codomain
+        ctors.append(f"{cname} : {_pr(subst_all(body, names), _BINDER, env)}")
     if not ctors:
         return head + " ."
     return head + " " + " | ".join(ctors) + "."

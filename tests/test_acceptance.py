@@ -27,7 +27,6 @@ from rcic import (
     conv,
     elaborate,
     infer_sort,
-    one_step_reducts,
     parse_file,
     prelude_path,
     print_term,
@@ -45,6 +44,7 @@ from rcic.frontend import DInductive
 
 from conftest import term_in
 from gen import random_typed
+from reducts import one_step_reducts
 
 
 @contextmanager

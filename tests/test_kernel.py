@@ -37,7 +37,6 @@ from rcic import (
     infer,
     infer_sort,
     is_small,
-    one_step_reducts,
     set_sort,
     sort_of_product,
     subsort,
@@ -53,6 +52,7 @@ from rcic.syntax import children, unfold_app
 from conftest import load_declarations, term_in
 from gen import LIST_NAT, UNIT, random_typed
 from nameless import to_nameless
+from reducts import one_step_reducts
 
 NAT = Ind("Nat")
 BOOL = Ind("Bool")
