@@ -15,14 +15,17 @@ values and compare those, unfolding a definition only when comparing its
 applications argument by argument fails (lazy delta).  `whnf` stays on
 terms, because `infer` returns its result.  `beta_normalize` contracts
 redexes by hereditary substitution, in one pass, with the simultaneous
-substitution map and binder rule of `syntax.subst_all`.  `infer` types an
-application spine against its head's type, inferred once, with the
-arguments held in one pending substitution.
+substitution map and binder rule of `syntax.subst_all`.
+
+One walker, `Telescope`, opens every product telescope: an application
+head's type, a case motive, an arity or constructor type under its
+parameters, a fix annotation.  The terms that replace the binders passed
+so far wait in one pending substitution, and the type is reduced only
+where it is not syntactically a product.
 """
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from typing import Optional
 
@@ -50,6 +53,7 @@ from .syntax import (
     free_vars,
     fresh_name,
     map_children,
+    prods,
     rebuild_binder,
     strip_prods,
     subst,
@@ -636,13 +640,10 @@ def _infer_spine(env: GlobalEnv, ctx: Context, t: App,
 
 
 class Telescope:
-    """A product type opened one binder at a time.
-
-    The terms that replace the binders passed so far are held in one
-    pending simultaneous substitution, applied to each domain as it is read
-    and to the rest at the end.  It is flushed into the type, which is then
-    reduced, only where the type is not syntactically a product.  `ty` is
-    the type still to open, without the pending substitution.
+    """A product type opened one binder at a time.  `ty` is the type still
+    to open and `pending` the simultaneous substitution of the binders
+    passed so far, applied to each domain as it is read and to the rest;
+    it is flushed into `ty` only to reduce a `ty` that is not a product.
     """
 
     __slots__ = ("env", "ty", "pending")
@@ -660,19 +661,14 @@ class Telescope:
             self.pending = {}
         return type(self.ty) is Prod
 
-    @property
-    def binder(self) -> str:
-        return self.ty.binder
-
     def domain(self) -> Term:
         """The domain of the product that shows."""
         return subst_all(self.ty.domain, self.pending)
 
     def fresh(self, base: str, avoid: frozenset[str] | set[str]) -> str:
-        """A name from `base` for the binder that shows, outside `avoid` and
-        the free names of its codomain once the pending substitution is
-        applied: the codomain's own free names that no entry replaces, and
-        the free names of the entries that replace one."""
+        """A name from `base` outside `avoid` and the free names of the
+        codomain with `pending` applied, computed without applying it: the
+        names no entry replaces, and the free names of the live entries."""
         prod = self.ty
         taken = set(avoid)
         for name in free_vars(prod.codomain):
@@ -696,10 +692,9 @@ class Telescope:
 def instantiate(env: GlobalEnv, ty: Term, params: tuple[Term, ...],
                 what: str, avoid: frozenset[str] = frozenset(),
                 ) -> tuple[list[tuple[str, Term]], Term]:
-    """The binders of `ty` after its first `len(params)` ones, which take the
-    parameter terms, plus the weak head normal form it ends in.  Each binder
-    is freshened against `avoid`, the parameters' free names and the
-    binders before it."""
+    """The binders of `ty` after the first `len(params)`, which take the
+    parameter terms, and the weak head normal form it ends in.  Each binder
+    is named fresh for `avoid`, the parameters and the binders before it."""
     tele = Telescope(env, ty)
     for p in params:
         if not tele.expose():
@@ -709,7 +704,7 @@ def instantiate(env: GlobalEnv, ty: Term, params: tuple[Term, ...],
     taken = set(avoid).union(*(free_vars(p) for p in params))
     binders: list[tuple[str, Term]] = []
     while tele.expose():
-        name = tele.fresh(tele.binder, taken)
+        name = tele.fresh(tele.ty.binder, taken)
         binders.append((name, tele.domain()))
         taken.add(name)
         tele.bind(Var(name))
@@ -755,9 +750,11 @@ def _infer_case(env: GlobalEnv, ctx: Context, t: Case,
     actual_indices = args[decl.params:]
 
     # The motive must take the indices, then the scrutinee, and land in a
-    # sort.  Both telescopes take the motive's fresh index variables.
+    # sort.  Both telescopes take the motive's index variables, each fresh
+    # for the context and the ones before it.
     motive = Telescope(env, _infer(env, ctx, t.motive, mode))
     idx_vars: dict[str, Term] = {}
+    taken = set(ctx.names())
     for iname, ity in indices:
         if not motive.expose():
             raise TypeCheckError(ErrorKind.ARITY_MISMATCH,
@@ -769,7 +766,8 @@ def _infer_case(env: GlobalEnv, ctx: Context, t: Case,
             raise TypeCheckError(ErrorKind.NOT_CONVERTIBLE,
                                  "motive domain mismatch", term=t.motive,
                                  expected=expected, actual=domain)
-        idx_vars[iname] = Var(motive.fresh(iname, ctx.names()))
+        idx_vars[iname] = Var(motive.fresh(iname, taken))
+        taken.add(idx_vars[iname].name)
         motive.bind(idx_vars[iname])
     if not motive.expose():
         raise TypeCheckError(ErrorKind.ARITY_MISMATCH,
@@ -793,23 +791,17 @@ def _infer_case(env: GlobalEnv, ctx: Context, t: Case,
                              f"strong elimination of non-small inductive "
                              f"{t.ind}", term=t)
 
+    avoid = free_vars(t.motive) | ctx.names()
     for (cname, cty), branch in zip(decl.constructors, t.branches):
-        avoid = (free_vars(t.motive) | ctx.names()
-                 | frozenset(itertools.chain.from_iterable(
-                     free_vars(p) for p in t.params)))
-        fields, end = instantiate(env, cty, t.params, "constructor type",
-                                  frozenset(avoid))
+        fields, end = instantiate(env, cty, t.params, "constructor type", avoid)
         chead, cargs = unfold_app(end)
         if not (isinstance(chead, Ind) and chead.name == decl.name):
             raise TypeCheckError(ErrorKind.ILL_FORMED_INDUCTIVE,
                                  f"constructor does not build {decl.name}",
                                  actual=end)
-        result_indices = cargs[decl.params:]
         con_app = app(Constr(cname), *t.params, *(Var(n) for n, _ in fields))
-        expected_branch = app(t.motive, *result_indices, con_app)
-        for name, ty in reversed(fields):
-            expected_branch = Prod(name, ty, expected_branch)
-        check(env, ctx, branch, expected_branch, mode)
+        expected_branch = app(t.motive, *cargs[decl.params:], con_app)
+        check(env, ctx, branch, prods(fields, expected_branch), mode)
 
     return app(t.motive, *actual_indices, t.scrutinee)
 
@@ -818,16 +810,12 @@ def _infer_fix(env: GlobalEnv, ctx: Context, t: Fix,
                mode: EliminationMode) -> Term:
     infer_sort(env, ctx, t.annotation, mode)
     # The decreasing argument must exist and be of inductive type.
-    tele = Telescope(env, t.annotation)
-    for _ in range(t.decreasing):
-        if not tele.expose():
-            break
-        tele.bind(Var(tele.fresh(tele.binder, ctx.names())))
-    if not tele.expose():
+    binders, _ = instantiate(env, t.annotation, (), "fix type", ctx.names())
+    if len(binders) <= t.decreasing:
         raise TypeCheckError(ErrorKind.GUARD_VIOLATION,
                              f"fix type has no argument {t.decreasing}",
                              term=t)
-    domain = tele.domain()
+    domain = binders[t.decreasing][1]
     dhead, _ = unfold_app(whnf(env, domain))
     if not isinstance(dhead, Ind):
         raise TypeCheckError(ErrorKind.GUARD_VIOLATION,
@@ -913,8 +901,9 @@ def _guard(env: GlobalEnv, f: str, k: int, t: Term,
             decl = env.inductive(ind)
             for i, branch in enumerate(branches):
                 if scrut_smaller and decl is not None:
+                    fields, _ = strip_prods(decl.constructors[i][1])
                     _guard_branch(env, f, k, branch, dec_var, smaller,
-                                  _field_count(env, decl, i))
+                                  len(fields) - decl.params)
                 else:
                     _guard(env, f, k, branch, dec_var, smaller)
         case Fix(binder, annotation, body, _):
@@ -939,16 +928,6 @@ def _guard_branch(env: GlobalEnv, f: str, k: int, branch: Term,
     _guard(env, f, k, b, live_dec, smaller | frozenset(names))
 
 
-def _field_count(env: GlobalEnv, decl: InductiveDecl, i: int) -> int:
-    """How many non-parameter arguments constructor `i` of `decl` takes."""
-    t = decl.constructors[i][1]
-    n = 0
-    while isinstance(t, Prod):
-        n += 1
-        t = t.codomain
-    return n - decl.params
-
-
 # ---------------------------------------------------------------------------
 # Inductive declarations
 
@@ -965,7 +944,7 @@ def is_small(env: GlobalEnv, name: str) -> bool:
     for _, cty in decl.constructors:
         fields, _ = instantiate(env, cty, tuple(Var(n) for n, _ in params),
                                 "constructor type")
-        ctx = Context(tuple(params))
+        ctx = Context(params)
         for fname, fty in fields:
             if infer_sort(env, ctx, fty).kind == "Type":
                 return False
@@ -1041,7 +1020,7 @@ def check_inductive(env: GlobalEnv, decl: InductiveDecl,
                           f"parameter {pname}", term=cty,
                           expected=pty, actual=domain)
             tele.bind(Var(pname))
-        ctx = Context(tuple(param_binders))
+        ctx = Context(param_binders)
         t = tele.rest()
 
         # Size: the post-parameter part must fit the declared sort.

@@ -41,12 +41,12 @@ from .syntax import (
     arrow,
     free_vars,
     fresh_name,
+    lams,
     map_children,
     names,
     rebuild_binder,
     strip_lams,
     strip_prods,
-    subst,
     subst_all,
     subterms,
     unfold_app,
@@ -313,7 +313,8 @@ def _case_motive(env: GlobalEnv, t: Case, alias: Alias | None = None) -> Term:
     binders: list[tuple[str, Term]] = []
     idx_names: list[str] = []
     for _ in range(3 * n_indices):
-        name = fresh_name(tele.binder if tele.binder != "_" else "i", avoid)
+        name = fresh_name(tele.ty.binder if tele.ty.binder != "_" else "i",
+                          avoid)
         avoid.add(name)
         idx_names.append(name)
         binders.append((name, tele.domain()))
@@ -346,11 +347,9 @@ def _case_motive(env: GlobalEnv, t: Case, alias: Alias | None = None) -> Term:
     else:
         left = Case(t.ind, Var(pair.base), t.params, t.motive, t.branches)
         right = Case(t.ind, Var(pair.copy), params_c, motive_c, branches_c)
-    body = app(motive_r, *(Var(n) for n in idx_names),
-               Var(pair.base), Var(pair.copy), Var(pair.rel), left, right)
-    for name, ty in reversed(binders):
-        body = Lam(name, ty, body)
-    return body
+    return lams(binders, app(motive_r, *(Var(n) for n in idx_names),
+                             Var(pair.base), Var(pair.copy), Var(pair.rel),
+                             left, right))
 
 
 def _ensure_inductive(env: GlobalEnv, name: str) -> TranslatedInductive:

@@ -37,6 +37,7 @@ from rcic import (
     infer,
     infer_sort,
     is_small,
+    print_inductive,
     set_sort,
     sort_of_product,
     subsort,
@@ -561,6 +562,28 @@ def test_infer_case(prelude_env):
     assert infer(prelude_env, ctx, t) == BOOL
 
 
+def test_case_motive_index_variables_are_distinct(fresh_env):
+    # The motive's index variables are named after the arity's binders
+    # (n, n1), each fresh for the context.  With `n` in the context the
+    # first becomes n1, and the second must not become n1 as well, or a
+    # motive over T j j would pass for one over T i j.
+    one = App(Constr("succ"), Constr("zero"))
+    declare_inductive(fresh_env, InductiveDecl(
+        "T", 0, Prod("n", NAT, Prod("n1", NAT, SortT(set_sort(0)))),
+        (("mk", app(Ind("T"), Constr("zero"), one)),)))
+    s_ty = app(Ind("T"), Constr("zero"), one)
+    ctx = Context().extend("n", NAT).extend("s", s_ty)
+
+    def case(a, b):
+        motive = Lam("i", NAT, Lam("j", NAT, Lam(
+            "x", app(Ind("T"), Var(a), Var(b)), NAT)))
+        return Case("T", Var("s"), (), motive, (Constr("zero"),))
+
+    assert infer(fresh_env, ctx, case("i", "j")) == NAT
+    with pytest.raises(TypeCheckError) as err:
+        infer(fresh_env, ctx, case("j", "j"))
+    assert err.value.kind == ErrorKind.NOT_CONVERTIBLE
+
 def test_infer_case_errors(prelude_env):
     ctx = Context().extend("n", NAT)
     motive = Lam("x", NAT, BOOL)
@@ -705,6 +728,25 @@ def test_inductive_params_must_prefix_constructors(fresh_env):
         check_inductive(fresh_env, crooked)
     assert err.value.kind == ErrorKind.ILL_FORMED_INDUCTIVE
 
+
+
+def test_inductive_params_renamed_at_once(fresh_env):
+    # The constructor names the parameters (B A C) where the arity has
+    # (A B C).  Read as the arity's binders, its C : B -> A -> Set0 is the
+    # arity's C : A -> B -> Set0.  Renaming one binder at a time (A to B,
+    # then B to A) would conflate A and B and reject it.
+    s0 = SortT(set_sort(0))
+    arity = Prod("A", s0, Prod("B", s0, Prod(
+        "C", arrow(Var("A"), arrow(Var("B"), s0)), s0)))
+    swapped = Prod("B", s0, Prod("A", s0, Prod(
+        "C", arrow(Var("B"), arrow(Var("A"), s0)),
+        arrow(Var("B"), app(Ind("T"), Var("B"), Var("A"), Var("C"))))))
+    decl = InductiveDecl("T", 3, arity, (("mk", swapped),))
+    declare_inductive(fresh_env, decl)
+    assert is_small(fresh_env, "T")
+    assert print_inductive(decl, fresh_env) == (
+        "inductive T (A B : Set0) (C : A -> B -> Set0) : Set0 := "
+        "mk : A -> T A B C.")
 
 def test_inductive_indices_must_not_mention_self(fresh_env):
     arity = arrow(NAT, SortT(set_sort(0)))
