@@ -810,12 +810,16 @@ def _infer_fix(env: GlobalEnv, ctx: Context, t: Fix,
                mode: EliminationMode) -> Term:
     infer_sort(env, ctx, t.annotation, mode)
     # The decreasing argument must exist and be of inductive type.
-    binders, _ = instantiate(env, t.annotation, (), "fix type", ctx.names())
-    if len(binders) <= t.decreasing:
+    tele = Telescope(env, t.annotation)
+    for _ in range(t.decreasing):
+        if not tele.expose():
+            break
+        tele.bind(Var(tele.fresh(tele.ty.binder, ctx.names())))
+    if not tele.expose():
         raise TypeCheckError(ErrorKind.GUARD_VIOLATION,
                              f"fix type has no argument {t.decreasing}",
                              term=t)
-    domain = binders[t.decreasing][1]
+    domain = tele.domain()
     dhead, _ = unfold_app(whnf(env, domain))
     if not isinstance(dhead, Ind):
         raise TypeCheckError(ErrorKind.GUARD_VIOLATION,

@@ -335,15 +335,15 @@ def _case_motive(env: GlobalEnv, t: Case, alias: Alias | None = None) -> Term:
         # the guard's type that is a variable becomes the index binder.  An
         # index that is not a variable stays, and the case fails to check.
         v = t.scrutinee.name
-        left = {v: Var(pair.base)}
-        right = {primed(v): Var(pair.copy)}
+        to_left = {v: Var(pair.base)}
+        to_right = {primed(v): Var(pair.copy)}
         _, indices = unfold_app(alias.guard_type)
         for i, index in enumerate(indices[src.params:]):
             if isinstance(index, Var):
-                left[index.name] = Var(idx_names[3 * i])
-                right[primed(index.name)] = Var(idx_names[3 * i + 1])
-        left = subst_all(alias.raw, left)
-        right = subst_all(alias.primed, right)
+                to_left[index.name] = Var(idx_names[3 * i])
+                to_right[primed(index.name)] = Var(idx_names[3 * i + 1])
+        left = subst_all(alias.raw, to_left)
+        right = subst_all(alias.primed, to_right)
     else:
         left = Case(t.ind, Var(pair.base), t.params, t.motive, t.branches)
         right = Case(t.ind, Var(pair.copy), params_c, motive_c, branches_c)
