@@ -61,7 +61,7 @@ def sym : forall (A : Set0) (x y : A), Eq A x y -> Eq A y x :=
 
 def run(capsys, command, *sources, tmp_path, only=None):
     """Run `rcic command` on the prelude and `sources`; return the exit
-    code and the output lines."""
+    code and the output."""
     paths = [str(prelude_path())]
     for i, text in enumerate(sources):
         path = tmp_path / f"src{i}.rcic"
@@ -69,13 +69,13 @@ def run(capsys, command, *sources, tmp_path, only=None):
         paths.append(str(path))
     extra = ["--def", only] if only else []
     code = main([command, *extra, *paths])
-    return code, capsys.readouterr().out.splitlines()
+    return code, capsys.readouterr().out
 
 
 def test_vec_definitions_pass_param_check(capsys, tmp_path):
     code, out = run(capsys, "param-check", VEC_SOURCE, tmp_path=tmp_path)
     assert code == 0
-    assert out[-3:] == ["PASS vhead", "PASS vlen", "PASS vappend"]
+    assert out.splitlines()[-3:] == ["PASS vhead", "PASS vlen", "PASS vappend"]
 
 
 def test_translate_vlen_matches_golden(capsys, tmp_path):
@@ -83,14 +83,14 @@ def test_translate_vlen_matches_golden(capsys, tmp_path):
                     only="vlen")
     assert code == 0
     golden = Path(__file__).with_name("golden") / "vlen_translate.txt"
-    assert ("\n".join(out) + "\n").encode() == golden.read_bytes()
+    assert out.encode() == golden.read_bytes()
 
 
 def test_fix_over_a_non_variable_index_fails(capsys, tmp_path):
     code, out = run(capsys, "param-check", VEC_SOURCE, VONE,
                     tmp_path=tmp_path)
     assert code == 1
-    assert out[-1] == "FAIL vone"
+    assert out.splitlines()[-1] == "FAIL vone"
     code, _ = run(capsys, "check", VEC_SOURCE, VONE, tmp_path=tmp_path)
     assert code == 0
 
@@ -100,8 +100,8 @@ def test_telescope_behind_a_definition(capsys, tmp_path):
     assert code == 0
     code, out = run(capsys, "param-check", NATOP, tmp_path=tmp_path)
     assert code == 0
-    assert out[-4:] == ["PASS NatOp", "PASS NatOp2", "PASS addop",
-                        "PASS addop_use"]
+    assert out.splitlines()[-4:] == ["PASS NatOp", "PASS NatOp2", "PASS addop",
+                                     "PASS addop_use"]
 
 
 def _open_by_steps(env, ty, params, avoid):

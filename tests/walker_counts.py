@@ -32,6 +32,7 @@ from rcic.cli import main
 WALKERS = ((syntax, "_subst_all"), (kernel, "_hsubst"))
 
 
+# The same text as the `VEC` block of `bench/gen.py`.
 VEC_SOURCE = """\
 inductive Vec (A : Set0) : Nat -> Set0 :=
   vnil : Vec A zero
