@@ -567,12 +567,11 @@ def test_case_motive_index_variables_are_distinct(fresh_env):
     # (n, n1), each fresh for the context.  With `n` in the context the
     # first becomes n1, and the second must not become n1 as well, or a
     # motive over T j j would pass for one over T i j.
-    one = App(Constr("succ"), Constr("zero"))
+    mk_ty = app(Ind("T"), Constr("zero"), App(Constr("succ"), Constr("zero")))
     declare_inductive(fresh_env, InductiveDecl(
         "T", 0, Prod("n", NAT, Prod("n1", NAT, SortT(set_sort(0)))),
-        (("mk", app(Ind("T"), Constr("zero"), one)),)))
-    s_ty = app(Ind("T"), Constr("zero"), one)
-    ctx = Context().extend("n", NAT).extend("s", s_ty)
+        (("mk", mk_ty),)))
+    ctx = Context().extend("n", NAT).extend("s", mk_ty)
 
     def case(a, b):
         motive = Lam("i", NAT, Lam("j", NAT, Lam(
