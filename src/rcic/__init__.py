@@ -65,7 +65,6 @@ from .kernel import (
 )
 from .param import (
     NameTriple,
-    TranslatedInductive,
     abstraction_check,
     prime,
     primed,
@@ -110,7 +109,6 @@ __all__ = [
     "Sort",
     "SortT",
     "Term",
-    "TranslatedInductive",
     "TypeCheckError",
     "UniverseError",
     "Var",

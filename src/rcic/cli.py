@@ -122,7 +122,7 @@ def _process(env: GlobalEnv, decl, args, mode) -> int:
                 for cname, cty in ind.constructors:
                     show(cname, cty)
             if command == "translate" and only in (None, name):
-                print(print_inductive(translate_inductive(env, ind).relation, env))
+                print(print_inductive(translate_inductive(env, ind), env))
             return 0
         case DDef(name):
             defn = declare(env, decl, mode)

@@ -9,6 +9,10 @@ each RawMatch into a fully annotated case: the motive and branch binders
 get their types from the inductive's declaration.  `declare` elaborates
 and kernel-checks one parsed inductive or definition.
 
+The lexer reads whitespace, nested comments, identifiers, numbers and
+symbols, all ASCII; any other character outside a comment is a
+ParseError, `unexpected character`.
+
 Names ending in ' or _R (`param.is_reserved`) are reserved for generated
 copies and witnesses and are rejected unless the caller opts in (useful for
 reading generated code back in).
@@ -36,10 +40,13 @@ from .syntax import (
     Term,
     Var,
     app,
+    children,
     fresh_name,
     lams,
+    map_children,
     names,
     prods,
+    rebuild_binder,
     strip_prods,
 )
 from .kernel import (STAR, EliminationMode, Telescope, declare_definition,
@@ -63,11 +70,17 @@ KEYWORDS = frozenset({
 })
 
 _SORT_RE = re.compile(r"(Prop|Set(\d+)|Type(\d+))\Z")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_NUMBER_RE = re.compile(r"\d+")
-
-_TWO_CHAR = (":=", "->", "=>")
-_ONE_CHAR = "(){}:,.|"
+# One token per match; the name of the group that matched is its kind.  The
+# groups are ASCII only: any other character starts none and is an error.
+_TOKEN_RE = re.compile(r"""
+    (?P<space>[ \t\r\n]+)
+  | (?P<comment>\(\*)
+  | (?P<word>[A-Za-z_][A-Za-z0-9_']*)
+  | (?P<number>[0-9]+)
+  | (?P<symbol>:=|->|=>|[(){}:,.|])
+""", re.VERBOSE)
+# The delimiters that open and close a nested comment.
+_COMMENT_RE = re.compile(r"\(\*|\*\)")
 
 
 @dataclass(frozen=True)
@@ -85,86 +98,52 @@ class Token:
 
 def tokenize(text: str, allow_reserved: bool = False) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
+    pos = 0
     line = 1
-    col = 1
-    n = len(text)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
+    line_start = 0  # index of the first character of `line`
+    while pos < len(text):
+        col = pos - line_start + 1
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        word = m.group()
+        end = m.end()
+        if kind == "comment":
+            depth = 1
+            for delim in _COMMENT_RE.finditer(text, end):
+                depth += 1 if delim.group() == "(*" else -1
+                if depth == 0:
+                    end = delim.end()
+                    break
             else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            advance(1)
-            continue
-        if text.startswith("(*", i):
-            start_line, start_col = line, col
-            depth = 0
-            while i < n:
-                if text.startswith("(*", i):
-                    depth += 1
-                    advance(2)
-                elif text.startswith("*)", i):
-                    depth -= 1
-                    advance(2)
-                    if depth == 0:
-                        break
-                else:
-                    advance(1)
-            if depth != 0:
-                raise ParseError("unterminated comment", start_line, start_col)
-            continue
-        if c.isalpha() or c == "_":
-            m = _IDENT_RE.match(text, i)
-            assert m is not None
-            word = m.group(0)
-            tok_line, tok_col = line, col
-            advance(len(word))
-            if word in KEYWORDS:
-                tokens.append(Token("keyword", word, tok_line, tok_col))
-                continue
-            sm = _SORT_RE.match(word)
-            if sm is not None:
-                tokens.append(Token("sort", _parse_sort(word, tok_line, tok_col),
-                                    tok_line, tok_col))
-                continue
-            if word in ("Set", "Type"):
-                raise ParseError(f"{word} needs an explicit level, like {word}1",
-                                 tok_line, tok_col)
-            if not allow_reserved and is_reserved(word):
-                suffix = (PRIME_SUFFIX if word.endswith(PRIME_SUFFIX)
-                          else WITNESS_SUFFIX)
-                raise ParseError(
-                    f"names ending in {suffix} are reserved: {word}",
-                    tok_line, tok_col)
-            tokens.append(Token("ident", word, tok_line, tok_col))
-            continue
-        if c.isdigit():
-            m = _NUMBER_RE.match(text, i)
-            assert m is not None
-            tok_line, tok_col = line, col
-            advance(len(m.group(0)))
-            tokens.append(Token("number", int(m.group(0)), tok_line, tok_col))
-            continue
-        two = text[i:i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token("symbol", two, line, col))
-            advance(2)
-            continue
-        if c in _ONE_CHAR:
-            tokens.append(Token("symbol", c, line, col))
-            advance(1)
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", None, line, col))
+                raise ParseError("unterminated comment", line, col)
+        if kind == "space" or kind == "comment":
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, end) + 1
+        elif kind == "number":
+            tokens.append(Token("number", int(word), line, col))
+        elif kind == "symbol":
+            tokens.append(Token("symbol", word, line, col))
+        elif word in KEYWORDS:
+            tokens.append(Token("keyword", word, line, col))
+        elif _SORT_RE.match(word) is not None:
+            tokens.append(Token("sort", _parse_sort(word, line, col),
+                                line, col))
+        elif word in ("Set", "Type"):
+            raise ParseError(f"{word} needs an explicit level, like {word}1",
+                             line, col)
+        elif not allow_reserved and is_reserved(word):
+            suffix = (PRIME_SUFFIX if word.endswith(PRIME_SUFFIX)
+                      else WITNESS_SUFFIX)
+            raise ParseError(f"names ending in {suffix} are reserved: {word}",
+                             line, col)
+        else:
+            tokens.append(Token("ident", word, line, col))
+        pos = end
+    tokens.append(Token("eof", None, line, pos - line_start + 1))
     return tokens
 
 
@@ -517,49 +496,38 @@ _CONST = "_const"
 
 def _elab(env: GlobalEnv, t: Term, scope: dict[str, str],
           taken: set[str]) -> Term:
-    match t:
-        case Var(name):
-            if name in scope:
-                return Var(scope[name])
-            entry = env.lookup(name)
-            if isinstance(entry, Definition):
-                # One Const per definition, kept in its instance dict,
-                # which equality, hashing and repr do not see.
-                const = entry.__dict__.get(_CONST)
-                if const is None:
-                    const = entry.__dict__[_CONST] = Const(name)
-                return const
-            if entry is not None:
-                return Ind(name)
-            if env.constructor(name) is not None:
-                return Constr(name)
-            return t
-        case SortT() | Ind() | Constr() | Const():
-            return t
-        case App(fn, arg):
-            return App(_elab(env, fn, scope, taken),
-                       _elab(env, arg, scope, taken))
-        case Prod(binder, domain, codomain):
-            dom = _elab(env, domain, scope, taken)
-            new, inner = _bind(env, binder, scope, taken)
-            return Prod(new, dom, _elab(env, codomain, inner, taken))
-        case Lam(binder, annotation, body):
-            ann = _elab(env, annotation, scope, taken)
-            new, inner = _bind(env, binder, scope, taken)
-            return Lam(new, ann, _elab(env, body, inner, taken))
-        case Fix(binder, annotation, body, decreasing):
-            ann = _elab(env, annotation, scope, taken)
-            new, inner = _bind(env, binder, scope, taken)
-            return Fix(new, ann, _elab(env, body, inner, taken), decreasing)
-        case Case(ind, scrutinee, params, motive, branches):
-            return Case(ind,
-                        _elab(env, scrutinee, scope, taken),
-                        tuple(_elab(env, p, scope, taken) for p in params),
-                        _elab(env, motive, scope, taken),
-                        tuple(_elab(env, b, scope, taken) for b in branches))
-        case RawMatch():
-            return _elab_match(env, t, scope, taken)
-    raise TypeError(f"not a term: {t!r}")
+    kind = type(t)
+    if kind is Var:
+        name = t.name
+        if name in scope:
+            return Var(scope[name])
+        entry = env.lookup(name)
+        if isinstance(entry, Definition):
+            # One Const per definition, kept in its instance dict,
+            # which equality, hashing and repr do not see.
+            const = entry.__dict__.get(_CONST)
+            if const is None:
+                const = entry.__dict__[_CONST] = Const(name)
+            return const
+        if entry is not None:
+            return Ind(name)
+        if env.constructor(name) is not None:
+            return Constr(name)
+        return t
+    if kind is App:
+        # Application spines nest as deep as their argument count, so this
+        # arm recurses directly: one frame per argument, not three through
+        # map_children.
+        return App(_elab(env, t.fn, scope, taken),
+                   _elab(env, t.arg, scope, taken))
+    if kind is Prod or kind is Lam or kind is Fix:
+        dom, body = children(t)
+        dom = _elab(env, dom, scope, taken)
+        new, inner = _bind(env, t.binder, scope, taken)
+        return rebuild_binder(t, new, dom, _elab(env, body, inner, taken))
+    if kind is RawMatch:
+        return _elab_match(env, t, scope, taken)
+    return map_children(t, lambda c: _elab(env, c, scope, taken))
 
 
 def _elab_match(env: GlobalEnv, rm: RawMatch, scope: dict[str, str],

@@ -873,46 +873,37 @@ def _guard(env: GlobalEnv, f: str, k: int, t: Term,
             _guard(env, f, k, a, dec_var, smaller)
         return
 
-    def under(binder: str, sub: Term, extra_smaller: frozenset[str] = frozenset()) -> None:
-        if binder == f:
-            return  # the fix variable is shadowed below this binder
-        _guard(env, f, k, sub,
-               dec_var if binder != dec_var else None,
-               (smaller | extra_smaller) - {binder})
-
-    match t:
-        case Var(name):
-            if name == f:
-                raise TypeCheckError(ErrorKind.GUARD_VIOLATION,
-                                     f"fix variable {f} escapes its recursive "
-                                     f"call position", term=t)
-        case Const() | SortT() | Ind() | Constr():
-            pass
-        case Prod(binder, domain, codomain):
-            _guard(env, f, k, domain, dec_var, smaller)
-            under(binder, codomain)
-        case Lam(binder, annotation, body):
-            _guard(env, f, k, annotation, dec_var, smaller)
-            under(binder, body)
-        case Case(ind, scrutinee, params, motive, branches):
-            _guard(env, f, k, scrutinee, dec_var, smaller)
-            for p in params:
-                _guard(env, f, k, p, dec_var, smaller)
-            _guard(env, f, k, motive, dec_var, smaller)
-            scrut_smaller = (isinstance(scrutinee, Var)
-                             and (scrutinee.name == dec_var
-                                  or scrutinee.name in smaller))
-            decl = env.inductive(ind)
-            for i, branch in enumerate(branches):
-                if scrut_smaller and decl is not None:
-                    fields, _ = strip_prods(decl.constructors[i][1])
-                    _guard_branch(env, f, k, branch, dec_var, smaller,
-                                  len(fields) - decl.params)
-                else:
-                    _guard(env, f, k, branch, dec_var, smaller)
-        case Fix(binder, annotation, body, _):
-            _guard(env, f, k, annotation, dec_var, smaller)
-            under(binder, body)
+    kind = type(t)
+    if kind is Var:
+        if t.name == f:
+            raise TypeCheckError(ErrorKind.GUARD_VIOLATION,
+                                 f"fix variable {f} escapes its recursive "
+                                 f"call position", term=t)
+    elif kind is Prod or kind is Lam or kind is Fix:
+        dom, body = children(t)
+        _guard(env, f, k, dom, dec_var, smaller)
+        # Below a binder named f the fix variable is shadowed.
+        if t.binder != f:
+            _guard(env, f, k, body,
+                   None if t.binder == dec_var else dec_var,
+                   smaller - {t.binder})
+    elif kind is Case:
+        scrutinee = t.scrutinee
+        _guard(env, f, k, scrutinee, dec_var, smaller)
+        for p in t.params:
+            _guard(env, f, k, p, dec_var, smaller)
+        _guard(env, f, k, t.motive, dec_var, smaller)
+        scrut_smaller = (isinstance(scrutinee, Var)
+                         and (scrutinee.name == dec_var
+                              or scrutinee.name in smaller))
+        decl = env.inductive(t.ind)
+        for i, branch in enumerate(t.branches):
+            if scrut_smaller and decl is not None:
+                fields, _ = strip_prods(decl.constructors[i][1])
+                _guard_branch(env, f, k, branch, dec_var, smaller,
+                              len(fields) - decl.params)
+            else:
+                _guard(env, f, k, branch, dec_var, smaller)
 
 
 def _guard_branch(env: GlobalEnv, f: str, k: int, branch: Term,

@@ -98,15 +98,6 @@ class NameTriple:
         return cls(base, primed(base), witness(base))
 
 
-@dataclass(frozen=True)
-class TranslatedInductive:
-    """The relation inductive generated for a source inductive."""
-
-    source: str
-    relation: InductiveDecl
-    constructors: tuple[tuple[str, str], ...]
-
-
 def relation_sort(s: Sort) -> Sort:
     """Where the relation over a type of sort `s` lands: proof-irrelevant
     relations over Prop and Set, level-preserving over Type."""
@@ -283,7 +274,7 @@ def _case_motive(env: GlobalEnv, t: Case, alias: Alias | None = None) -> Term:
     scrutinees, and the relation witness, and returns the motive's own
     relation applied to both original case expressions.
     """
-    rdecl = _ensure_inductive(env, t.ind).relation
+    rdecl = _ensure_inductive(env, t.ind)
     src = env.inductive(t.ind)
     assert src is not None
     motive_r = _translate(env, t.motive)
@@ -352,7 +343,7 @@ def _case_motive(env: GlobalEnv, t: Case, alias: Alias | None = None) -> Term:
                              left, right))
 
 
-def _ensure_inductive(env: GlobalEnv, name: str) -> TranslatedInductive:
+def _ensure_inductive(env: GlobalEnv, name: str) -> InductiveDecl:
     decl = env.inductive(name)
     if decl is None:
         raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
@@ -400,7 +391,7 @@ def _ensure_dependencies(env: GlobalEnv, t: Term, skip: str) -> None:
                     _ensure_inductive(env, info[0].name)
 
 
-def translate_inductive(env: GlobalEnv, decl: InductiveDecl) -> TranslatedInductive:
+def translate_inductive(env: GlobalEnv, decl: InductiveDecl) -> InductiveDecl:
     """Declare (or fetch) the relation inductive of `decl`.
 
     Its arity is the translated arity applied to two copies of the source
@@ -409,10 +400,9 @@ def translate_inductive(env: GlobalEnv, decl: InductiveDecl) -> TranslatedInduct
     it is returned.
     """
     rn = relation_name(decl.name)
-    cmap = tuple((c, relation_name(c)) for c, _ in decl.constructors)
     existing = env.inductive(rn)
     if existing is not None:
-        return TranslatedInductive(decl.name, existing, cmap)
+        return existing
 
     _assert_clean(decl.arity)
     for _, cty in decl.constructors:
@@ -431,7 +421,7 @@ def translate_inductive(env: GlobalEnv, decl: InductiveDecl) -> TranslatedInduct
         for c, cty in decl.constructors)
     rdecl = InductiveDecl(rn, 3 * decl.params, arity_r, ctors)
     declare_inductive(env, rdecl, STAR)
-    return TranslatedInductive(decl.name, rdecl, cmap)
+    return rdecl
 
 
 def translate_context(env: GlobalEnv, ctx: Context) -> Context:

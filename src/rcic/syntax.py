@@ -21,6 +21,9 @@ immediate subterms in field order, `map_children` rebuilds a node from its
 mapped children (returning the node itself when none changed), and
 `subterms` yields every node in preorder without recursing.
 `rebuild_binder` remakes a Prod, Lam or Fix under a new binder name.
+In this module `free_vars`, `subst_all` and `alpha_eq` are built on them:
+each has one arm for Var, one shared by Prod, Lam and Fix, and reaches
+the children of every other kind through `children` or `map_children`.
 """
 
 from __future__ import annotations
@@ -362,10 +365,25 @@ _VAR_FV: dict[str, frozenset[str]] = {}
 def free_vars(t: Term) -> frozenset[str]:
     """The names a binder around `t` must not capture: its free Vars and
     its Consts, so that fresh names never print like a global."""
-    fv = t.__dict__.get(_FV)
-    if fv is None:
-        fv = _free_vars(t)
-        t.__dict__[_FV] = fv
+    cache = t.__dict__
+    fv = cache.get(_FV)
+    if fv is not None:
+        return fv
+    kind = type(t)
+    if kind is Var or kind is Const:
+        fv = _VAR_FV.get(t.name)
+        if fv is None:
+            fv = _VAR_FV[t.name] = frozenset((t.name,))
+    elif kind is App:
+        fv = _union(free_vars(t.fn), free_vars(t.arg))
+    elif kind is Prod or kind is Lam or kind is Fix:
+        dom, body = children(t)
+        fv = _union(free_vars(dom), _minus(free_vars(body), t.binder))
+    else:
+        fv = _NO_FV
+        for c in children(t):
+            fv = _union(fv, free_vars(c))
+    cache[_FV] = fv
     return fv
 
 
@@ -380,23 +398,6 @@ def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
 
 def _minus(s: frozenset[str], name: str) -> frozenset[str]:
     return s - {name} if name in s else s
-
-
-def _free_vars(t: Term) -> frozenset[str]:
-    match t:
-        case Var(name) | Const(name):
-            fv = _VAR_FV.get(name)
-            if fv is None:
-                fv = _VAR_FV[name] = frozenset((name,))
-            return fv
-        case App(fn, arg):
-            return _union(free_vars(fn), free_vars(arg))
-        case Prod(binder, dom, body) | Lam(binder, dom, body) | Fix(binder, dom, body):
-            return _union(free_vars(dom), _minus(free_vars(body), binder))
-    out = _NO_FV
-    for c in children(t):
-        out = _union(out, free_vars(c))
-    return out
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -470,46 +471,31 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 def _alpha(a: Term, b: Term, env_a: dict[str, int], env_b: dict[str, int],
            depth: int) -> bool:
-    if type(a) is not type(b):
+    kind = type(a)
+    if kind is not type(b):
         return False
-    match a, b:
-        case Var(na), Var(nb):
-            return env_a.get(na, na) == env_b.get(nb, nb)
-        case SortT(sa), SortT(sb):
-            return sa == sb
-        case Ind(na), Ind(nb):
-            return na == nb
-        case Constr(na), Constr(nb):
-            return na == nb
-        case App(fa, aa), App(fb, ab):
-            return (_alpha(fa, fb, env_a, env_b, depth)
-                    and _alpha(aa, ab, env_a, env_b, depth))
-        case Prod(xa, da, ca), Prod(xb, db, cb):
-            return (_alpha(da, db, env_a, env_b, depth)
-                    and _alpha(ca, cb, {**env_a, xa: depth},
-                               {**env_b, xb: depth}, depth + 1))
-        case Lam(xa, ta, ba), Lam(xb, tb, bb):
-            return (_alpha(ta, tb, env_a, env_b, depth)
-                    and _alpha(ba, bb, {**env_a, xa: depth},
-                               {**env_b, xb: depth}, depth + 1))
-        case Case(ia, sa, pa, ma, bra), Case(ib, sb, pb, mb, brb):
-            if ia != ib or len(pa) != len(pb) or len(bra) != len(brb):
+    if kind is Var:
+        return env_a.get(a.name, a.name) == env_b.get(b.name, b.name)
+    if kind is Prod or kind is Lam or kind is Fix:
+        if kind is Fix and a.decreasing != b.decreasing:
+            return False
+        dom_a, body_a = children(a)
+        dom_b, body_b = children(b)
+        return (_alpha(dom_a, dom_b, env_a, env_b, depth)
+                and _alpha(body_a, body_b, {**env_a, a.binder: depth},
+                           {**env_b, b.binder: depth}, depth + 1))
+    if kind is App or kind is Case:
+        if kind is Case and (a.ind != b.ind
+                             or len(a.params) != len(b.params)):
+            return False
+        kids_a, kids_b = children(a), children(b)
+        if len(kids_a) != len(kids_b):
+            return False
+        for x, y in zip(kids_a, kids_b):
+            if not _alpha(x, y, env_a, env_b, depth):
                 return False
-            if not _alpha(sa, sb, env_a, env_b, depth):
-                return False
-            if not all(_alpha(x, y, env_a, env_b, depth) for x, y in zip(pa, pb)):
-                return False
-            if not _alpha(ma, mb, env_a, env_b, depth):
-                return False
-            return all(_alpha(x, y, env_a, env_b, depth) for x, y in zip(bra, brb))
-        case Fix(xa, ta, ba, ka), Fix(xb, tb, bb, kb):
-            return (ka == kb
-                    and _alpha(ta, tb, env_a, env_b, depth)
-                    and _alpha(ba, bb, {**env_a, xa: depth},
-                               {**env_b, xb: depth}, depth + 1))
-        case Const(na), Const(nb):
-            return na == nb
-    return False
+        return True
+    return a == b
 
 
 # ---------------------------------------------------------------------------

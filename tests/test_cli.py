@@ -76,6 +76,18 @@ def test_check_reports_parse_error(tmp_path, capsys):
     assert main(["check", bad]) == 2
     err = capsys.readouterr().err
     assert "bad.rcic:2:" in err
+    # A non-ASCII letter or digit is a diagnostic, not a traceback.
+    env = dict(os.environ, PYTHONPATH=str(Path(rcic.__file__).parents[1]),
+               PYTHONIOENCODING="utf-8")
+    for text, where, char in (("def é : Nat := zero.", "1:5", "é"),
+                              ("def x : Nat := ².", "1:16", "²")):
+        src = write(tmp_path, "letter.rcic", text)
+        run = subprocess.run(
+            [sys.executable, "-m", "rcic.cli", "check", src],
+            capture_output=True, encoding="utf-8", env=env, timeout=60)
+        assert run.returncode == 2
+        assert run.stderr == (f"{src}:{where}: error: unexpected character "
+                              f"'{char}'\n")
 
 
 def numeral(depth):
@@ -122,16 +134,16 @@ def test_param_check_too_deep_is_a_diagnostic(prelude, tmp_path):
     assert run("check").returncode == 0
 
 
-def test_param_check_105_binders(prelude, tmp_path):
-    # 105 source binders, three translated binders each, must fit the
+def test_param_check_130_binders(prelude, tmp_path):
+    # 130 source binders, three translated binders each, must fit the
     # interpreter's default recursion limit.
-    src = write(tmp_path, "b105.rcic", binder_depth_source(105))
+    src = write(tmp_path, "b130.rcic", binder_depth_source(130))
     env = dict(os.environ, PYTHONPATH=str(Path(rcic.__file__).parents[1]))
     run = subprocess.run(
         [sys.executable, "-m", "rcic.cli", "param-check", prelude, src],
         capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "PASS b105"
+    assert run.stdout.splitlines()[-1] == "PASS b130"
 
 
 def test_check_missing_file(capsys):

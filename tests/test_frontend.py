@@ -86,14 +86,30 @@ def test_tokenize_comments_nest():
     assert [t.value for t in toks[:-1]] == ["one", "two"]
     with pytest.raises(ParseError, match="comment"):
         tokenize("(* never closed")
+    # `(*)` opens a comment and does not close it; it is reported where it
+    # starts.
+    with pytest.raises(ParseError, match="^2:3: unterminated comment$"):
+        tokenize("zero\n  (*) succ")
+    with pytest.raises(ParseError,
+                       match=r"^1:6: unexpected character '\*'$"):
+        tokenize("zero *) succ")
 
 
 def test_tokenize_positions_and_junk():
-    tok = tokenize("zero\n  succ")[1]
-    assert (tok.line, tok.col) == (2, 3)
-    with pytest.raises(ParseError) as err:
-        tokenize("a ? b")
-    assert "1:3" in str(err.value)
+    # Columns count characters: a tab is one, and a \r ends no line.
+    for text, where in (("zero\n  succ", (2, 3)),
+                        ("(* a\n (* b\n *) c *) succ", (3, 10)),
+                        ("zero\r\nsucc", (2, 1)),
+                        ("zero\r\n\tsucc", (2, 2))):
+        tok = tokenize(text)[-2]
+        assert (tok.value, tok.line, tok.col) == ("succ", *where)
+    # Identifiers and numbers are ASCII; any other character is an error.
+    for text, where in (("a ? b", "1:3"),
+                        ("def é : Nat := zero.", "1:5"),
+                        ("def x : Nat := ².", "1:16")):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            tokenize(text)
+        assert str(err.value).startswith(f"{where}: ")
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,7 @@ def test_indexed_relation(fresh_env):
           vnil : Vec A zero
         | vcons : forall (n : Nat), A -> Vec A n -> Vec A (succ n).
     """)
-    rel = translate_inductive(fresh_env, fresh_env.inductive("Vec")).relation
+    rel = translate_inductive(fresh_env, fresh_env.inductive("Vec"))
     # Three parameters, then a triple per index, then the two scrutinees.
     assert rel.params == 3
     golden = """
@@ -235,8 +235,8 @@ def test_indexed_relation(fresh_env):
 def test_translate_inductive_idempotent(fresh_env):
     first = translate_inductive(fresh_env, fresh_env.inductive("Nat"))
     again = translate_inductive(fresh_env, fresh_env.inductive("Nat"))
-    assert first.relation is again.relation
-    assert first.constructors == (("zero", "zero_R"), ("succ", "succ_R"))
+    assert first is again
+    assert [c for c, _ in first.constructors] == ["zero_R", "succ_R"]
 
 
 def test_translated_inductives_kernel_check(translated_env):
@@ -364,11 +364,11 @@ def test_abstraction_check_rejects_reserved_names(translated_env):
     assert not abstraction_check(translated_env, Context(), Var("x'"), NAT)
 
 
-def test_abstraction_check_of_105_binders():
-    # The translated witness nests three binders per source binder; 105
+def test_abstraction_check_of_130_binders():
+    # The translated witness nests three binders per source binder; 130
     # source binders must fit the interpreter's default recursion limit.
-    env = load_declarations(fresh_prelude_env(), binder_depth_source(105))
-    d = env.definition("b105")
+    env = load_declarations(fresh_prelude_env(), binder_depth_source(130))
+    d = env.definition("b130")
     assert abstraction_check(env, Context(), d.body, d.type)
 
 

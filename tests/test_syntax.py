@@ -339,7 +339,7 @@ def test_alpha_eq_free_vs_bound():
 def _alpha_variant(rng, t, counter):
     """Rebuild `t` renaming every binder to a fresh name."""
     match t:
-        case Var() | SortT() | Ind() | Constr():
+        case Var() | Const() | SortT() | Ind() | Constr():
             return t
         case App(fn, arg):
             return App(_alpha_variant(rng, fn, counter),
@@ -373,6 +373,27 @@ def test_alpha_eq_matches_nameless_oracle():
         assert to_nameless(t) == to_nameless(variant)
         other = random_term(rng, rng.randrange(1, 5))
         assert alpha_eq(t, other) == (to_nameless(t) == to_nameless(other))
+
+    # Pairs of subterms of well-typed terms, each subterm also against a
+    # binder-renamed copy and against near misses that differ only outside
+    # the children: a Fix's decreasing index, a Case's parameter count (its
+    # children otherwise in the same order), a Var against a Const.
+    rng = random.Random(20261019)
+    pool = [u for _ in range(30) for u in subterms(random_typed(rng, 4)[0])]
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(3000)]
+    for u in pool:
+        pairs.append((u, _alpha_variant(rng, u, [0])))
+        pairs.append((Fix("f", NAT, u, 0), Fix("g", NAT, u, 0)))
+        pairs.append((Fix("f", NAT, u, 0), Fix("f", NAT, u, 1)))
+        if type(u) is Case and not u.params:
+            pairs.append((u, Case(u.ind, u.scrutinee, (u.motive,),
+                                  u.branches[0], u.branches[1:])))
+        if type(u) in (Var, Const):
+            pairs.append((Lam("x", NAT, Var(u.name)),
+                          Lam("y", NAT, Const(u.name))))
+    outcomes = [alpha_eq(a, b) for a, b in pairs]
+    assert outcomes == [to_nameless(a) == to_nameless(b) for a, b in pairs]
+    assert sum(outcomes) > 1000 and outcomes.count(False) > 3000
 
 
 def test_context():
