@@ -94,6 +94,11 @@ def main(argv: list[str] | None = None) -> int:
             except (TypeCheckError, DuplicateNameError, ValueError) as err:
                 print(f"{path}:{decl.line}:{decl.col}: error: {err}",
                       file=sys.stderr)
+                for label in ("expected", "actual"):
+                    term = getattr(err, label, None)
+                    if term is not None:
+                        print(f"  {label}: {print_term(term, env)}",
+                              file=sys.stderr)
                 return 1
             except RecursionError:
                 print(f"{path}:{decl.line}:{decl.col}: error: nesting too deep",

@@ -9,9 +9,9 @@ each RawMatch into a fully annotated case: the motive and branch binders
 get their types from the inductive's declaration.  `declare` elaborates
 and kernel-checks one parsed inductive or definition.
 
-The lexer reads whitespace, nested comments, identifiers, numbers and
-symbols, all ASCII; any other character outside a comment is a
-ParseError, `unexpected character`.
+The lexer makes one pattern match per token (leading whitespace included)
+and returns named tuples.  Identifiers, numbers and symbols are ASCII; any
+other character outside a comment is a ParseError, `unexpected character`.
 
 Names ending in ' or _R (`param.is_reserved`) are reserved for generated
 copies and witnesses and are rejected unless the caller opts in (useful for
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (
     App,
@@ -70,21 +71,22 @@ KEYWORDS = frozenset({
 })
 
 _SORT_RE = re.compile(r"(Prop|Set(\d+)|Type(\d+))\Z")
-# One token per match; the name of the group that matched is its kind.  The
-# groups are ASCII only: any other character starts none and is an error.
+# One match per token, whitespace before it included; the name of the group
+# that matched is its kind.  A character that starts no ASCII token is junk.
 _TOKEN_RE = re.compile(r"""
-    (?P<space>[ \t\r\n]+)
-  | (?P<comment>\(\*)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<number>[0-9]+)
-  | (?P<symbol>:=|->|=>|[(){}:,.|])
+    [ \t\r\n]*
+    (?: (?P<comment>\(\*)
+      | (?P<word>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<number>[0-9]+)
+      | (?P<symbol>:=|->|=>|[(){}:,.|])
+      | (?P<eof>\Z)
+      | (?P<junk>[^ \t\r\n]) )
 """, re.VERBOSE)
 # The delimiters that open and close a nested comment.
 _COMMENT_RE = re.compile(r"\(\*|\*\)")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "keyword", "sort", "number", "symbol", "eof"
     value: object
     line: int
@@ -98,35 +100,40 @@ class Token:
 
 def tokenize(text: str, allow_reserved: bool = False) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
+    pos = 0  # where the next match starts
+    seen = 0  # the newlines before `seen` are counted in `line`
     line = 1
     line_start = 0  # index of the first character of `line`
-    while pos < len(text):
-        col = pos - line_start + 1
+    while True:
         m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup
-        word = m.group()
-        end = m.end()
-        if kind == "comment":
+        start = m.start(kind)
+        newlines = text.count("\n", seen, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", seen, start) + 1
+        seen = start
+        col = start - line_start + 1
+        pos = m.end()
+        word = m.group(kind)
+        if kind == "symbol":
+            tokens.append(Token("symbol", word, line, col))
+        elif kind == "number":
+            tokens.append(Token("number", int(word), line, col))
+        elif kind == "comment":
             depth = 1
-            for delim in _COMMENT_RE.finditer(text, end):
+            for delim in _COMMENT_RE.finditer(text, pos):
                 depth += 1 if delim.group() == "(*" else -1
                 if depth == 0:
-                    end = delim.end()
+                    pos = delim.end()
                     break
             else:
                 raise ParseError("unterminated comment", line, col)
-        if kind == "space" or kind == "comment":
-            newlines = text.count("\n", pos, end)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", pos, end) + 1
-        elif kind == "number":
-            tokens.append(Token("number", int(word), line, col))
-        elif kind == "symbol":
-            tokens.append(Token("symbol", word, line, col))
+        elif kind == "eof":
+            tokens.append(Token("eof", None, line, col))
+            return tokens
+        elif kind == "junk":
+            raise ParseError(f"unexpected character {word!r}", line, col)
         elif word in KEYWORDS:
             tokens.append(Token("keyword", word, line, col))
         elif _SORT_RE.match(word) is not None:
@@ -142,9 +149,6 @@ def tokenize(text: str, allow_reserved: bool = False) -> list[Token]:
                              line, col)
         else:
             tokens.append(Token("ident", word, line, col))
-        pos = end
-    tokens.append(Token("eof", None, line, pos - line_start + 1))
-    return tokens
 
 
 def _parse_sort(word: str, line: int, col: int) -> Sort:
@@ -226,11 +230,11 @@ class _Parser:
         self.tokens = tokenize(text, allow_reserved)
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
@@ -255,8 +259,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "ident":
             raise self.error(f"expected a name, found {tok.describe()}")
-        self.next()
-        return tok.value
+        return self.next().value
 
     def at_symbol(self, sym: str) -> bool:
         tok = self.peek()
@@ -471,12 +474,28 @@ def elaborate(env: GlobalEnv, t: Term) -> Term:
     enclosing binder or a global are renamed, so every binder name is
     locally unique.
     """
-    taken = names(t)
-    return _elab(env, t, {}, taken)
+    return _elab(env, t, {}, _Taken(t))
+
+
+class _Taken:
+    """What a fresh binder name avoids in elaborating `term`: `names(term)`
+    (every binder kept as is) and the fresh names so far, so every name in
+    scope.  Built on first use: most terms rename no binder."""
+
+    def __init__(self, term: Term):
+        self.term = term
+        self.names: set[str] | None = None
+
+    def fresh(self, base: str) -> str:
+        if self.names is None:
+            self.names = names(self.term)
+        new = fresh_name(base, self.names)
+        self.names.add(new)
+        return new
 
 
 def _bind(env: GlobalEnv, name: str, scope: dict[str, str],
-          taken: set[str]) -> tuple[str, dict[str, str]]:
+          taken: _Taken) -> tuple[str, dict[str, str]]:
     """Bind `name`, renamed if it shadows a binder or a global.  The kernel
     does not need the latter (a Var is never a global); it keeps printed
     terms unambiguous, as fresh names avoid no Ind or Constr name."""
@@ -484,10 +503,9 @@ def _bind(env: GlobalEnv, name: str, scope: dict[str, str],
         return name, scope
     if (name in scope or env.lookup(name) is not None
             or env.constructor(name) is not None):
-        new = fresh_name(name, frozenset(taken) | set(scope.values()))
+        new = taken.fresh(name)
     else:
         new = name
-    taken.add(new)
     return new, {**scope, name: new}
 
 
@@ -495,7 +513,7 @@ _CONST = "_const"
 
 
 def _elab(env: GlobalEnv, t: Term, scope: dict[str, str],
-          taken: set[str]) -> Term:
+          taken: _Taken) -> Term:
     kind = type(t)
     if kind is Var:
         name = t.name
@@ -531,7 +549,7 @@ def _elab(env: GlobalEnv, t: Term, scope: dict[str, str],
 
 
 def _elab_match(env: GlobalEnv, rm: RawMatch, scope: dict[str, str],
-                taken: set[str]) -> Term:
+                taken: _Taken) -> Term:
     decl = env.inductive(rm.ind)
     if decl is None:
         raise ParseError(f"unknown inductive {rm.ind}", rm.line, rm.col)
@@ -562,8 +580,7 @@ def _elab_match(env: GlobalEnv, rm: RawMatch, scope: dict[str, str],
     for given in index_names:
         if given == "_":
             # The scrutinee binder's type must name every index.
-            new = fresh_name("i", frozenset(taken) | set(inner.values()))
-            taken.add(new)
+            new = taken.fresh("i")
         else:
             new, inner = _bind(env, given, inner, taken)
         motive_binders.append((new, tele.domain()))

@@ -538,6 +538,9 @@ GlobalEntry = Union[InductiveDecl, Definition]
 class DuplicateNameError(ValueError):
     """A global name was declared twice."""
 
+    def __init__(self, name: str):
+        super().__init__(f"{name} is already declared")
+
 
 class GlobalEnv:
     """Append-only map of declared globals, keyed by name.

@@ -69,6 +69,16 @@ def test_check_reports_type_error(prelude, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bad.rcic:1:1: error:" in err
     assert "NotConvertible" in err
+    # The expected and actual types follow, one indented line each.
+    bad = write(tmp_path, "bad.rcic",
+                "def bad : Nat -> Bool := fun (n : Nat) => n.")
+    assert main(["check", prelude, bad]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{bad}:1:1: error: NotConvertible: term does not have the "
+        "expected type",
+        "  expected: Nat -> Bool",
+        "  actual: Nat -> Nat",
+    ]
 
 
 def test_check_reports_parse_error(tmp_path, capsys):
@@ -163,7 +173,19 @@ def test_check_non_utf8_file_is_an_io_error(tmp_path, capsys):
 def test_check_duplicate_declaration(prelude, tmp_path, capsys):
     dup = write(tmp_path, "dup.rcic", "def plus : Nat := zero.")
     assert main(["check", prelude, dup]) == 1
-    assert "plus" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"{dup}:1:1: error: plus is already declared\n")
+    dup = write(tmp_path, "dup.rcic",
+                "def x : Nat := zero.\ndef x : Nat := zero.")
+    assert main(["check", prelude, dup]) == 1
+    assert capsys.readouterr().err == (
+        f"{dup}:2:1: error: x is already declared\n")
+    # Two constructors of one name are an ill-formed inductive.
+    dup = write(tmp_path, "dup.rcic", "inductive T : Set0 := a : T | a : T.")
+    assert main(["check", dup]) == 1
+    assert capsys.readouterr().err == (
+        f"{dup}:1:1: error: IllFormedInductive: T: duplicate constructor "
+        "name a\n")
 
 
 def test_check_reserved_names_rejected(tmp_path, capsys):

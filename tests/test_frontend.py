@@ -51,6 +51,12 @@ def test_tokenize_basics():
         ("ident", "Nat"), ("symbol", ")"), ("symbol", "=>"), ("ident", "x"),
         ("eof", None),
     ]
+    toks = tokenize("Set0 3 x (")
+    assert [(t.kind, t.value, t.line, t.col, t.describe()) for t in toks] == [
+        ("sort", set_sort(0), 1, 1, "'Set0'"), ("number", 3, 1, 6, "'3'"),
+        ("ident", "x", 1, 8, "'x'"), ("symbol", "(", 1, 10, "'('"),
+        ("eof", None, 1, 11, "end of input"),
+    ]
 
 
 def test_tokenize_sorts():
@@ -98,13 +104,19 @@ def test_tokenize_comments_nest():
 def test_tokenize_positions_and_junk():
     # Columns count characters: a tab is one, and a \r ends no line.
     for text, where in (("zero\n  succ", (2, 3)),
+                        ("(* a\n b *) succ", (2, 7)),
                         ("(* a\n (* b\n *) c *) succ", (3, 10)),
                         ("zero\r\nsucc", (2, 1)),
                         ("zero\r\n\tsucc", (2, 2))):
         tok = tokenize(text)[-2]
         assert (tok.value, tok.line, tok.col) == ("succ", *where)
+    # End of input is where the text ends, after any comment and whitespace.
+    for text, where in (("x (* a\n b *)  ", (2, 8)), ("x\n\n", (3, 1))):
+        tok = tokenize(text)[-1]
+        assert (tok.kind, tok.line, tok.col) == ("eof", *where)
     # Identifiers and numbers are ASCII; any other character is an error.
     for text, where in (("a ? b", "1:3"),
+                        ("x\n  \t?", "2:4"),
                         ("def é : Nat := zero.", "1:5"),
                         ("def x : Nat := ².", "1:16")):
         with pytest.raises(ParseError, match="unexpected character") as err:
@@ -192,6 +204,9 @@ def test_parse_errors_have_positions():
         parse_term("")
     with pytest.raises(ParseError, match="2:"):
         parse_term("fun (x : Nat) =>\n  match x")
+    with pytest.raises(ParseError,
+                       match="^2:1: expected a term, found end of input$"):
+        parse_term("fun (x : Nat) =>   \n")
 
 
 def test_parse_term_rejects_trailing_input():
