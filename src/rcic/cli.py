@@ -79,31 +79,27 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{path}: error: {err}", file=sys.stderr)
             return 2
         try:
-            source = parse_file(text)
+            # Parsing the file and elaborating a declaration raise ParseError.
+            for decl in parse_file(text).decls:
+                try:
+                    failures += _process(env, decl, args, mode)
+                except (TypeCheckError, DuplicateNameError, ValueError) as err:
+                    print(f"{path}:{decl.line}:{decl.col}: error: {err}",
+                          file=sys.stderr)
+                    for label in ("expected", "actual"):
+                        term = getattr(err, label, None)
+                        if term is not None:
+                            print(f"  {label}: {print_term(term, env)}",
+                                  file=sys.stderr)
+                    return 1
+                except RecursionError:
+                    print(f"{path}:{decl.line}:{decl.col}: error: "
+                          "nesting too deep", file=sys.stderr)
+                    return 1
         except ParseError as err:
             print(f"{path}:{err.line}:{err.col}: error: {err.message}",
                   file=sys.stderr)
             return 2
-        for decl in source.decls:
-            try:
-                failures += _process(env, decl, args, mode)
-            except ParseError as err:
-                print(f"{path}:{err.line}:{err.col}: error: {err.message}",
-                      file=sys.stderr)
-                return 2
-            except (TypeCheckError, DuplicateNameError, ValueError) as err:
-                print(f"{path}:{decl.line}:{decl.col}: error: {err}",
-                      file=sys.stderr)
-                for label in ("expected", "actual"):
-                    term = getattr(err, label, None)
-                    if term is not None:
-                        print(f"  {label}: {print_term(term, env)}",
-                              file=sys.stderr)
-                return 1
-            except RecursionError:
-                print(f"{path}:{decl.line}:{decl.col}: error: nesting too deep",
-                      file=sys.stderr)
-                return 1
     return 1 if failures else 0
 
 

@@ -10,8 +10,11 @@ get their types from the inductive's declaration.  `declare` elaborates
 and kernel-checks one parsed inductive or definition.
 
 The lexer makes one pattern match per token (leading whitespace included)
-and returns named tuples.  Identifiers, numbers and symbols are ASCII; any
-other character outside a comment is a ParseError, `unexpected character`.
+and returns named tuples; a sort (`Prop`, `Set<n>`, `Type<n>`) is a group of
+that pattern.  Identifiers, numbers and symbols are ASCII; any other
+character outside a comment is a ParseError, `unexpected character`.  The
+parser tells keywords and symbols apart by a token's value alone: no
+identifier has a keyword's text, and no other token has a symbol's.
 
 Names ending in ' or _R (`param.is_reserved`) are reserved for generated
 copies and witnesses and are rejected unless the caller opts in (useful for
@@ -70,12 +73,13 @@ KEYWORDS = frozenset({
     "with", "end", "def", "inductive", "check", "paramcheck",
 })
 
-_SORT_RE = re.compile(r"(Prop|Set(\d+)|Type(\d+))\Z")
 # One match per token, whitespace before it included; the name of the group
-# that matched is its kind.  A character that starts no ASCII token is junk.
+# that matched is its kind.  A sort is a whole word (`Set1x` is a word).  A
+# character that starts no ASCII token is junk.
 _TOKEN_RE = re.compile(r"""
     [ \t\r\n]*
     (?: (?P<comment>\(\*)
+      | (?P<sort>(?:Prop|Set[0-9]+|Type[0-9]+)(?![A-Za-z0-9_']))
       | (?P<word>[A-Za-z_][A-Za-z0-9_']*)
       | (?P<number>[0-9]+)
       | (?P<symbol>:=|->|=>|[(){}:,.|])
@@ -134,11 +138,11 @@ def tokenize(text: str, allow_reserved: bool = False) -> list[Token]:
             return tokens
         elif kind == "junk":
             raise ParseError(f"unexpected character {word!r}", line, col)
-        elif word in KEYWORDS:
-            tokens.append(Token("keyword", word, line, col))
-        elif _SORT_RE.match(word) is not None:
+        elif kind == "sort":
             tokens.append(Token("sort", _parse_sort(word, line, col),
                                 line, col))
+        elif word in KEYWORDS:
+            tokens.append(Token("keyword", word, line, col))
         elif word in ("Set", "Type"):
             raise ParseError(f"{word} needs an explicit level, like {word}1",
                              line, col)
@@ -243,16 +247,14 @@ class _Parser:
         tok = tok or self.peek()
         return ParseError(message, tok.line, tok.col)
 
-    def expect_symbol(self, sym: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "symbol" or tok.value != sym:
-            raise self.error(f"expected {sym!r}, found {tok.describe()}")
-        return self.next()
+    def at(self, text: str) -> bool:
+        """Whether the next token is the keyword or symbol `text`."""
+        return self.tokens[self.pos].value == text
 
-    def expect_keyword(self, word: str) -> Token:
+    def expect(self, text: str) -> Token:
         tok = self.peek()
-        if tok.kind != "keyword" or tok.value != word:
-            raise self.error(f"expected {word!r}, found {tok.describe()}")
+        if tok.value != text:
+            raise self.error(f"expected {text!r}, found {tok.describe()}")
         return self.next()
 
     def expect_ident(self) -> str:
@@ -261,46 +263,39 @@ class _Parser:
             raise self.error(f"expected a name, found {tok.describe()}")
         return self.next().value
 
-    def at_symbol(self, sym: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "symbol" and tok.value == sym
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "keyword" and tok.value == word
-
     # Terms.
 
     def term(self) -> Term:
-        if self.at_keyword("forall"):
+        if self.at("forall"):
             self.next()
             binders = self.binder_groups(minimum=1)
-            self.expect_symbol(",")
+            self.expect(",")
             return prods(binders, self.term())
-        if self.at_keyword("fun"):
+        if self.at("fun"):
             self.next()
             binders = self.binder_groups(minimum=1)
-            self.expect_symbol("=>")
+            self.expect("=>")
             return lams(binders, self.term())
-        if self.at_keyword("fix"):
+        if self.at("fix"):
             self.next()
             name = self.expect_ident()
             binders = self.binder_groups(minimum=0)
-            self.expect_symbol("{")
-            self.expect_keyword("struct")
+            self.expect("{")
+            self.expect("struct")
             tok = self.peek()
+            bound = [b for b, _ in binders]
             if tok.kind == "number":
                 decreasing = tok.value
-            elif tok.kind == "ident" and any(b == tok.value for b, _ in binders):
-                decreasing = next(i for i, (b, _) in enumerate(binders) if b == tok.value)
+            elif tok.value in bound:
+                decreasing = bound.index(tok.value)
             else:
                 raise self.error(
                     f"expected an argument index or binder name, found {tok.describe()}")
             self.next()
-            self.expect_symbol("}")
-            self.expect_symbol(":")
+            self.expect("}")
+            self.expect(":")
             annotation = self.term()
-            self.expect_symbol(":=")
+            self.expect(":=")
             body = self.term()
             # Heading binders abbreviate a product annotation and a lambda body.
             return Fix(name, prods(binders, annotation), lams(binders, body), decreasing)
@@ -308,7 +303,7 @@ class _Parser:
 
     def arrow(self) -> Term:
         lhs = self.application()
-        if self.at_symbol("->"):
+        if self.at("->"):
             self.next()
             return Prod("_", lhs, self.term())
         return lhs
@@ -321,11 +316,7 @@ class _Parser:
 
     def starts_atom(self) -> bool:
         tok = self.peek()
-        if tok.kind in ("ident", "sort"):
-            return True
-        if tok.kind == "symbol" and tok.value == "(":
-            return True
-        return tok.kind == "keyword" and tok.value == "match"
+        return tok.kind in ("ident", "sort") or tok.value in ("(", "match")
 
     def atom(self) -> Term:
         tok = self.peek()
@@ -335,51 +326,51 @@ class _Parser:
         if tok.kind == "sort":
             self.next()
             return SortT(tok.value)
-        if tok.kind == "symbol" and tok.value == "(":
+        if tok.value == "(":
             self.next()
             t = self.term()
-            self.expect_symbol(")")
+            self.expect(")")
             return t
-        if tok.kind == "keyword" and tok.value == "match":
+        if tok.value == "match":
             return self.match_expr()
         raise self.error(f"expected a term, found {tok.describe()}")
 
     def match_expr(self) -> Term:
-        start = self.expect_keyword("match")
+        start = self.expect("match")
         scrutinee = self.term()
-        self.expect_keyword("as")
+        self.expect("as")
         as_name = self.expect_ident()
-        self.expect_keyword("in")
+        self.expect("in")
         ind = self.expect_ident()
         atoms: list[Term] = []
         while self.starts_atom():
             atoms.append(self.atom())
-        self.expect_keyword("return")
+        self.expect("return")
         motive = self.term()
-        self.expect_keyword("with")
+        self.expect("with")
         branches: list[tuple[str, tuple[str, ...], Term]] = []
-        while self.at_symbol("|"):
+        while self.at("|"):
             self.next()
             cname = self.expect_ident()
             args: list[str] = []
             while self.peek().kind == "ident":
                 args.append(self.expect_ident())
-            self.expect_symbol("=>")
+            self.expect("=>")
             branches.append((cname, tuple(args), self.term()))
-        self.expect_keyword("end")
+        self.expect("end")
         return RawMatch(scrutinee, as_name, ind, tuple(atoms), motive,
                         tuple(branches), start.line, start.col)
 
     def binder_groups(self, minimum: int = 0) -> list[tuple[str, Term]]:
         binders: list[tuple[str, Term]] = []
-        while self.at_symbol("("):
+        while self.at("("):
             self.next()
             names = [self.expect_ident()]
             while self.peek().kind == "ident":
                 names.append(self.expect_ident())
-            self.expect_symbol(":")
+            self.expect(":")
             ty = self.term()
-            self.expect_symbol(")")
+            self.expect(")")
             binders.extend((name, ty) for name in names)
         if len(binders) < minimum:
             raise self.error(
@@ -396,46 +387,46 @@ class _Parser:
 
     def decl(self) -> Decl:
         tok = self.peek()
-        if self.at_keyword("def"):
+        if self.at("def"):
             self.next()
             name = self.expect_ident()
-            self.expect_symbol(":")
+            self.expect(":")
             ty = self.term()
-            self.expect_symbol(":=")
+            self.expect(":=")
             body = self.term()
-            self.expect_symbol(".")
+            self.expect(".")
             return DDef(name, ty, body, tok.line, tok.col)
-        if self.at_keyword("inductive"):
+        if self.at("inductive"):
             self.next()
             name = self.expect_ident()
             binders = self.binder_groups()
-            self.expect_symbol(":")
+            self.expect(":")
             arity = self.term()
-            self.expect_symbol(":=")
+            self.expect(":=")
             constructors: list[tuple[str, Term]] = []
-            if not self.at_symbol("."):
-                if self.at_symbol("|"):
+            if not self.at("."):
+                if self.at("|"):
                     self.next()
                 while True:
                     cname = self.expect_ident()
-                    self.expect_symbol(":")
+                    self.expect(":")
                     ctype = self.term()
                     constructors.append((cname, prods(binders, ctype)))
-                    if not self.at_symbol("|"):
+                    if not self.at("|"):
                         break
                     self.next()
-            self.expect_symbol(".")
+            self.expect(".")
             return DInductive(name, len(binders), prods(binders, arity),
                               tuple(constructors), tok.line, tok.col)
-        if self.at_keyword("check"):
+        if self.at("check"):
             self.next()
             t = self.term()
-            self.expect_symbol(".")
+            self.expect(".")
             return DCheck(t, tok.line, tok.col)
-        if self.at_keyword("paramcheck"):
+        if self.at("paramcheck"):
             self.next()
             name = self.expect_ident()
-            self.expect_symbol(".")
+            self.expect(".")
             return DParamCheck(name, tok.line, tok.col)
         raise self.error(
             f"expected a declaration, found {tok.describe()}")
@@ -501,11 +492,7 @@ def _bind(env: GlobalEnv, name: str, scope: dict[str, str],
     terms unambiguous, as fresh names avoid no Ind or Constr name."""
     if name == "_":
         return name, scope
-    if (name in scope or env.lookup(name) is not None
-            or env.constructor(name) is not None):
-        new = taken.fresh(name)
-    else:
-        new = name
+    new = taken.fresh(name) if name in scope or env.taken(name) else name
     return new, {**scope, name: new}
 
 

@@ -82,7 +82,7 @@ def relation_name(name: str) -> str:
 
 
 def is_reserved(name: str) -> bool:
-    return name.endswith(PRIME_SUFFIX) or name.endswith(WITNESS_SUFFIX)
+    return name.endswith((PRIME_SUFFIX, WITNESS_SUFFIX))
 
 
 @dataclass(frozen=True)

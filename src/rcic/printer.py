@@ -23,9 +23,14 @@ from .syntax import (
     Term,
     Var,
     alpha_eq,
+    children,
     free_vars,
+    fresh_name,
+    names,
     strip_prods,
+    subst,
     subst_all,
+    subterms,
     unfold_app,
 )
 
@@ -57,33 +62,49 @@ def _render(t: Term, env: GlobalEnv | None) -> tuple[str, int]:
             parts = [_pr(head, _APP, env)]
             parts += [_pr(a, _ATOM, env) for a in args]
             return " ".join(parts), _APP
-        case Prod(binder, domain, codomain):
-            if binder == "_" or binder not in free_vars(codomain):
-                return (f"{_pr(domain, _APP, env)} -> {_pr(codomain, _ARROW, env)}",
-                        _ARROW)
-            binders = [(binder, domain)]
-            body = codomain
+        case Prod():
+            binders = []
+            body: Term = t
             while (isinstance(body, Prod) and body.binder != "_"
                    and body.binder in free_vars(body.codomain)):
-                binders.append((body.binder, body.domain))
-                body = body.codomain
+                name, domain, body = _scope(body, env)
+                binders.append((name, domain))
+            if not binders:
+                return (f"{_pr(t.domain, _APP, env)} -> {_pr(t.codomain, _ARROW, env)}",
+                        _ARROW)
             return (f"forall {_groups(binders, env)}, {_pr(body, _BINDER, env)}",
                     _BINDER)
         case Lam():
             binders = []
             body: Term = t
             while isinstance(body, Lam):
-                binders.append((body.binder, body.annotation))
-                body = body.body
+                name, annotation, body = _scope(body, env)
+                binders.append((name, annotation))
             return (f"fun {_groups(binders, env)} => {_pr(body, _BINDER, env)}",
                     _BINDER)
-        case Fix(binder, annotation, body, decreasing):
+        case Fix(decreasing=decreasing):
+            binder, annotation, body = _scope(t, env)
             return (f"fix {binder} {{struct {decreasing}}} : "
                     f"{_pr(annotation, _BINDER, env)} := {_pr(body, _BINDER, env)}",
                     _BINDER)
         case Case():
             return _render_case(t, env), _ATOM
     raise ValueError(f"cannot print {t!r}")
+
+
+def _scope(t: Prod | Lam | Fix, env: GlobalEnv | None) -> tuple[str, Term, Term]:
+    """The name `t`'s binder prints under, its domain, and the body it binds.
+    A binder named like a global that occurs in the body would capture it
+    when read back, so there it becomes `fresh_name(binder, names(t))`.
+    Only globals of `env` (any name, without one) are looked for."""
+    binder = t.binder
+    dom, body = children(t)
+    if ((env is None or env.taken(binder))
+            and any(type(u) in (Const, Ind, Constr) and u.name == binder
+                    for u in subterms(body))):
+        new = fresh_name(binder, names(t))
+        return new, dom, subst(body, binder, Var(new))
+    return binder, dom, body
 
 
 def _groups(binders: list[tuple[str, Term]], env: GlobalEnv | None) -> str:
@@ -113,8 +134,8 @@ def _render_case(t: Case, env: GlobalEnv | None) -> str:
         if not isinstance(motive, Lam):
             raise ValueError(
                 f"case motive on {t.ind} must bind {n_indices + 1} name(s)")
-        binder_names.append(motive.binder)
-        motive = motive.body
+        name, _, motive = _scope(motive, env)
+        binder_names.append(name)
 
     atoms = [_pr(p, _ATOM, env) for p in t.params] + binder_names[:-1]
     head = (f"match {_pr(t.scrutinee, _BINDER, env)} as {binder_names[-1]} "

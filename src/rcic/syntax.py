@@ -550,11 +550,12 @@ class GlobalEnv:
     kernel's declare functions, after checking.
     """
 
-    __slots__ = ("_entries", "_constr_owner")
+    __slots__ = ("_entries", "_constructors")
 
     def __init__(self) -> None:
         self._entries: dict[str, GlobalEntry] = {}
-        self._constr_owner: dict[str, str] = {}
+        # Each constructor name's declaring inductive and position in it.
+        self._constructors: dict[str, tuple[InductiveDecl, int]] = {}
 
     def lookup(self, name: str) -> Optional[GlobalEntry]:
         return self._entries.get(name)
@@ -569,21 +570,13 @@ class GlobalEnv:
 
     def constructor(self, name: str) -> Optional[tuple[InductiveDecl, int]]:
         """The declaring inductive and position of a constructor name."""
-        owner = self._constr_owner.get(name)
-        if owner is None:
-            return None
-        decl = self._entries[owner]
-        assert isinstance(decl, InductiveDecl)
-        for i, (cname, _) in enumerate(decl.constructors):
-            if cname == name:
-                return decl, i
-        return None
+        return self._constructors.get(name)
 
     def names(self) -> list[str]:
         return list(self._entries)
 
     def taken(self, name: str) -> bool:
-        return name in self._entries or name in self._constr_owner
+        return name in self._entries or name in self._constructors
 
     def add_inductive(self, decl: InductiveDecl) -> None:
         if self.taken(decl.name):
@@ -592,8 +585,8 @@ class GlobalEnv:
             if self.taken(cname) or cname == decl.name:
                 raise DuplicateNameError(cname)
         self._entries[decl.name] = decl
-        for cname, _ in decl.constructors:
-            self._constr_owner[cname] = decl.name
+        for i, (cname, _) in enumerate(decl.constructors):
+            self._constructors[cname] = decl, i
 
     def add_definition(self, defn: Definition) -> None:
         if self.taken(defn.name):
@@ -604,10 +597,12 @@ class GlobalEnv:
         """A copy with `decl` visible but its constructors unregistered.
 
         Used while checking or translating the declaration itself: the type
-        name must resolve, the constructors must not yet.
+        name must resolve, the constructors must not yet (nor those of an
+        inductive of the same name that `decl` hides).
         """
         out = GlobalEnv()
         out._entries = dict(self._entries)
-        out._constr_owner = dict(self._constr_owner)
+        out._constructors = {c: owner for c, owner in self._constructors.items()
+                             if owner[0].name != decl.name}
         out._entries[decl.name] = decl
         return out

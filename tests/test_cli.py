@@ -188,6 +188,17 @@ def test_check_duplicate_declaration(prelude, tmp_path, capsys):
         "name a\n")
 
 
+def test_check_reports_elaboration_error(prelude, tmp_path, capsys):
+    # A ParseError raised while elaborating a declaration, after the file
+    # parsed: exit 2, at the match.
+    bad = write(tmp_path, "bad.rcic",
+                "def f : Nat := match zero as x in Foo return Nat with "
+                "| zero => zero end.")
+    assert main(["check", prelude, bad]) == 2
+    assert capsys.readouterr().err == (
+        f"{bad}:1:16: error: unknown inductive Foo\n")
+
+
 def test_check_reserved_names_rejected(tmp_path, capsys):
     bad = write(tmp_path, "bad.rcic", "def x_R : Prop := Prop.")
     assert main(["check", bad]) == 2

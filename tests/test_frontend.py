@@ -66,6 +66,11 @@ def test_tokenize_sorts():
     assert toks[1].value == set_sort(0)
     assert toks[2].value == set_sort(12)
     assert toks[3].value == type_sort(1)
+    # A sort is a whole word: a name that only starts like one is a name.
+    toks = tokenize("Set1x Prop1 Type2a Set007")
+    assert [t.kind for t in toks[:-1]] == ["ident"] * 3 + ["sort"]
+    assert [t.value for t in toks[:3]] == ["Set1x", "Prop1", "Type2a"]
+    assert toks[3].value == set_sort(7)
 
 
 def test_tokenize_bad_sorts():
@@ -85,6 +90,13 @@ def test_tokenize_reserved_suffixes():
     # The suffixes are accepted when reading generated output.
     toks = tokenize("x' foo_R", allow_reserved=True)
     assert [t.value for t in toks[:-1]] == ["x'", "foo_R"]
+    # A sort with a reserved suffix is a reserved name, not a sort.
+    for word in ("Set0'", "Prop'"):
+        with pytest.raises(ParseError,
+                           match=f"^1:1: names ending in ' are reserved: {word}$"):
+            tokenize(word)
+        toks = tokenize(word, allow_reserved=True)
+        assert (toks[0].kind, toks[0].value) == ("ident", word)
 
 
 def test_tokenize_comments_nest():

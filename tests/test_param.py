@@ -124,6 +124,17 @@ def test_translation_binders_avoid_globals(fresh_env):
         ":= fun (x x' : Nat) (x_R : Nat_R x x') => x_R.")
 
 
+def test_translation_renames_a_binder_triple(fresh_env):
+    # The source binder T hides the global T in its scope, so its triple
+    # is renamed to T1 / T1' / T1_R.
+    load_declarations(fresh_env, "def T : Set0 := Nat.")
+    t = Lam("T", Const("T"), Var("T"))
+    ty = Prod("T", Const("T"), Const("T"))
+    assert abstraction_check(fresh_env, Context(), t, ty)
+    out = print_term(beta_normalize(translate_term(fresh_env, t)), fresh_env)
+    assert out == "fun (T1 T1' : T) (T1_R : T_R T1 T1') => T1_R"
+
+
 def test_translate_product_clause(fresh_env):
     rel = beta_normalize(app(translate_term(fresh_env, arrow(NAT, NAT)),
                              Const("plus"), Const("plus")))

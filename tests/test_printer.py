@@ -4,6 +4,7 @@ import random
 
 from rcic import (
     App,
+    Const,
     Constr,
     Context,
     Ind,
@@ -76,6 +77,25 @@ def test_print_fix(prelude_env):
     env = prelude_env
     src = "fix f {struct 0} : Nat -> Nat := fun (n : Nat) => n"
     assert print_term(term_in(env, src), env) == src
+
+
+def test_print_renames_a_binder_that_captures_a_global(prelude_env):
+    # Kernel-API terms may bind a name that a global inside the binder's
+    # scope also has; the binder prints under a fresh name.
+    env = prelude_env
+    t = Lam("plus", NAT, App(App(Const("plus"), Var("plus")), Var("plus")))
+    out = print_term(t, env)
+    assert out == "fun (plus1 : Nat) => plus plus1 plus1"
+    assert alpha_eq(elaborate(env, parse_term(out)), t)
+    t = Lam("Nat", SortT(set_sort(0)), NAT)
+    assert print_term(t, env) == "fun (Nat1 : Set0) => Nat"
+    assert alpha_eq(elaborate(env, parse_term(print_term(t, env))), t)
+    # Without an environment every global is looked for.
+    assert print_term(t) == "fun (Nat1 : Set0) => Nat"
+    # A binder only named like a global, with no global in scope, keeps
+    # its name.
+    assert print_term(Lam("plus", NAT, Var("plus")), env) == \
+        "fun (plus : Nat) => plus"
 
 
 def test_print_definition_and_inductive(prelude_env):
