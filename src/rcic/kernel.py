@@ -13,9 +13,9 @@ restriction.
 Conversion and cumulativity evaluate both sides to closures and neutral
 values and compare those, unfolding a definition only when comparing its
 applications argument by argument fails (lazy delta).  `whnf` stays on
-terms, because `infer` returns its result.  `beta_normalize` contracts
-redexes by hereditary substitution, in one pass, with the simultaneous
-substitution map and binder rule of `syntax.subst_all`.
+terms, because `infer` returns its result.  `beta_normalize` is the same
+evaluator in an empty global environment, with its values read back to
+terms; a binder is renamed by the rule of `syntax.subst_all`.
 
 One walker, `Telescope`, opens every product telescope: an application
 head's type, a case motive, an arity or constructor type under its
@@ -60,7 +60,6 @@ from .syntax import (
     subst_all,
     subterms,
     type_sort,
-    under_binder,
     unfold_app,
 )
 
@@ -177,69 +176,8 @@ def whnf(env: GlobalEnv, t: Term) -> Term:
                 return t
 
 
-def beta_normalize(t: Term) -> Term:
-    """Full normalization under beta alone (no delta, iota, or fix).
-
-    Used to collapse the administrative redexes that the relational
-    translation produces; on well-typed input this terminates.  A redex is
-    contracted by hereditary substitution (`_hsubst`), which substitutes
-    and normalises in one pass.  Subterms that are already normal are
-    returned as they are, not rebuilt.  Each level of a binder telescope or
-    an application costs one Python frame, which keeps deep translated
-    telescopes within the interpreter's recursion limit.
-    """
-    kind = type(t)
-    if kind is App:
-        fn2 = beta_normalize(t.fn)
-        arg2 = beta_normalize(t.arg)
-        if type(fn2) is Lam:
-            return _hsubst(fn2.body, {fn2.binder: arg2})
-        if fn2 is t.fn and arg2 is t.arg:
-            return t
-        return App(fn2, arg2)
-    if kind is Lam or kind is Prod or kind is Fix:
-        # Binder telescopes are the deep part of a translated term, so this
-        # arm recurses directly rather than through map_children.
-        dom, body = children(t)
-        dom2 = beta_normalize(dom)
-        body2 = beta_normalize(body)
-        if dom2 is dom and body2 is body:
-            return t
-        return rebuild_binder(t, t.binder, dom2, body2)
-    return map_children(t, beta_normalize)
-
-
-def _hsubst(t: Term, sub: dict[str, Term]) -> Term:
-    """`beta_normalize(subst_all(t, sub))` for beta-normal `t` and values,
-    in one pass.
-
-    Substituting into a normal term makes a redex only where a key of `sub`
-    is the head of an application and its value is a Lam; that redex is
-    contracted on the spot with a one-entry map.  Binders follow the rule
-    of `subst_all` (`under_binder`), so the result has the same binder
-    names.
-    """
-    if free_vars(t).isdisjoint(sub):
-        return t
-    kind = type(t)
-    if kind is Var:
-        return sub[t.name]
-    if kind is App:
-        fn2 = _hsubst(t.fn, sub)
-        arg2 = _hsubst(t.arg, sub)
-        if type(fn2) is Lam:
-            return _hsubst(fn2.body, {fn2.binder: arg2})
-        return App(fn2, arg2)
-    if kind is Lam or kind is Prod or kind is Fix:
-        dom, body = children(t)
-        binder, inner = under_binder(t.binder, body, sub)
-        return rebuild_binder(t, binder, _hsubst(dom, sub),
-                              _hsubst(body, inner) if inner else body)
-    return map_children(t, lambda c: _hsubst(c, sub))
-
-
 # ---------------------------------------------------------------------------
-# Conversion and cumulativity
+# Values: conversion, cumulativity and beta normalisation
 #
 # Conversion evaluates both sides to values and compares the values.  A value
 # is a Sort, a closure (an environment and a Lam or Prod term), or a neutral:
@@ -252,6 +190,10 @@ def _hsubst(t: Term, sub: dict[str, Term]) -> Term:
 # leaves a defined global in head position folded.  Two applications of the
 # same global are compared argument by argument first and unfolded only if
 # that fails (lazy delta).
+#
+# `beta_normalize` evaluates in an empty global environment, where only beta
+# fires, and reads the value back to a term, renaming a binder by the rule of
+# `syntax.under_binder` applied once, to the environment as a whole.
 
 # Neutral head kinds, with what `_Neutral.head` holds for each.
 _LEVEL = 0   # a binder opened by the comparison: its de Bruijn level
@@ -267,14 +209,15 @@ _STUCK = 7   # a sort or product applied to arguments: that value
 
 
 class _Thunk:
-    """A term in an environment, evaluated at most once."""
+    """A term in an environment, evaluated at most once (see `_names`)."""
 
-    __slots__ = ("rho", "term", "value")
+    __slots__ = ("rho", "term", "value", "names")
 
     def __init__(self, rho: Optional[dict], term: Optional[Term], value=None):
         self.rho = rho
         self.term = term
         self.value = value
+        self.names = None
 
 
 class _Closure:
@@ -361,7 +304,7 @@ def _eval(env: GlobalEnv, rho: dict, t: Term):
 
 def _apply(env: GlobalEnv, f, arg: _Thunk):
     """The value of `f` applied to `arg`: beta for a Lam closure, fix
-    unfolding once the decreasing argument is there and is a constructor."""
+    unfolding once the decreasing argument is a constructor `env` declares."""
     if type(f) is _Neutral:
         spine = f.spine + (arg,)
         if f.kind == _FIX:
@@ -370,7 +313,8 @@ def _apply(env: GlobalEnv, f, arg: _Thunk):
             # not a constructor then, it never will be.
             if len(spine) == fix.decreasing + 1:
                 d = _unfold_head(env, _force(env, arg))
-                if type(d) is _Neutral and d.kind == _CONSTR:
+                if (type(d) is _Neutral and d.kind == _CONSTR
+                        and env.constructor(d.head) is not None):
                     itself = _Thunk(None, None, _Neutral(_FIX, f.head))
                     v = _eval(env, {**rho, fix.binder: itself}, fix.body)
                     for th in spine:
@@ -401,11 +345,81 @@ def _unfold(env: GlobalEnv, v: _Neutral):
     return out
 
 
-def _binder_parts(t: Lam | Prod) -> tuple[Term, Term]:
-    """The domain and body of a Lam or Prod term."""
-    if type(t) is Lam:
-        return t.annotation, t.body
-    return t.domain, t.codomain
+_BETA = GlobalEnv()
+
+
+def beta_normalize(t: Term) -> Term:
+    """Full normalization under beta alone (no delta, iota, or fix), for the
+    administrative redexes of the relational translation; it terminates on
+    well-typed input.  Normal subterms come back as the same objects, and
+    the read-back spends no Python frame per binder or per redex passed."""
+    return _quote(_EMPTY, t)
+
+
+def _quote(rho: dict, t: Term) -> Term:
+    """The beta normal form of `t` with its variables looked up in `rho`: a
+    redex goes to `_eval`, a node with none is rebuilt only if a child is."""
+    passed = []  # (node, its binder's new name, its domain read back)
+    while True:
+        kind = type(t)
+        if kind is Var and t.name in rho:
+            rho, t = rho[t.name].rho, rho[t.name].term
+            continue
+        if kind is Lam or kind is Prod or kind is Fix:
+            dom, body = children(t)
+            fv = free_vars(body)
+            live = [_names(rho[k]) for k in rho.keys() & fv if k != t.binder]
+            name = t.binder
+            if any(name in names for names in live):
+                name = fresh_name(name, fv.union(*live))
+            passed.append((t, name, _quote(rho, dom)))
+            if name != t.binder or t.binder in rho:
+                rho = {**rho, t.binder: _Thunk(_EMPTY, Var(name))}
+            t = body
+            continue
+        head = t
+        while type(head) is App:
+            head = head.fn
+        if not (type(head) is Lam or type(head) is Var and head.name in rho):
+            t = map_children(t, lambda c: _quote(rho, c))
+            break
+        v = _eval(_BETA, rho, t)
+        if type(v) is not _Closure:
+            t = _read_back(v)
+            break
+        rho, t = v.rho, v.term
+    for node, name, dom in reversed(passed):
+        old_dom, old_body = children(node)
+        t = (node if name == node.binder and dom is old_dom and t is old_body
+             else rebuild_binder(node, name, dom, t))
+    return t
+
+
+def _read_back(v) -> Term:
+    """The term of a value that `_eval` computed in the empty environment."""
+    if type(v) is _Closure:
+        return _quote(v.rho, v.term)
+    if type(v) is Sort:
+        return SortT(v)
+    kind, t = v.kind, v.head
+    if kind == _STUCK:
+        t = _read_back(t)
+    elif kind == _CASE or kind == _FIX:
+        t = _quote(t[0], t[1])
+    elif type(t) is str:  # else a Const that names no definition
+        t = (Var if kind == _FREE else Ind if kind == _IND else Constr)(t)
+    for th in v.spine:
+        t = App(t, _quote(th.rho, th.term))
+    return t
+
+
+def _names(th: _Thunk) -> frozenset[str]:
+    """The free names of `th`'s term with its environment substituted."""
+    if th.names is None:
+        fv = free_vars(th.term)
+        th.names = fv if fv.isdisjoint(th.rho) else frozenset().union(
+            *(_names(th.rho[k]) if k in th.rho else (k,) for k in fv))
+    return th.names
 
 
 def _conv(env: GlobalEnv, k: int, a, b, cumulative: bool = False) -> bool:
@@ -436,8 +450,8 @@ def _conv(env: GlobalEnv, k: int, a, b, cumulative: bool = False) -> bool:
             ta, tb = a.term, b.term
             if type(ta) is not type(tb):
                 return False
-            da, ba = _binder_parts(ta)
-            db, bb = _binder_parts(tb)
+            da, ba = children(ta)
+            db, bb = children(tb)
             if not _conv_terms(env, k, a.rho, da, b.rho, db):
                 return False
             level = _Thunk(None, None, _Neutral(_LEVEL, k))
@@ -842,7 +856,7 @@ def check_guard(env: GlobalEnv, fix: Fix) -> None:
     while isinstance(body, Lam) and len(binders) <= fix.decreasing:
         binders.append(body.binder)
         body = body.body
-    if len(binders) <= fix.decreasing:
+    if not 0 <= fix.decreasing < len(binders):
         raise TypeCheckError(ErrorKind.GUARD_VIOLATION,
                              f"fix body binds too few arguments for "
                              f"decreasing index {fix.decreasing}", term=fix)
@@ -987,10 +1001,10 @@ def check_inductive(env: GlobalEnv, decl: InductiveDecl,
     if not isinstance(arity_core, SortT):
         raise bad("arity does not end in a sort", term=decl.arity)
     ind_sort = arity_core.sort
-    if decl.params > len(arity_binders):
+    if not 0 <= decl.params <= len(arity_binders):
         raise TypeCheckError(ErrorKind.ARITY_MISMATCH,
                              f"{decl.name}: {decl.params} parameters but the "
-                             f"arity binds only {len(arity_binders)}")
+                             f"arity binds {len(arity_binders)}")
     param_binders = arity_binders[:decl.params]
 
     env2 = env.with_provisional(InductiveDecl(decl.name, decl.params,

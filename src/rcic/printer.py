@@ -23,10 +23,12 @@ from .syntax import (
     Term,
     Var,
     alpha_eq,
+    app,
     children,
     free_vars,
     fresh_name,
     names,
+    prods,
     strip_prods,
     subst,
     subst_all,
@@ -152,26 +154,30 @@ def _render_case(t: Case, env: GlobalEnv | None) -> str:
 
 def print_inductive(decl: InductiveDecl, env: GlobalEnv | None = None) -> str:
     """A full inductive declaration, period included."""
-    binders, _ = strip_prods(decl.arity)
+    binders, core = strip_prods(decl.arity)
     params = binders[:decl.params]
-    rest = decl.arity
-    for _ in params:
-        rest = rest.codomain
+    bodies = []
+    for _, ctype in decl.constructors:
+        # The part after the parameters, under the arity's parameter names.
+        renaming = {}
+        for name, _ in params:
+            renaming[ctype.binder] = Var(name)
+            ctype = ctype.codomain
+        bodies.append(subst_all(ctype, renaming))
+    # The parameters bind in the rest of the arity and in every constructor,
+    # so each is scoped, and renamed if need be, over all of them at once.
+    scope = prods(params, app(prods(binders[decl.params:], core), *bodies))
+    params = []
+    for _ in range(decl.params):
+        name, domain, scope = _scope(scope, env)
+        params.append((name, domain))
+    rest, bodies = unfold_app(scope)
     head = f"inductive {decl.name}"
     if params:
-        head += f" {_groups(list(params), env)}"
-    head += f" : {_pr(rest, _BINDER, env)} :="
-    ctors = []
-    for cname, ctype in decl.constructors:
-        # The part after the parameters, under the arity's parameter names.
-        body, names = ctype, {}
-        for name, _ in params:
-            names[body.binder] = Var(name)
-            body = body.codomain
-        ctors.append(f"{cname} : {_pr(subst_all(body, names), _BINDER, env)}")
-    if not ctors:
-        return head + " ."
-    return head + " " + " | ".join(ctors) + "."
+        head += f" {_groups(params, env)}"
+    ctors = " | ".join(f"{cname} : {_pr(body, _BINDER, env)}" for (cname, _), body
+                       in zip(decl.constructors, bodies))
+    return f"{head} : {_pr(rest, _BINDER, env)} := {ctors}."
 
 
 def print_definition(d: Definition, env: GlobalEnv | None = None) -> str:

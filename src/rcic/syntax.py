@@ -6,8 +6,8 @@ global definition, as Ind and Constr refer to inductives and constructors.
 Terms use named binders.  Substitution is capture-avoiding and
 simultaneous: `subst_all` applies a map from names to values in one pass,
 and `subst` is its one-entry case.  A binder that would capture is renamed
-by one more entry of the map, never by another pass; `under_binder` is that
-rule, shared with the kernel's hereditary substitution.  alpha_eq compares
+by one more entry of the map, never by another pass (`under_binder`); the
+kernel's beta read-back renames by the same rule.  alpha_eq compares
 terms up to consistent renaming of bound names.  Term nodes are immutable
 and must never be mutated: each carries a lazily filled cache of its free
 variables, which equality, hashing and repr do not see.  GlobalEnv is the
@@ -444,8 +444,8 @@ def _subst_all(t: Term, sub: dict[str, Term]) -> Term:
 
 def under_binder(binder: str, body: Term, sub: dict[str, Term],
                  ) -> tuple[str, dict[str, Term]]:
-    """The binder rule of the substitution walkers: the name a binder over
-    `body` takes when `sub` is applied below it, and the map for `body`.
+    """The binder rule of `subst_all`: the name a binder over `body` takes
+    when `sub` is applied below it, and the map for `body`.
 
     The map keeps only the entries live in `body` and drops the binder's
     own.  If the binder occurs free in a live value it would capture it,

@@ -4,8 +4,8 @@ b{n} is `fun (x0 ... x{n-1} : Nat) => plus x0 x{n-1}` at `Nat -> ... -> Nat`
 (`walker_counts.binder_depth_source`); its translation nests a binder
 triple per source binder, so the largest n that passes at the interpreter's
 default recursion limit measures how many frames the walkers spend per
-nesting level.  The search bisects n over [100, 300] in steps of 5, one
-`rcic param-check` of the prelude and b{n} per probe (at most six), and
+nesting level.  The search bisects n over [100, 500] in steps of 5, one
+`rcic param-check` of the prelude and b{n} per probe (at most seven), and
 assumes that a b{n} that passes means every smaller one passes too.
 
     PYTHONPATH=src python tests/depth_limit.py
@@ -24,7 +24,7 @@ from rcic import prelude_path
 
 from walker_counts import binder_depth_source
 
-DEPTHS = range(100, 301, 5)
+DEPTHS = range(100, 501, 5)
 
 
 def passes(n: int, tmp: Path) -> bool:

@@ -124,9 +124,10 @@ def test_check_deep_nesting_is_a_parse_error(prelude, tmp_path, capsys):
 
 
 def test_param_check_too_deep_is_a_diagnostic(prelude, tmp_path):
-    # The translated witness nests three binders per source binder, which
-    # overflows the interpreter's recursion limit; `check` alone does not.
-    n = 150
+    # The translated witness nests three binders per source binder, and
+    # typing it overflows the interpreter's recursion limit; `check` alone
+    # does not.
+    n = 400
     text = (f"def f : {' -> '.join(['Nat'] * (n + 1))} :=\n"
             f"  fun ({' '.join(f'y{i}' for i in range(n))} : Nat) => y0.\n")
     deep = write(tmp_path, "binders.rcic", text)
@@ -144,16 +145,16 @@ def test_param_check_too_deep_is_a_diagnostic(prelude, tmp_path):
     assert run("check").returncode == 0
 
 
-def test_param_check_130_binders(prelude, tmp_path):
-    # 130 source binders, three translated binders each, must fit the
+def test_param_check_250_binders(prelude, tmp_path):
+    # 250 source binders, three translated binders each, must fit the
     # interpreter's default recursion limit.
-    src = write(tmp_path, "b130.rcic", binder_depth_source(130))
+    src = write(tmp_path, "b250.rcic", binder_depth_source(250))
     env = dict(os.environ, PYTHONPATH=str(Path(rcic.__file__).parents[1]))
     run = subprocess.run(
         [sys.executable, "-m", "rcic.cli", "param-check", prelude, src],
         capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "PASS b130"
+    assert run.stdout.splitlines()[-1] == "PASS b250"
 
 
 def test_check_missing_file(capsys):
@@ -230,7 +231,7 @@ def test_translate_prelude_matches_golden(prelude, capsys):
 
 def test_translate_binder_depth_matches_golden(prelude, tmp_path, capsys):
     # The relation of b8 renames the binder triple of each nested arrow
-    # (x, x1, x11, ...); the names are pinned.
+    # (x, x1, x2, ...); the names are pinned.
     src = write(tmp_path, "b8.rcic", binder_depth_source(8))
     assert main(["translate", "--def", "b8", prelude, src]) == 0
     golden = Path(__file__).with_name("golden") / "b8_translate.txt"

@@ -38,6 +38,7 @@ from rcic import (
     infer_sort,
     is_small,
     print_inductive,
+    print_term,
     set_sort,
     sort_of_product,
     subsort,
@@ -48,7 +49,8 @@ from rcic import (
     whnf,
 )
 
-from rcic.syntax import children, unfold_app
+from rcic.param import prime
+from rcic.syntax import children, names, unfold_app
 
 from conftest import load_declarations, term_in
 from gen import LIST_NAT, UNIT, random_typed
@@ -242,17 +244,66 @@ def test_beta_normalize_keeps_names_and_sharing():
     assert beta_normalize(normal) is normal
     applied = App(Var("f"), normal)
     assert beta_normalize(applied) is applied
+    # The relation of compose's type, where the two rules part.  A binder
+    # is renamed once, against everything substituted below it: the middle
+    # telescope keeps `x`, as the outer `x` is not used in it, and the last
+    # one takes `x2`.  The reference renames at each contraction and names
+    # both `x11`.
+    s0 = SortT(set_sort(0))
+    a, b, c = Var("A"), Var("B"), Var("C")
+    ty = Prod("A", s0, Prod("B", s0, Prod("C", s0, arrow(
+        arrow(b, c), arrow(arrow(a, b), arrow(a, c))))))
+    raw = app(translate_term(GlobalEnv(), ty), Var("f"), Var("f'"))
+    assert print_term(beta_normalize(raw)) == (
+        "forall (A A' : Set0) (A_R : A -> A' -> Prop) "
+        "(B B' : Set0) (B_R : B -> B' -> Prop) "
+        "(C C' : Set0) (C_R : C -> C' -> Prop) "
+        "(x : B -> C) (x' : B' -> C'), "
+        "(forall (x1 : B) (x'1 : B'), B_R x1 x'1 -> C_R (x x1) (x' x'1)) -> "
+        "(forall (x1 : A -> B) (x'1 : A' -> B'), "
+        "(forall (x : A) (x' : A'), A_R x x' -> B_R (x1 x) (x'1 x')) -> "
+        "(forall (x2 : A) (x'2 : A'), A_R x2 x'2 -> "
+        "C_R (f A B C x x1 x2) (f' A' B' C' x' x'1 x'2)))")
+    reference = _beta_normalize_by_subst(raw)
+    assert "x11" in print_term(reference)
+    assert to_nameless(beta_normalize(raw)) == to_nameless(reference)
 
 
 def test_beta_normalize_matches_reference_on_translations(fresh_env):
     # The relational translation is where beta_normalize earns its keep:
-    # its raw images are full of administrative redexes.
+    # its raw images are full of administrative redexes.  The reference
+    # renames a binder at each contraction and beta_normalize once, so
+    # they agree up to the names of bound variables.
     for name in ("id", "compose", "flip", "plus", "double", "not_not",
                  "append", "map", "fold_right"):
         defn = fresh_env.definition(name)
         for raw in (translate_term(fresh_env, defn.body),
                     translate_term(fresh_env, defn.type)):
-            assert beta_normalize(raw) == _beta_normalize_by_subst(raw), name
+            assert (to_nameless(beta_normalize(raw))
+                    == to_nameless(_beta_normalize_by_subst(raw))), name
+
+
+def test_beta_normalize_matches_reference_on_generated_translations(
+        fresh_env):
+    # The witnesses and relations of generated terms, and open witnesses
+    # applied to a triple named like one of the term's own binders, so
+    # that the substitution must rename a binder it passes under.
+    env = fresh_env
+    rng = random.Random(20261019)
+    renamed = 0
+    for _ in range(150):
+        t, ty = random_typed(rng, depth=4)
+        raws = [translate_term(env, t),
+                app(translate_term(env, ty), t, prime(t))]
+        inner = sorted(names(t) - {t.binder}) if type(t) is Lam else []
+        if inner:
+            v = rng.choice(inner)
+            raws.append(app(raws[0], Var(v), Var(v + "'"), Var(v + "_R")))
+        for raw in raws:
+            nf = beta_normalize(raw)
+            assert to_nameless(nf) == to_nameless(_beta_normalize_by_subst(raw))
+            renamed += bool(names(nf) - names(raw))
+    assert renamed >= 10
 
 
 def test_one_step_reducts(prelude_env):
@@ -644,6 +695,14 @@ def test_fix_guard_violations(prelude_env):
                                    "fun (n : Nat) => n"))
 
 
+def test_fix_negative_decreasing_index(prelude_env):
+    # Only the kernel API can build it; it names no argument.
+    fix = Fix("f", arrow(NAT, NAT), Lam("n", NAT, Constr("zero")), -1)
+    with pytest.raises(TypeCheckError) as err:
+        infer(prelude_env, Context(), fix)
+    assert err.value.kind == ErrorKind.GUARD_VIOLATION
+
+
 def test_fix_nested_call_through_branch(prelude_env):
     # Recursive calls may use a deeper subterm, peeled by two cases.
     t = term_in(prelude_env, """
@@ -676,6 +735,14 @@ def test_inductive_positivity(fresh_env):
     with pytest.raises(TypeCheckError) as err:
         check_inductive(fresh_env, bad)
     assert err.value.kind == ErrorKind.POSITIVITY_VIOLATION
+
+
+def test_inductive_negative_parameter_count(fresh_env):
+    bad = InductiveDecl("T", -1, SortT(set_sort(0)), (("t", Ind("T")),))
+    with pytest.raises(TypeCheckError) as err:
+        declare_inductive(fresh_env, bad)
+    assert err.value.kind == ErrorKind.ARITY_MISMATCH
+    assert fresh_env.inductive("T") is None
 
 
 def test_inductive_constructor_must_build_self(fresh_env):

@@ -8,13 +8,17 @@ from rcic import (
     Constr,
     Context,
     Ind,
+    InductiveDecl,
     Lam,
     PROP,
     Prod,
     SortT,
     Var,
     alpha_eq,
+    app,
+    arrow,
     check,
+    declare_inductive,
     elaborate,
     parse_term,
     print_definition,
@@ -23,7 +27,7 @@ from rcic import (
     set_sort,
 )
 
-from conftest import term_in
+from conftest import fresh_prelude_env, load_declarations, term_in
 from gen import random_typed
 
 NAT = Ind("Nat")
@@ -109,6 +113,25 @@ def test_print_definition_and_inductive(prelude_env):
         "nil : List A | cons : A -> List A -> List A.")
     assert print_inductive(env.inductive("Empty"), env) == \
         "inductive Empty : Set0 := ."
+
+
+def test_print_inductive_renames_captured_parameters(fresh_env):
+    # Parameters named like a global that the arity or a constructor uses
+    # would capture it when read back.  Box's parameter `Nat` must print
+    # under another name for `Nat -> Set0` to keep meaning the inductive.
+    env = fresh_env
+    s0 = SortT(set_sort(0))
+    box = InductiveDecl("Box", 1, Prod("Nat", s0, arrow(NAT, s0)), (
+        ("mk", Prod("Nat", s0, arrow(NAT, app(Ind("Box"), Var("Nat"),
+                                              Constr("zero"))))),))
+    declare_inductive(env, box)
+    text = print_inductive(box, env)
+    assert text == ("inductive Box (Nat1 : Set0) : Nat -> Set0 := "
+                    "mk : Nat -> Box Nat1 zero.")
+    back = load_declarations(fresh_prelude_env(), text).inductive("Box")
+    assert back.params == 1
+    assert alpha_eq(back.arity, box.arity)
+    assert alpha_eq(back.constructors[0][1], box.constructors[0][1])
 
 
 def test_print_is_deterministic(prelude_env):

@@ -1,9 +1,11 @@
-"""Calls of the substitution walkers during `abstraction_check` of b{n}.
+"""Calls of the term walkers during `abstraction_check` of b{n}.
 
 b{n} is `fun (x0 ... x{n-1} : Nat) => plus x0 x{n-1}` at `Nat -> ... -> Nat`,
 whose translation nests a binder triple per source binder.  The walkers are
-`syntax._subst_all` (behind `subst` and `subst_all`) and `kernel._hsubst`
-(behind `beta_normalize`); both call themselves through their module
+`syntax._subst_all` (behind `subst` and `subst_all`) and `kernel._quote`,
+the read-back behind `beta_normalize`.  The read-back follows binder
+bodies, substituted variables and contracted redexes in a loop, so one of
+its calls can cover many nodes.  Both are called through their module
 globals, so wrapping those globals counts every call.  The count does not
 depend on the machine, so its growth from b20 to b40 is a scaling check
 that needs no timing.
@@ -29,7 +31,7 @@ from rcic import (Context, GlobalEnv, abstraction_check, declare, kernel,
                   parse_file, prelude_path, syntax)
 from rcic.cli import main
 
-WALKERS = ((syntax, "_subst_all"), (kernel, "_hsubst"))
+WALKERS = ((syntax, "_subst_all"), (kernel, "_quote"))
 
 
 # The same text as the `VEC` block of `bench/gen.py`.
@@ -126,7 +128,7 @@ def param_check_subst_calls() -> int:
 
 if __name__ == "__main__":
     b20, b40 = walker_calls(20), walker_calls(40)
-    sys.stdout.write(f"Substitution walker calls: b20 {b20}, b40 {b40}, "
+    sys.stdout.write(f"Substitution and read-back calls: b20 {b20}, b40 {b40}, "
                      f"ratio {b40 / b20:.2f}\n")
     sys.stdout.write(f"Substitution walker calls of param-check on the "
                      f"prelude and Vec: {param_check_subst_calls()}\n")
