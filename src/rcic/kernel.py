@@ -191,6 +191,18 @@ def whnf(env: GlobalEnv, t: Term) -> Term:
 # same global are compared argument by argument first and unfolded only if
 # that fails (lazy delta).
 #
+# An application is evaluated a whole spine at a time: the head once, then
+# all the arguments in one step (`_apply_spine`).  A Lam closure binds as many
+# arguments as its telescope of Lams takes into one new environment, and iota
+# and fix unfolding bind the constructor's fields or the fix's spine straight
+# into the leading binders of the branch or the fix body (`_enter`), with no
+# closure in between.  A neutral takes the arguments left over in one tuple.
+# A thunk whose term applies a variable bound to a thunk not yet forced is a
+# link of a chain (`f ↦ f x`, one link per binder of a translated product
+# telescope); forcing it follows the chain in a loop and computes the links
+# from the inside out, each storing its value, so a chain costs no Python
+# frame per link.
+#
 # `beta_normalize` evaluates in an empty global environment, where only beta
 # fires, and reads the value back to a term, renaming a binder by the rule of
 # `syntax.under_binder` applied once, to the environment as a whole.
@@ -249,81 +261,116 @@ _VALUE = "_value"
 
 
 def _force(env: GlobalEnv, th: _Thunk):
+    """The value of `th`, computed once.  The links of a chain that `th`
+    starts (see above) are collected in a loop, and each is evaluated once
+    the one it waits on has its value."""
     v = th.value
-    if v is None:
+    if v is not None:
+        return v
+    links = []
+    while True:
+        head = th.term
+        while type(head) is App:
+            head = head.fn
+        inner = th.rho.get(head.name) if type(head) is Var else None
+        if inner is None or inner.value is not None:
+            break
+        links.append(th)
+        th = inner
+    v = th.value = _eval(env, th.rho, th.term)
+    while links:
+        th = links.pop()
         v = th.value = _eval(env, th.rho, th.term)
     return v
 
 
 def _eval(env: GlobalEnv, rho: dict, t: Term):
     """The value of `t` with its bound variables looked up in `rho`."""
-    match t:
-        case Var(name):
-            th = rho.get(name)
-            if th is not None:
-                return _force(env, th)
-            return _Neutral(_FREE, name)
-        case App(fn, arg):
+    kind = type(t)
+    if kind is App:
+        args = []
+        while kind is App:
+            arg = t.arg
             th = rho.get(arg.name) if type(arg) is Var else None
-            return _apply(env, _eval(env, rho, fn), th or _Thunk(rho, arg))
-        case Lam() | Prod():
-            return _Closure(rho, t)
-        case SortT(s):
-            return s
-        case Ind(name):
-            return _Neutral(_IND, name)
-        case Constr(name):
-            return _Neutral(_CONSTR, name)
-        case Case(ind, scrutinee, _, _, branches):
-            s = _unfold_head(env, _eval(env, rho, scrutinee))
-            if type(s) is _Neutral and s.kind == _CONSTR:
-                info = env.constructor(s.head)
-                if info is not None and info[0].name == ind:
-                    decl, i = info
-                    v = _eval(env, rho, branches[i])
-                    for th in s.spine[decl.params:]:
-                        v = _apply(env, v, th)
-                    return v
-            return _Neutral(_CASE, (rho, t, s))
-        case Fix():
-            return _Neutral(_FIX, (rho, t))
-        case Const(name):
-            defn = env.definition(name)
-            if defn is None:
-                return _Neutral(_FREE, t)
-            # One shared value per definition, so that its unfolding is
-            # computed once.  It is kept in the definition's instance dict,
-            # which equality, hashing and repr do not see; the body is
-            # closed, so its value is the same wherever it is used.
-            v = defn.__dict__.get(_VALUE)
-            if v is None:
-                v = defn.__dict__[_VALUE] = _Neutral(_GLOBAL, name)
-            return v
+            args.append(th or _Thunk(rho, arg))
+            t = t.fn
+            kind = type(t)
+        args.reverse()
+        return _apply_spine(env, _eval(env, rho, t), args)
+    if kind is Var:
+        th = rho.get(t.name)
+        if th is not None:
+            return _force(env, th)
+        return _Neutral(_FREE, t.name)
+    if kind is Lam or kind is Prod:
+        return _Closure(rho, t)
+    if kind is Case:
+        s = _unfold_head(env, _eval(env, rho, t.scrutinee))
+        if type(s) is _Neutral and s.kind == _CONSTR:
+            info = env.constructor(s.head)
+            if info is not None and info[0].name == t.ind:
+                decl, i = info
+                return _enter(env, rho, t.branches[i], s.spine[decl.params:])
+        return _Neutral(_CASE, (rho, t, s))
+    if kind is Constr:
+        return _Neutral(_CONSTR, t.name)
+    if kind is Ind:
+        return _Neutral(_IND, t.name)
+    if kind is Const:
+        defn = env.definition(t.name)
+        if defn is None:
+            return _Neutral(_FREE, t)
+        # One shared value per definition, so that its unfolding is
+        # computed once.  It is kept in the definition's instance dict,
+        # which equality, hashing and repr do not see; the body is
+        # closed, so its value is the same wherever it is used.
+        v = defn.__dict__.get(_VALUE)
+        if v is None:
+            v = defn.__dict__[_VALUE] = _Neutral(_GLOBAL, t.name)
+        return v
+    if kind is Fix:
+        return _Neutral(_FIX, (rho, t))
+    if kind is SortT:
+        return t.sort
     raise TypeError(f"not a term: {t!r}")
 
 
-def _apply(env: GlobalEnv, f, arg: _Thunk):
-    """The value of `f` applied to `arg`: beta for a Lam closure, fix
-    unfolding once the decreasing argument is a constructor `env` declares."""
-    if type(f) is _Neutral:
-        spine = f.spine + (arg,)
+def _apply_spine(env: GlobalEnv, f, args):
+    """The value of `f` applied to the thunks `args`, in one step: beta for
+    a Lam closure, fix unfolding once the decreasing argument is a
+    constructor `env` declares, else a neutral with `args` appended."""
+    kind = type(f)
+    if kind is _Neutral:
+        spine = f.spine + tuple(args)
         if f.kind == _FIX:
             rho, fix = f.head
             # Checked once, when the decreasing argument arrives: if it is
             # not a constructor then, it never will be.
-            if len(spine) == fix.decreasing + 1:
-                d = _unfold_head(env, _force(env, arg))
+            if len(f.spine) <= fix.decreasing < len(spine):
+                d = _unfold_head(env, _force(env, spine[fix.decreasing]))
                 if (type(d) is _Neutral and d.kind == _CONSTR
                         and env.constructor(d.head) is not None):
                     itself = _Thunk(None, None, _Neutral(_FIX, f.head))
-                    v = _eval(env, {**rho, fix.binder: itself}, fix.body)
-                    for th in spine:
-                        v = _apply(env, v, th)
-                    return v
+                    return _enter(env, {**rho, fix.binder: itself}, fix.body,
+                                  spine)
         return _Neutral(f.kind, f.head, spine)
-    if type(f) is _Closure and type(f.term) is Lam:
-        return _eval(env, {**f.rho, f.term.binder: arg}, f.term.body)
-    return _Neutral(_STUCK, f, (arg,))
+    if kind is _Closure and type(f.term) is Lam:
+        return _enter(env, f.rho, f.term, args)
+    return _Neutral(_STUCK, f, tuple(args))
+
+
+def _enter(env: GlobalEnv, rho: dict, t: Term, args):
+    """The value of `t` in `rho` applied to `args`: the leading Lams of `t`
+    bind their arguments in one copy of `rho`, with no closure made."""
+    i, n = 0, len(args)
+    if n and type(t) is Lam:
+        rho = rho.copy()
+        while i < n and type(t) is Lam:
+            rho[t.binder] = args[i]
+            t = t.body
+            i += 1
+    v = _eval(env, rho, t)
+    return _apply_spine(env, v, args[i:]) if i < n else v
 
 
 def _unfold_head(env: GlobalEnv, v):
@@ -338,10 +385,8 @@ def _unfold(env: GlobalEnv, v: _Neutral):
     """One delta step at the head of a global-headed neutral, done once."""
     out = v.unfolded
     if out is None:
-        out = _eval(env, _EMPTY, env.definition(v.head).body)
-        for th in v.spine:
-            out = _apply(env, out, th)
-        v.unfolded = out
+        out = v.unfolded = _enter(env, _EMPTY, env.definition(v.head).body,
+                                  v.spine)
     return out
 
 

@@ -50,7 +50,8 @@ from rcic import (
 )
 
 from rcic.param import prime
-from rcic.syntax import children, names, unfold_app
+from rcic.syntax import (children, lams, names, prods, strip_prods,
+                         unfold_app)
 
 from conftest import load_declarations, term_in
 from gen import LIST_NAT, UNIT, random_typed
@@ -306,6 +307,41 @@ def test_beta_normalize_matches_reference_on_generated_translations(
     assert renamed >= 10
 
 
+def test_beta_normalize_forces_thunk_chains_in_a_loop(translated_env):
+    # The relation of b480's type applied to b480 and its copy: contracting
+    # it binds `f` to `f x` once per arrow, a chain of 480 thunks that is
+    # forced at the innermost codomain.  b480 is built with the term
+    # constructors, and the check walks the result in a loop, so only
+    # `beta_normalize` meets the depth, at the default recursion limit.
+    n = 480
+    ty = prods([("_", NAT)] * n, NAT)
+    body = lams([(f"x{i}", NAT) for i in range(n)],
+                app(Const("plus"), Var("x0"), Var(f"x{n - 1}")))
+    nf = beta_normalize(app(translate_term(translated_env, ty), body,
+                            prime(body)))
+    binders, codomain = strip_prods(nf)
+    assert len(binders) == 3 * n
+    scope = {}  # a binder name in scope: the position of its binder
+
+    def at(t):
+        assert type(t) is Var
+        return scope[t.name]
+
+    for i, (name, domain) in enumerate(binders):
+        if i % 3 < 2:
+            assert domain == NAT
+        else:
+            rel, (a, b) = unfold_app(domain)
+            assert rel == Ind("Nat_R") and (at(a), at(b)) == (i - 2, i - 1)
+        scope[name] = i
+    rel, sides = unfold_app(codomain)
+    assert rel == Ind("Nat_R") and len(sides) == 2
+    for copy, side in enumerate(sides):
+        head, (a, b) = unfold_app(side)
+        assert head == Const("plus")
+        assert (at(a), at(b)) == (copy, 3 * (n - 1) + copy)
+
+
 def test_one_step_reducts(prelude_env):
     redex = App(Lam("x", NAT, Var("x")), Constr("zero"))
     assert Constr("zero") in one_step_reducts(prelude_env, redex)
@@ -451,6 +487,108 @@ def test_conv_agrees_with_normal_form_oracle(prelude_env):
 def test_conv_no_eta(prelude_env):
     expanded = term_in(prelude_env, "fun (n : Nat) => succ n")
     assert not conv(prelude_env, expanded, Constr("succ"))
+
+
+# Shapes of application that the evaluator takes a whole spine at a time.
+# Each is checked against the whnf oracle: `_constructor_form` for closed
+# first-order terms, `whnf` itself for stuck ones.
+
+ADD_BY_FUNCTION = (
+    # `plus` whose fix body binds one argument and returns a function.
+    "fix add {struct 0} : Nat -> Nat -> Nat := fun (n : Nat) => "
+    "match n as x in Nat return Nat -> Nat with "
+    "| zero => fun (m : Nat) => m "
+    "| succ => fun (k m : Nat) => succ (add k m) end")
+
+
+def _evaluates_like_oracle(env, t, expected, wrong):
+    nf = _constructor_form(env, t)
+    assert to_nameless(nf) == to_nameless(_constructor_form(env, expected))
+    assert conv(env, t, nf) and conv(env, nf, t)
+    assert conv(env, t, expected)
+    assert not conv(env, t, wrong)
+
+
+def test_eval_case_branch_that_is_not_a_lambda(prelude_env):
+    # Iota hands the field to `plus` itself; the application of the case
+    # supplies the second argument.
+    env = prelude_env
+    t = term_in(env, "(match three as n in Nat return Nat -> Nat with "
+                     "| zero => fun (m : Nat) => m | succ => plus end) two")
+    _evaluates_like_oracle(env, t, term_in(env, "plus two two"),
+                           term_in(env, "three"))
+    # A branch binder named like a variable of the case's environment
+    # leaves that variable alone for the terms that share it.  (Built
+    # directly: the elaborator would rename the branch binder.)
+    case = Case("Nat", Const("one"), (), Lam("n", NAT, NAT),
+                (Constr("zero"), Lam("k", NAT, Var("k"))))
+    t = App(Lam("k", NAT, app(Const("plus"), case,
+                              App(Constr("succ"), Var("k")))), Const("three"))
+    _evaluates_like_oracle(env, t, term_in(env, "succ three"),
+                           term_in(env, "one"))
+
+
+def test_eval_lambda_telescope_partly_and_over_applied(prelude_env):
+    env = prelude_env
+    add = term_in(env, "fun (a b : Nat) => plus a b")
+    partial = App(add, Const("two"))
+    expected = term_in(env, "fun (b : Nat) => plus two b")
+    assert to_nameless(beta_normalize(partial)) == to_nameless(expected)
+    assert to_nameless(whnf(env, partial)) == to_nameless(expected)
+    assert conv(env, partial, expected)
+    assert not conv(env, partial, term_in(env, "fun (b : Nat) => plus b two"))
+    _evaluates_like_oracle(env, App(partial, Const("one")),
+                           term_in(env, "three"), term_in(env, "two"))
+    # Three arguments for a telescope of two: the body is a function.
+    over = app(term_in(env, "fun (a : Nat) (f : Nat -> Nat) => f"),
+               Constr("zero"), Constr("succ"), Const("two"))
+    assert beta_normalize(over) == App(Constr("succ"), Const("two"))
+    _evaluates_like_oracle(env, over, term_in(env, "three"),
+                           term_in(env, "two"))
+
+
+def test_eval_telescope_that_shadows_its_binder(prelude_env):
+    env = prelude_env
+    second = Lam("x", NAT, Lam("x", NAT, Var("x")))
+    both = app(second, Const("one"), Const("two"))
+    assert beta_normalize(both) == Const("two")
+    _evaluates_like_oracle(env, both, Const("two"), Const("one"))
+    one_arg = App(second, Const("one"))
+    assert (to_nameless(beta_normalize(one_arg))
+            == to_nameless(whnf(env, one_arg))
+            == to_nameless(Lam("y", NAT, Var("y"))))
+
+
+def test_eval_fix_applied_beyond_its_telescope(prelude_env):
+    env = prelude_env
+    t = app(term_in(env, ADD_BY_FUNCTION), Const("two"), Const("three"))
+    _evaluates_like_oracle(env, t, term_in(env, "plus two three"),
+                           term_in(env, "plus two two"))
+
+
+def test_eval_stuck_fix_applied_to_more_arguments(prelude_env):
+    env = prelude_env
+    add = term_in(env, ADD_BY_FUNCTION)
+    n, two = Var("n"), Const("two")
+    stuck = app(add, n, two)
+    assert whnf(env, stuck) == stuck
+    assert conv(env, stuck, app(add, n, App(Constr("succ"), Const("one"))))
+    assert not conv(env, stuck, app(add, n, Const("three")))
+    # Stuck on `n` first, then given `two` by a separate application.
+    later = App(Lam("g", arrow(NAT, NAT), App(Var("g"), two)), App(add, n))
+    assert to_nameless(whnf(env, later)) == to_nameless(stuck)
+    assert conv(env, later, stuck)
+    assert not conv(env, later, app(add, n, Const("three")))
+    # A decreasing argument that arrives with a later application is
+    # checked then, and unfolds the fix.
+    add_on_second = term_in(
+        env, "fix add {struct 1} : Nat -> Nat -> Nat := fun (m n : Nat) => "
+             "match n as x in Nat return Nat with | zero => m "
+             "| succ => fun (k : Nat) => succ (add m k) end")
+    later = App(Lam("g", arrow(NAT, NAT), App(Var("g"), two)),
+                App(add_on_second, Const("three")))
+    _evaluates_like_oracle(env, later, term_in(env, "plus three two"),
+                           term_in(env, "plus three three"))
 
 
 def test_subtype_sorts(prelude_env):

@@ -15,10 +15,15 @@ The second count is of `syntax._subst_all` calls alone, made by
 definitions over it (`VEC_SOURCE`): matching on an indexed family opens
 product telescopes of relation arities and constructor types.
 
+The third count is of `kernel._eval` calls, made by `rcic check` of the
+prelude plus `CONV_SOURCE`, a chain of numerals and `refl` proofs of
+closed `plus` and `mult` equations over it: kernel conversion decides
+them by evaluation, one call per term evaluated apart from its spine.
+
     PYTHONPATH=src python tests/walker_counts.py
 
-prints two Markdown lines: the counts for b20 and b40 and their ratio, and
-the param-check count.
+prints three Markdown lines: the counts for b20 and b40 and their ratio,
+the param-check count and the check count.
 """
 
 import contextlib
@@ -66,12 +71,47 @@ def vappend : forall (A : Set0) (n m : Nat), Vec A n -> Vec A m -> Vec A (plus n
       end.
 """
 
+# Numerals n0 ... n24 as a definition chain, as in the conv-check
+# workload of `bench/gen.py`, and four proofs by conversion over them.
+CONV_SOURCE = (
+    "inductive Eq (A : Set0) (x : A) : A -> Prop := refl : Eq A x x.\n"
+    + "def n0 : Nat := zero.\n"
+    + "".join(f"def n{i} : Nat := succ n{i - 1}.\n" for i in range(1, 25))
+    + """\
+def p0 : Eq Nat (plus n9 n15) n24 := refl Nat n24.
+def p1 : Eq Nat (mult n4 n6) n24 := refl Nat n24.
+def p2 : Eq Nat (plus n11 n13) (plus n13 n11) := refl Nat (plus n11 n13).
+def p3 : Eq Nat (mult n6 n4) (mult n4 n6) := refl Nat (mult n6 n4).
+""")
+
 
 def binder_depth_source(n: int) -> str:
     arrows = " -> ".join(["Nat"] * (n + 1))
     binders = " ".join(f"x{i}" for i in range(n))
     return (f"def b{n} : {arrows} :=\n"
             f"  fun ({binders} : Nat) => plus x0 x{n - 1}.\n")
+
+
+@contextlib.contextmanager
+def counting(targets):
+    """Count the calls of each `(module, name)` global in `targets` while
+    the block runs, into the one entry of the list it yields."""
+    calls = [0]
+    originals = [(mod, name, getattr(mod, name)) for mod, name in targets]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+        return wrapper
+
+    try:
+        for mod, name, fn in originals:
+            setattr(mod, name, counted(fn))
+        yield calls
+    finally:
+        for mod, name, fn in originals:
+            setattr(mod, name, fn)
 
 
 def walker_calls(n: int) -> int:
@@ -82,53 +122,32 @@ def walker_calls(n: int) -> int:
                            binder_depth_source(n)).decls:
         declare(env, decl)
     defn = env.definition(f"b{n}")
-    calls = 0
-    originals = [(mod, name, getattr(mod, name)) for mod, name in WALKERS]
-
-    def counting(fn):
-        def wrapper(*args):
-            nonlocal calls
-            calls += 1
-            return fn(*args)
-        return wrapper
-
-    try:
-        for mod, name, fn in originals:
-            setattr(mod, name, counting(fn))
+    with counting(WALKERS) as calls:
         assert abstraction_check(env, Context(), defn.body, defn.type)
-    finally:
-        for mod, name, fn in originals:
-            setattr(mod, name, fn)
-    return calls
+    return calls[0]
 
 
-def param_check_subst_calls() -> int:
-    """`_subst_all` calls made by `rcic param-check` of the prelude plus
-    `VEC_SOURCE`, every verdict PASS."""
-    calls = 0
-    original = syntax._subst_all
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return original(*args)
-
+def cli_calls(targets, command: str, source: str) -> int:
+    """Calls of the `targets` globals made by `rcic <command>` of the
+    prelude plus `source`, which must exit 0."""
     with tempfile.TemporaryDirectory() as tmp:
-        vec = Path(tmp) / "vec.rcic"
-        vec.write_text(VEC_SOURCE)
-        try:
-            syntax._subst_all = counting
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main(["param-check", str(prelude_path()), str(vec)])
-        finally:
-            syntax._subst_all = original
+        path = Path(tmp) / "source.rcic"
+        path.write_text(source)
+        with counting(targets) as calls, \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, str(prelude_path()), str(path)])
     assert code == 0
-    return calls
+    return calls[0]
 
 
 if __name__ == "__main__":
     b20, b40 = walker_calls(20), walker_calls(40)
     sys.stdout.write(f"Substitution and read-back calls: b20 {b20}, b40 {b40}, "
                      f"ratio {b40 / b20:.2f}\n")
+    subst_calls = cli_calls([(syntax, "_subst_all")], "param-check",
+                            VEC_SOURCE)
     sys.stdout.write(f"Substitution walker calls of param-check on the "
-                     f"prelude and Vec: {param_check_subst_calls()}\n")
+                     f"prelude and Vec: {subst_calls}\n")
+    eval_calls = cli_calls([(kernel, "_eval")], "check", CONV_SOURCE)
+    sys.stdout.write(f"Kernel evaluator calls of check on the prelude and "
+                     f"numeral proofs: {eval_calls}\n")
