@@ -10,12 +10,13 @@ Strong elimination (a case whose motive lands in a Type sort) is gated by
 the elimination mode: STAR restricts it to small inductives, FULL lifts the
 restriction.
 
-Conversion and cumulativity evaluate both sides to closures and neutral
-values and compare those, unfolding a definition only when comparing its
-applications argument by argument fails (lazy delta).  `whnf` stays on
-terms, because `infer` returns its result.  `beta_normalize` is the same
-evaluator in an empty global environment, with its values read back to
-terms; a binder is renamed by the rule of `syntax.subst_all`.
+Reduction is one evaluator, from terms to closures and neutral values.
+Conversion and cumulativity compare the values of both sides, unfolding a
+definition only when comparing its applications argument by argument fails
+(lazy delta).  `whnf`, whose result `infer` returns, reads a value back to a
+term with the definitions at its head unfolded; `beta_normalize` reads back
+values computed in an empty global environment, where only beta fires.  A
+binder is renamed by the rule of `syntax.subst_all`.
 
 One walker, `Telescope`, opens every product telescope: an application
 head's type, a case motive, an arity or constructor type under its
@@ -56,7 +57,6 @@ from .syntax import (
     prods,
     rebuild_binder,
     strip_prods,
-    subst,
     subst_all,
     subterms,
     type_sort,
@@ -132,64 +132,20 @@ def subsort(a: Sort, b: Sort) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Reduction
-
-
-def whnf(env: GlobalEnv, t: Term) -> Term:
-    """Weak head normal form under beta, iota, fix unfolding, and delta.
-
-    Delta unfolds a Const only when it sits in head position.  Fix
-    unfolds only when the decreasing argument is constructor-headed, so
-    reduction of well-typed terms terminates.
-    """
-    while True:
-        head, args = unfold_app(t)
-        match head:
-            case Lam(binder, _, body) if args:
-                t = app(subst(body, binder, args[0]), *args[1:])
-                continue
-            case Const(name):
-                defn = env.definition(name)
-                if defn is not None:
-                    t = app(defn.body, *args)
-                    continue
-                return t
-            case Case(ind, scrutinee, params, motive, branches):
-                s = whnf(env, scrutinee)
-                chead, cargs = unfold_app(s)
-                if isinstance(chead, Constr):
-                    info = env.constructor(chead.name)
-                    if info is not None and info[0].name == ind:
-                        decl, i = info
-                        branch = branches[i]
-                        t = app(branch, *cargs[decl.params:], *args)
-                        continue
-                return app(Case(ind, s, params, motive, branches), *args)
-            case Fix(binder, _, body, decreasing) if len(args) > decreasing:
-                a = whnf(env, args[decreasing])
-                chead, _ = unfold_app(a)
-                if isinstance(chead, Constr):
-                    t = app(subst(body, binder, head), *args)
-                    continue
-                return t
-            case _:
-                return t
-
-
-# ---------------------------------------------------------------------------
-# Values: conversion, cumulativity and beta normalisation
+# Values: reduction, conversion, cumulativity and beta normalisation
 #
-# Conversion evaluates both sides to values and compares the values.  A value
+# The kernel has one reduction engine: terms are evaluated to values.  A value
 # is a Sort, a closure (an environment and a Lam or Prod term), or a neutral:
 # a head and a spine of arguments, each evaluated at most once and only when
-# needed.  Variables bound inside the compared terms are looked up in the
-# environment, so evaluation never substitutes; a binder that the comparison
-# opens becomes a de Bruijn level, so it never makes a fresh name.
+# needed.  Variables bound inside a term are looked up in the environment, so
+# evaluation never substitutes; a binder that conversion opens becomes a de
+# Bruijn level, so it never makes a fresh name.
 #
-# Evaluation does beta, iota and fix unfolding by the same rules as whnf, but
-# leaves a defined global in head position folded.  Two applications of the
-# same global are compared argument by argument first and unfolded only if
-# that fails (lazy delta).
+# Evaluation does beta, iota and fix unfolding, but leaves a defined global in
+# head position folded until something asks for its head (`_unfold_head`).
+# Conversion compares two applications of the same global argument by
+# argument first and unfolds them only if that fails (lazy delta); `whnf`
+# unfolds the head at once and reads the value back to a term.
 #
 # An application is evaluated a whole spine at a time: the head once, then
 # all the arguments in one step (`_apply_spine`).  A Lam closure binds as many
@@ -205,7 +161,9 @@ def whnf(env: GlobalEnv, t: Term) -> Term:
 #
 # `beta_normalize` evaluates in an empty global environment, where only beta
 # fires, and reads the value back to a term, renaming a binder by the rule of
-# `syntax.under_binder` applied once, to the environment as a whole.
+# `syntax.under_binder` applied once, to the environment as a whole.  The
+# read-back of a value goes under binders by beta alone, so the Lams and
+# products that `whnf` returns are beta normal as well.
 
 # Neutral head kinds, with what `_Neutral.head` holds for each.
 _LEVEL = 0   # a binder opened by the comparison: its de Bruijn level
@@ -350,7 +308,7 @@ def _apply_spine(env: GlobalEnv, f, args):
                 d = _unfold_head(env, _force(env, spine[fix.decreasing]))
                 if (type(d) is _Neutral and d.kind == _CONSTR
                         and env.constructor(d.head) is not None):
-                    itself = _Thunk(None, None, _Neutral(_FIX, f.head))
+                    itself = _Thunk(rho, fix, _Neutral(_FIX, f.head))
                     return _enter(env, {**rho, fix.binder: itself}, fix.body,
                                   spine)
         return _Neutral(f.kind, f.head, spine)
@@ -388,6 +346,26 @@ def _unfold(env: GlobalEnv, v: _Neutral):
         out = v.unfolded = _enter(env, _EMPTY, env.definition(v.head).body,
                                   v.spine)
     return out
+
+
+def whnf(env: GlobalEnv, t: Term) -> Term:
+    """Weak head normal form under beta, iota, fix unfolding and delta: the
+    read-back of `t`'s value with the defined globals at its head unfolded.
+
+    A term whose head cannot reduce comes back as itself.  A fix unfolds
+    only when its decreasing argument evaluates to a constructor `env`
+    declares, so reduction of well-typed terms terminates.
+    """
+    head, n = t, 0
+    while type(head) is App:
+        head = head.fn
+        n += 1
+    kind = type(head)
+    if (kind is Var or kind is Ind or kind is Constr or kind is SortT
+            or kind is Prod or kind is Lam and not n
+            or kind is Fix and n <= head.decreasing):
+        return t
+    return _read_back(_unfold_head(env, _eval(env, _EMPTY, t)))
 
 
 _BETA = GlobalEnv()
@@ -440,8 +418,12 @@ def _quote(rho: dict, t: Term) -> Term:
     return t
 
 
+_HEAD_TERM = {_FREE: Var, _GLOBAL: Const, _IND: Ind, _CONSTR: Constr}
+
+
 def _read_back(v) -> Term:
-    """The term of a value that `_eval` computed in the empty environment."""
+    """The term of a value that `_eval` computed in the empty environment;
+    a stuck case keeps its scrutinee's value in weak head normal form."""
     if type(v) is _Closure:
         return _quote(v.rho, v.term)
     if type(v) is Sort:
@@ -449,10 +431,16 @@ def _read_back(v) -> Term:
     kind, t = v.kind, v.head
     if kind == _STUCK:
         t = _read_back(t)
-    elif kind == _CASE or kind == _FIX:
+    elif kind == _CASE:
+        rho, case, s = t
+        t = Case(case.ind, _read_back(s),
+                 tuple(_quote(rho, p) for p in case.params),
+                 _quote(rho, case.motive),
+                 tuple(_quote(rho, b) for b in case.branches))
+    elif kind == _FIX:
         t = _quote(t[0], t[1])
     elif type(t) is str:  # else a Const that names no definition
-        t = (Var if kind == _FREE else Ind if kind == _IND else Constr)(t)
+        t = _HEAD_TERM[kind](t)
     for th in v.spine:
         t = App(t, _quote(th.rho, th.term))
     return t
@@ -578,7 +566,7 @@ def conv(env: GlobalEnv, a: Term, b: Term) -> bool:
     evaluated to closures and neutrals and compared on their weak head
     forms, recursing on the parts, with lazy delta: applications of the
     same global are compared argument by argument before either is
-    unfolded.  (whnf stays on terms, because infer returns its result.)
+    unfolded.
     """
     if alpha_eq(a, b):
         return True

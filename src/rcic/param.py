@@ -194,24 +194,31 @@ def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
             if info is not None:
                 _ensure_inductive(env, info[0].name)
             return Constr(relation_name(name))
-        case Prod(binder, domain, codomain):
-            dom_c = prime(domain)
-            dom_r = _translate(env, domain)
-            cod_r = _translate(env, codomain)
-            x = _pick_triple(binder, free_vars(dom_c) | free_vars(dom_r))
-            if binder != "_" and x.base != binder:
-                cod_r = _rename_triple(cod_r, binder, x)
-            fn_avoid = (free_vars(t) | free_vars(dom_c) | free_vars(dom_r)
-                        | free_vars(cod_r)
-                        | {x.base, x.copy, x.rel})
-            f = _pick_triple("f", fn_avoid, ("", PRIME_SUFFIX))
-            rel = Prod(x.base, domain,
-                       Prod(x.copy, dom_c,
-                            Prod(x.rel, app(dom_r, Var(x.base), Var(x.copy)),
-                                 app(cod_r,
-                                     App(Var(f.base), Var(x.base)),
-                                     App(Var(f.copy), Var(x.copy))))))
-            return Lam(f.base, t, Lam(f.copy, prime(t), rel))
+        case Prod():
+            # A product telescope in one loop: the domains are translated
+            # outermost first, then the codomain; the witnesses and copies
+            # are built innermost first, each copy from the one below it.
+            levels = []
+            while type(t) is Prod:
+                levels.append((t, prime(t.domain), _translate(env, t.domain)))
+                t = t.codomain
+            cod_r, cod_c = _translate(env, t), prime(t)
+            for node, dom_c, dom_r in reversed(levels):
+                binder = node.binder
+                x = _pick_triple(binder, free_vars(dom_c) | free_vars(dom_r))
+                if binder != "_" and x.base != binder:
+                    cod_r = _rename_triple(cod_r, binder, x)
+                fn_avoid = (free_vars(node) | free_vars(dom_c)
+                            | free_vars(dom_r) | free_vars(cod_r)
+                            | {x.base, x.copy, x.rel})
+                f = _pick_triple("f", fn_avoid, ("", PRIME_SUFFIX))
+                cod_c = Prod(primed(binder), dom_c, cod_c)
+                rel = Prod(x.base, node.domain, Prod(x.copy, dom_c, Prod(
+                    x.rel, app(dom_r, Var(x.base), Var(x.copy)),
+                    app(cod_r, App(Var(f.base), Var(x.base)),
+                        App(Var(f.copy), Var(x.copy))))))
+                cod_r = Lam(f.base, node, Lam(f.copy, cod_c, rel))
+            return cod_r
         case Lam(binder, annotation, body):
             ann_c = prime(annotation)
             ann_r = _translate(env, annotation)

@@ -11,13 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from rcic import (Ind, Prod, Var, alpha_eq, free_vars, prelude_path, subst,
-                  whnf)
+from rcic import Ind, Prod, Var, alpha_eq, free_vars, prelude_path, subst
 from rcic.cli import main
 from rcic.kernel import instantiate
 from rcic.syntax import Case, Const, fresh_name, subterms
 
 from conftest import fresh_prelude_env, load_declarations
+from reducts import term_whnf
 from walker_counts import VEC_SOURCE
 
 # The decreasing argument's type has an index that is not a variable, so
@@ -109,12 +109,12 @@ def _open_by_steps(env, ty, params, avoid):
     one binder, repeat."""
     t = ty
     for p in params:
-        t = whnf(env, t)
+        t = term_whnf(env, t)
         t = subst(t.codomain, t.binder, p)
     taken = set(avoid).union(*(free_vars(p) for p in params))
     binders = []
     while True:
-        t = whnf(env, t)
+        t = term_whnf(env, t)
         if not isinstance(t, Prod):
             return binders, t
         name = fresh_name(t.binder, taken | free_vars(t.codomain))

@@ -56,7 +56,7 @@ from rcic.syntax import (children, lams, names, prods, strip_prods,
 from conftest import load_declarations, term_in
 from gen import LIST_NAT, UNIT, random_typed
 from nameless import to_nameless
-from reducts import one_step_reducts
+from reducts import one_step_reducts, term_whnf
 
 NAT = Ind("Nat")
 BOOL = Ind("Bool")
@@ -147,12 +147,11 @@ def test_subsort_spot():
 def test_whnf_beta(prelude_env):
     t = App(Lam("x", NAT, Var("x")), Constr("zero"))
     assert whnf(prelude_env, t) == Constr("zero")
-    # Only the head is reduced.
+    # A head-reduced Lam is read back beta normal: its inner redex is
+    # contracted too.
     inner = App(Lam("y", NAT, Var("y")), Constr("zero"))
     t = App(Lam("x", NAT, Lam("z", NAT, inner)), Constr("zero"))
-    out = whnf(prelude_env, t)
-    assert isinstance(out, Lam)
-    assert out.body == inner
+    assert whnf(prelude_env, t) == Lam("z", NAT, Constr("zero"))
 
 
 def test_whnf_delta(prelude_env):
@@ -194,6 +193,28 @@ def test_whnf_fix_needs_all_arguments(prelude_env):
                                "fun (n m : Nat) => n")
     partial = App(fix, Constr("zero"))
     assert whnf(prelude_env, partial) == partial
+
+
+def test_whnf_reads_back_like_the_term_oracle(prelude_env):
+    env = prelude_env
+    # A case stuck on a reducible scrutinee keeps it in weak head normal
+    # form: `pred m` unfolds to a case stuck on `m`.
+    t = Case("Nat", App(Const("pred"), Var("m")), (), Lam("x", NAT, NAT),
+             (Constr("zero"), Lam("k", NAT, Var("k"))))
+    assert isinstance(whnf(env, t).scrutinee, Case)
+    assert whnf(env, t) == term_whnf(env, t)
+    # The fix unfolded under `plus one one` reads back as the term, and so
+    # does its own name under the binder that `plus one` leaves open.
+    for text in ("plus one one", "plus one"):
+        t = term_in(env, text)
+        assert whnf(env, t) == term_whnf(env, t)
+    # A global the case has already forced, read back under a binder.
+    t = term_in(env, "(fun (n : Nat) => match n as x in Nat return Nat -> Nat "
+                     "with | zero => fun (y : Nat) => y "
+                     "| succ => fun (k y : Nat) => (fun (w : Nat) => w) n end) "
+                     "one")
+    assert whnf(env, t) == Lam("y", NAT, Const("one"))
+    assert whnf(env, t) == beta_normalize(term_whnf(env, t))
 
 
 def test_beta_normalize():
@@ -450,9 +471,9 @@ def test_conv_open_terms(prelude_env):
 
 
 def _constructor_form(env, t):
-    """The oracle normal form of a closed first-order term: whnf, then the
-    same for every argument of the constructor it reaches."""
-    head, args = unfold_app(whnf(env, t))
+    """The oracle normal form of a closed first-order term: `term_whnf`,
+    then the same for every argument of the constructor it reaches."""
+    head, args = unfold_app(term_whnf(env, t))
     assert isinstance(head, (Constr, Ind)), head
     return app(head, *(_constructor_form(env, a) for a in args))
 
@@ -490,8 +511,8 @@ def test_conv_no_eta(prelude_env):
 
 
 # Shapes of application that the evaluator takes a whole spine at a time.
-# Each is checked against the whnf oracle: `_constructor_form` for closed
-# first-order terms, `whnf` itself for stuck ones.
+# Each is checked against the term-level oracle: `_constructor_form` for
+# closed first-order terms, `term_whnf` itself for stuck ones.
 
 ADD_BY_FUNCTION = (
     # `plus` whose fix body binds one argument and returns a function.
@@ -534,7 +555,8 @@ def test_eval_lambda_telescope_partly_and_over_applied(prelude_env):
     partial = App(add, Const("two"))
     expected = term_in(env, "fun (b : Nat) => plus two b")
     assert to_nameless(beta_normalize(partial)) == to_nameless(expected)
-    assert to_nameless(whnf(env, partial)) == to_nameless(expected)
+    assert (to_nameless(whnf(env, partial))
+            == to_nameless(term_whnf(env, partial)) == to_nameless(expected))
     assert conv(env, partial, expected)
     assert not conv(env, partial, term_in(env, "fun (b : Nat) => plus b two"))
     _evaluates_like_oracle(env, App(partial, Const("one")),
@@ -556,6 +578,7 @@ def test_eval_telescope_that_shadows_its_binder(prelude_env):
     one_arg = App(second, Const("one"))
     assert (to_nameless(beta_normalize(one_arg))
             == to_nameless(whnf(env, one_arg))
+            == to_nameless(term_whnf(env, one_arg))
             == to_nameless(Lam("y", NAT, Var("y"))))
 
 
@@ -571,12 +594,13 @@ def test_eval_stuck_fix_applied_to_more_arguments(prelude_env):
     add = term_in(env, ADD_BY_FUNCTION)
     n, two = Var("n"), Const("two")
     stuck = app(add, n, two)
-    assert whnf(env, stuck) == stuck
+    assert whnf(env, stuck) == term_whnf(env, stuck) == stuck
     assert conv(env, stuck, app(add, n, App(Constr("succ"), Const("one"))))
     assert not conv(env, stuck, app(add, n, Const("three")))
     # Stuck on `n` first, then given `two` by a separate application.
     later = App(Lam("g", arrow(NAT, NAT), App(Var("g"), two)), App(add, n))
-    assert to_nameless(whnf(env, later)) == to_nameless(stuck)
+    assert (to_nameless(whnf(env, later))
+            == to_nameless(term_whnf(env, later)) == to_nameless(stuck))
     assert conv(env, later, stuck)
     assert not conv(env, later, app(add, n, Const("three")))
     # A decreasing argument that arrives with a later application is
@@ -680,9 +704,9 @@ def _infer_by_steps(env, ctx, t):
     head, args = unfold_app(t)
     ty = infer(env, ctx, head)
     for arg in args:
-        ty = whnf(env, ty)
+        ty = term_whnf(env, ty)
         assert isinstance(ty, Prod)
-        ty = whnf(env, subst(ty.codomain, ty.binder, arg))
+        ty = term_whnf(env, subst(ty.codomain, ty.binder, arg))
     return ty
 
 

@@ -10,20 +10,27 @@ globals, so wrapping those globals counts every call.  The count does not
 depend on the machine, so its growth from b20 to b40 is a scaling check
 that needs no timing.
 
-The second count is of `syntax._subst_all` calls alone, made by
+The second count is of `param.prime` calls, also made by
+`abstraction_check` of b{n}, for b100 and b200.  `prime` renames a term
+to its copy; the translation of a product telescope builds the copy of each
+suffix once, from the copy of the suffix below it, so the count grows
+linearly in the binder depth.
+
+The third count is of `syntax._subst_all` calls alone, made by
 `rcic param-check` of the prelude plus the indexed family `Vec` and three
 definitions over it (`VEC_SOURCE`): matching on an indexed family opens
 product telescopes of relation arities and constructor types.
 
-The third count is of `kernel._eval` calls, made by `rcic check` of the
+The fourth count is of `kernel._eval` calls, made by `rcic check` of the
 prelude plus `CONV_SOURCE`, a chain of numerals and `refl` proofs of
 closed `plus` and `mult` equations over it: kernel conversion decides
 them by evaluation, one call per term evaluated apart from its spine.
 
     PYTHONPATH=src python tests/walker_counts.py
 
-prints three Markdown lines: the counts for b20 and b40 and their ratio,
-the param-check count and the check count.
+prints four Markdown lines: the walker counts for b20 and b40 and their
+ratio, the `prime` counts for b100 and b200 and their ratio, the
+param-check count and the check count.
 """
 
 import contextlib
@@ -33,7 +40,7 @@ import tempfile
 from pathlib import Path
 
 from rcic import (Context, GlobalEnv, abstraction_check, declare, kernel,
-                  parse_file, prelude_path, syntax)
+                  param, parse_file, prelude_path, syntax)
 from rcic.cli import main
 
 WALKERS = ((syntax, "_subst_all"), (kernel, "_quote"))
@@ -114,15 +121,16 @@ def counting(targets):
             setattr(mod, name, fn)
 
 
-def walker_calls(n: int) -> int:
-    """Walker calls made by `abstraction_check` of b{n} against a fresh
-    prelude environment; the declarations themselves are not counted."""
+def walker_calls(n: int, targets=WALKERS) -> int:
+    """Calls of the `targets` globals (by default the walkers) made by
+    `abstraction_check` of b{n} against a fresh prelude environment; the
+    declarations themselves are not counted."""
     env = GlobalEnv()
     for decl in parse_file(prelude_path().read_text() +
                            binder_depth_source(n)).decls:
         declare(env, decl)
     defn = env.definition(f"b{n}")
-    with counting(WALKERS) as calls:
+    with counting(targets) as calls:
         assert abstraction_check(env, Context(), defn.body, defn.type)
     return calls[0]
 
@@ -144,6 +152,9 @@ if __name__ == "__main__":
     b20, b40 = walker_calls(20), walker_calls(40)
     sys.stdout.write(f"Substitution and read-back calls: b20 {b20}, b40 {b40}, "
                      f"ratio {b40 / b20:.2f}\n")
+    b100, b200 = (walker_calls(n, [(param, "prime")]) for n in (100, 200))
+    sys.stdout.write(f"Copy (prime) calls: b100 {b100}, b200 {b200}, "
+                     f"ratio {b200 / b100:.2f}\n")
     subst_calls = cli_calls([(syntax, "_subst_all")], "param-check",
                             VEC_SOURCE)
     sys.stdout.write(f"Substitution walker calls of param-check on the "
