@@ -14,9 +14,10 @@ Reduction is one evaluator, from terms to closures and neutral values.
 Conversion and cumulativity compare the values of both sides, unfolding a
 definition only when comparing its applications argument by argument fails
 (lazy delta).  `whnf`, whose result `infer` returns, reads a value back to a
-term with the definitions at its head unfolded; `beta_normalize` reads back
-values computed in an empty global environment, where only beta fires.  A
-binder is renamed by the rule of `syntax.subst_all`.
+term with the definitions at its head unfolded and its environments
+substituted; `beta_normalize` reads back values computed in an empty global
+environment, where only beta fires.  A binder is renamed by the rule of
+`syntax.subst_all`.
 
 One walker, `Telescope`, opens every product telescope: an application
 head's type, a case motive, an arity or constructor type under its
@@ -161,9 +162,9 @@ def subsort(a: Sort, b: Sort) -> bool:
 #
 # `beta_normalize` evaluates in an empty global environment, where only beta
 # fires, and reads the value back to a term, renaming a binder by the rule of
-# `syntax.under_binder` applied once, to the environment as a whole.  The
-# read-back of a value goes under binders by beta alone, so the Lams and
-# products that `whnf` returns are beta normal as well.
+# `syntax.under_binder` applied once, to the environment as a whole.  `whnf`
+# reduces only the head: it reads a closure or thunk left in the value back
+# as its term with its environment substituted, and forces none of them.
 
 # Neutral head kinds, with what `_Neutral.head` holds for each.
 _LEVEL = 0   # a binder opened by the comparison: its de Bruijn level
@@ -350,7 +351,8 @@ def _unfold(env: GlobalEnv, v: _Neutral):
 
 def whnf(env: GlobalEnv, t: Term) -> Term:
     """Weak head normal form under beta, iota, fix unfolding and delta: the
-    read-back of `t`'s value with the defined globals at its head unfolded.
+    read-back of `t`'s value with the defined globals at its head unfolded
+    and nothing below the head reduced.
 
     A term whose head cannot reduce comes back as itself.  A fix unfolds
     only when its decreasing argument evaluates to a constructor `env`
@@ -365,7 +367,21 @@ def whnf(env: GlobalEnv, t: Term) -> Term:
             or kind is Prod or kind is Lam and not n
             or kind is Fix and n <= head.decreasing):
         return t
-    return _read_back(_unfold_head(env, _eval(env, _EMPTY, t)))
+    memo: dict[_Thunk, Term] = {}
+    return _read_back(_unfold_head(env, _eval(env, _EMPTY, t)),
+                      lambda rho, u: _substituted(rho, u, memo))
+
+
+def _substituted(rho: dict, t: Term, memo: dict) -> Term:
+    """`t` with each variable bound in `rho` replaced by its thunk's term,
+    substituted the same way once per thunk in `memo` and then shared."""
+    sub = {}
+    for name in rho.keys() & free_vars(t):
+        th = rho[name]
+        if th not in memo:
+            memo[th] = _substituted(th.rho, th.term, memo)
+        sub[name] = memo[th]
+    return subst_all(t, sub)
 
 
 _BETA = GlobalEnv()
@@ -408,7 +424,7 @@ def _quote(rho: dict, t: Term) -> Term:
             break
         v = _eval(_BETA, rho, t)
         if type(v) is not _Closure:
-            t = _read_back(v)
+            t = _read_back(v, _quote)
             break
         rho, t = v.rho, v.term
     for node, name, dom in reversed(passed):
@@ -421,28 +437,29 @@ def _quote(rho: dict, t: Term) -> Term:
 _HEAD_TERM = {_FREE: Var, _GLOBAL: Const, _IND: Ind, _CONSTR: Constr}
 
 
-def _read_back(v) -> Term:
-    """The term of a value that `_eval` computed in the empty environment;
-    a stuck case keeps its scrutinee's value in weak head normal form."""
+def _read_back(v, term_of) -> Term:
+    """The term of a value that `_eval` computed, with `term_of(rho, t)`
+    making the term of each `t` the value keeps in an environment `rho`.
+    A stuck case keeps its scrutinee's value in weak head normal form."""
     if type(v) is _Closure:
-        return _quote(v.rho, v.term)
+        return term_of(v.rho, v.term)
     if type(v) is Sort:
         return SortT(v)
     kind, t = v.kind, v.head
     if kind == _STUCK:
-        t = _read_back(t)
+        t = _read_back(t, term_of)
     elif kind == _CASE:
         rho, case, s = t
-        t = Case(case.ind, _read_back(s),
-                 tuple(_quote(rho, p) for p in case.params),
-                 _quote(rho, case.motive),
-                 tuple(_quote(rho, b) for b in case.branches))
+        t = Case(case.ind, _read_back(s, term_of),
+                 tuple(term_of(rho, p) for p in case.params),
+                 term_of(rho, case.motive),
+                 tuple(term_of(rho, b) for b in case.branches))
     elif kind == _FIX:
-        t = _quote(t[0], t[1])
+        t = term_of(t[0], t[1])
     elif type(t) is str:  # else a Const that names no definition
         t = _HEAD_TERM[kind](t)
     for th in v.spine:
-        t = App(t, _quote(th.rho, th.term))
+        t = App(t, term_of(th.rho, th.term))
     return t
 
 
@@ -568,9 +585,8 @@ def conv(env: GlobalEnv, a: Term, b: Term) -> bool:
     same global are compared argument by argument before either is
     unfolded.
     """
-    if alpha_eq(a, b):
-        return True
-    return _conv(env, 0, _eval(env, _EMPTY, a), _eval(env, _EMPTY, b))
+    return alpha_eq(a, b) or _conv(env, 0, _eval(env, _EMPTY, a),
+                                   _eval(env, _EMPTY, b))
 
 
 def subtype(env: GlobalEnv, a: Term, b: Term) -> bool:
@@ -579,9 +595,8 @@ def subtype(env: GlobalEnv, a: Term, b: Term) -> bool:
 
     Decided like `conv`, on values with lazy delta, after the same
     alpha-equality fast path."""
-    if alpha_eq(a, b):
-        return True
-    return _conv(env, 0, _eval(env, _EMPTY, a), _eval(env, _EMPTY, b), True)
+    return alpha_eq(a, b) or _conv(env, 0, _eval(env, _EMPTY, a),
+                                   _eval(env, _EMPTY, b), True)
 
 
 # ---------------------------------------------------------------------------

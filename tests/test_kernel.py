@@ -11,6 +11,7 @@ from rcic import (
     Const,
     Constr,
     Context,
+    Definition,
     ErrorKind,
     FULL,
     Fix,
@@ -147,11 +148,12 @@ def test_subsort_spot():
 def test_whnf_beta(prelude_env):
     t = App(Lam("x", NAT, Var("x")), Constr("zero"))
     assert whnf(prelude_env, t) == Constr("zero")
-    # A head-reduced Lam is read back beta normal: its inner redex is
-    # contracted too.
+    # Only the head is reduced.
     inner = App(Lam("y", NAT, Var("y")), Constr("zero"))
     t = App(Lam("x", NAT, Lam("z", NAT, inner)), Constr("zero"))
-    assert whnf(prelude_env, t) == Lam("z", NAT, Constr("zero"))
+    out = whnf(prelude_env, t)
+    assert isinstance(out, Lam)
+    assert out.body == inner
 
 
 def test_whnf_delta(prelude_env):
@@ -208,13 +210,67 @@ def test_whnf_reads_back_like_the_term_oracle(prelude_env):
     for text in ("plus one one", "plus one"):
         t = term_in(env, text)
         assert whnf(env, t) == term_whnf(env, t)
-    # A global the case has already forced, read back under a binder.
+    # A global the case has already forced, read back under a binder,
+    # where the redex it is the argument of stays as it is.
     t = term_in(env, "(fun (n : Nat) => match n as x in Nat return Nat -> Nat "
                      "with | zero => fun (y : Nat) => y "
                      "| succ => fun (k y : Nat) => (fun (w : Nat) => w) n end) "
                      "one")
-    assert whnf(env, t) == Lam("y", NAT, Const("one"))
-    assert whnf(env, t) == beta_normalize(term_whnf(env, t))
+    assert whnf(env, t) == term_whnf(env, t)
+    assert whnf(env, t).body == App(Lam("w", NAT, Var("w")), Const("one"))
+
+
+def test_whnf_leaves_the_values_of_definitions_to_conversion(fresh_env):
+    # whnf of F reads back the body of F's cached value, under which `G`
+    # is bound to a thunk of `K`.  The read-back must not evaluate that
+    # thunk outside the global environment, or conversion would later
+    # find a `K` that cannot unfold.
+    env = load_declarations(fresh_env, """
+        def K : Set0 -> Set0 := fun (A : Set0) => A.
+        def F : Set0 := (fun (G : Set0 -> Set0) => forall (n : Nat), G Nat) K.
+        def use : F -> Nat := fun (h : F) => h zero.
+    """)
+    assert whnf(env, Const("F")) == Prod("n", NAT, App(Const("K"), NAT))
+    assert conv(env, Const("F"), term_in(env, "forall (n : Nat), Nat"))
+    load_declarations(env, """
+        def back : F := fun (n : Nat) => n.
+        def used : Nat := use back.
+    """)
+
+
+def _dag_size(t):
+    """The number of distinct term objects in `t`, shared ones once."""
+    seen, todo = set(), [t]
+    while todo:
+        u = todo.pop()
+        if id(u) not in seen:
+            seen.add(id(u))
+            todo.extend(children(u))
+    return len(seen)
+
+
+def test_whnf_costs_only_the_head_on_duplicated_redexes():
+    n, s0 = 40, SortT(set_sort(0))
+    # F := (fun A => A -> A) ((fun A => A -> A) (... Nat)), n deep: the
+    # redexes below the head stay as they are.
+    double = Lam("A", s0, arrow(Var("A"), Var("A")))
+    body = NAT
+    for _ in range(n):
+        body = App(double, body)
+    env = GlobalEnv()
+    env.add_definition(Definition("F", s0, body))
+    out = whnf(env, Const("F"))
+    assert out == arrow(body.arg, body.arg)
+    # (fun a0 => (fun a1 => ... (fun an => an -> an) (a(n-1) -> a(n-1))
+    # ...) (a0 -> a0)) Nat: every head reduces, and the result, 2^n nodes
+    # as a tree, is read back as a DAG of one node per binder and level.
+    t = arrow(Var(f"a{n}"), Var(f"a{n}"))
+    for k in reversed(range(n)):
+        t = App(Lam(f"a{k + 1}", s0, t),
+                arrow(Var(f"a{k}"), Var(f"a{k}")))
+    t = App(Lam("a0", s0, t), NAT)
+    out = whnf(GlobalEnv(), t)
+    assert type(out) is Prod and _dag_size(out) <= 3 * n
 
 
 def test_beta_normalize():
