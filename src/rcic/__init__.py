@@ -74,7 +74,6 @@ from .param import (
     translate_definition,
     translate_inductive,
     translate_term,
-    witness,
 )
 from .frontend import ParseError, declare, elaborate, parse_file, parse_term
 from .printer import print_definition, print_inductive, print_term
@@ -152,5 +151,4 @@ __all__ = [
     "translate_term",
     "type_sort",
     "whnf",
-    "witness",
 ]

@@ -131,11 +131,7 @@ def _process(env: GlobalEnv, decl, args, mode) -> int:
                 show(name, defn.type)
             if command == "translate" and only in (None, name):
                 print(print_definition(translate_definition(env, name), env))
-            if command == "param-check":
-                ok = abstraction_check(env, Context(), defn.body, defn.type)
-                print(f"{'PASS' if ok else 'FAIL'} {name}")
-                return 0 if ok else 1
-            return 0
+            return _verdict(env, name) if command == "param-check" else 0
         case DCheck(raw_term):
             term = elaborate(env, raw_term)
             ty = infer(env, Context(), term, mode)
@@ -143,16 +139,21 @@ def _process(env: GlobalEnv, decl, args, mode) -> int:
                 show(print_term(term, env), ty)
             return 0
         case DParamCheck(name):
-            if command == "param-check":
-                return 0  # every definition is checked as it is declared
-            defn = env.definition(name)
-            if defn is None:
-                raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
-                                     f"paramcheck needs a definition: {name}")
-            ok = abstraction_check(env, Context(), defn.body, defn.type)
-            print(f"{'PASS' if ok else 'FAIL'} {name}")
-            return 0 if ok else 1
+            # param-check checks every definition as it is declared.
+            return 0 if command == "param-check" else _verdict(env, name)
     raise TypeError(f"not a declaration: {decl!r}")
+
+
+def _verdict(env: GlobalEnv, name: str) -> int:
+    """Run the abstraction check on the definition `name`, print its
+    `PASS name` or `FAIL name` line, and return the number of failures."""
+    defn = env.definition(name)
+    if defn is None:
+        raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
+                             f"paramcheck needs a definition: {name}")
+    ok = abstraction_check(env, Context(), defn.body, defn.type)
+    print(f"{'PASS' if ok else 'FAIL'} {name}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -461,9 +461,9 @@ def elaborate(env: GlobalEnv, t: Term) -> Term:
 
     Bound names stay Var.  A free name becomes an Ind, Constr or Const node
     if it names an inductive, constructor or definition, and stays a Var
-    otherwise (a context variable, or unknown).  Binders that shadow an
-    enclosing binder or a global are renamed, so every binder name is
-    locally unique.
+    otherwise (a context variable, or unknown).  A binder that shadows an
+    enclosing binder is renamed, so every binder name is locally unique;
+    one named like a global keeps its name.
     """
     return _elab(env, t, {}, _Taken(t))
 
@@ -485,14 +485,13 @@ class _Taken:
         return new
 
 
-def _bind(env: GlobalEnv, name: str, scope: dict[str, str],
+def _bind(name: str, scope: dict[str, str],
           taken: _Taken) -> tuple[str, dict[str, str]]:
-    """Bind `name`, renamed if it shadows a binder or a global.  The kernel
-    does not need the latter (a Var is never a global); it keeps printed
-    terms unambiguous, as fresh names avoid no Ind or Constr name."""
+    """Bind `name`, renamed only if it shadows an enclosing binder: a Var
+    never means a global, so a binder may share a global's name."""
     if name == "_":
         return name, scope
-    new = taken.fresh(name) if name in scope or env.taken(name) else name
+    new = taken.fresh(name) if name in scope else name
     return new, {**scope, name: new}
 
 
@@ -528,7 +527,7 @@ def _elab(env: GlobalEnv, t: Term, scope: dict[str, str],
     if kind is Prod or kind is Lam or kind is Fix:
         dom, body = children(t)
         dom = _elab(env, dom, scope, taken)
-        new, inner = _bind(env, t.binder, scope, taken)
+        new, inner = _bind(t.binder, scope, taken)
         return rebuild_binder(t, new, dom, _elab(env, body, inner, taken))
     if kind is RawMatch:
         return _elab_match(env, t, scope, taken)
@@ -569,11 +568,11 @@ def _elab_match(env: GlobalEnv, rm: RawMatch, scope: dict[str, str],
             # The scrutinee binder's type must name every index.
             new = taken.fresh("i")
         else:
-            new, inner = _bind(env, given, inner, taken)
+            new, inner = _bind(given, inner, taken)
         motive_binders.append((new, tele.domain()))
         tele.bind(Var(new))
     as_ty = app(Ind(rm.ind), *params, *(Var(name) for name, _ in motive_binders))
-    as_new, inner = _bind(env, rm.as_name, inner, taken)
+    as_new, inner = _bind(rm.as_name, inner, taken)
     motive_binders.append((as_new, as_ty))
     motive = lams(motive_binders, _elab(env, rm.motive, inner, taken))
 
@@ -602,7 +601,7 @@ def _elab_match(env: GlobalEnv, rm: RawMatch, scope: dict[str, str],
         binner = scope
         field_binders: list[tuple[str, Term]] = []
         for given in args:
-            new, binner = _bind(env, given, binner, taken)
+            new, binner = _bind(given, binner, taken)
             field_binders.append((new, ctele.domain()))
             ctele.bind(Var(new))
         branches.append(lams(field_binders, _elab(env, body, binner, taken)))

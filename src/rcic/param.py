@@ -72,12 +72,9 @@ def primed(name: str) -> str:
     return name + PRIME_SUFFIX
 
 
-def witness(name: str) -> str:
-    return name + WITNESS_SUFFIX
-
-
 def relation_name(name: str) -> str:
-    """The global name given to the relation of a global."""
+    """The name of a local's witness (a Var) or of a global's relation (a
+    Const, Ind or Constr); the node kind tells the two apart."""
     return name + WITNESS_SUFFIX
 
 
@@ -95,7 +92,7 @@ class NameTriple:
 
     @classmethod
     def from_base(cls, base: str) -> "NameTriple":
-        return cls(base, primed(base), witness(base))
+        return cls(base, primed(base), relation_name(base))
 
 
 def relation_sort(s: Sort) -> Sort:
@@ -177,7 +174,7 @@ class Alias:
 def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
     match t:
         case Var(name):
-            return Var(witness(name))
+            return Var(relation_name(name))
         case Const(name):
             _ensure_definition(env, name)
             return Const(relation_name(name))
@@ -260,7 +257,7 @@ def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
             selves = Alias(raw, copy, guard, guard_type)
             ann_r = _translate(env, annotation)
             body_r = _translate(env, body, selves)
-            rel = Fix(witness(binder),
+            rel = Fix(relation_name(binder),
                       app(ann_r, Var(binder), Var(primed(binder))),
                       body_r,
                       3 * decreasing + 2)
@@ -271,7 +268,7 @@ def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
 
 def _rename_triple(t: Term, old: str, new: NameTriple) -> Term:
     return subst_all(t, {old: Var(new.base), primed(old): Var(new.copy),
-                         witness(old): Var(new.rel)})
+                         relation_name(old): Var(new.rel)})
 
 
 def _case_motive(env: GlobalEnv, t: Case, alias: Alias | None = None) -> Term:
@@ -442,7 +439,7 @@ def translate_context(env: GlobalEnv, ctx: Context) -> Context:
                                  Var(name), Var(primed(name))))
         out = out.extend(name, ty)
         out = out.extend(primed(name), prime(ty))
-        out = out.extend(witness(name), rel)
+        out = out.extend(relation_name(name), rel)
     return out
 
 

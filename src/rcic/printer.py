@@ -96,9 +96,9 @@ def _render(t: Term, env: GlobalEnv | None) -> tuple[str, int]:
 
 def _scope(t: Prod | Lam | Fix, env: GlobalEnv | None) -> tuple[str, Term, Term]:
     """The name `t`'s binder prints under, its domain, and the body it binds.
-    A binder named like a global that occurs in the body would capture it
-    when read back, so there it becomes `fresh_name(binder, names(t))`.
-    Only globals of `env` (any name, without one) are looked for."""
+    The one place names are kept apart: a binder named like a global of
+    `env` (any global, without one) that occurs in the body would capture
+    it when read back, so it becomes `fresh_name(binder, names(t))`."""
     binder = t.binder
     dom, body = children(t)
     if ((env is None or env.taken(binder))

@@ -2,6 +2,8 @@
 
 A Var is a bound or context variable, never a global.  A Const refers to a
 global definition, as Ind and Constr refer to inductives and constructors.
+The node kind alone tells a global from a local: `free_vars` lists Vars
+only, and a binder may share a global's name (only the printer renames it).
 
 Terms use named binders.  Substitution is capture-avoiding and
 simultaneous: `subst_all` applies a map from names to values in one pass,
@@ -363,14 +365,14 @@ _VAR_FV: dict[str, frozenset[str]] = {}
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    """The names a binder around `t` must not capture: its free Vars and
-    its Consts, so that fresh names never print like a global."""
+    """The names of `t`'s free Vars, which a binder around `t` must not
+    capture; a global (Const, Ind, Constr) is no Var, so it has none."""
     cache = t.__dict__
     fv = cache.get(_FV)
     if fv is not None:
         return fv
     kind = type(t)
-    if kind is Var or kind is Const:
+    if kind is Var:
         fv = _VAR_FV.get(t.name)
         if fv is None:
             fv = _VAR_FV[t.name] = frozenset((t.name,))

@@ -17,7 +17,9 @@ from rcic import (
     App,
     Const,
     Context,
+    Fix,
     Ind,
+    Lam,
     Prod,
     Sort,
     SortT,
@@ -41,6 +43,7 @@ from rcic import (
 )
 from rcic.cli import main
 from rcic.frontend import DInductive
+from rcic.syntax import children, map_children, rebuild_binder
 
 from conftest import term_in
 from gen import random_typed
@@ -279,18 +282,46 @@ def test_9_print_parse_round_trip(capsys, prelude_env):
         assert alpha_eq(term_in(env, print_term(t, env)), t)
 
     with criterion(capsys, 9, "printing then parsing round-trips terms"):
+        global_names = []
         for name in env.names():
+            global_names.append(name)
             ind = env.inductive(name)
             if ind is not None:
                 round_trips(ind.arity)
-                for _, cty in ind.constructors:
+                for cname, cty in ind.constructors:
+                    global_names.append(cname)
                     round_trips(cty)
             d = env.definition(name)
             if d is not None:
                 round_trips(d.type)
                 round_trips(d.body)
+        # Each generated term again with its binder v{i} named like the i-th
+        # global: the printer renames such a binder only where that global
+        # occurs in its scope.
+        like_globals = {f"v{i}": name for i, name in enumerate(global_names)}
+        renamed = 0
         rng = random.Random(9)
         for _ in range(500):
             t, ty = random_typed(rng)
             check(env, ctx, t, ty)
             round_trips(t)
+            named = _rename_bound(t, like_globals)
+            if named != t:
+                renamed += 1
+                check(env, ctx, named, ty)
+                round_trips(named)
+        assert len(global_names) == 42 and renamed == 328
+
+
+def _rename_bound(t, renaming):
+    """`t` with every binder and Var named in `renaming` renamed.  For a
+    closed `t` whose binders all differ, and new names no Var of `t` uses,
+    nothing is captured."""
+    if isinstance(t, Var):
+        return Var(renaming.get(t.name, t.name))
+    if isinstance(t, (Prod, Lam, Fix)):
+        dom, body = children(t)
+        return rebuild_binder(t, renaming.get(t.binder, t.binder),
+                              _rename_bound(dom, renaming),
+                              _rename_bound(body, renaming))
+    return map_children(t, lambda c: _rename_bound(c, renaming))

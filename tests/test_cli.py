@@ -254,6 +254,16 @@ check fun (x x1 : Nat) => K Nat x x1.
         "forall (x x1 x2 : Nat), Eq Nat x x2 -> Eq Nat x1 x2 -> Unit")
 
 
+def test_binder_named_like_a_global_keeps_its_name(prelude, tmp_path, capsys):
+    # The binder hides the global double in its scope, where the global
+    # cannot occur, so nothing renames it.
+    src = write(tmp_path, "g.rcic",
+                "check fun (double : Nat) => plus double double.\n")
+    assert main(["check", prelude, src]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "fun (double : Nat) => plus double double : Nat -> Nat")
+
+
 def test_inductive_over_a_definition(prelude, tmp_path, capsys):
     src = write(tmp_path, "n.rcic", "def N : Set0 := Nat.\n"
                                     "inductive Foo : N -> Set0 := foo : Foo zero.\n")

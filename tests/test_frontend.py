@@ -281,13 +281,12 @@ def test_elaborate_leaves_unknowns(prelude_env):
 
 
 def test_elaborate_renames_shadowing_binders(prelude_env):
+    # A binder named like a global keeps its name: its uses are Vars, and
+    # the global would be a Const, Ind or Constr.
     t = elaborate(prelude_env, parse_term("fun (plus : Nat) => plus"))
-    assert isinstance(t, Lam)
-    assert t.binder != "plus"
-    assert t.body == Var(t.binder)
-    # Constructor names are also protected.
+    assert t == Lam("plus", NAT, Var("plus"))
     t = elaborate(prelude_env, parse_term("fun (zero : Nat) => zero"))
-    assert t.binder != "zero"
+    assert t == Lam("zero", NAT, Var("zero"))
     # Ordinary binders keep their names.
     t = elaborate(prelude_env, parse_term("fun (q : Nat) => q"))
     assert t.binder == "q"
@@ -298,10 +297,11 @@ def test_elaborate_renames_shadowing_binders(prelude_env):
     assert inner.body == Var(inner.binder)
     # A renamed binder avoids every name the term binds, a match's too.
     t = elaborate(prelude_env, parse_term(
-        "fun (plus : Nat) (n : Nat) => match n as plus2 in Nat return Nat "
-        "with | zero => plus | succ plus1 => plus end"))
-    assert t.binder not in ("plus", "plus1", "plus2")
-    assert t.body.body.branches[1] == Lam("plus1", NAT, Var(t.binder))
+        "fun (q : Nat) (q : Nat) => match q as q2 in Nat return Nat "
+        "with | zero => q | succ q1 => q end"))
+    inner = t.body
+    assert t.binder == "q" and inner.binder not in ("q", "q1", "q2")
+    assert inner.body.branches[1] == Lam("q1", NAT, Var(inner.binder))
 
 
 def test_elaborate_match_builds_case(prelude_env):

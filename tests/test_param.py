@@ -46,13 +46,14 @@ from rcic import (
     translate_inductive,
     translate_term,
     type_sort,
-    witness,
 )
+from rcic.cli import main
 from rcic.frontend import DInductive
 from rcic.param import NameTriple, is_reserved
 
 from conftest import fresh_prelude_env, load_declarations, term_in
 from gen import random_typed
+from translation_gaps import GAPS
 from walker_counts import binder_depth_source, walker_calls
 
 NAT = Ind("Nat")
@@ -64,7 +65,8 @@ NAT = Ind("Nat")
 
 def test_name_scheme():
     assert primed("x") == "x'"
-    assert witness("x") == "x_R"
+    # One rule for a local's witness and a global's relation.
+    assert relation_name("x") == "x_R"
     assert relation_name("Nat") == "Nat_R"
     assert is_reserved("x'")
     assert is_reserved("plus_R")
@@ -127,14 +129,21 @@ def test_translation_binders_avoid_globals(fresh_env):
 
 
 def test_translation_renames_a_binder_triple(fresh_env):
-    # The source binder T hides the global T in its scope, so its triple
-    # is renamed to T1 / T1' / T1_R.
+    # The source binder T is named like the global T, and the translation
+    # keeps the triple T / T' / T_R: the node kind tells each local from
+    # the global.  The printer renames only T, which would capture the
+    # global T of the next domain; the witness T_R is bound only after the
+    # domain that uses the global T_R.  The output reads back alpha-equal.
     load_declarations(fresh_env, "def T : Set0 := Nat.")
     t = Lam("T", Const("T"), Var("T"))
     ty = Prod("T", Const("T"), Const("T"))
     assert abstraction_check(fresh_env, Context(), t, ty)
-    out = print_term(beta_normalize(translate_term(fresh_env, t)), fresh_env)
-    assert out == "fun (T1 T1' : T) (T1_R : T_R T1 T1') => T1_R"
+    rel = beta_normalize(translate_term(fresh_env, t))
+    assert (rel.binder, rel.body.binder, rel.body.body.binder) == ("T", "T'", "T_R")
+    out = print_term(rel, fresh_env)
+    assert out == "fun (T1 T' : T) (T_R : T_R T1 T') => T_R"
+    back = parse_file(f"check {out}.", allow_reserved=True).decls[0].term
+    assert alpha_eq(elaborate(fresh_env, back), rel)
 
 
 def test_translate_product_clause(fresh_env):
@@ -375,6 +384,19 @@ def test_abstraction_check_rejects_ill_typed(translated_env):
 
 def test_abstraction_check_rejects_reserved_names(translated_env):
     assert not abstraction_check(translated_env, Context(), Var("x'"), NAT)
+
+
+def test_fixes_that_need_unfolding_at_a_variable_fail(capsys, tmp_path):
+    # Pinned as the translation stands: the witness type of a fix unfolds
+    # only at a constructor (see tests/translation_gaps.py).  All four are
+    # well typed.
+    path = tmp_path / "gaps.rcic"
+    path.write_text("".join(GAPS.values()))
+    assert main(["check", str(rcic.prelude_path()), str(path)]) == 0
+    capsys.readouterr()
+    assert main(["param-check", str(rcic.prelude_path()), str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[-4:] == [
+        "FAIL self_id", "FAIL case_other", "FAIL case_self", "PASS case_pred"]
 
 
 def test_abstraction_check_of_250_binders():

@@ -100,12 +100,14 @@ def test_free_vars():
 
 
 def test_const_names():
-    # A Const is never substituted, but binders still avoid its name.
+    # A Const is never substituted, has no free variables, and a binder of
+    # its name cannot capture it: the node kind tells the two apart.
     t = App(Const("c"), Var("c"))
+    assert free_vars(Const("c")) == frozenset()
     assert free_vars(t) == {"c"}
     assert subst(t, "c", Var("z")) == App(Const("c"), Var("z"))
     out = subst(Lam("c", NAT, Var("y")), "y", Const("c"))
-    assert out == Lam("c1", NAT, Const("c"))
+    assert out == Lam("c", NAT, Const("c"))
     assert not alpha_eq(Const("c"), Var("c"))
     assert alpha_eq(Lam("x", NAT, Const("c")), Lam("y", NAT, Const("c")))
     # `names` lists every Var, Const and binder name, bound or free.
