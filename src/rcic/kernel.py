@@ -646,10 +646,19 @@ def _infer(env: GlobalEnv, ctx: Context, t: Term,
             return defn.type
         case SortT(s):
             return SortT(axiom_sort(s))
-        case Prod(binder, domain, codomain):
-            sd = infer_sort(env, ctx, domain, mode)
-            sc = infer_sort(env, ctx.extend(binder, domain), codomain, mode)
-            return SortT(sort_of_product(sd, sc))
+        case Prod():
+            # A product telescope in one loop: the domains' sorts outermost
+            # first, each in the context its outer binders extend, then the
+            # codomain's; the product sorts fold from the codomain outward.
+            sorts = []
+            while type(t) is Prod:
+                sorts.append(infer_sort(env, ctx, t.domain, mode))
+                ctx = ctx.extend(t.binder, t.domain)
+                t = t.codomain
+            s = infer_sort(env, ctx, t, mode)
+            for sd in reversed(sorts):
+                s = sort_of_product(sd, s)
+            return SortT(s)
         case Lam(binder, annotation, body):
             infer_sort(env, ctx, annotation, mode)
             body_ty = _infer(env, ctx.extend(binder, annotation), body, mode)

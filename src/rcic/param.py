@@ -446,7 +446,10 @@ def translate_context(env: GlobalEnv, ctx: Context) -> Context:
 def abstraction_check(env: GlobalEnv, ctx: Context, term: Term,
                       ty: Term) -> bool:
     """Whether term, its copy, and its witness all check in the tripled
-    context: the executable face of the abstraction theorem."""
+    context: the executable face of the abstraction theorem for an open
+    term.  A closed global is decided by `translate_definition`, whose
+    declared relation is the theorem for it and is reused by later
+    references."""
     try:
         _assert_clean(term)
         _assert_clean(ty)

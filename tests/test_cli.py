@@ -125,8 +125,8 @@ def test_check_deep_nesting_is_a_parse_error(prelude, tmp_path, capsys):
 
 def test_param_check_too_deep_is_a_diagnostic(prelude, tmp_path):
     # The translated witness nests three binders per source binder, and
-    # typing it overflows the interpreter's recursion limit; `check` alone
-    # does not.
+    # declaring it overflows the interpreter's recursion limit; `check`
+    # alone does not.
     n = 400
     text = (f"def f : {' -> '.join(['Nat'] * (n + 1))} :=\n"
             f"  fun ({' '.join(f'y{i}' for i in range(n))} : Nat) => y0.\n")
@@ -155,6 +155,18 @@ def test_param_check_250_binders(prelude, tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "PASS b250"
+
+
+def test_translate_200_binders(prelude, tmp_path):
+    # Declaring the relation of b200 types a product telescope of 600
+    # binders, which must fit the interpreter's default recursion limit.
+    src = write(tmp_path, "b200.rcic", binder_depth_source(200))
+    env = dict(os.environ, PYTHONPATH=str(Path(rcic.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "rcic.cli", "translate", prelude, src],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1].startswith("def b200_R : ")
 
 
 def test_check_missing_file(capsys):

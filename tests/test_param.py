@@ -48,13 +48,17 @@ from rcic import (
     type_sort,
 )
 from rcic.cli import main
-from rcic.frontend import DInductive
+from rcic.frontend import DDef, DInductive
+from rcic.kernel import FULL, STAR
 from rcic.param import NameTriple, is_reserved
 
 from conftest import fresh_prelude_env, load_declarations, term_in
 from gen import random_typed
+from test_free_theorems import EX
+from test_indexed import VONE
 from translation_gaps import GAPS
-from walker_counts import binder_depth_source, walker_calls
+from walker_counts import (VEC_SOURCE, binder_depth_source, counting,
+                           walker_calls)
 
 NAT = Ind("Nat")
 
@@ -397,6 +401,49 @@ def test_fixes_that_need_unfolding_at_a_variable_fail(capsys, tmp_path):
     assert main(["param-check", str(rcic.prelude_path()), str(path)]) == 1
     assert capsys.readouterr().out.splitlines()[-4:] == [
         "FAIL self_id", "FAIL case_other", "FAIL case_self", "PASS case_pred"]
+
+
+def _checked_verdicts(sources, mode):
+    """The abstraction check of each definition of the prelude and
+    `sources` as it is declared: one `PASS name` or `FAIL name` line each."""
+    env, lines = rcic.GlobalEnv(), []
+    for text in (rcic.prelude_path().read_text(), *sources):
+        for decl in parse_file(text).decls:
+            rcic.declare(env, decl, mode)
+            if isinstance(decl, DDef):
+                d = env.definition(decl.name)
+                ok = abstraction_check(env, Context(), d.body, d.type)
+                lines.append(f"{'PASS' if ok else 'FAIL'} {decl.name}")
+    return lines
+
+
+@pytest.mark.parametrize("sources, flags", [
+    ((), ()),
+    (("".join(GAPS.values()),), ()),
+    ((VEC_SOURCE, VONE), ()),
+    ((EX,), ("--full-elim",)),
+], ids=["prelude", "gaps", "vec", "wit"])
+def test_param_check_agrees_with_abstraction_check(sources, flags, capsys,
+                                                   tmp_path):
+    # param-check decides a definition by declaring its relation; the
+    # abstraction check of its body at its type must give the same verdict.
+    paths = []
+    for i, text in enumerate(sources):
+        paths.append(tmp_path / f"src{i}.rcic")
+        paths[-1].write_text(text)
+    main(["param-check", *flags, str(rcic.prelude_path()), *map(str, paths)])
+    assert capsys.readouterr().out.splitlines() == _checked_verdicts(
+        sources, FULL if flags else STAR)
+
+
+def test_param_check_declares_each_relation_once(capsys):
+    # One relation declaration per definition of the prelude, and no other
+    # judgment: a later reference reuses the declared relation.
+    with counting([(rcic.param, "check")]) as checks, \
+            counting([(rcic.param, "declare_definition")]) as declared:
+        assert main(["param-check", str(rcic.prelude_path())]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 30
+    assert (checks[0], declared[0]) == (0, 30)
 
 
 def test_abstraction_check_of_250_binders():

@@ -20,14 +20,18 @@ Each is well typed: `rcic check` accepts all four.
 
     PYTHONPATH=src python tests/translation_gaps.py
 
-checks each source after the prelude and prints one `PASS name` or
-`FAIL name` line per source, in order.
+runs `rcic param-check` on the prelude and the four sources and prints
+its `PASS name` or `FAIL name` line for each source, in order.
 """
 
+import contextlib
+import io
 import sys
+import tempfile
+from pathlib import Path
 
-from rcic import (Context, GlobalEnv, abstraction_check, declare, parse_file,
-                  prelude_path)
+from rcic import prelude_path
+from rcic.cli import main
 
 GAPS = {
     "self_id": """
@@ -62,18 +66,14 @@ def case_pred : Nat -> Nat :=
 
 
 def verdicts() -> list[str]:
-    """One `PASS name` or `FAIL name` line per source of GAPS."""
-    env = GlobalEnv()
-    for decl in parse_file(prelude_path().read_text()).decls:
-        declare(env, decl)
-    lines = []
-    for name, source in GAPS.items():
-        for decl in parse_file(source).decls:
-            declare(env, decl)
-        defn = env.definition(name)
-        ok = abstraction_check(env, Context(), defn.body, defn.type)
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}")
-    return lines
+    """`rcic param-check`'s line for each source of GAPS, in order."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "gaps.rcic"
+        src.write_text("".join(GAPS.values()))
+        with contextlib.redirect_stdout(out):
+            main(["param-check", str(prelude_path()), str(src)])
+    return out.getvalue().splitlines()[-len(GAPS):]
 
 
 if __name__ == "__main__":
