@@ -49,11 +49,12 @@ from .syntax import (
     lams,
     map_children,
     names,
+    prod_domains,
     prods,
     rebuild_binder,
     strip_prods,
 )
-from .kernel import (STAR, EliminationMode, Telescope, declare_definition,
+from .kernel import (STAR, EliminationMode, declare_definition,
                      declare_inductive)
 from .param import PRIME_SUFFIX, WITNESS_SUFFIX, is_reserved
 
@@ -558,20 +559,19 @@ def _elab_match(env: GlobalEnv, rm: RawMatch, scope: dict[str, str],
 
     # Annotate the motive binders from the declared arity.  Declared
     # arities and constructor types are syntactic product telescopes.
-    tele = Telescope(env, decl.arity)
-    for p in params:
-        tele.bind(p)
     inner = scope
-    motive_binders: list[tuple[str, Term]] = []
+    index_vars: list[Term] = []
     for given in index_names:
         if given == "_":
             # The scrutinee binder's type must name every index.
             new = taken.fresh("i")
         else:
             new, inner = _bind(given, inner, taken)
-        motive_binders.append((new, tele.domain()))
-        tele.bind(Var(new))
-    as_ty = app(Ind(rm.ind), *params, *(Var(name) for name, _ in motive_binders))
+        index_vars.append(Var(new))
+    domains = prod_domains(decl.arity, [*params, *index_vars])
+    motive_binders = [(v.name, dom) for v, dom
+                      in zip(index_vars, domains[decl.params:])]
+    as_ty = app(Ind(rm.ind), *params, *index_vars)
     as_new, inner = _bind(rm.as_name, inner, taken)
     motive_binders.append((as_new, as_ty))
     motive = lams(motive_binders, _elab(env, rm.motive, inner, taken))
@@ -590,20 +590,19 @@ def _elab_match(env: GlobalEnv, rm: RawMatch, scope: dict[str, str],
         if not args:
             branches.append(_elab(env, body, scope, taken))
             continue
-        ctele = Telescope(env, ctype)
-        for p in params:
-            ctele.bind(p)
-        fields, _ = strip_prods(ctele.ty)
-        if len(args) != len(fields):
+        fields = len(strip_prods(ctype)[0]) - decl.params
+        if len(args) != fields:
             raise ParseError(
-                f"constructor {cname} has {len(fields)} field(s), "
+                f"constructor {cname} has {fields} field(s), "
                 f"got {len(args)} binder(s)", rm.line, rm.col)
         binner = scope
-        field_binders: list[tuple[str, Term]] = []
+        field_vars: list[Term] = []
         for given in args:
             new, binner = _bind(given, binner, taken)
-            field_binders.append((new, ctele.domain()))
-            ctele.bind(Var(new))
+            field_vars.append(Var(new))
+        domains = prod_domains(ctype, [*params, *field_vars])
+        field_binders = [(v.name, dom) for v, dom
+                         in zip(field_vars, domains[decl.params:])]
         branches.append(lams(field_binders, _elab(env, body, binner, taken)))
 
     return Case(rm.ind, scrutinee, params, motive, tuple(branches))

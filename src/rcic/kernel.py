@@ -437,20 +437,23 @@ def _quote(rho: dict, t: Term) -> Term:
 _HEAD_TERM = {_FREE: Var, _GLOBAL: Const, _IND: Ind, _CONSTR: Constr}
 
 
-def _read_back(v, term_of) -> Term:
+def _read_back(v, term_of, names=()) -> Term:
     """The term of a value that `_eval` computed, with `term_of(rho, t)`
-    making the term of each `t` the value keeps in an environment `rho`.
-    A stuck case keeps its scrutinee's value in weak head normal form."""
+    making the term of each `t` the value keeps in an environment `rho`,
+    and level k read back as `names[k]`.  A stuck case keeps its
+    scrutinee's value in weak head normal form."""
     if type(v) is _Closure:
         return term_of(v.rho, v.term)
     if type(v) is Sort:
         return SortT(v)
     kind, t = v.kind, v.head
-    if kind == _STUCK:
-        t = _read_back(t, term_of)
+    if kind == _LEVEL:
+        t = Var(names[t])
+    elif kind == _STUCK:
+        t = _read_back(t, term_of, names)
     elif kind == _CASE:
         rho, case, s = t
-        t = Case(case.ind, _read_back(s, term_of),
+        t = Case(case.ind, _read_back(s, term_of, names),
                  tuple(term_of(rho, p) for p in case.params),
                  term_of(rho, case.motive),
                  tuple(term_of(rho, b) for b in case.branches))
@@ -601,189 +604,290 @@ def subtype(env: GlobalEnv, a: Term, b: Term) -> bool:
 
 # ---------------------------------------------------------------------------
 # Type inference
+#
+# The checker types terms on the values of the evaluator above.  A context
+# binds each name in scope to an entry: a thunk whose value is a de Bruijn
+# level and which carries that level's type as a value.  A product is opened
+# by evaluating its codomain with its binder bound to the argument's thunk,
+# or to a new level, so no type is substituted into.  A Lam is checked
+# against a product binder by binder, so checking a definition reads no type
+# back.  A type is read back to a term only where a term is needed: the type
+# `infer` returns, an error's expected and actual types, and the product of a
+# Lam whose type is inferred.
+#
+# A level reads back as its binder's name, or as the first fresh name
+# (`syntax.fresh_name`) if the binder is `_` or a level in scope already has
+# that name; in a context given as a term, an entry keeps its name unless a
+# later entry has it too.  So the names of the levels in scope are distinct,
+# and reading a level back captures nothing.
+
+
+class _Entry(_Thunk):
+    """A context entry: a level, as a thunk whose term is its name, and the
+    level's type."""
+
+    __slots__ = ("type",)
+
+    def __init__(self, name: str, level: int, ty):
+        super().__init__(_EMPTY, Var(name), _Neutral(_LEVEL, level))
+        self.type = ty
+
+
+class _Ctx:
+    """A typing context of values.  `rho` binds each name in scope to its
+    entry and `levels` lists the entries by level; `renamed` holds the names
+    of the levels not named after their binders."""
+
+    __slots__ = ("rho", "levels", "renamed")
+
+    def __init__(self, rho: dict, levels: tuple, renamed: frozenset[str]):
+        self.rho = rho
+        self.levels = levels
+        self.renamed = renamed
+
+    def extend(self, binder: str, ty) -> "_Ctx":
+        """The context with `binder` bound to a new level of type `ty`."""
+        name, renamed = binder, self.renamed
+        if binder == "_" or binder in self.rho or binder in renamed:
+            name = fresh_name(binder, self.rho.keys() | renamed)
+            renamed = renamed | {name}
+        entry = _Entry(name, len(self.levels), ty)
+        return _Ctx({**self.rho, binder: entry}, self.levels + (entry,),
+                    renamed)
+
+
+_NO_CTX = _Ctx(_EMPTY, (), frozenset())
+
+
+def _context(env: GlobalEnv, ctx: Context) -> _Ctx:
+    """The values of a term context: each entry's type is evaluated in the
+    entries before it."""
+    last = {name: i for i, (name, _) in enumerate(ctx)}
+    taken = set(last)
+    rho, levels, renamed = _EMPTY, [], set()
+    for i, (binder, ty) in enumerate(ctx):
+        name = binder
+        if binder == "_" or last[binder] != i:
+            name = fresh_name(binder, taken)
+            taken.add(name)
+            renamed.add(name)
+        levels.append(_Entry(name, i, _eval(env, rho, ty)))
+        rho = {**rho, binder: levels[-1]}
+    return _Ctx(rho, tuple(levels), frozenset(renamed))
+
+
+def _term(ctx: _Ctx, v) -> Term:
+    """The term of the value `v`, whose levels are those of `ctx`: closures
+    and thunks read back as their terms with their environments
+    substituted, as `whnf` reads them."""
+    memo: dict[_Thunk, Term] = {}
+    return _read_back(v, lambda rho, t: _substituted(rho, t, memo),
+                      [entry.term.name for entry in ctx.levels])
+
+
+def _reify(env: GlobalEnv, names: list[str], taken: set[str], v) -> Term:
+    """The normal form of the value `v` as a term: level k reads back as
+    `names[k]`, and each closure is opened at a new level, named as a level
+    is for `taken`, the names of the levels in scope."""
+    passed = []  # (node, its binder's name, its domain read back)
+    while type(v) is _Closure:
+        node = v.term
+        dom, body = children(node)
+        name = fresh_name(node.binder, taken)
+        passed.append((node, name, _reify(env, names, taken,
+                                          _eval(env, v.rho, dom))))
+        level = _Entry(name, len(names), None)
+        names.append(name)
+        taken.add(name)
+        v = _eval(env, {**v.rho, node.binder: level}, body)
+
+    def term_of(rho: dict, t: Term) -> Term:
+        # A fix is opened like a closure; anything else is evaluated.
+        u = _Closure(rho, t) if type(t) is Fix else _eval(env, rho, t)
+        return _reify(env, names, taken, u)
+
+    t = _read_back(v, term_of, names)
+    for node, name, dom in reversed(passed):
+        names.pop()
+        taken.discard(name)
+        t = rebuild_binder(node, name, dom, t)
+    return t
+
+
+def _is_prod(v) -> bool:
+    return type(v) is _Closure and type(v.term) is Prod
+
+
+def _open(env: GlobalEnv, pi: _Closure, th: _Thunk):
+    """The codomain of the product `pi` with its binder bound to `th`."""
+    prod = pi.term
+    return _eval(env, {**pi.rho, prod.binder: th}, prod.codomain)
+
+
+def _thunk(ctx: _Ctx, t: Term) -> _Thunk:
+    """`t` in `ctx`, to be evaluated when needed."""
+    return (type(t) is Var and ctx.rho.get(t.name)) or _Thunk(ctx.rho, t)
 
 
 def infer(env: GlobalEnv, ctx: Context, t: Term,
           mode: EliminationMode = STAR) -> Term:
     """The principal type of `t`, with its head reduced."""
-    return whnf(env, _infer(env, ctx, t, mode))
+    c = _context(env, ctx)
+    return _term(c, _unfold_head(env, _infer(env, c, t, mode)))
 
 
 def check(env: GlobalEnv, ctx: Context, t: Term, expected: Term,
           mode: EliminationMode = STAR) -> None:
     """Check `t` against `expected` up to cumulativity."""
-    actual = _infer(env, ctx, t, mode)
-    if not subtype(env, actual, expected):
-        raise TypeCheckError(ErrorKind.NOT_CONVERTIBLE,
-                             "term does not have the expected type",
-                             term=t, expected=expected, actual=actual)
+    c = _context(env, ctx)
+    _require(env, c, t, _eval(env, c.rho, expected), mode, expected=expected)
 
 
 def infer_sort(env: GlobalEnv, ctx: Context, t: Term,
                mode: EliminationMode = STAR) -> Sort:
     """The sort of the type `t`, or NotASort."""
-    ty = whnf(env, _infer(env, ctx, t, mode))
-    if not isinstance(ty, SortT):
-        raise TypeCheckError(ErrorKind.NOT_A_SORT,
-                             "expected a type", term=t, actual=ty)
-    return ty.sort
+    return _infer_sort(env, _context(env, ctx), t, mode)
 
 
-def _infer(env: GlobalEnv, ctx: Context, t: Term,
-           mode: EliminationMode) -> Term:
-    match t:
-        case Var(name):
-            ty = ctx.lookup(name)
-            if ty is None:
-                raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
-                                     f"unbound variable {name}", term=t)
-            return ty
-        case Const(name):
-            defn = env.definition(name)
-            if defn is None:
-                raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
-                                     f"unknown definition {name}", term=t)
-            return defn.type
-        case SortT(s):
-            return SortT(axiom_sort(s))
-        case Prod():
-            # A product telescope in one loop: the domains' sorts outermost
-            # first, each in the context its outer binders extend, then the
-            # codomain's; the product sorts fold from the codomain outward.
-            sorts = []
-            while type(t) is Prod:
-                sorts.append(infer_sort(env, ctx, t.domain, mode))
-                ctx = ctx.extend(t.binder, t.domain)
-                t = t.codomain
-            s = infer_sort(env, ctx, t, mode)
-            for sd in reversed(sorts):
-                s = sort_of_product(sd, s)
-            return SortT(s)
-        case Lam(binder, annotation, body):
-            infer_sort(env, ctx, annotation, mode)
-            body_ty = _infer(env, ctx.extend(binder, annotation), body, mode)
-            return Prod(binder, annotation, body_ty)
-        case App():
-            return _infer_spine(env, ctx, t, mode)
-        case Ind(name):
-            decl = env.inductive(name)
-            if decl is None:
-                raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
-                                     f"unknown inductive {name}", term=t)
-            return decl.arity
-        case Constr(name):
-            info = env.constructor(name)
-            if info is None:
-                raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
-                                     f"unknown constructor {name}", term=t)
-            decl, i = info
-            return decl.constructors[i][1]
-        case Case():
-            return _infer_case(env, ctx, t, mode)
-        case Fix():
-            return _infer_fix(env, ctx, t, mode)
+def _infer_sort(env: GlobalEnv, ctx: _Ctx, t: Term,
+                mode: EliminationMode) -> Sort:
+    ty = _unfold_head(env, _infer(env, ctx, t, mode))
+    if type(ty) is not Sort:
+        raise TypeCheckError(ErrorKind.NOT_A_SORT, "expected a type", term=t,
+                             actual=_term(ctx, ty))
+    return ty
+
+
+def _require(env: GlobalEnv, ctx: _Ctx, t: Term, ty, mode: EliminationMode,
+             message: str = "term does not have the expected type",
+             term: Optional[Term] = None,
+             expected: Optional[Term] = None) -> None:
+    """Check `t` against the type value `ty`, or raise NotConvertible with
+    `message`, about `term` (by default `t`), with `t`'s inferred type as
+    the actual one."""
+    if not _check(env, ctx, t, ty, mode):
+        raise TypeCheckError(ErrorKind.NOT_CONVERTIBLE, message,
+                             term=term or t,
+                             expected=expected or _term(ctx, ty),
+                             actual=_term(ctx, _infer(env, ctx, t, mode)))
+
+
+def _check(env: GlobalEnv, ctx: _Ctx, t: Term, ty,
+           mode: EliminationMode) -> bool:
+    """Whether `t` has the type value `ty`, up to cumulativity.  A Lam is
+    checked against a product binder by binder: its annotation must be
+    convertible with the domain, and its body is checked against the
+    codomain at a new level.  That is what comparing the Lam's inferred
+    product with `ty` decides.  Errors other than the mismatch are raised.
+    """
+    while type(t) is Lam:
+        pi = _unfold_head(env, ty)
+        if not _is_prod(pi):
+            break
+        _infer_sort(env, ctx, t.annotation, mode)
+        dom = _eval(env, ctx.rho, t.annotation)
+        if not _conv(env, len(ctx.levels), dom,
+                     _eval(env, pi.rho, pi.term.domain)):
+            return False
+        ctx = ctx.extend(t.binder, dom)
+        ty = _open(env, pi, ctx.levels[-1])
+        t = t.body
+    return _conv(env, len(ctx.levels), _infer(env, ctx, t, mode), ty, True)
+
+
+def _infer(env: GlobalEnv, ctx: _Ctx, t: Term, mode: EliminationMode):
+    """The type of `t` in `ctx`, as a value."""
+    kind = type(t)
+    if kind is Var:
+        entry = ctx.rho.get(t.name)
+        if entry is None:
+            raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
+                                 f"unbound variable {t.name}", term=t)
+        return entry.type
+    if kind is App:
+        return _infer_spine(env, ctx, t, mode)
+    if kind is Const:
+        defn = env.definition(t.name)
+        if defn is None:
+            raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
+                                 f"unknown definition {t.name}", term=t)
+        return _eval(env, _EMPTY, defn.type)
+    if kind is SortT:
+        return axiom_sort(t.sort)
+    if kind is Prod:
+        # A product telescope in one loop: the domains' sorts outermost
+        # first, each in the context its outer binders extend, then the
+        # codomain's; the product sorts fold from the codomain outward.
+        sorts = []
+        while type(t) is Prod:
+            sorts.append(_infer_sort(env, ctx, t.domain, mode))
+            ctx = ctx.extend(t.binder, _eval(env, ctx.rho, t.domain))
+            t = t.codomain
+        s = _infer_sort(env, ctx, t, mode)
+        for sd in reversed(sorts):
+            s = sort_of_product(sd, s)
+        return s
+    if kind is Lam:
+        # A Lam telescope in one loop, and its product read back once, when
+        # the body's type is known.
+        outer = ctx
+        domains = []
+        while type(t) is Lam:
+            _infer_sort(env, ctx, t.annotation, mode)
+            domains.append(_eval(env, ctx.rho, t.annotation))
+            ctx = ctx.extend(t.binder, domains[-1])
+            t = t.body
+        body = _infer(env, ctx, t, mode)
+        names = [entry.term.name for entry in ctx.levels]
+        taken = set(names)
+        ty = _reify(env, names, taken, body)
+        for dom in reversed(domains):
+            name = names.pop()
+            taken.discard(name)
+            ty = Prod(name, _reify(env, names, taken, dom), ty)
+        return _Closure({e.term.name: e for e in outer.levels}, ty)
+    if kind is Ind:
+        decl = env.inductive(t.name)
+        if decl is None:
+            raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
+                                 f"unknown inductive {t.name}", term=t)
+        return _eval(env, _EMPTY, decl.arity)
+    if kind is Constr:
+        info = env.constructor(t.name)
+        if info is None:
+            raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
+                                 f"unknown constructor {t.name}", term=t)
+        decl, i = info
+        return _eval(env, _EMPTY, decl.constructors[i][1])
+    if kind is Case:
+        return _infer_case(env, ctx, t, mode)
+    if kind is Fix:
+        return _infer_fix(env, ctx, t, mode)
     raise TypeCheckError(ErrorKind.NOT_CONVERTIBLE, f"not a term: {t!r}")
 
 
-def _infer_spine(env: GlobalEnv, ctx: Context, t: App,
-                 mode: EliminationMode) -> Term:
-    """The type of an application, from its head's type inferred once and
-    opened by one telescope walk, which takes the arguments as values."""
+def _infer_spine(env: GlobalEnv, ctx: _Ctx, t: App, mode: EliminationMode):
+    """The type of an application: its head's type, inferred once, opened
+    by one argument after another."""
     nodes: list[App] = []
     head = t
     while type(head) is App:
         nodes.append(head)
         head = head.fn
-    tele = Telescope(env, _infer(env, ctx, head, mode))
+    ty = _infer(env, ctx, head, mode)
     for node in reversed(nodes):
-        if not tele.expose():
+        pi = _unfold_head(env, ty)
+        if not _is_prod(pi):
             raise TypeCheckError(ErrorKind.NOT_A_FUNCTION,
                                  "application head is not a function",
-                                 term=node.fn, actual=tele.ty)
-        domain = tele.domain()
-        arg_ty = _infer(env, ctx, node.arg, mode)
-        if not subtype(env, arg_ty, domain):
-            raise TypeCheckError(ErrorKind.NOT_CONVERTIBLE,
-                                 "argument type mismatch", term=node,
-                                 expected=domain, actual=arg_ty)
-        tele.bind(node.arg)
-    return tele.rest()
+                                 term=node.fn, actual=_term(ctx, pi))
+        _require(env, ctx, node.arg, _eval(env, pi.rho, pi.term.domain), mode,
+                 "argument type mismatch", term=node)
+        ty = _open(env, pi, _thunk(ctx, node.arg))
+    return ty
 
 
-class Telescope:
-    """A product type opened one binder at a time.  `ty` is the type still
-    to open and `pending` the simultaneous substitution of the binders
-    passed so far, applied to each domain as it is read and to the rest;
-    it is flushed into `ty` only to reduce a `ty` that is not a product.
-    """
-
-    __slots__ = ("env", "ty", "pending")
-
-    def __init__(self, env: GlobalEnv, ty: Term):
-        self.env = env
-        self.ty = ty
-        self.pending: dict[str, Term] = {}
-
-    def expose(self) -> bool:
-        """Whether a product shows, reducing the type to weak head normal
-        form first if it is not syntactically one."""
-        if type(self.ty) is not Prod:
-            self.ty = whnf(self.env, self.rest())
-            self.pending = {}
-        return type(self.ty) is Prod
-
-    def domain(self) -> Term:
-        """The domain of the product that shows."""
-        return subst_all(self.ty.domain, self.pending)
-
-    def fresh(self, base: str, avoid: frozenset[str] | set[str]) -> str:
-        """A name from `base` outside `avoid` and the free names of the
-        codomain with `pending` applied, computed without applying it: the
-        names no entry replaces, and the free names of the live entries."""
-        prod = self.ty
-        taken = set(avoid)
-        for name in free_vars(prod.codomain):
-            value = self.pending.get(name)
-            if value is None or name == prod.binder:
-                taken.add(name)
-            else:
-                taken |= free_vars(value)
-        return fresh_name(base, taken)
-
-    def bind(self, value: Term) -> None:
-        """Pass the binder that shows, replacing it by `value`."""
-        self.pending[self.ty.binder] = value
-        self.ty = self.ty.codomain
-
-    def rest(self) -> Term:
-        """The type still to open, with the pending substitution applied."""
-        return subst_all(self.ty, self.pending)
-
-
-def instantiate(env: GlobalEnv, ty: Term, params: tuple[Term, ...],
-                what: str, avoid: frozenset[str] = frozenset(),
-                ) -> tuple[list[tuple[str, Term]], Term]:
-    """The binders of `ty` after the first `len(params)`, which take the
-    parameter terms, and the weak head normal form it ends in.  Each binder
-    is named fresh for `avoid`, the parameters and the binders before it."""
-    tele = Telescope(env, ty)
-    for p in params:
-        if not tele.expose():
-            raise TypeCheckError(ErrorKind.ARITY_MISMATCH,
-                                 f"{what}: expected a product", actual=tele.ty)
-        tele.bind(p)
-    taken = set(avoid).union(*(free_vars(p) for p in params))
-    binders: list[tuple[str, Term]] = []
-    while tele.expose():
-        name = tele.fresh(tele.ty.binder, taken)
-        binders.append((name, tele.domain()))
-        taken.add(name)
-        tele.bind(Var(name))
-    return binders, tele.ty
-
-
-def _infer_case(env: GlobalEnv, ctx: Context, t: Case,
-                mode: EliminationMode) -> Term:
+def _infer_case(env: GlobalEnv, ctx: _Ctx, t: Case, mode: EliminationMode):
     decl = env.inductive(t.ind)
     if decl is None:
         raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
@@ -797,108 +901,175 @@ def _infer_case(env: GlobalEnv, ctx: Context, t: Case,
                              f"case over {t.ind} needs {len(decl.constructors)} "
                              f"branches, got {len(t.branches)}", term=t)
 
-    scrut_ty = whnf(env, _infer(env, ctx, t.scrutinee, mode))
-    head, args = unfold_app(scrut_ty)
-    if not (isinstance(head, Ind) and head.name == t.ind):
+    scrut_ty = _unfold_head(env, _infer(env, ctx, t.scrutinee, mode))
+    if not (type(scrut_ty) is _Neutral and scrut_ty.kind == _IND
+            and scrut_ty.head == t.ind):
         raise TypeCheckError(ErrorKind.NOT_CONVERTIBLE,
                              f"scrutinee is not a {t.ind}",
-                             term=t.scrutinee, actual=scrut_ty)
-    indices, end = instantiate(env, decl.arity, t.params,
-                               f"arity of {decl.name}")
-    if not isinstance(end, SortT):
-        raise TypeCheckError(ErrorKind.ILL_FORMED_INDUCTIVE,
-                             f"arity of {decl.name} does not end in a sort",
-                             actual=end)
-    if len(args) != decl.params + len(indices):
+                             term=t.scrutinee, actual=_term(ctx, scrut_ty))
+    # Declared arities and constructor types are product telescopes.
+    n_indices = len(strip_prods(decl.arity)[0]) - decl.params
+    if len(scrut_ty.spine) != decl.params + n_indices:
         raise TypeCheckError(ErrorKind.ARITY_MISMATCH,
-                             f"scrutinee type applies {t.ind} to {len(args)} "
-                             f"arguments", term=t.scrutinee, actual=scrut_ty)
-    for given, actual in zip(t.params, args[:decl.params]):
-        if not conv(env, given, actual):
+                             f"scrutinee type applies {t.ind} to "
+                             f"{len(scrut_ty.spine)} arguments",
+                             term=t.scrutinee, actual=_term(ctx, scrut_ty))
+    params = [_thunk(ctx, p) for p in t.params]
+    for p, given, actual in zip(t.params, params, scrut_ty.spine):
+        actual = _force(env, actual)
+        if not _conv(env, len(ctx.levels), _force(env, given), actual):
             raise TypeCheckError(ErrorKind.NOT_CONVERTIBLE,
                                  "case parameters disagree with the scrutinee",
-                                 term=t, expected=given, actual=actual)
-    actual_indices = args[decl.params:]
+                                 term=t, expected=p, actual=_term(ctx, actual))
 
     # The motive must take the indices, then the scrutinee, and land in a
-    # sort.  Both telescopes take the motive's index variables, each fresh
-    # for the context and the ones before it.
-    motive = Telescope(env, _infer(env, ctx, t.motive, mode))
-    idx_vars: dict[str, Term] = {}
-    taken = set(ctx.names())
-    for iname, ity in indices:
-        if not motive.expose():
+    # sort.  The arity and the motive's type take one new level per index.
+    arity = _eval(env, _EMPTY, decl.arity)
+    for p in params:
+        arity = _open(env, arity, p)
+    motive_ty = _infer(env, ctx, t.motive, mode)
+    mctx, indices = ctx, []
+    for _ in range(n_indices):
+        m = _unfold_head(env, motive_ty)
+        if not _is_prod(m):
             raise TypeCheckError(ErrorKind.ARITY_MISMATCH,
                                  f"motive of case over {t.ind} takes too few "
                                  f"arguments", term=t.motive)
-        expected = subst_all(ity, idx_vars)
-        domain = motive.domain()
-        if not conv(env, domain, expected):
+        expected = _eval(env, arity.rho, arity.term.domain)
+        domain = _eval(env, m.rho, m.term.domain)
+        if not _conv(env, len(mctx.levels), domain, expected):
             raise TypeCheckError(ErrorKind.NOT_CONVERTIBLE,
                                  "motive domain mismatch", term=t.motive,
-                                 expected=expected, actual=domain)
-        idx_vars[iname] = Var(motive.fresh(iname, taken))
-        taken.add(idx_vars[iname].name)
-        motive.bind(idx_vars[iname])
-    if not motive.expose():
+                                 expected=_term(mctx, expected),
+                                 actual=_term(mctx, domain))
+        mctx = mctx.extend(arity.term.binder, expected)
+        indices.append(mctx.levels[-1])
+        arity = _open(env, arity, indices[-1])
+        motive_ty = _open(env, m, indices[-1])
+    m = _unfold_head(env, motive_ty)
+    if not _is_prod(m):
         raise TypeCheckError(ErrorKind.ARITY_MISMATCH,
                              f"motive of case over {t.ind} must abstract the "
                              f"scrutinee", term=t.motive)
-    expected_scrut = app(Ind(t.ind), *t.params, *idx_vars.values())
-    domain = motive.domain()
-    if not conv(env, domain, expected_scrut):
+    expected = _Neutral(_IND, t.ind, (*params, *indices))
+    domain = _eval(env, m.rho, m.term.domain)
+    if not _conv(env, len(mctx.levels), domain, expected):
         raise TypeCheckError(ErrorKind.NOT_CONVERTIBLE,
                              "motive scrutinee domain mismatch", term=t.motive,
-                             expected=expected_scrut, actual=domain)
-    motive.bind(t.scrutinee)
-    result = whnf(env, motive.rest())
-    if not isinstance(result, SortT):
+                             expected=_term(mctx, expected),
+                             actual=_term(mctx, domain))
+    scrutinee = _thunk(ctx, t.scrutinee)
+    result = _unfold_head(env, _open(env, m, scrutinee))
+    if type(result) is not Sort:
         raise TypeCheckError(ErrorKind.NOT_A_SORT,
                              "motive must land in a sort", term=t.motive,
-                             actual=result)
-    if (result.sort.kind == "Type" and mode is STAR
-            and not is_small(env, t.ind)):
+                             actual=_term(mctx, result))
+    if result.kind == "Type" and mode is STAR and not is_small(env, t.ind):
         raise TypeCheckError(ErrorKind.NON_SMALL_STRONG_ELIM,
                              f"strong elimination of non-small inductive "
                              f"{t.ind}", term=t)
 
-    avoid = free_vars(t.motive) | ctx.names()
+    # Each branch takes its constructor's fields and returns the motive at
+    # the constructor's indices and the constructor applied to the fields.
+    motive = _eval(env, ctx.rho, t.motive)
     for (cname, cty), branch in zip(decl.constructors, t.branches):
-        fields, end = instantiate(env, cty, t.params, "constructor type", avoid)
-        chead, cargs = unfold_app(end)
-        if not (isinstance(chead, Ind) and chead.name == decl.name):
-            raise TypeCheckError(ErrorKind.ILL_FORMED_INDUCTIVE,
-                                 f"constructor does not build {decl.name}",
-                                 actual=end)
-        con_app = app(Constr(cname), *t.params, *(Var(n) for n, _ in fields))
-        expected_branch = app(t.motive, *cargs[decl.params:], con_app)
-        check(env, ctx, branch, prods(fields, expected_branch), mode)
+        ty = _eval(env, _EMPTY, cty)
+        for p in params:
+            ty = _open(env, ty, p)
 
-    return app(t.motive, *actual_indices, t.scrutinee)
+        def end(fctx: _Ctx, concl: _Neutral, cname: str = cname):
+            fields = fctx.levels[len(ctx.levels):]
+            con = _Thunk({**ctx.rho, **{e.term.name: e for e in fields}},
+                         app(Constr(cname), *t.params,
+                             *(e.term for e in fields)))
+            return _apply_spine(env, motive,
+                                [*concl.spine[decl.params:], con])
+
+        fields = len(strip_prods(cty)[0]) - decl.params
+        if not _check_branch(env, ctx, branch, ty, fields, end, mode):
+            raise TypeCheckError(ErrorKind.NOT_CONVERTIBLE,
+                                 "term does not have the expected type",
+                                 term=branch,
+                                 expected=_branch_type(env, ctx, ty, fields,
+                                                       end),
+                                 actual=_term(ctx, _infer(env, ctx, branch,
+                                                          mode)))
+
+    return _apply_spine(env, motive, [*scrut_ty.spine[decl.params:],
+                                      scrutinee])
 
 
-def _infer_fix(env: GlobalEnv, ctx: Context, t: Fix,
-               mode: EliminationMode) -> Term:
-    infer_sort(env, ctx, t.annotation, mode)
+def _check_branch(env: GlobalEnv, ctx: _Ctx, t: Term, ty: _Closure,
+                  fields: int, end, mode: EliminationMode) -> bool:
+    """Whether `t` has the type whose binders are the first `fields` of the
+    product `ty` and whose codomain is `end(c, rest)`, for the context `c`
+    that binds them and the rest `rest` of `ty`, up to cumulativity.  The
+    binders are compared as `_check` compares them, first with `t`'s Lams,
+    then with the products of the type of what is left of `t`."""
+    actual = None  # the type of `t` once its Lams run out
+    for _ in range(fields):
+        if actual is None and type(t) is Lam:
+            _infer_sort(env, ctx, t.annotation, mode)
+            binder, dom = t.binder, _eval(env, ctx.rho, t.annotation)
+        else:
+            actual = _unfold_head(env, actual if actual is not None
+                                  else _infer(env, ctx, t, mode))
+            if not _is_prod(actual):
+                return False
+            binder = actual.term.binder
+            dom = _eval(env, actual.rho, actual.term.domain)
+        if not _conv(env, len(ctx.levels), dom,
+                     _eval(env, ty.rho, ty.term.domain)):
+            return False
+        ctx = ctx.extend(binder, dom)
+        ty = _open(env, ty, ctx.levels[-1])
+        if actual is None:
+            t = t.body
+        else:
+            actual = _open(env, actual, ctx.levels[-1])
+    if actual is None:
+        return _check(env, ctx, t, end(ctx, ty), mode)
+    return _conv(env, len(ctx.levels), actual, end(ctx, ty), True)
+
+
+def _branch_type(env: GlobalEnv, ctx: _Ctx, ty: _Closure, fields: int,
+                 end) -> Term:
+    """The term of the type `_check_branch` checks against."""
+    binders = []
+    for _ in range(fields):
+        dom = _eval(env, ty.rho, ty.term.domain)
+        shown = _term(ctx, dom)
+        ctx = ctx.extend(ty.term.binder, dom)
+        binders.append((ctx.levels[-1].term.name, shown))
+        ty = _open(env, ty, ctx.levels[-1])
+    return prods(binders, _term(ctx, end(ctx, ty)))
+
+
+def _infer_fix(env: GlobalEnv, ctx: _Ctx, t: Fix, mode: EliminationMode):
+    _infer_sort(env, ctx, t.annotation, mode)
+    annotation = _eval(env, ctx.rho, t.annotation)
     # The decreasing argument must exist and be of inductive type.
-    tele = Telescope(env, t.annotation)
+    ty, fctx = annotation, ctx
     for _ in range(t.decreasing):
-        if not tele.expose():
+        pi = _unfold_head(env, ty)
+        if not _is_prod(pi):
             break
-        tele.bind(Var(tele.fresh(tele.ty.binder, ctx.names())))
-    if not tele.expose():
+        fctx = fctx.extend(pi.term.binder, _eval(env, pi.rho, pi.term.domain))
+        ty = _open(env, pi, fctx.levels[-1])
+    pi = _unfold_head(env, ty)
+    if not _is_prod(pi):
         raise TypeCheckError(ErrorKind.GUARD_VIOLATION,
                              f"fix type has no argument {t.decreasing}",
                              term=t)
-    domain = tele.domain()
-    dhead, _ = unfold_app(whnf(env, domain))
-    if not isinstance(dhead, Ind):
+    domain = _eval(env, pi.rho, pi.term.domain)
+    d = _unfold_head(env, domain)
+    if not (type(d) is _Neutral and d.kind == _IND):
         raise TypeCheckError(ErrorKind.GUARD_VIOLATION,
                              "decreasing argument is not of inductive type",
-                             term=t, actual=domain)
-    check(env, ctx.extend(t.binder, t.annotation), t.body, t.annotation, mode)
+                             term=t, actual=_term(fctx, domain))
+    _require(env, ctx.extend(t.binder, annotation), t.body, annotation, mode)
     check_guard(env, t)
-    return t.annotation
+    return annotation
 
 
 # ---------------------------------------------------------------------------
@@ -1005,16 +1176,13 @@ def is_small(env: GlobalEnv, name: str) -> bool:
     if decl is None:
         raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
                              f"unknown inductive {name}")
-    binders, _ = instantiate(env, decl.arity, (), f"arity of {name}")
-    params = binders[:decl.params]
     for _, cty in decl.constructors:
-        fields, _ = instantiate(env, cty, tuple(Var(n) for n, _ in params),
-                                "constructor type")
-        ctx = Context(params)
-        for fname, fty in fields:
-            if infer_sort(env, ctx, fty).kind == "Type":
+        ctx = _NO_CTX
+        for i, (binder, dom) in enumerate(strip_prods(cty)[0]):
+            if (i >= decl.params
+                    and _infer_sort(env, ctx, dom, STAR).kind == "Type"):
                 return False
-            ctx = ctx.extend(fname, fty)
+            ctx = ctx.extend(binder, _eval(env, ctx.rho, dom))
     return True
 
 
@@ -1053,7 +1221,7 @@ def check_inductive(env: GlobalEnv, decl: InductiveDecl,
                               f"{decl.name}: {msg}", **kw)
 
     # Checking in the empty context rejects any free variable.
-    infer_sort(env, Context(), decl.arity, mode)
+    _infer_sort(env, _NO_CTX, decl.arity, mode)
     arity_binders, arity_core = strip_prods(decl.arity)
     if not isinstance(arity_core, SortT):
         raise bad("arity does not end in a sort", term=decl.arity)
@@ -1071,32 +1239,33 @@ def check_inductive(env: GlobalEnv, decl: InductiveDecl,
         if cname in seen:
             raise bad(f"duplicate constructor name {cname}")
         seen.add(cname)
-        infer_sort(env2, Context(), cty, mode)
+        _infer_sort(env2, _NO_CTX, cty, mode)
 
         # The parameter prefix must match the arity's, up to alpha: the
         # constructor's parameter binders are read as the arity's.
-        tele = Telescope(env2, cty)
-        for pname, pty in param_binders:
-            if not isinstance(tele.ty, Prod):
+        binders, _ = strip_prods(cty)
+        for i, (pname, pty) in enumerate(param_binders):
+            if i == len(binders):
                 raise bad(f"constructor {cname} is missing parameter binders",
                           term=cty)
-            domain = tele.domain()
-            if not alpha_eq(domain, pty):
+            if not alpha_eq(prods(binders[:i + 1], arity_core),
+                            prods(param_binders[:i + 1], arity_core)):
                 raise bad(f"constructor {cname} disagrees with the arity on "
                           f"parameter {pname}", term=cty,
-                          expected=pty, actual=domain)
-            tele.bind(Var(pname))
-        ctx = Context(param_binders)
-        t = tele.rest()
+                          expected=pty, actual=binders[i][1])
+        ctx, t = _NO_CTX, cty
+        for _ in param_binders:
+            ctx = ctx.extend(t.binder, _eval(env2, ctx.rho, t.domain))
+            t = t.codomain
 
         # Size: the post-parameter part must fit the declared sort.
-        s_con = infer_sort(env2, ctx, t, mode)
+        s_con = _infer_sort(env2, ctx, t, mode)
         if not subsort(s_con, ind_sort):
             raise bad(f"constructor {cname} lives in {s_con}, which exceeds "
                       f"{ind_sort}", term=cty)
 
-        # Shape: fields, then the inductive applied to the parameter
-        # variables followed by index terms.
+        # Shape: fields, then the inductive applied to the parameters,
+        # in order, followed by index terms.
         fields, core = strip_prods(t)
         head, args = unfold_app(core)
         if not (isinstance(head, Ind) and head.name == decl.name):
@@ -1107,8 +1276,12 @@ def check_inductive(env: GlobalEnv, decl: InductiveDecl,
                                  f"{decl.name}: constructor {cname} applies "
                                  f"the inductive to {len(args)} arguments, "
                                  f"expected {len(arity_binders)}")
-        for (pname, _), arg in zip(param_binders, args[:decl.params]):
-            if not (isinstance(arg, Var) and arg.name == pname):
+        for fname, fty in fields:
+            ctx = ctx.extend(fname, _eval(env2, ctx.rho, fty))
+        for level, arg in enumerate(args[:decl.params]):
+            v = _eval(env2, ctx.rho, arg)
+            if not (type(v) is _Neutral and v.kind == _LEVEL
+                    and v.head == level and not v.spine):
                 raise bad(f"constructor {cname} must apply {decl.name} to its "
                           f"parameter binders in order", term=core)
         for arg in args[decl.params:]:

@@ -44,6 +44,7 @@ from .syntax import (
     lams,
     map_children,
     names,
+    prod_domains,
     rebuild_binder,
     strip_lams,
     strip_prods,
@@ -55,7 +56,6 @@ from .kernel import (
     STAR,
     ErrorKind,
     TypeCheckError,
-    Telescope,
     beta_normalize,
     check,
     declare_definition,
@@ -299,26 +299,18 @@ def _case_motive(env: GlobalEnv, t: Case, alias: Alias | None = None) -> Term:
     # Instantiate the relation's arity with the tripled parameters, then
     # read off the telescope it expects: three binders per source index,
     # then the two related scrutinees, then their witness.  A declared
-    # arity is a syntactic product telescope, so no step needs exposing.
-    tele = Telescope(env, rdecl.arity)
-    for q3 in params3:
-        tele.bind(q3)
-
+    # arity is a syntactic product telescope.
     n_indices = len(strip_prods(src.arity)[0]) - src.params
-    binders: list[tuple[str, Term]] = []
+    arity_binders, _ = strip_prods(rdecl.arity)
     idx_names: list[str] = []
-    for _ in range(3 * n_indices):
-        name = fresh_name(tele.ty.binder if tele.ty.binder != "_" else "i",
-                          avoid)
+    for binder, _ in arity_binders[len(params3):][:3 * n_indices]:
+        name = fresh_name(binder if binder != "_" else "i", avoid)
         avoid.add(name)
         idx_names.append(name)
-        binders.append((name, tele.domain()))
-        tele.bind(Var(name))
-
     pair = _pick_triple("a", frozenset(avoid))
-    for scrut in (pair.base, pair.copy):
-        binders.append((scrut, tele.domain()))
-        tele.bind(Var(scrut))
+    names_ = [*idx_names, pair.base, pair.copy]
+    domains = prod_domains(rdecl.arity, [*params3, *map(Var, names_)])
+    binders = list(zip(names_, domains[len(params3):]))
     rel_ty = app(Ind(rdecl.name), *params3, *(Var(n) for n in idx_names),
                  Var(pair.base), Var(pair.copy))
     binders.append((pair.rel, rel_ty))

@@ -444,6 +444,19 @@ def _subst_all(t: Term, sub: dict[str, Term]) -> Term:
     return map_children(t, lambda c: _subst_all(c, sub))
 
 
+def prod_domains(ty: Term, args: list[Term]) -> list[Term]:
+    """The domains of the first `len(args)` binders of the product
+    telescope `ty`, each with the binders before it replaced by `args`
+    (simultaneously, by one pending map)."""
+    sub: dict[str, Term] = {}
+    domains = []
+    for arg in args:
+        domains.append(subst_all(ty.domain, sub))
+        sub[ty.binder] = arg
+        ty = ty.codomain
+    return domains
+
+
 def under_binder(binder: str, body: Term, sub: dict[str, Term],
                  ) -> tuple[str, dict[str, Term]]:
     """The binder rule of `subst_all`: the name a binder over `body` takes

@@ -1,23 +1,23 @@
-"""Indexed families and the telescope walker.
+"""Indexed families and telescopes.
 
 `Vec` is the one indexed family the prelude does not have.  Matching on it
 opens the telescopes of its arity and constructor types, and translating
 the match opens the relation's arity, three binders per index.  The
-abstraction theorem must hold for definitions over it, and the walker must
-open every telescope as substituting one binder at a time would.
+abstraction theorem must hold for definitions over it, and the kernel must
+type every match as the term oracle, which substitutes into those
+telescopes, does.
 """
 
 from pathlib import Path
 
 import pytest
 
-from rcic import Ind, Prod, Var, alpha_eq, free_vars, prelude_path, subst
+from rcic import Context, Fix, Lam, Prod, conv, infer, prelude_path
 from rcic.cli import main
-from rcic.kernel import instantiate
-from rcic.syntax import Case, Const, fresh_name, subterms
+from rcic.syntax import Case, children
 
 from conftest import fresh_prelude_env, load_declarations
-from reducts import term_whnf
+from term_infer import term_infer
 from walker_counts import VEC_SOURCE
 
 # The decreasing argument's type has an index that is not a variable, so
@@ -104,71 +104,42 @@ def test_telescope_behind_a_definition(capsys, tmp_path):
                                      "PASS addop_use"]
 
 
-def _open_by_steps(env, ty, params, avoid):
-    """`instantiate` the sequential way: reduce to a product, substitute
-    one binder, repeat."""
-    t = ty
-    for p in params:
-        t = term_whnf(env, t)
-        t = subst(t.codomain, t.binder, p)
-    taken = set(avoid).union(*(free_vars(p) for p in params))
-    binders = []
-    while True:
-        t = term_whnf(env, t)
-        if not isinstance(t, Prod):
-            return binders, t
-        name = fresh_name(t.binder, taken | free_vars(t.codomain))
-        binders.append((name, t.domain))
-        taken.add(name)
-        t = subst(t.codomain, t.binder, Var(name))
-
-
 @pytest.fixture(scope="module")
 def indexed_env():
     env = fresh_prelude_env()
     return load_declarations(env, VEC_SOURCE + VONE + NATOP + EQ)
 
 
-def test_opened_telescopes_match_sequential_substitution(indexed_env):
-    # For every case in the prelude and the definitions above: the index
-    # binders of the arity and the fields and result indices of each
-    # constructor, opened by the walker, have the names and (up to alpha)
-    # the types that substituting one binder at a time gives.
+def _cases(t, ctx):
+    """Every Case node of `t`, with the term context it is typed in."""
+    stack = [(t, ctx)]
+    while stack:
+        u, c = stack.pop()
+        if type(u) is Case:
+            yield u, c
+        kids = children(u)
+        if type(u) in (Prod, Lam, Fix):
+            stack += [(kids[0], c), (kids[1], c.extend(u.binder, kids[0]))]
+        else:
+            stack += [(k, c) for k in kids]
+
+
+def test_infer_matches_the_term_oracle_on_indexed_families(indexed_env):
+    # For every definition above and in the prelude, the body and each
+    # case in it: the type inferred on values is convertible with the one
+    # the term oracle gets by substituting into the arity and constructor
+    # types.  Vec's matches open its arity and constructor types under a
+    # parameter, NatOp2 shows its second product only once NatOp is
+    # unfolded, and sym's match abstracts the anonymous index of Eq.
     env = indexed_env
     seen = 0
     for name in env.names():
         defn = env.definition(name)
         if defn is None:
             continue
-        for case in subterms(defn.body):
-            if type(case) is not Case:
-                continue
-            decl = env.inductive(case.ind)
-            types = [(decl.arity, frozenset())]
-            types += [(cty, free_vars(case.motive))
-                      for _, cty in decl.constructors]
-            for ty, avoid in types:
-                got = instantiate(env, ty, case.params, name, avoid)
-                want = _open_by_steps(env, ty, case.params, avoid)
-                assert [n for n, _ in got[0]] == [n for n, _ in want[0]]
-                assert all(alpha_eq(a, b) for (_, a), (_, b)
-                           in zip(got[0], want[0])), name
-                assert alpha_eq(got[1], want[1]), name
-                seen += 1
-    assert seen > 50
-
-
-
-def test_instantiate_names_binders_fresh(indexed_env):
-    # NatOp2 shows its second binder only once NatOp is unfolded; both
-    # binders are anonymous, so they are named x and x1.
-    binders, end = instantiate(indexed_env, Const("NatOp2"), (), "NatOp2")
-    assert [name for name, _ in binders] == ["x", "x1"]
-    assert end == Ind("Nat")
-    # The anonymous index of Eq A x would be `x`, which the match's
-    # parameters use, so it is `x1`.
-    case = next(u for u in subterms(indexed_env.definition("sym").body)
-                if type(u) is Case)
-    binders, _ = instantiate(indexed_env, indexed_env.inductive("Eq").arity,
-                             case.params, "Eq")
-    assert [name for name, _ in binders] == ["x1"]
+        for t, ctx in [(defn.body, Context()), *_cases(defn.body, Context())]:
+            got = infer(env, ctx, t)
+            assert conv(env, got, term_infer(env, ctx, t)), name
+            seen += 1
+        assert conv(env, infer(env, Context(), defn.body), defn.type), name
+    assert seen > 60

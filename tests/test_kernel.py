@@ -34,10 +34,14 @@ from rcic import (
     check,
     check_inductive,
     conv,
+    declare_definition,
     declare_inductive,
+    elaborate,
     infer,
     infer_sort,
     is_small,
+    parse_file,
+    prelude_path,
     print_inductive,
     print_term,
     set_sort,
@@ -50,6 +54,8 @@ from rcic import (
     whnf,
 )
 
+from rcic import kernel, syntax
+from rcic.frontend import DDef
 from rcic.param import prime
 from rcic.syntax import (children, lams, names, prods, strip_prods,
                          unfold_app)
@@ -58,6 +64,9 @@ from conftest import load_declarations, term_in
 from gen import LIST_NAT, UNIT, random_typed
 from nameless import to_nameless
 from reducts import one_step_reducts, term_whnf
+from term_infer import term_infer
+from translation_gaps import GAPS
+from walker_counts import counting
 
 NAT = Ind("Nat")
 BOOL = Ind("Bool")
@@ -1185,3 +1194,85 @@ def test_inductive_may_mention_definitions(fresh_env):
             check_inductive(fresh_env, decl)
         assert err.value.kind == ErrorKind.UNBOUND_VARIABLE
         assert err.value.message == "unbound variable zz"
+
+
+# ---------------------------------------------------------------------------
+# Typing on values: shadowed binders and the term oracle
+
+SET0 = SortT(set_sort(0))
+# fun (A : Set0) (x : A) (A : Set0) => x: its type returns the first A.
+SHADOWING = Lam("A", SET0, Lam("x", Var("A"), Lam("A", SET0, Var("x"))))
+
+
+def test_a_shadowed_binder_reads_back_under_a_fresh_name(prelude_env):
+    ty = infer(prelude_env, Context(), SHADOWING)
+    assert alpha_eq(ty, Prod("A", SET0, Prod("x", Var("A"),
+                                             Prod("A1", SET0, Var("A")))))
+    applied = app(SHADOWING, NAT, Constr("zero"), BOOL)
+    with pytest.raises(TypeCheckError) as err:
+        check(prelude_env, Context(), applied, BOOL)
+    assert err.value.kind == ErrorKind.NOT_CONVERTIBLE
+    check(prelude_env, Context(), applied, NAT)
+
+
+def test_a_context_entry_shadowed_by_a_later_one(prelude_env):
+    # The type of a is the first A, which the second A hides: the first
+    # reads back under a fresh name, which the context does not bind.
+    ctx = Context((("A", SET0), ("a", Var("A")), ("A", SET0)))
+    with pytest.raises(TypeCheckError) as err:
+        check(prelude_env, ctx, Var("a"), Var("A"))
+    assert err.value.kind == ErrorKind.NOT_CONVERTIBLE
+    assert infer(prelude_env, ctx, Var("a")) == Var("A1")
+    check(prelude_env, Context((("A", SET0), ("a", Var("A")))), Var("a"),
+          Var("A"))
+
+
+def _agrees_with_term_oracle(env, t):
+    return conv(env, infer(env, Context(), t), term_infer(env, Context(), t))
+
+
+def test_infer_matches_the_term_oracle_on_the_prelude(prelude_env):
+    for name in prelude_env.names():
+        defn = prelude_env.definition(name)
+        if defn is not None:
+            assert _agrees_with_term_oracle(prelude_env, defn.body), name
+            assert _agrees_with_term_oracle(prelude_env, defn.type), name
+
+
+def test_infer_matches_the_term_oracle_on_translation_gaps(fresh_env):
+    load_declarations(fresh_env, "".join(GAPS.values()))
+    for name in GAPS:
+        body = fresh_env.definition(name).body
+        assert _agrees_with_term_oracle(fresh_env, body), name
+
+
+def test_infer_matches_the_term_oracle_on_generated_terms(prelude_env):
+    for seed in range(3):
+        rng = random.Random(seed)
+        for _ in range(100):
+            t, _ = random_typed(rng, depth=4)
+            assert _agrees_with_term_oracle(prelude_env, t), (seed, t)
+
+
+def test_declaring_the_prelude_substitutes_nothing():
+    # After elaboration, the kernel checks every prelude declaration on
+    # values: it neither substitutes nor computes free variables.
+    env, calls = GlobalEnv(), 0
+    targets = [(syntax, "_subst_all"), (syntax, "free_vars"),
+               (kernel, "free_vars")]
+    for decl in parse_file(prelude_path().read_text()).decls:
+        if isinstance(decl, DDef):
+            ty, body = elaborate(env, decl.type), elaborate(env, decl.body)
+            with counting(targets) as count:
+                declare_definition(env, decl.name, ty, body)
+        else:
+            arity = elaborate(env, decl.arity)
+            seed = env.with_provisional(
+                InductiveDecl(decl.name, decl.params, arity, ()))
+            ctors = tuple((c, elaborate(seed, ty))
+                          for c, ty in decl.constructors)
+            with counting(targets) as count:
+                declare_inductive(env, InductiveDecl(decl.name, decl.params,
+                                                     arity, ctors))
+        calls += count[0]
+    assert len(env.names()) == 35 and calls == 0
