@@ -233,9 +233,8 @@ def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
                        Lam(x.copy, ann_c,
                            Lam(x.rel, app(ann_r, Var(x.base), Var(x.copy)),
                                body_r)))
-        case App(fn, arg):
-            return app(_translate(env, fn), arg, prime(arg),
-                       _translate(env, arg))
+        case App():
+            return _translate_app(env, t)[0]
         case Case(ind, scrutinee, params, motive, branches):
             _ensure_inductive(env, ind)
             params3: list[Term] = []
@@ -264,6 +263,18 @@ def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
             return subst_all(rel, {binder: selves.raw,
                                    primed(binder): selves.primed})
     raise TypeError(f"not a term: {t!r}")
+
+
+def _translate_app(env: GlobalEnv, t: Term) -> tuple[Term, Term]:
+    """The witness and the copy of `t`.  An application's copy is built
+    from the copies of its function and argument, so an argument nested in
+    arguments is copied once, not once per application above it."""
+    if type(t) is not App:
+        return _translate(env, t), prime(t)
+    fn_r, fn_c = _translate_app(env, t.fn)
+    arg_r, arg_c = _translate_app(env, t.arg)
+    copy = t if fn_c is t.fn and arg_c is t.arg else App(fn_c, arg_c)
+    return app(fn_r, t.arg, arg_c, arg_r), copy
 
 
 def _rename_triple(t: Term, old: str, new: NameTriple) -> Term:
@@ -359,18 +370,27 @@ def _ensure_definition(env: GlobalEnv, name: str) -> None:
     if defn is None:
         raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
                              f"unknown definition {name}")
-    if env.lookup(relation_name(name)) is not None:
+    rn = relation_name(name)
+    if env.lookup(rn) is not None:
         return
-    _assert_clean(defn.type)
-    _assert_clean(defn.body)
-    # The definition's own name is a definitional alias for its body, which
-    # keeps the generated witness referencing `name` instead of copies of
-    # the body.
-    self_ref = Alias(Const(name), Const(name))
-    body_r = beta_normalize(_translate(env, defn.body, self_ref))
-    ty_r = beta_normalize(app(_translate(env, defn.type),
-                              Const(name), Const(name)))
-    declare_definition(env, relation_name(name), ty_r, body_r, STAR)
+    # A relation that failed to declare fails again at once, with its error.
+    failure = env.failure(rn)
+    if failure is not None:
+        raise failure
+    try:
+        _assert_clean(defn.type)
+        _assert_clean(defn.body)
+        # The definition's own name is a definitional alias for its body,
+        # which keeps the generated witness referencing `name` instead of
+        # copies of the body.
+        self_ref = Alias(Const(name), Const(name))
+        body_r = beta_normalize(_translate(env, defn.body, self_ref))
+        ty_r = beta_normalize(app(_translate(env, defn.type),
+                                  Const(name), Const(name)))
+        declare_definition(env, rn, ty_r, body_r, STAR)
+    except (TypeCheckError, ValueError) as err:
+        env.record_failure(rn, err)
+        raise
 
 
 def _ensure_dependencies(env: GlobalEnv, t: Term, skip: str) -> None:

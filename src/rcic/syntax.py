@@ -562,15 +562,17 @@ class GlobalEnv:
 
     Constructor names are registered alongside their inductive so both kinds
     of reference resolve in one place.  Entries are only added through the
-    kernel's declare functions, after checking.
+    kernel's declare functions, after checking.  A name whose declaration
+    failed can be recorded with its error, so that it is not checked again.
     """
 
-    __slots__ = ("_entries", "_constructors")
+    __slots__ = ("_entries", "_constructors", "_failed")
 
     def __init__(self) -> None:
         self._entries: dict[str, GlobalEntry] = {}
         # Each constructor name's declaring inductive and position in it.
         self._constructors: dict[str, tuple[InductiveDecl, int]] = {}
+        self._failed: dict[str, Exception] = {}
 
     def lookup(self, name: str) -> Optional[GlobalEntry]:
         return self._entries.get(name)
@@ -603,6 +605,13 @@ class GlobalEnv:
         for i, (cname, _) in enumerate(decl.constructors):
             self._constructors[cname] = decl, i
 
+    def failure(self, name: str) -> Optional[Exception]:
+        """The error that declaring `name` raised, if it was recorded."""
+        return self._failed.get(name)
+
+    def record_failure(self, name: str, err: Exception) -> None:
+        self._failed[name] = err
+
     def add_definition(self, defn: Definition) -> None:
         if self.taken(defn.name):
             raise DuplicateNameError(defn.name)
@@ -620,4 +629,5 @@ class GlobalEnv:
         out._constructors = {c: owner for c, owner in self._constructors.items()
                              if owner[0].name != decl.name}
         out._entries[decl.name] = decl
+        out._failed = self._failed
         return out

@@ -446,6 +446,21 @@ def test_param_check_declares_each_relation_once(capsys):
     assert (checks[0], declared[0]) == (0, 30)
 
 
+def test_a_failed_relation_is_declared_once(capsys, tmp_path):
+    # self_id's relation fails to declare.  u1, u2 and u3 use self_id, so
+    # theirs fail too, from the recorded failure: 30 declarations for the
+    # prelude and one attempt at self_id_R, not one per reference.
+    path = tmp_path / "uses.rcic"
+    path.write_text(GAPS["self_id"] + "def u1 : Nat := self_id zero.\n"
+                    "def u2 : Nat := self_id one.\n"
+                    "def u3 : Nat := self_id two.\n")
+    with counting([(rcic.param, "declare_definition")]) as declared:
+        assert main(["param-check", str(rcic.prelude_path()), str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[-4:] == [
+        "FAIL self_id", "FAIL u1", "FAIL u2", "FAIL u3"]
+    assert declared[0] == 31
+
+
 def test_abstraction_check_of_250_binders():
     # The translated witness nests three binders per source binder; 250
     # source binders must fit the interpreter's default recursion limit.
@@ -476,6 +491,20 @@ def test_copy_work_grows_linearly():
     # Twice the binders may cost at most 2.2 times the `prime` calls: the
     # translation of a product telescope copies each suffix once.
     copies = [walker_calls(n, [(rcic.param, "prime")]) for n in (100, 200)]
+    assert copies[1] / copies[0] <= 2.2
+
+
+def test_copy_of_nested_arguments_grows_linearly():
+    # Twice the nesting may cost at most 2.2 times the `prime` calls: an
+    # application's copy is built from its argument's, so the numeral
+    # succ (... (succ zero)) is copied once, not once per succ above it.
+    copies = []
+    for n in (50, 100):
+        env = load_declarations(fresh_prelude_env(), f"def s{n} : Nat := "
+                                + "succ (" * n + "zero" + ")" * n + ".")
+        with counting([(rcic.param, "prime")]) as calls:
+            translate_definition(env, f"s{n}")
+        copies.append(calls[0])
     assert copies[1] / copies[0] <= 2.2
 
 

@@ -18,19 +18,25 @@ linearly in the binder depth.
 
 The third count is of `syntax._subst_all` calls alone, made by
 `rcic param-check` of the prelude plus the indexed family `Vec` and three
-definitions over it (`VEC_SOURCE`): matching on an indexed family opens
-product telescopes of relation arities and constructor types.
+definitions over it (`VEC_SOURCE`).  The kernel types on values and
+substitutes nothing, so the calls are the translation's: renaming binder
+triples, rebinding a fix's aliases, and opening the relation's arity for
+a translated match, three binders per index.
 
 The fourth count is of `kernel._eval` calls, made by `rcic check` of the
 prelude plus `CONV_SOURCE`, a chain of numerals and `refl` proofs of
 closed `plus` and `mult` equations over it: kernel conversion decides
 them by evaluation, one call per term evaluated apart from its spine.
 
+The fifth count is of `syntax._subst_all` calls made by the same `rcic
+check`.  The kernel makes none; any are the elaborator's, which reads
+the binder types of a match off the declared telescopes.
+
     PYTHONPATH=src python tests/walker_counts.py
 
-prints four Markdown lines: the walker counts for b20 and b40 and their
+prints five Markdown lines: the walker counts for b20 and b40 and their
 ratio, the `prime` counts for b100 and b200 and their ratio, the
-param-check count and the check count.
+param-check count and the two check counts.
 """
 
 import contextlib
@@ -162,3 +168,6 @@ if __name__ == "__main__":
     eval_calls = cli_calls([(kernel, "_eval")], "check", CONV_SOURCE)
     sys.stdout.write(f"Kernel evaluator calls of check on the prelude and "
                      f"numeral proofs: {eval_calls}\n")
+    subst_calls = cli_calls([(syntax, "_subst_all")], "check", CONV_SOURCE)
+    sys.stdout.write(f"Substitution walker calls of check on the prelude and "
+                     f"numeral proofs: {subst_calls}\n")
