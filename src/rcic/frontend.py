@@ -49,7 +49,7 @@ from .syntax import (
     lams,
     map_children,
     names,
-    prod_domains,
+    open_prods,
     prods,
     rebuild_binder,
     strip_prods,
@@ -560,18 +560,16 @@ def _elab_match(env: GlobalEnv, rm: RawMatch, scope: dict[str, str],
     # Annotate the motive binders from the declared arity.  Declared
     # arities and constructor types are syntactic product telescopes.
     inner = scope
-    index_vars: list[Term] = []
+    index_binders: list[str] = []
     for given in index_names:
         if given == "_":
             # The scrutinee binder's type must name every index.
             new = taken.fresh("i")
         else:
             new, inner = _bind(given, inner, taken)
-        index_vars.append(Var(new))
-    domains = prod_domains(decl.arity, [*params, *index_vars])
-    motive_binders = [(v.name, dom) for v, dom
-                      in zip(index_vars, domains[decl.params:])]
-    as_ty = app(Ind(rm.ind), *params, *index_vars)
+        index_binders.append(new)
+    motive_binders = open_prods(decl.arity, params, index_binders)
+    as_ty = app(Ind(rm.ind), *params, *map(Var, index_binders))
     as_new, inner = _bind(rm.as_name, inner, taken)
     motive_binders.append((as_new, as_ty))
     motive = lams(motive_binders, _elab(env, rm.motive, inner, taken))
@@ -596,14 +594,12 @@ def _elab_match(env: GlobalEnv, rm: RawMatch, scope: dict[str, str],
                 f"constructor {cname} has {fields} field(s), "
                 f"got {len(args)} binder(s)", rm.line, rm.col)
         binner = scope
-        field_vars: list[Term] = []
+        field_names: list[str] = []
         for given in args:
             new, binner = _bind(given, binner, taken)
-            field_vars.append(Var(new))
-        domains = prod_domains(ctype, [*params, *field_vars])
-        field_binders = [(v.name, dom) for v, dom
-                         in zip(field_vars, domains[decl.params:])]
-        branches.append(lams(field_binders, _elab(env, body, binner, taken)))
+            field_names.append(new)
+        branches.append(lams(open_prods(ctype, params, field_names),
+                             _elab(env, body, binner, taken)))
 
     return Case(rm.ind, scrutinee, params, motive, tuple(branches))
 

@@ -13,23 +13,25 @@ restriction.
 Reduction is one evaluator, from terms to closures and neutral values.
 Conversion and cumulativity compare the values of both sides, unfolding a
 definition only when comparing its applications argument by argument fails
-(lazy delta).  `whnf`, whose result `infer` returns, reads a value back to a
-term with the definitions at its head unfolded and its environments
-substituted; `beta_normalize` reads back values computed in an empty global
-environment, where only beta fires.  A binder is renamed by the rule of
-`syntax.subst_all`.
+(lazy delta).  `whnf` reads a value back to a term with the definitions at
+its head unfolded and its environments substituted, renaming a binder by
+the rule of `syntax.subst_all`; `beta_normalize` reads back values computed
+in an empty global environment, where only beta fires.
 
-One walker, `Telescope`, opens every product telescope: an application
-head's type, a case motive, an arity or constructor type under its
-parameters, a fix annotation.  The terms that replace the binders passed
-so far wait in one pending substitution, and the type is reduced only
-where it is not syntactically a product.
+Type checking works on the same values.  A context binds each name to a de
+Bruijn level and the level's type, a value; a product is opened by binding
+its binder to the argument's value or to a new level, and a Lam is checked
+against a product binder by binder, so the checker substitutes nothing.  A
+type is read back to a term only to return it from `infer`, to show it in
+an error, or as the product of a Lam whose type is inferred.  A level reads
+back as its binder's name, or as the first fresh name if the binder is `_`
+or a level in scope already has that name, so reading back never captures.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .syntax import (
     PROP,
@@ -217,6 +219,9 @@ class _Neutral:
 
 _EMPTY: dict[str, _Thunk] = {}
 _VALUE = "_value"
+# One value per inductive and constructor name, so that conversion finds
+# two occurrences identical at once.
+_HEADS: dict[type, dict[str, _Neutral]] = {Ind: {}, Constr: {}}
 
 
 def _force(env: GlobalEnv, th: _Thunk):
@@ -271,10 +276,13 @@ def _eval(env: GlobalEnv, rho: dict, t: Term):
                 decl, i = info
                 return _enter(env, rho, t.branches[i], s.spine[decl.params:])
         return _Neutral(_CASE, (rho, t, s))
-    if kind is Constr:
-        return _Neutral(_CONSTR, t.name)
-    if kind is Ind:
-        return _Neutral(_IND, t.name)
+    if kind is Constr or kind is Ind:
+        heads = _HEADS[kind]
+        v = heads.get(t.name)
+        if v is None:
+            v = heads[t.name] = _Neutral(_CONSTR if kind is Constr else _IND,
+                                         t.name)
+        return v
     if kind is Const:
         defn = env.definition(t.name)
         if defn is None:
@@ -332,6 +340,16 @@ def _enter(env: GlobalEnv, rho: dict, t: Term, args):
     return _apply_spine(env, v, args[i:]) if i < n else v
 
 
+def _closed(env: GlobalEnv, t: Term):
+    """The value of `t`, a global's type, which is closed: computed once
+    and kept in `t`'s instance dict, which equality, hashing and repr do
+    not see."""
+    v = t.__dict__.get(_VALUE)
+    if v is None:
+        v = t.__dict__[_VALUE] = _eval(env, _EMPTY, t)
+    return v
+
+
 def _unfold_head(env: GlobalEnv, v):
     """`v` with defined globals in head position unfolded: a value in weak
     head normal form."""
@@ -354,32 +372,29 @@ def whnf(env: GlobalEnv, t: Term) -> Term:
     read-back of `t`'s value with the defined globals at its head unfolded
     and nothing below the head reduced.
 
-    A term whose head cannot reduce comes back as itself.  A fix unfolds
-    only when its decreasing argument evaluates to a constructor `env`
-    declares, so reduction of well-typed terms terminates.
+    A fix unfolds only when its decreasing argument evaluates to a
+    constructor `env` declares, so reduction of well-typed terms
+    terminates.
     """
-    head, n = t, 0
-    while type(head) is App:
-        head = head.fn
-        n += 1
-    kind = type(head)
-    if (kind is Var or kind is Ind or kind is Constr or kind is SortT
-            or kind is Prod or kind is Lam and not n
-            or kind is Fix and n <= head.decreasing):
-        return t
     memo: dict[_Thunk, Term] = {}
     return _read_back(_unfold_head(env, _eval(env, _EMPTY, t)),
                       lambda rho, u: _substituted(rho, u, memo))
 
 
-def _substituted(rho: dict, t: Term, memo: dict) -> Term:
+def _substituted(rho: dict, t: Term, memo: dict, names=()) -> Term:
     """`t` with each variable bound in `rho` replaced by its thunk's term,
-    substituted the same way once per thunk in `memo` and then shared."""
+    substituted the same way once per thunk in `memo` and then shared.  A
+    thunk with no term, such as a level, reads back its value, with level
+    k as `names[k]`."""
     sub = {}
     for name in rho.keys() & free_vars(t):
         th = rho[name]
         if th not in memo:
-            memo[th] = _substituted(th.rho, th.term, memo)
+            memo[th] = (_substituted(th.rho, th.term, memo, names)
+                        if th.term is not None else _read_back(
+                            th.value, lambda r, u: _substituted(r, u, memo,
+                                                                names),
+                            names))
         sub[name] = memo[th]
     return subst_all(t, sub)
 
@@ -462,7 +477,8 @@ def _read_back(v, term_of, names=()) -> Term:
     elif type(t) is str:  # else a Const that names no definition
         t = _HEAD_TERM[kind](t)
     for th in v.spine:
-        t = App(t, term_of(th.rho, th.term))
+        t = App(t, term_of(th.rho, th.term) if th.term is not None
+                else _read_back(th.value, term_of, names))
     return t
 
 
@@ -604,76 +620,60 @@ def subtype(env: GlobalEnv, a: Term, b: Term) -> bool:
 
 # ---------------------------------------------------------------------------
 # Type inference
-#
-# The checker types terms on the values of the evaluator above.  A context
-# binds each name in scope to an entry: a thunk whose value is a de Bruijn
-# level and which carries that level's type as a value.  A product is opened
-# by evaluating its codomain with its binder bound to the argument's thunk,
-# or to a new level, so no type is substituted into.  A Lam is checked
-# against a product binder by binder, so checking a definition reads no type
-# back.  A type is read back to a term only where a term is needed: the type
-# `infer` returns, an error's expected and actual types, and the product of a
-# Lam whose type is inferred.
-#
-# A level reads back as its binder's name, or as the first fresh name
-# (`syntax.fresh_name`) if the binder is `_` or a level in scope already has
-# that name; in a context given as a term, an entry keeps its name unless a
-# later entry has it too.  So the names of the levels in scope are distinct,
-# and reading a level back captures nothing.
 
 
 class _Entry(_Thunk):
-    """A context entry: a level, as a thunk whose term is its name, and the
-    level's type."""
+    """A context entry: a thunk whose value is a level, with the level's
+    binder and type."""
 
-    __slots__ = ("type",)
+    __slots__ = ("binder", "type")
 
-    def __init__(self, name: str, level: int, ty):
-        super().__init__(_EMPTY, Var(name), _Neutral(_LEVEL, level))
+    def __init__(self, binder: str, level: int, ty):
+        super().__init__(None, None, _Neutral(_LEVEL, level))
+        self.binder = binder
         self.type = ty
 
 
-class _Ctx:
-    """A typing context of values.  `rho` binds each name in scope to its
-    entry and `levels` lists the entries by level; `renamed` holds the names
-    of the levels not named after their binders."""
+class _Ctx(NamedTuple):
+    """A typing context of values: `rho` binds each name in scope to its
+    entry, and `levels` lists the entries by level."""
 
-    __slots__ = ("rho", "levels", "renamed")
-
-    def __init__(self, rho: dict, levels: tuple, renamed: frozenset[str]):
-        self.rho = rho
-        self.levels = levels
-        self.renamed = renamed
+    rho: dict
+    levels: tuple
 
     def extend(self, binder: str, ty) -> "_Ctx":
         """The context with `binder` bound to a new level of type `ty`."""
-        name, renamed = binder, self.renamed
-        if binder == "_" or binder in self.rho or binder in renamed:
-            name = fresh_name(binder, self.rho.keys() | renamed)
-            renamed = renamed | {name}
-        entry = _Entry(name, len(self.levels), ty)
-        return _Ctx({**self.rho, binder: entry}, self.levels + (entry,),
-                    renamed)
+        entry = _Entry(binder, len(self.levels), ty)
+        return _Ctx({**self.rho, binder: entry}, self.levels + (entry,))
 
 
-_NO_CTX = _Ctx(_EMPTY, (), frozenset())
+_NO_CTX = _Ctx(_EMPTY, ())
 
 
 def _context(env: GlobalEnv, ctx: Context) -> _Ctx:
     """The values of a term context: each entry's type is evaluated in the
     entries before it."""
-    last = {name: i for i, (name, _) in enumerate(ctx)}
-    taken = set(last)
-    rho, levels, renamed = _EMPTY, [], set()
-    for i, (binder, ty) in enumerate(ctx):
-        name = binder
-        if binder == "_" or last[binder] != i:
-            name = fresh_name(binder, taken)
+    out = _NO_CTX
+    for binder, ty in ctx:
+        out = out.extend(binder, _eval(env, out.rho, ty))
+    return out
+
+
+def _level_names(ctx: _Ctx) -> list[str]:
+    """The name each level of `ctx` reads back as: its binder's, or the
+    first fresh name if the binder is `_` or a later level's binder has the
+    same name.  So a type read back in a context given as terms names its
+    entries as the caller does."""
+    taken = {entry.binder for entry in ctx.levels}
+    names: list[str] = []
+    for entry in reversed(ctx.levels):
+        name = entry.binder
+        if name == "_" or name in names:
+            name = fresh_name(name, taken)
             taken.add(name)
-            renamed.add(name)
-        levels.append(_Entry(name, i, _eval(env, rho, ty)))
-        rho = {**rho, binder: levels[-1]}
-    return _Ctx(rho, tuple(levels), frozenset(renamed))
+        names.append(name)
+    names.reverse()
+    return names
 
 
 def _term(ctx: _Ctx, v) -> Term:
@@ -681,8 +681,9 @@ def _term(ctx: _Ctx, v) -> Term:
     and thunks read back as their terms with their environments
     substituted, as `whnf` reads them."""
     memo: dict[_Thunk, Term] = {}
-    return _read_back(v, lambda rho, t: _substituted(rho, t, memo),
-                      [entry.term.name for entry in ctx.levels])
+    names = _level_names(ctx)
+    return _read_back(v, lambda rho, t: _substituted(rho, t, memo, names),
+                      names)
 
 
 def _reify(env: GlobalEnv, names: list[str], taken: set[str], v) -> Term:
@@ -696,7 +697,7 @@ def _reify(env: GlobalEnv, names: list[str], taken: set[str], v) -> Term:
         name = fresh_name(node.binder, taken)
         passed.append((node, name, _reify(env, names, taken,
                                           _eval(env, v.rho, dom))))
-        level = _Entry(name, len(names), None)
+        level = _Thunk(None, None, _Neutral(_LEVEL, len(names)))
         names.append(name)
         taken.add(name)
         v = _eval(env, {**v.rho, node.binder: level}, body)
@@ -740,7 +741,9 @@ def check(env: GlobalEnv, ctx: Context, t: Term, expected: Term,
           mode: EliminationMode = STAR) -> None:
     """Check `t` against `expected` up to cumulativity."""
     c = _context(env, ctx)
-    _require(env, c, t, _eval(env, c.rho, expected), mode, expected=expected)
+    ty = _eval(env, c.rho, expected)
+    if not _check(env, c, t, ty, mode):
+        raise _mismatch(env, c, t, ty, mode, expected=expected)
 
 
 def infer_sort(env: GlobalEnv, ctx: Context, t: Term,
@@ -758,41 +761,62 @@ def _infer_sort(env: GlobalEnv, ctx: _Ctx, t: Term,
     return ty
 
 
-def _require(env: GlobalEnv, ctx: _Ctx, t: Term, ty, mode: EliminationMode,
-             message: str = "term does not have the expected type",
-             term: Optional[Term] = None,
-             expected: Optional[Term] = None) -> None:
-    """Check `t` against the type value `ty`, or raise NotConvertible with
-    `message`, about `term` (by default `t`), with `t`'s inferred type as
-    the actual one."""
-    if not _check(env, ctx, t, ty, mode):
-        raise TypeCheckError(ErrorKind.NOT_CONVERTIBLE, message,
-                             term=term or t,
-                             expected=expected or _term(ctx, ty),
-                             actual=_term(ctx, _infer(env, ctx, t, mode)))
+def _mismatch(env: GlobalEnv, ctx: _Ctx, t: Term, ty, mode: EliminationMode,
+              message: str = "term does not have the expected type",
+              term: Optional[Term] = None,
+              expected: Optional[Term] = None) -> TypeCheckError:
+    """The NotConvertible error of `t` failing to check against the type
+    value `ty`, about `term` (by default `t`), with `t`'s inferred type as
+    the actual one.  Inferring it raises the error, if any, that inferring
+    `t` and comparing would have raised first."""
+    return TypeCheckError(ErrorKind.NOT_CONVERTIBLE, message, term=term or t,
+                          expected=expected or _term(ctx, ty),
+                          actual=_term(ctx, _infer(env, ctx, t, mode)))
 
 
-def _check(env: GlobalEnv, ctx: _Ctx, t: Term, ty,
-           mode: EliminationMode) -> bool:
+def _check(env: GlobalEnv, ctx: _Ctx, t: Term, ty, mode: EliminationMode,
+           fields: int = 0, end=None) -> bool:
     """Whether `t` has the type value `ty`, up to cumulativity.  A Lam is
     checked against a product binder by binder: its annotation must be
     convertible with the domain, and its body is checked against the
     codomain at a new level.  That is what comparing the Lam's inferred
     product with `ty` decides.  Errors other than the mismatch are raised.
-    """
-    while type(t) is Lam:
+
+    With `end`, the type is instead made of the first `fields` binders of
+    the product `ty`, a constructor's type past its parameters, and of
+    `end(c, rest)` for the context `c` that binds them and the rest `rest`
+    of `ty`.  Binders left when `t` runs out of Lams are compared with the
+    products of its type."""
+    actual = None  # the type of `t`, once it runs out of Lams
+    while fields if end else type(t) is Lam:
         pi = _unfold_head(env, ty)
-        if not _is_prod(pi):
+        if actual is None and type(t) is Lam and _is_prod(pi):
+            _infer_sort(env, ctx, t.annotation, mode)
+            binder, dom = t.binder, _eval(env, ctx.rho, t.annotation)
+        elif end is None:
             break
-        _infer_sort(env, ctx, t.annotation, mode)
-        dom = _eval(env, ctx.rho, t.annotation)
+        else:
+            actual = _unfold_head(env, actual or _infer(env, ctx, t, mode))
+            if not _is_prod(actual):
+                return False
+            binder = actual.term.binder
+            dom = _eval(env, actual.rho, actual.term.domain)
         if not _conv(env, len(ctx.levels), dom,
                      _eval(env, pi.rho, pi.term.domain)):
             return False
-        ctx = ctx.extend(t.binder, dom)
+        ctx = ctx.extend(binder, dom)
         ty = _open(env, pi, ctx.levels[-1])
-        t = t.body
-    return _conv(env, len(ctx.levels), _infer(env, ctx, t, mode), ty, True)
+        if actual is None:
+            t = t.body
+        else:
+            actual = _open(env, actual, ctx.levels[-1])
+        fields -= 1
+    if end is not None:
+        ty = end(ctx, ty)
+        if actual is None:
+            return _check(env, ctx, t, ty, mode)
+    return _conv(env, len(ctx.levels), actual or _infer(env, ctx, t, mode),
+                 ty, True)
 
 
 def _infer(env: GlobalEnv, ctx: _Ctx, t: Term, mode: EliminationMode):
@@ -811,7 +835,7 @@ def _infer(env: GlobalEnv, ctx: _Ctx, t: Term, mode: EliminationMode):
         if defn is None:
             raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
                                  f"unknown definition {t.name}", term=t)
-        return _eval(env, _EMPTY, defn.type)
+        return _closed(env, defn.type)
     if kind is SortT:
         return axiom_sort(t.sort)
     if kind is Prod:
@@ -838,27 +862,27 @@ def _infer(env: GlobalEnv, ctx: _Ctx, t: Term, mode: EliminationMode):
             ctx = ctx.extend(t.binder, domains[-1])
             t = t.body
         body = _infer(env, ctx, t, mode)
-        names = [entry.term.name for entry in ctx.levels]
+        names = _level_names(ctx)
         taken = set(names)
         ty = _reify(env, names, taken, body)
         for dom in reversed(domains):
             name = names.pop()
             taken.discard(name)
             ty = Prod(name, _reify(env, names, taken, dom), ty)
-        return _Closure({e.term.name: e for e in outer.levels}, ty)
+        return _Closure(dict(zip(names, outer.levels)), ty)
     if kind is Ind:
         decl = env.inductive(t.name)
         if decl is None:
             raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
                                  f"unknown inductive {t.name}", term=t)
-        return _eval(env, _EMPTY, decl.arity)
+        return _closed(env, decl.arity)
     if kind is Constr:
         info = env.constructor(t.name)
         if info is None:
             raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
                                  f"unknown constructor {t.name}", term=t)
         decl, i = info
-        return _eval(env, _EMPTY, decl.constructors[i][1])
+        return _closed(env, decl.constructors[i][1])
     if kind is Case:
         return _infer_case(env, ctx, t, mode)
     if kind is Fix:
@@ -881,8 +905,10 @@ def _infer_spine(env: GlobalEnv, ctx: _Ctx, t: App, mode: EliminationMode):
             raise TypeCheckError(ErrorKind.NOT_A_FUNCTION,
                                  "application head is not a function",
                                  term=node.fn, actual=_term(ctx, pi))
-        _require(env, ctx, node.arg, _eval(env, pi.rho, pi.term.domain), mode,
-                 "argument type mismatch", term=node)
+        dom = _eval(env, pi.rho, pi.term.domain)
+        if not _check(env, ctx, node.arg, dom, mode):
+            raise _mismatch(env, ctx, node.arg, dom, mode,
+                            "argument type mismatch", node)
         ty = _open(env, pi, _thunk(ctx, node.arg))
     return ty
 
@@ -924,7 +950,7 @@ def _infer_case(env: GlobalEnv, ctx: _Ctx, t: Case, mode: EliminationMode):
 
     # The motive must take the indices, then the scrutinee, and land in a
     # sort.  The arity and the motive's type take one new level per index.
-    arity = _eval(env, _EMPTY, decl.arity)
+    arity = _closed(env, decl.arity)
     for p in params:
         arity = _open(env, arity, p)
     motive_ty = _infer(env, ctx, t.motive, mode)
@@ -973,76 +999,37 @@ def _infer_case(env: GlobalEnv, ctx: _Ctx, t: Case, mode: EliminationMode):
     # the constructor's indices and the constructor applied to the fields.
     motive = _eval(env, ctx.rho, t.motive)
     for (cname, cty), branch in zip(decl.constructors, t.branches):
-        ty = _eval(env, _EMPTY, cty)
+        ty = _closed(env, cty)
         for p in params:
             ty = _open(env, ty, p)
 
         def end(fctx: _Ctx, concl: _Neutral, cname: str = cname):
-            fields = fctx.levels[len(ctx.levels):]
-            con = _Thunk({**ctx.rho, **{e.term.name: e for e in fields}},
-                         app(Constr(cname), *t.params,
-                             *(e.term for e in fields)))
-            return _apply_spine(env, motive,
-                                [*concl.spine[decl.params:], con])
+            con = _Neutral(_CONSTR, cname,
+                           (*params, *fctx.levels[len(ctx.levels):]))
+            return _apply_spine(env, motive, [*concl.spine[decl.params:],
+                                              _Thunk(None, None, con)])
 
         fields = len(strip_prods(cty)[0]) - decl.params
-        if not _check_branch(env, ctx, branch, ty, fields, end, mode):
-            raise TypeCheckError(ErrorKind.NOT_CONVERTIBLE,
-                                 "term does not have the expected type",
-                                 term=branch,
-                                 expected=_branch_type(env, ctx, ty, fields,
-                                                       end),
-                                 actual=_term(ctx, _infer(env, ctx, branch,
-                                                          mode)))
+        if not _check(env, ctx, branch, ty, mode, fields, end):
+            raise _mismatch(env, ctx, branch, ty, mode, expected=_branch_type(
+                env, ctx, ty, fields, end))
 
     return _apply_spine(env, motive, [*scrut_ty.spine[decl.params:],
                                       scrutinee])
 
 
-def _check_branch(env: GlobalEnv, ctx: _Ctx, t: Term, ty: _Closure,
-                  fields: int, end, mode: EliminationMode) -> bool:
-    """Whether `t` has the type whose binders are the first `fields` of the
-    product `ty` and whose codomain is `end(c, rest)`, for the context `c`
-    that binds them and the rest `rest` of `ty`, up to cumulativity.  The
-    binders are compared as `_check` compares them, first with `t`'s Lams,
-    then with the products of the type of what is left of `t`."""
-    actual = None  # the type of `t` once its Lams run out
-    for _ in range(fields):
-        if actual is None and type(t) is Lam:
-            _infer_sort(env, ctx, t.annotation, mode)
-            binder, dom = t.binder, _eval(env, ctx.rho, t.annotation)
-        else:
-            actual = _unfold_head(env, actual if actual is not None
-                                  else _infer(env, ctx, t, mode))
-            if not _is_prod(actual):
-                return False
-            binder = actual.term.binder
-            dom = _eval(env, actual.rho, actual.term.domain)
-        if not _conv(env, len(ctx.levels), dom,
-                     _eval(env, ty.rho, ty.term.domain)):
-            return False
-        ctx = ctx.extend(binder, dom)
-        ty = _open(env, ty, ctx.levels[-1])
-        if actual is None:
-            t = t.body
-        else:
-            actual = _open(env, actual, ctx.levels[-1])
-    if actual is None:
-        return _check(env, ctx, t, end(ctx, ty), mode)
-    return _conv(env, len(ctx.levels), actual, end(ctx, ty), True)
-
-
 def _branch_type(env: GlobalEnv, ctx: _Ctx, ty: _Closure, fields: int,
                  end) -> Term:
-    """The term of the type `_check_branch` checks against."""
-    binders = []
+    """The term of the type `_check` checks against with `fields` and
+    `end`."""
+    k, domains = len(ctx.levels), []
     for _ in range(fields):
-        dom = _eval(env, ty.rho, ty.term.domain)
-        shown = _term(ctx, dom)
-        ctx = ctx.extend(ty.term.binder, dom)
-        binders.append((ctx.levels[-1].term.name, shown))
+        domains.append(_eval(env, ty.rho, ty.term.domain))
+        ctx = ctx.extend(ty.term.binder, domains[-1])
         ty = _open(env, ty, ctx.levels[-1])
-    return prods(binders, _term(ctx, end(ctx, ty)))
+    return prods([(name, _term(ctx, d)) for name, d
+                  in zip(_level_names(ctx)[k:], domains)],
+                 _term(ctx, end(ctx, ty)))
 
 
 def _infer_fix(env: GlobalEnv, ctx: _Ctx, t: Fix, mode: EliminationMode):
@@ -1067,7 +1054,9 @@ def _infer_fix(env: GlobalEnv, ctx: _Ctx, t: Fix, mode: EliminationMode):
         raise TypeCheckError(ErrorKind.GUARD_VIOLATION,
                              "decreasing argument is not of inductive type",
                              term=t, actual=_term(fctx, domain))
-    _require(env, ctx.extend(t.binder, annotation), t.body, annotation, mode)
+    ctx = ctx.extend(t.binder, annotation)
+    if not _check(env, ctx, t.body, annotation, mode):
+        raise _mismatch(env, ctx, t.body, annotation, mode)
     check_guard(env, t)
     return annotation
 

@@ -44,7 +44,7 @@ from .syntax import (
     lams,
     map_children,
     names,
-    prod_domains,
+    open_prods,
     rebuild_binder,
     strip_lams,
     strip_prods,
@@ -319,9 +319,8 @@ def _case_motive(env: GlobalEnv, t: Case, alias: Alias | None = None) -> Term:
         avoid.add(name)
         idx_names.append(name)
     pair = _pick_triple("a", frozenset(avoid))
-    names_ = [*idx_names, pair.base, pair.copy]
-    domains = prod_domains(rdecl.arity, [*params3, *map(Var, names_)])
-    binders = list(zip(names_, domains[len(params3):]))
+    binders = open_prods(rdecl.arity, params3,
+                         [*idx_names, pair.base, pair.copy])
     rel_ty = app(Ind(rdecl.name), *params3, *(Var(n) for n in idx_names),
                  Var(pair.base), Var(pair.copy))
     binders.append((pair.rel, rel_ty))

@@ -444,17 +444,22 @@ def _subst_all(t: Term, sub: dict[str, Term]) -> Term:
     return map_children(t, lambda c: _subst_all(c, sub))
 
 
-def prod_domains(ty: Term, args: list[Term]) -> list[Term]:
-    """The domains of the first `len(args)` binders of the product
-    telescope `ty`, each with the binders before it replaced by `args`
-    (simultaneously, by one pending map)."""
+def open_prods(ty: Term, params: list[Term],
+               names: list[str]) -> list[tuple[str, Term]]:
+    """The binders of the product telescope `ty` after the first
+    `len(params)`, named `names`: each domain with the binders before it
+    replaced by the parameters and the Vars of the names, by one pending
+    simultaneous substitution."""
     sub: dict[str, Term] = {}
-    domains = []
-    for arg in args:
-        domains.append(subst_all(ty.domain, sub))
-        sub[ty.binder] = arg
+    for p in params:
+        sub[ty.binder] = p
         ty = ty.codomain
-    return domains
+    binders = []
+    for name in names:
+        binders.append((name, subst_all(ty.domain, sub)))
+        sub[ty.binder] = Var(name)
+        ty = ty.codomain
+    return binders
 
 
 def under_binder(binder: str, body: Term, sub: dict[str, Term],

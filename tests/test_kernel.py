@@ -1020,6 +1020,15 @@ def test_inductive_params_must_prefix_constructors(fresh_env):
     with pytest.raises(TypeCheckError) as err:
         check_inductive(fresh_env, crooked)
     assert err.value.kind == ErrorKind.ILL_FORMED_INDUCTIVE
+    # A field that shadows the parameter is not the parameter.
+    shadowed = InductiveDecl("Wrap", 1, Prod("A", SortT(set_sort(0)),
+                                             SortT(set_sort(1))),
+                             (("wrap", Prod("A", SortT(set_sort(0)), Prod(
+                                 "A", SortT(set_sort(0)),
+                                 App(Ind("Wrap"), Var("A"))))),))
+    with pytest.raises(TypeCheckError) as err:
+        check_inductive(fresh_env, shadowed)
+    assert err.value.kind == ErrorKind.ILL_FORMED_INDUCTIVE
 
 
 
