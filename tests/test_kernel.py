@@ -776,8 +776,8 @@ def _infer_by_steps(env, ctx, t):
 
 
 def test_infer_spine_matches_sequential_substitution(prelude_env):
-    # infer types a spine against the head's type with one pending
-    # simultaneous substitution; the result must be the same type, up to
+    # infer types a spine by binding the head type's binders to the
+    # arguments' values; read back, the result must be the same type, up to
     # the names of binders, as substituting the arguments one by one.
     seen = 0
     for name in prelude_env.names():
