@@ -51,7 +51,6 @@ from .syntax import (
     SortT,
     Term,
     Var,
-    app,
     alpha_eq,
     children,
     free_vars,
@@ -666,11 +665,13 @@ def _level_names(ctx: _Ctx) -> list[str]:
     entries as the caller does."""
     taken = {entry.binder for entry in ctx.levels}
     names: list[str] = []
+    seen: set[str] = set()
     for entry in reversed(ctx.levels):
         name = entry.binder
-        if name == "_" or name in names:
+        if name == "_" or name in seen:
             name = fresh_name(name, taken)
             taken.add(name)
+        seen.add(entry.binder)
         names.append(name)
     names.reverse()
     return names
