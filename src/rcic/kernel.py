@@ -375,12 +375,10 @@ def whnf(env: GlobalEnv, t: Term) -> Term:
     constructor `env` declares, so reduction of well-typed terms
     terminates.
     """
-    memo: dict[_Thunk, Term] = {}
-    return _read_back(_unfold_head(env, _eval(env, _EMPTY, t)),
-                      lambda rho, u: _substituted(rho, u, memo))
+    return _term(_NO_CTX, _unfold_head(env, _eval(env, _EMPTY, t)))
 
 
-def _substituted(rho: dict, t: Term, memo: dict, names=()) -> Term:
+def _substituted(rho: dict, t: Term, memo: dict, names) -> Term:
     """`t` with each variable bound in `rho` replaced by its thunk's term,
     substituted the same way once per thunk in `memo` and then shared.  A
     thunk with no term, such as a level, reads back its value, with level
@@ -680,7 +678,7 @@ def _level_names(ctx: _Ctx) -> list[str]:
 def _term(ctx: _Ctx, v) -> Term:
     """The term of the value `v`, whose levels are those of `ctx`: closures
     and thunks read back as their terms with their environments
-    substituted, as `whnf` reads them."""
+    substituted."""
     memo: dict[_Thunk, Term] = {}
     names = _level_names(ctx)
     return _read_back(v, lambda rho, t: _substituted(rho, t, memo, names),
