@@ -1002,7 +1002,7 @@ def _infer_case(env: GlobalEnv, ctx: _Ctx, t: Case, mode: EliminationMode):
         for p in params:
             ty = _open(env, ty, p)
 
-        def end(fctx: _Ctx, concl: _Neutral, cname: str = cname):
+        def end(fctx: _Ctx, concl: _Neutral):
             con = _Neutral(_CONSTR, cname,
                            (*params, *fctx.levels[len(ctx.levels):]))
             return _apply_spine(env, motive, [*concl.spine[decl.params:],
