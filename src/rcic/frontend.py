@@ -30,8 +30,6 @@ from typing import NamedTuple
 from .syntax import (
     App,
     Case,
-    Const,
-    Constr,
     Definition,
     Fix,
     GlobalEnv,
@@ -321,7 +319,7 @@ class _Parser:
 
     def atom(self) -> Term:
         tok = self.peek()
-        if tok.kind == "ident":
+        if tok.kind == "ident" and tok.value != "_":
             self.next()
             return Var(tok.value)
         if tok.kind == "sort":
@@ -345,7 +343,9 @@ class _Parser:
         ind = self.expect_ident()
         atoms: list[Term] = []
         while self.starts_atom():
-            atoms.append(self.atom())
+            # `_` stands for an index binder the motive does not name.
+            atoms.append(Var(self.next().value) if self.at("_")
+                         else self.atom())
         self.expect("return")
         motive = self.term()
         self.expect("with")
@@ -496,29 +496,13 @@ def _bind(name: str, scope: dict[str, str],
     return new, {**scope, name: new}
 
 
-_CONST = "_const"
-
-
 def _elab(env: GlobalEnv, t: Term, scope: dict[str, str],
           taken: _Taken) -> Term:
     kind = type(t)
     if kind is Var:
-        name = t.name
-        if name in scope:
-            return Var(scope[name])
-        entry = env.lookup(name)
-        if isinstance(entry, Definition):
-            # One Const per definition, kept in its instance dict,
-            # which equality, hashing and repr do not see.
-            const = entry.__dict__.get(_CONST)
-            if const is None:
-                const = entry.__dict__[_CONST] = Const(name)
-            return const
-        if entry is not None:
-            return Ind(name)
-        if env.constructor(name) is not None:
-            return Constr(name)
-        return t
+        if t.name in scope:
+            return Var(scope[t.name])
+        return env.reference(t.name) or t
     if kind is App:
         # Application spines nest as deep as their argument count, so this
         # arm recurses directly: one frame per argument, not three through
@@ -548,6 +532,8 @@ def _elab_match(env: GlobalEnv, rm: RawMatch, scope: dict[str, str],
             f"{n_indices} index binder(s), got {len(rm.atoms)}",
             rm.line, rm.col)
 
+    if Var("_") in rm.atoms[:decl.params]:
+        raise ParseError("expected a parameter, found '_'", rm.line, rm.col)
     params = tuple(_elab(env, a, scope, taken) for a in rm.atoms[:decl.params])
     index_names: list[str] = []
     for atom in rm.atoms[decl.params:]:

@@ -217,10 +217,45 @@ class _Neutral:
 
 
 _EMPTY: dict[str, _Thunk] = {}
-_VALUE = "_value"
-# One value per inductive and constructor name, so that conversion finds
-# two occurrences identical at once.
-_HEADS: dict[type, dict[str, _Neutral]] = {Ind: {}, Constr: {}}
+
+
+class _Global(NamedTuple):
+    """The kernel's values of a global of an environment: the class of the
+    node that refers to it, its head, shared by every occurrence (so that
+    conversion finds two identical at once and a definition unfolds once),
+    and its type, evaluated on first use."""
+
+    node: type
+    head: _Neutral
+    type: _Thunk
+
+
+# The head kind and the description of each kind of global reference.
+_REFERENCE = {Const: (_GLOBAL, "definition"), Ind: (_IND, "inductive"),
+              Constr: (_CONSTR, "constructor")}
+
+
+def _global(env: GlobalEnv, node: type, name: str) -> Optional[_Global]:
+    """The kernel's values of the global `name` that a `node` refers to in
+    `env`, kept in `env.values` from first use; None if there is none."""
+    g = env.values.get(name)
+    if g is not None and g.node is node:
+        return g
+    if node is Const:
+        defn = env.definition(name)
+        ty = defn and defn.type
+    elif node is Ind:
+        decl = env.inductive(name)
+        ty = decl and decl.arity
+    else:
+        info = env.constructor(name)
+        ty = info and info[0].constructors[info[1]][1]
+    if ty is None:
+        return None
+    # Replaces an entry of another kind only in a `with_provisional` copy.
+    g = env.values[name] = _Global(node, _Neutral(_REFERENCE[node][0], name),
+                                   _Thunk(_EMPTY, ty))
+    return g
 
 
 def _force(env: GlobalEnv, th: _Thunk):
@@ -275,25 +310,13 @@ def _eval(env: GlobalEnv, rho: dict, t: Term):
                 decl, i = info
                 return _enter(env, rho, t.branches[i], s.spine[decl.params:])
         return _Neutral(_CASE, (rho, t, s))
-    if kind is Constr or kind is Ind:
-        heads = _HEADS[kind]
-        v = heads.get(t.name)
-        if v is None:
-            v = heads[t.name] = _Neutral(_CONSTR if kind is Constr else _IND,
-                                         t.name)
-        return v
-    if kind is Const:
-        defn = env.definition(t.name)
-        if defn is None:
-            return _Neutral(_FREE, t)
-        # One shared value per definition, so that its unfolding is
-        # computed once.  It is kept in the definition's instance dict,
-        # which equality, hashing and repr do not see; the body is
-        # closed, so its value is the same wherever it is used.
-        v = defn.__dict__.get(_VALUE)
-        if v is None:
-            v = defn.__dict__[_VALUE] = _Neutral(_GLOBAL, t.name)
-        return v
+    if kind is Ind or kind is Constr or kind is Const:
+        g = _global(env, kind, t.name)
+        if g is not None:
+            return g.head
+        # Not declared in `env`: a free Const, or an unshared Ind or Constr.
+        return (_Neutral(_FREE, t) if kind is Const
+                else _Neutral(_REFERENCE[kind][0], t.name))
     if kind is Fix:
         return _Neutral(_FIX, (rho, t))
     if kind is SortT:
@@ -337,16 +360,6 @@ def _enter(env: GlobalEnv, rho: dict, t: Term, args):
             i += 1
     v = _eval(env, rho, t)
     return _apply_spine(env, v, args[i:]) if i < n else v
-
-
-def _closed(env: GlobalEnv, t: Term):
-    """The value of `t`, a global's type, which is closed: computed once
-    and kept in `t`'s instance dict, which equality, hashing and repr do
-    not see."""
-    v = t.__dict__.get(_VALUE)
-    if v is None:
-        v = t.__dict__[_VALUE] = _eval(env, _EMPTY, t)
-    return v
 
 
 def _unfold_head(env: GlobalEnv, v):
@@ -829,12 +842,13 @@ def _infer(env: GlobalEnv, ctx: _Ctx, t: Term, mode: EliminationMode):
         return entry.type
     if kind is App:
         return _infer_spine(env, ctx, t, mode)
-    if kind is Const:
-        defn = env.definition(t.name)
-        if defn is None:
+    if kind is Ind or kind is Constr or kind is Const:
+        g = _global(env, kind, t.name)
+        if g is None:
             raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
-                                 f"unknown definition {t.name}", term=t)
-        return _closed(env, defn.type)
+                                 f"unknown {_REFERENCE[kind][1]} {t.name}",
+                                 term=t)
+        return _force(env, g.type)
     if kind is SortT:
         return axiom_sort(t.sort)
     if kind is Prod:
@@ -869,19 +883,6 @@ def _infer(env: GlobalEnv, ctx: _Ctx, t: Term, mode: EliminationMode):
             taken.discard(name)
             ty = Prod(name, _reify(env, names, taken, dom), ty)
         return _Closure(dict(zip(names, outer.levels)), ty)
-    if kind is Ind:
-        decl = env.inductive(t.name)
-        if decl is None:
-            raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
-                                 f"unknown inductive {t.name}", term=t)
-        return _closed(env, decl.arity)
-    if kind is Constr:
-        info = env.constructor(t.name)
-        if info is None:
-            raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
-                                 f"unknown constructor {t.name}", term=t)
-        decl, i = info
-        return _closed(env, decl.constructors[i][1])
     if kind is Case:
         return _infer_case(env, ctx, t, mode)
     if kind is Fix:
@@ -949,7 +950,7 @@ def _infer_case(env: GlobalEnv, ctx: _Ctx, t: Case, mode: EliminationMode):
 
     # The motive must take the indices, then the scrutinee, and land in a
     # sort.  The arity and the motive's type take one new level per index.
-    arity = _closed(env, decl.arity)
+    arity = _force(env, _global(env, Ind, t.ind).type)
     for p in params:
         arity = _open(env, arity, p)
     motive_ty = _infer(env, ctx, t.motive, mode)
@@ -998,7 +999,7 @@ def _infer_case(env: GlobalEnv, ctx: _Ctx, t: Case, mode: EliminationMode):
     # the constructor's indices and the constructor applied to the fields.
     motive = _eval(env, ctx.rho, t.motive)
     for (cname, cty), branch in zip(decl.constructors, t.branches):
-        ty = _closed(env, cty)
+        ty = _force(env, _global(env, Constr, cname).type)
         for p in params:
             ty = _open(env, ty, p)
 
@@ -1103,13 +1104,9 @@ def _guard(env: GlobalEnv, f: str, k: int, t: Term,
             _guard(env, f, k, a, dec_var, smaller)
         return
 
+    # A bare `f` is a call with no arguments, caught above.
     kind = type(t)
-    if kind is Var:
-        if t.name == f:
-            raise TypeCheckError(ErrorKind.GUARD_VIOLATION,
-                                 f"fix variable {f} escapes its recursive "
-                                 f"call position", term=t)
-    elif kind is Prod or kind is Lam or kind is Fix:
+    if kind is Prod or kind is Lam or kind is Fix:
         dom, body = children(t)
         _guard(env, f, k, dom, dec_var, smaller)
         # Below a binder named f the fix variable is shadowed.

@@ -123,14 +123,15 @@ def _assert_clean(t: Term) -> None:
                 f"cannot translate a term using the reserved name {name!r}")
 
 
-def _pick_triple(base: str, avoid: frozenset[str],
+def _pick_triple(base: str, avoid: frozenset[str], scope: Term | None = None,
                  suffixes: tuple[str, ...] = ("", PRIME_SUFFIX, WITNESS_SUFFIX),
                  ) -> NameTriple:
     """A binder triple whose base, with each of `suffixes` appended, is
     not in `avoid`: by default all three names; a caller that uses only
-    the base and its copy passes ("", PRIME_SUFFIX)."""
+    the base and its copy passes ("", PRIME_SUFFIX).  A `_` base becomes
+    `x`, which also avoids the names free in `scope`, the binder's scope."""
     if base == "_":
-        base = "x"
+        base, avoid = "x", avoid | free_vars(scope)
     candidate = base
     i = 0
     while any(candidate + suffix in avoid for suffix in suffixes):
@@ -202,13 +203,14 @@ def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
             cod_r, cod_c = _translate(env, t), prime(t)
             for node, dom_c, dom_r in reversed(levels):
                 binder = node.binder
-                x = _pick_triple(binder, free_vars(dom_c) | free_vars(dom_r))
+                x = _pick_triple(binder, free_vars(dom_c) | free_vars(dom_r),
+                                 cod_r)
                 if binder != "_" and x.base != binder:
                     cod_r = _rename_triple(cod_r, binder, x)
                 fn_avoid = (free_vars(node) | free_vars(dom_c)
                             | free_vars(dom_r) | free_vars(cod_r)
                             | {x.base, x.copy, x.rel})
-                f = _pick_triple("f", fn_avoid, ("", PRIME_SUFFIX))
+                f = _pick_triple("f", fn_avoid, suffixes=("", PRIME_SUFFIX))
                 cod_c = Prod(primed(binder), dom_c, cod_c)
                 rel = Prod(x.base, node.domain, Prod(x.copy, dom_c, Prod(
                     x.rel, app(dom_r, Var(x.base), Var(x.copy)),
@@ -226,7 +228,8 @@ def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
                 inner = replace(alias, raw=App(alias.raw, Var(binder)),
                                 primed=App(alias.primed, Var(primed(binder))))
             body_r = _translate(env, body, inner)
-            x = _pick_triple(binder, free_vars(ann_c) | free_vars(ann_r))
+            x = _pick_triple(binder, free_vars(ann_c) | free_vars(ann_r),
+                             body_r)
             if binder != "_" and x.base != binder:
                 body_r = _rename_triple(body_r, binder, x)
             return Lam(x.base, annotation,
@@ -370,7 +373,7 @@ def _ensure_definition(env: GlobalEnv, name: str) -> None:
         raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
                              f"unknown definition {name}")
     rn = relation_name(name)
-    if env.lookup(rn) is not None:
+    if env.taken(rn):
         return
     # A relation that failed to declare fails again at once, with its error.
     failure = env.failure(rn)

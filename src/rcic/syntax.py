@@ -13,7 +13,7 @@ kernel's beta read-back renames by the same rule.  alpha_eq compares
 terms up to consistent renaming of bound names.  Term nodes are immutable
 and must never be mutated: each carries a lazily filled cache of its free
 variables, which equality, hashing and repr do not see.  GlobalEnv is the
-one mutable value, an append-only map of checked declarations.
+one mutable value: checked declarations and what is derived from them.
 
 Which subterms each node kind has, and in what order, is known only in
 this module.  Walks that treat most kinds alike go through three helpers
@@ -569,18 +569,20 @@ class GlobalEnv:
     of reference resolve in one place.  Entries are only added through the
     kernel's declare functions, after checking.  A name whose declaration
     failed can be recorded with its error, so that it is not checked again.
+    It also keeps, by name from first use, the node a name refers to
+    (`reference`) and the kernel's values of each global (`values`).
     """
 
-    __slots__ = ("_entries", "_constructors", "_failed")
+    __slots__ = ("_entries", "_constructors", "_failed", "_references",
+                 "values")
 
     def __init__(self) -> None:
         self._entries: dict[str, GlobalEntry] = {}
         # Each constructor name's declaring inductive and position in it.
         self._constructors: dict[str, tuple[InductiveDecl, int]] = {}
         self._failed: dict[str, Exception] = {}
-
-    def lookup(self, name: str) -> Optional[GlobalEntry]:
-        return self._entries.get(name)
+        self._references: dict[str, Term] = {}
+        self.values: dict[str, object] = {}  # read and filled by the kernel
 
     def inductive(self, name: str) -> Optional[InductiveDecl]:
         entry = self._entries.get(name)
@@ -593,6 +595,17 @@ class GlobalEnv:
     def constructor(self, name: str) -> Optional[tuple[InductiveDecl, int]]:
         """The declaring inductive and position of a constructor name."""
         return self._constructors.get(name)
+
+    def reference(self, name: str) -> Optional[Term]:
+        """The one node that refers to the global `name`: a Const, Ind or
+        Constr; None if `name` is not declared."""
+        ref = self._references.get(name)
+        if ref is None and self.taken(name):
+            entry = self._entries.get(name)
+            kind = (Const if isinstance(entry, Definition)
+                    else Constr if entry is None else Ind)
+            ref = self._references[name] = kind(name)
+        return ref
 
     def names(self) -> list[str]:
         return list(self._entries)

@@ -100,6 +100,15 @@ def test_check_reports_parse_error(tmp_path, capsys):
                               f"'{char}'\n")
 
 
+def test_check_underscore_as_a_term_is_a_parse_error(prelude, tmp_path,
+                                                    capsys):
+    bad = write(tmp_path, "bad.rcic",
+                "def f : Nat -> Nat := fun (_ : Nat) => _.")
+    assert main(["check", prelude, bad]) == 2
+    assert capsys.readouterr().err == (
+        f"{bad}:1:40: error: expected a term, found '_'\n")
+
+
 def numeral(depth):
     text = "zero"
     for _ in range(depth):

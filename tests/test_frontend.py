@@ -221,6 +221,22 @@ def test_parse_errors_have_positions():
         parse_term("fun (x : Nat) =>   \n")
 
 
+def test_parse_underscore_is_no_term():
+    # `_` binds nothing, so no term can refer to it.
+    for text, where in (("fun (_ : Nat) => _", "1:18"),
+                        ("plus _ zero", "1:6"),
+                        ("forall (_ : Set0), _", "1:20")):
+        with pytest.raises(ParseError,
+                           match=f"^{where}: expected a term, found '_'$"):
+            parse_term(text)
+    # It still binds, and still stands for a match's index binder.
+    assert parse_term("fun (_ : Nat) => zero") == Lam("_", Var("Nat"),
+                                                      Var("zero"))
+    t = parse_term("match v as w in Vec Nat _ return Nat "
+                   "with | vnil => zero end")
+    assert t.atoms == (Var("Nat"), Var("_"))
+
+
 def test_parse_term_rejects_trailing_input():
     with pytest.raises(ParseError):
         parse_term("zero zero.")
@@ -354,6 +370,10 @@ def test_elaborate_match_errors(prelude_env):
                              "with | zero => zero end")
     with pytest.raises(ParseError, match="parameter"):
         term_in(prelude_env, "match l as x in List return Nat "
+                             "with | nil => zero | cons h t => zero end")
+    with pytest.raises(ParseError,
+                       match="^1:1: expected a parameter, found '_'$"):
+        term_in(prelude_env, "match l as x in List _ return Nat "
                              "with | nil => zero | cons h t => zero end")
 
 

@@ -55,6 +55,7 @@ from rcic import (
 )
 
 from rcic import kernel, syntax
+from rcic.cli import main
 from rcic.frontend import DDef
 from rcic.param import prime
 from rcic.syntax import (children, lams, names, prods, strip_prods,
@@ -799,6 +800,63 @@ def test_infer_globals(prelude_env):
                     arrow(NAT, arrow(NAT, NAT)))
 
 
+def _nat_bool_env():
+    env = GlobalEnv()
+    declare_inductive(env, InductiveDecl("Nat", 0, SortT(set_sort(0)), (
+        ("zero", NAT), ("succ", arrow(NAT, NAT)))))
+    declare_inductive(env, InductiveDecl("Bool", 0, SortT(set_sort(0)), (
+        ("true", BOOL), ("false", BOOL))))
+    return env
+
+
+def test_a_type_shared_by_two_environments_is_evaluated_in_each():
+    # One type term, F, in two environments that define F differently: g's
+    # type is Nat in the first and Bool in the second, wherever the first
+    # was computed.
+    f = Const("F")
+    env1, env2 = _nat_bool_env(), _nat_bool_env()
+    for env, value, g in ((env1, NAT, Constr("zero")),
+                          (env2, BOOL, Constr("true"))):
+        declare_definition(env, "F", SortT(set_sort(0)), value)
+        declare_definition(env, "g", f, g)
+    declare_definition(env1, "h", NAT, Const("g"))
+    with pytest.raises(TypeCheckError) as err:
+        declare_definition(env2, "h", NAT, Const("g"))
+    assert err.value.kind == ErrorKind.NOT_CONVERTIBLE
+    assert env2.definition("h") is None
+
+
+def test_a_global_referred_to_as_another_kind_is_unknown(prelude_env):
+    # Nat is an inductive, succ a constructor and plus a definition; each
+    # name means nothing as a reference of another kind, before or after
+    # its own kind was used.
+    for name, right, wrong, what in (
+            ("Nat", Ind, Constr, "constructor"),
+            ("succ", Constr, Const, "definition"),
+            ("plus", Const, Ind, "inductive")):
+        for t in (wrong(name), right(name), wrong(name)):
+            if type(t) is right:
+                infer(prelude_env, Context(), t)
+                continue
+            with pytest.raises(TypeCheckError,
+                               match=f"unknown {what} {name}$") as err:
+                infer(prelude_env, Context(), t)
+            assert err.value.kind == ErrorKind.UNBOUND_VARIABLE
+            assert not conv(prelude_env, t, right(name))
+
+
+def test_a_name_declared_as_two_kinds_in_a_provisional_copy(prelude_env):
+    # Checking an inductive named like another inductive's constructor
+    # sees both under that name, whichever is used first.
+    for first, second in ((Ind, Constr), (Constr, Ind)):
+        env = prelude_env.with_provisional(
+            InductiveDecl("zero", 0, SortT(set_sort(1)), ()))
+        types = {Ind: SortT(set_sort(1)), Constr: NAT}
+        for kind in (first, second, first):
+            assert infer(env, Context(), kind("zero")) == types[kind]
+        assert not conv(env, Ind("zero"), Constr("zero"))
+
+
 def test_infer_context_and_unbound(prelude_env):
     ctx = Context().extend("n", NAT)
     assert infer(prelude_env, ctx, Var("n")) == NAT
@@ -840,6 +898,40 @@ def test_infer_case(prelude_env):
     assert infer(prelude_env, ctx, t) == BOOL
 
 
+def test_case_branches_with_fewer_lams_than_fields(prelude_env):
+    # A branch that runs out of Lams before its constructor's fields is
+    # compared, field by field, with its inferred product.
+    t = term_in(prelude_env, "fun (n : Nat) => match n as x in Nat "
+                             "return Nat -> Nat with "
+                             "| zero => fun (m : Nat) => m | succ => plus end")
+    assert alpha_eq(infer(prelude_env, Context(), t),
+                    arrow(NAT, arrow(NAT, NAT)))
+    t = term_in(prelude_env, "fun (A : Set0) (l : List A) => "
+                             "match l as y in List A return Nat with "
+                             "| nil => zero | cons => fun (x : A) => length A "
+                             "end")
+    assert print_term(infer(prelude_env, Context(), t)) == (
+        "forall (A : Set0), List A -> Nat")
+    t = term_in(prelude_env, "fun (n : Nat) => match n as x in Nat "
+                             "return Nat -> Nat with "
+                             "| zero => fun (m : Nat) => m | succ => negb end")
+    with pytest.raises(TypeCheckError) as err:
+        infer(prelude_env, Context(), t)
+    assert err.value.kind == ErrorKind.NOT_CONVERTIBLE
+    assert err.value.term == Const("negb")
+    assert print_term(err.value.expected) == "Nat -> Nat -> Nat"
+    assert print_term(err.value.actual) == "Bool -> Bool"
+    # A branch whose type has fewer products than the fields left.
+    t = term_in(prelude_env, "fun (n : Nat) => match n as x in Nat "
+                             "return Nat with | zero => zero | succ => zero "
+                             "end")
+    with pytest.raises(TypeCheckError) as err:
+        infer(prelude_env, Context(), t)
+    assert err.value.kind == ErrorKind.NOT_CONVERTIBLE
+    assert print_term(err.value.expected) == "Nat -> Nat"
+    assert print_term(err.value.actual) == "Nat"
+
+
 def test_case_motive_index_variables_are_distinct(fresh_env):
     # The motive's index variables are named after the arity's binders
     # (n, n1), each fresh for the context.  With `n` in the context the
@@ -872,6 +964,91 @@ def test_infer_case_errors(prelude_env):
         infer(prelude_env, ctx, Case("Nat", Constr("true"), (), motive,
                                      (Constr("true"), Lam("k", NAT, Constr("false")))))
     assert err.value.kind == ErrorKind.NOT_CONVERTIBLE
+
+
+def _rejects(env, kind, message, run):
+    """Run `run`, which must raise a TypeCheckError of `kind` with
+    `message`, whose expected and actual terms print as the command line
+    prints them."""
+    with pytest.raises(TypeCheckError) as err:
+        run()
+    assert err.value.kind == kind
+    assert err.value.message == message
+    for term in (err.value.expected, err.value.actual):
+        if term is not None:
+            print_term(term, env)
+
+
+def _cli_rejects(tmp_path, capsys, source, kind, message):
+    """`rcic check` of the prelude and `source`, which must stop at its
+    last declaration with `kind` and `message` and print no traceback."""
+    path = tmp_path / "bad.rcic"
+    path.write_text(source)
+    assert main(["check", str(prelude_path()), str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: {kind.value}: {message}\n" in err
+
+
+VEC = """
+inductive Vec (A : Set0) : Nat -> Set0 :=
+  vnil : Vec A zero
+| vcons : forall (n : Nat), A -> Vec A n -> Vec A (succ n).
+"""
+
+
+def test_infer_rejects_unknown_globals(prelude_env):
+    for t, message in ((Ind("Nope"), "unknown inductive Nope"),
+                       (Constr("nope"), "unknown constructor nope"),
+                       (Case("Nope", Constr("zero"), (), Lam("x", NAT, NAT),
+                             ()), "unknown inductive Nope")):
+        _rejects(prelude_env, ErrorKind.UNBOUND_VARIABLE, message,
+                 lambda: infer(prelude_env, Context(), t))
+
+
+def test_infer_case_rejects_ill_formed_cases(fresh_env):
+    env = load_declarations(fresh_env, VEC)
+    vec = term_in(env, "Vec Nat zero")
+    ctx = Context().extend("l", term_in(env, "List Nat")).extend(
+        "bare", Ind("List")).extend("v", vec)
+    branches = (Constr("zero"),
+                term_in(env, "fun (h : Nat) (t : List Nat) => zero"))
+    vec_branches = (Constr("zero"), term_in(
+        env, "fun (n : Nat) (h : Nat) (t : Vec Nat n) => zero"))
+    to_nat = Lam("x", term_in(env, "List Nat"), NAT)
+    for t, kind, message in (
+            (Case("List", Var("l"), (), to_nat, branches),
+             ErrorKind.ARITY_MISMATCH,
+             "case over List takes 1 parameters, got 0"),
+            (Case("List", Var("bare"), (NAT,), to_nat, branches),
+             ErrorKind.ARITY_MISMATCH,
+             "scrutinee type applies List to 0 arguments"),
+            (Case("Vec", Var("v"), (NAT,), NAT, vec_branches),
+             ErrorKind.ARITY_MISMATCH,
+             "motive of case over Vec takes too few arguments"),
+            (Case("Vec", Var("v"), (NAT,), Lam("i", BOOL, Lam("x", vec, NAT)),
+                  vec_branches),
+             ErrorKind.NOT_CONVERTIBLE, "motive domain mismatch"),
+            (Case("List", Var("l"), (NAT,), NAT, branches),
+             ErrorKind.ARITY_MISMATCH,
+             "motive of case over List must abstract the scrutinee")):
+        _rejects(env, kind, message, lambda: infer(env, ctx, t))
+
+
+def test_case_rejections_from_the_command_line(tmp_path, capsys):
+    # Parameters that disagree with the scrutinee's type, and a motive that
+    # lands in no sort.
+    _cli_rejects(tmp_path, capsys,
+                 "def f : List Nat -> Nat := fun (l : List Nat) =>\n"
+                 "  match l as x in List Bool return Nat with\n"
+                 "  | nil => zero | cons h t => zero end.\n",
+                 ErrorKind.NOT_CONVERTIBLE,
+                 "case parameters disagree with the scrutinee")
+    _cli_rejects(tmp_path, capsys,
+                 "def f : Nat -> Nat := fun (n : Nat) =>\n"
+                 "  match n as x in Nat return zero with\n"
+                 "  | zero => zero | succ k => zero end.\n",
+                 ErrorKind.NOT_A_SORT, "motive must land in a sort")
 
 
 def test_infer_dependent_case(prelude_env):
@@ -922,6 +1099,19 @@ def test_fix_guard_violations(prelude_env):
                                    "fun (n : Nat) => n"))
 
 
+def test_fix_variable_passed_as_a_value(tmp_path, capsys):
+    # A bare occurrence of the fix variable is a call missing its
+    # decreasing argument, even as the argument of another function.
+    _cli_rejects(tmp_path, capsys,
+                 "def f : Nat -> Nat :=\n"
+                 "  fix f (n : Nat) {struct n} : Nat :=\n"
+                 "    match n as x in Nat return Nat with\n"
+                 "    | zero => zero\n"
+                 "    | succ p => (fun (g : Nat -> Nat) => g p) f end.\n",
+                 ErrorKind.GUARD_VIOLATION,
+                 "recursive call to f is missing its decreasing argument")
+
+
 def test_fix_negative_decreasing_index(prelude_env):
     # Only the kernel API can build it; it names no argument.
     fix = Fix("f", arrow(NAT, NAT), Lam("n", NAT, Constr("zero")), -1)
@@ -954,6 +1144,42 @@ def test_fix_nested_call_through_branch(prelude_env):
 def test_check_inductive_accepts_prelude(prelude_env):
     for name in ("Bool", "Nat", "List", "Unit", "Empty"):
         assert prelude_env.inductive(name) is not None
+
+
+def test_inductive_rejections_from_the_command_line(tmp_path, capsys):
+    _cli_rejects(tmp_path, capsys, "inductive T : Nat := mk : T.\n",
+                 ErrorKind.ILL_FORMED_INDUCTIVE,
+                 "T: arity does not end in a sort")
+    _cli_rejects(tmp_path, capsys,
+                 "inductive D : Nat -> Set0 :=\n"
+                 "  mk : D ((fun (X : Set0) => zero) (D zero)).\n",
+                 ErrorKind.POSITIVITY_VIOLATION,
+                 "D occurs in an index of constructor mk")
+
+
+def test_inductive_constructor_disagrees_on_a_parameter(fresh_env):
+    # mk's parameter is a Set0, which the arity's Set1 parameter accepts by
+    # cumulativity, so only the parameter check rejects it.
+    decl = InductiveDecl("P", 1, Prod("A", SortT(set_sort(1)),
+                                      SortT(set_sort(1))),
+                         (("mk", Prod("A", SortT(set_sort(0)),
+                                      App(Ind("P"), Var("A")))),))
+    _rejects(fresh_env, ErrorKind.ILL_FORMED_INDUCTIVE,
+             "P: constructor mk disagrees with the arity on parameter A",
+             lambda: check_inductive(fresh_env, decl))
+
+
+def test_inductive_applied_to_the_wrong_number_of_arguments(fresh_env):
+    # A constructor that concludes in its inductive applied to too few or
+    # too many arguments is ill typed, so typing it rejects it first.
+    arity = arrow(NAT, SortT(set_sort(0)))
+    for core, kind, message in (
+            (Ind("T"), ErrorKind.NOT_A_SORT, "expected a type"),
+            (app(Ind("T"), Constr("zero"), Constr("zero")),
+             ErrorKind.NOT_A_FUNCTION, "application head is not a function")):
+        decl = InductiveDecl("T", 0, arity, (("mk", core),))
+        _rejects(fresh_env, kind, message,
+                 lambda: check_inductive(fresh_env, decl))
 
 
 def test_inductive_positivity(fresh_env):

@@ -403,6 +403,19 @@ def test_fixes_that_need_unfolding_at_a_variable_fail(capsys, tmp_path):
         "FAIL self_id", "FAIL case_other", "FAIL case_self", "PASS case_pred"]
 
 
+def test_an_anonymous_binder_captures_no_outer_name(capsys, tmp_path):
+    # A `_` binder's triple is named afresh (x, x1, ...), so it must avoid
+    # the names its scope uses: here an outer `x`, under a Lam and under a
+    # product.
+    path = tmp_path / "anon.rcic"
+    path.write_text(
+        "def k : Nat -> Nat -> Nat := fun (x : Nat) (_ : Nat) => x.\n"
+        "def e : forall (P : Nat -> Set0) (x : Nat), P x -> Nat -> P x :=\n"
+        "  fun (P : Nat -> Set0) (x : Nat) (p : P x) (y : Nat) => p.\n")
+    assert main(["param-check", str(rcic.prelude_path()), str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["PASS k", "PASS e"]
+
+
 def _checked_verdicts(sources, mode):
     """The abstraction check of each definition of the prelude and
     `sources` as it is declared: one `PASS name` or `FAIL name` line each."""

@@ -440,3 +440,20 @@ def test_with_provisional():
     assert ghost.inductive("Tree") is not None
     assert ghost.constructor("leaf") is None
     assert env.inductive("Tree") is None
+
+
+def test_reference_is_one_node_per_name():
+    env = GlobalEnv()
+    env.add_inductive(InductiveDecl("Nat", 0, SortT(set_sort(0)),
+                                    (("zero", Ind("Nat")),)))
+    env.add_definition(Definition("z", Ind("Nat"), Constr("zero")))
+    for name, node in (("Nat", Ind("Nat")), ("zero", Constr("zero")),
+                       ("z", Const("z"))):
+        assert env.reference(name) == node
+        assert env.reference(name) is env.reference(name)
+    assert env.reference("missing") is None
+    # A provisional copy resolves names afresh: its `z` is an inductive.
+    ghost = env.with_provisional(InductiveDecl("z", 0, SortT(set_sort(0)), ()))
+    assert ghost.reference("z") == Ind("z")
+    assert ghost.reference("Nat") is not env.reference("Nat")
+    assert env.reference("z") == Const("z")
