@@ -262,6 +262,12 @@ class _Parser:
             raise self.error(f"expected a name, found {tok.describe()}")
         return self.next().value
 
+    def global_name(self) -> str:
+        """The name a declaration gives a global: `_` names nothing."""
+        if self.at("_"):
+            raise self.error("expected a name, found '_'")
+        return self.expect_ident()
+
     # Terms.
 
     def term(self) -> Term:
@@ -390,7 +396,7 @@ class _Parser:
         tok = self.peek()
         if self.at("def"):
             self.next()
-            name = self.expect_ident()
+            name = self.global_name()
             self.expect(":")
             ty = self.term()
             self.expect(":=")
@@ -399,7 +405,7 @@ class _Parser:
             return DDef(name, ty, body, tok.line, tok.col)
         if self.at("inductive"):
             self.next()
-            name = self.expect_ident()
+            name = self.global_name()
             binders = self.binder_groups()
             self.expect(":")
             arity = self.term()
@@ -409,7 +415,7 @@ class _Parser:
                 if self.at("|"):
                     self.next()
                 while True:
-                    cname = self.expect_ident()
+                    cname = self.global_name()
                     self.expect(":")
                     ctype = self.term()
                     constructors.append((cname, prods(binders, ctype)))
@@ -426,7 +432,7 @@ class _Parser:
             return DCheck(t, tok.line, tok.col)
         if self.at("paramcheck"):
             self.next()
-            name = self.expect_ident()
+            name = self.global_name()
             self.expect(".")
             return DParamCheck(name, tok.line, tok.col)
         raise self.error(

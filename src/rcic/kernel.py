@@ -23,9 +23,12 @@ Bruijn level and the level's type, a value; a product is opened by binding
 its binder to the argument's value or to a new level, and a Lam is checked
 against a product binder by binder, so the checker substitutes nothing.  A
 type is read back to a term only to return it from `infer`, to show it in
-an error, or as the product of a Lam whose type is inferred.  A level reads
-back as its binder's name, or as the first fresh name if the binder is `_`
-or a level in scope already has that name, so reading back never captures.
+an error, or as the product of a Lam whose type is inferred, and always one
+way: its head reduced, its subterms the terms its value holds with their
+environments substituted, nothing below the head normalised.
+`beta_normalize` is the kernel's only normaliser.  A level reads back as
+its binder's name, or as the first fresh name if the binder is `_` or a
+level in scope already has that name, so reading back never captures.
 """
 
 from __future__ import annotations
@@ -688,43 +691,25 @@ def _level_names(ctx: _Ctx) -> list[str]:
     return names
 
 
-def _term(ctx: _Ctx, v) -> Term:
-    """The term of the value `v`, whose levels are those of `ctx`: closures
-    and thunks read back as their terms with their environments
-    substituted."""
+def _telescope(ctx: _Ctx, k: int, v) -> Term:
+    """The product over the levels of `ctx` from `k` on, ending in the term
+    of the value `v`: closures and thunks read back as their terms with
+    their environments substituted, each thunk once."""
     memo: dict[_Thunk, Term] = {}
     names = _level_names(ctx)
-    return _read_back(v, lambda rho, t: _substituted(rho, t, memo, names),
-                      names)
-
-
-def _reify(env: GlobalEnv, names: list[str], taken: set[str], v) -> Term:
-    """The normal form of the value `v` as a term: level k reads back as
-    `names[k]`, and each closure is opened at a new level, named as a level
-    is for `taken`, the names of the levels in scope."""
-    passed = []  # (node, its binder's name, its domain read back)
-    while type(v) is _Closure:
-        node = v.term
-        dom, body = children(node)
-        name = fresh_name(node.binder, taken)
-        passed.append((node, name, _reify(env, names, taken,
-                                          _eval(env, v.rho, dom))))
-        level = _Thunk(None, None, _Neutral(_LEVEL, len(names)))
-        names.append(name)
-        taken.add(name)
-        v = _eval(env, {**v.rho, node.binder: level}, body)
 
     def term_of(rho: dict, t: Term) -> Term:
-        # A fix is opened like a closure; anything else is evaluated.
-        u = _Closure(rho, t) if type(t) is Fix else _eval(env, rho, t)
-        return _reify(env, names, taken, u)
+        return _substituted(rho, t, memo, names)
 
     t = _read_back(v, term_of, names)
-    for node, name, dom in reversed(passed):
-        names.pop()
-        taken.discard(name)
-        t = rebuild_binder(node, name, dom, t)
+    for i in reversed(range(k, len(names))):
+        t = Prod(names[i], _read_back(ctx.levels[i].type, term_of, names), t)
     return t
+
+
+def _term(ctx: _Ctx, v) -> Term:
+    """The term of the value `v`, whose levels are those of `ctx`."""
+    return _telescope(ctx, len(ctx.levels), v)
 
 
 def _is_prod(v) -> bool:
@@ -744,7 +729,8 @@ def _thunk(ctx: _Ctx, t: Term) -> _Thunk:
 
 def infer(env: GlobalEnv, ctx: Context, t: Term,
           mode: EliminationMode = STAR) -> Term:
-    """The principal type of `t`, with its head reduced."""
+    """The principal type of `t`: its head reduced, nothing below the head
+    normalised, a Lam's product included."""
     c = _context(env, ctx)
     return _term(c, _unfold_head(env, _infer(env, c, t, mode)))
 
@@ -867,22 +853,13 @@ def _infer(env: GlobalEnv, ctx: _Ctx, t: Term, mode: EliminationMode):
     if kind is Lam:
         # A Lam telescope in one loop, and its product read back once, when
         # the body's type is known.
-        outer = ctx
-        domains = []
+        k = len(ctx.levels)
         while type(t) is Lam:
             _infer_sort(env, ctx, t.annotation, mode)
-            domains.append(_eval(env, ctx.rho, t.annotation))
-            ctx = ctx.extend(t.binder, domains[-1])
+            ctx = ctx.extend(t.binder, _eval(env, ctx.rho, t.annotation))
             t = t.body
-        body = _infer(env, ctx, t, mode)
-        names = _level_names(ctx)
-        taken = set(names)
-        ty = _reify(env, names, taken, body)
-        for dom in reversed(domains):
-            name = names.pop()
-            taken.discard(name)
-            ty = Prod(name, _reify(env, names, taken, dom), ty)
-        return _Closure(dict(zip(names, outer.levels)), ty)
+        return _Closure(dict(zip(_level_names(ctx), ctx.levels[:k])),
+                        _telescope(ctx, k, _infer(env, ctx, t, mode)))
     if kind is Case:
         return _infer_case(env, ctx, t, mode)
     if kind is Fix:
@@ -1022,14 +999,11 @@ def _branch_type(env: GlobalEnv, ctx: _Ctx, ty: _Closure, fields: int,
                  end) -> Term:
     """The term of the type `_check` checks against with `fields` and
     `end`."""
-    k, domains = len(ctx.levels), []
+    k = len(ctx.levels)
     for _ in range(fields):
-        domains.append(_eval(env, ty.rho, ty.term.domain))
-        ctx = ctx.extend(ty.term.binder, domains[-1])
+        ctx = ctx.extend(ty.term.binder, _eval(env, ty.rho, ty.term.domain))
         ty = _open(env, ty, ctx.levels[-1])
-    return prods([(name, _term(ctx, d)) for name, d
-                  in zip(_level_names(ctx)[k:], domains)],
-                 _term(ctx, end(ctx, ty)))
+    return _telescope(ctx, k, end(ctx, ty))
 
 
 def _infer_fix(env: GlobalEnv, ctx: _Ctx, t: Fix, mode: EliminationMode):

@@ -79,6 +79,15 @@ def test_check_reports_type_error(prelude, tmp_path, capsys):
         "  expected: Nat -> Bool",
         "  actual: Nat -> Nat",
     ]
+    # A Lam checked against a type that is no product.
+    bad = write(tmp_path, "bad.rcic", "def f : Nat := fun (x : Nat) => x.")
+    assert main(["check", prelude, bad]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{bad}:1:1: error: NotConvertible: term does not have the "
+        "expected type",
+        "  expected: Nat",
+        "  actual: Nat -> Nat",
+    ]
 
 
 def test_check_reports_parse_error(tmp_path, capsys):
@@ -107,6 +116,20 @@ def test_check_underscore_as_a_term_is_a_parse_error(prelude, tmp_path,
     assert main(["check", prelude, bad]) == 2
     assert capsys.readouterr().err == (
         f"{bad}:1:40: error: expected a term, found '_'\n")
+
+
+def test_check_underscore_as_a_global_name_is_a_parse_error(prelude, tmp_path,
+                                                           capsys):
+    for text, where in (("def _ : Nat := zero.", "1:5"),
+                        ("inductive U : Set0 := _ : U.", "1:23")):
+        bad = write(tmp_path, "bad.rcic", text)
+        assert main(["check", prelude, bad]) == 2
+        assert capsys.readouterr().err == (
+            f"{bad}:{where}: error: expected a name, found '_'\n")
+    bad = write(tmp_path, "bad.rcic", "paramcheck _.")
+    assert main(["param-check", prelude, bad]) == 2
+    assert capsys.readouterr().err == (
+        f"{bad}:1:12: error: expected a name, found '_'\n")
 
 
 def numeral(depth):
@@ -273,6 +296,22 @@ check fun (x x1 : Nat) => K Nat x x1.
     assert capsys.readouterr().out.splitlines()[-1] == (
         "fun (x x1 : Nat) => K Nat x x1 : "
         "forall (x x1 x2 : Nat), Eq Nat x x2 -> Eq Nat x1 x2 -> Unit")
+
+
+def test_check_prints_a_lam_type_as_its_value_holds_it(prelude, tmp_path,
+                                                      capsys):
+    # A Lam's inferred product is read back like any inferred type: the
+    # redex in the annotation stays, as it does in the type of nil's
+    # application.
+    src = write(tmp_path, "l.rcic",
+                "check fun (l : List ((fun (B : Set0) => B) Nat)) => l.\n"
+                "check nil ((fun (B : Set0) => B) Nat).\n")
+    assert main(["check", prelude, src]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "fun (l : List ((fun (B : Set0) => B) Nat)) => l : "
+        "List ((fun (B : Set0) => B) Nat) -> List ((fun (B : Set0) => B) Nat)",
+        "nil ((fun (B : Set0) => B) Nat) : List ((fun (B : Set0) => B) Nat)",
+    ]
 
 
 def test_binder_named_like_a_global_keeps_its_name(prelude, tmp_path, capsys):

@@ -237,6 +237,26 @@ def test_parse_underscore_is_no_term():
     assert t.atoms == (Var("Nat"), Var("_"))
 
 
+def test_parse_underscore_is_no_global_name():
+    # A global named `_` could not be referred to, so no declaration names
+    # one: not a definition, an inductive, a constructor or a paramcheck.
+    for text, where in (("def _ : Nat := zero.", "1:5"),
+                        ("inductive _ : Set0 := u : Nat.", "1:11"),
+                        ("inductive U : Set0 := _ : U.", "1:23"),
+                        ("inductive U : Set0 := | u : U | _ : U.", "1:33"),
+                        ("paramcheck _.", "1:12")):
+        with pytest.raises(ParseError,
+                           match=f"^{where}: expected a name, found '_'$"):
+            parse_file(text)
+    # Binders, `as` names and branch fields may still be `_`.
+    decl = parse_file("def f : Nat -> Nat := fun (_ : Nat) => match zero "
+                      "as _ in Nat return Nat with | zero => zero "
+                      "| succ _ => zero end.").decls[0]
+    assert decl.body.binder == "_"
+    assert decl.body.body.as_name == "_"
+    assert decl.body.body.branches[1][1] == ("_",)
+
+
 def test_parse_term_rejects_trailing_input():
     with pytest.raises(ParseError):
         parse_term("zero zero.")

@@ -997,6 +997,29 @@ inductive Vec (A : Set0) : Nat -> Set0 :=
 """
 
 
+# 2^10, computed inline: no global stands between a normaliser and the
+# numeral's 1,024 nested succs.
+BIG = ("((fix f (n : Nat) {struct n} : Nat := match n as m in Nat return Nat "
+       "with | zero => succ zero | succ k => (fix p (a : Nat) (b : Nat) "
+       "{struct a} : Nat := match a as a0 in Nat return Nat with | zero => b "
+       "| succ j => succ (p j b) end) (f k) (f k) end) "
+       + "(succ " * 10 + "zero" + ")" * 11)
+
+
+def test_an_inferred_lam_type_is_not_normalised(tmp_path, capsys):
+    # The Lam's product is read back with BIG as it stands, as it is when
+    # the Lam is checked against a product instead of inferred.
+    path = tmp_path / "big.rcic"
+    path.write_text(
+        "inductive Eq (A : Set0) (x : A) : A -> Prop := refl : Eq A x x.\n"
+        f"def g : Unit -> Eq Nat {BIG} {BIG} := "
+        f"fun (u : Unit) => refl Nat {BIG}.\n"
+        f"def h : Eq Nat {BIG} {BIG} := (fun (u : Unit) => refl Nat {BIG}) tt."
+        "\n")
+    assert main(["check", str(prelude_path()), str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("h : Eq Nat ")
+
+
 def test_infer_rejects_unknown_globals(prelude_env):
     for t, message in ((Ind("Nope"), "unknown inductive Nope"),
                        (Constr("nope"), "unknown constructor nope"),

@@ -150,6 +150,25 @@ def test_translation_renames_a_binder_triple(fresh_env):
     assert alpha_eq(elaborate(fresh_env, back), rel)
 
 
+def test_translation_renames_a_shadowing_binder_triple(fresh_env):
+    # The inner A shadows the outer one, whose triple A / A' / A_R is free
+    # in the inner binder's translated annotation, so the inner triple
+    # becomes A1 / A1' / A1_R and the translated body is renamed to match.
+    # The elaborator renames shadowing binders, so only the kernel API
+    # builds this term.
+    t = Lam("A", SortT(set_sort(0)),
+            Lam("A", Prod("_", Var("A"), Var("A")), Var("A")))
+    ty = infer(fresh_env, Context(), t)
+    with counting([(rcic.param, "_rename_triple")]) as calls:
+        assert abstraction_check(fresh_env, Context(), t, ty)
+    assert calls == [1]
+    assert print_term(beta_normalize(translate_term(fresh_env, t)),
+                      fresh_env) == (
+        "fun (A A' : Set0) (A_R : A -> A' -> Prop) (A1 : A -> A) "
+        "(A1' : A' -> A') (A1_R : forall (x : A) (x' : A'), "
+        "A_R x x' -> A_R (A1 x) (A1' x')) => A1_R")
+
+
 def test_translate_product_clause(fresh_env):
     rel = beta_normalize(app(translate_term(fresh_env, arrow(NAT, NAT)),
                              Const("plus"), Const("plus")))
