@@ -38,7 +38,6 @@ from .syntax import (
     free_vars,
     lams,
     prods,
-    set_sort,
     subst,
     type_sort,
 )
@@ -73,8 +72,8 @@ from .param import (
     translate_context,
     translate_definition,
     translate_inductive,
-    translate_term,
 )
+# abstraction_check, parse_term: used by the README example and bench/run.py.
 from .frontend import ParseError, declare, elaborate, parse_file, parse_term
 from .printer import print_definition, print_inductive, print_term
 
@@ -140,7 +139,6 @@ __all__ = [
     "prods",
     "relation_name",
     "relation_sort",
-    "set_sort",
     "sort_of_product",
     "subsort",
     "subst",
@@ -148,7 +146,6 @@ __all__ = [
     "translate_context",
     "translate_definition",
     "translate_inductive",
-    "translate_term",
     "type_sort",
     "whnf",
 ]

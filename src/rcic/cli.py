@@ -140,6 +140,9 @@ def _process(env: GlobalEnv, decl, args, mode) -> int:
                 show(print_term(term, env), ty)
             return 0
         case DParamCheck(name):
+            if env.definition(name) is None:
+                raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
+                                     f"paramcheck needs a definition: {name}")
             # param-check checks every definition as it is declared.
             return 0 if command == "param-check" else _verdict(env, name)
     raise TypeError(f"not a declaration: {decl!r}")
@@ -150,9 +153,6 @@ def _verdict(env: GlobalEnv, name: str) -> int:
     print `PASS name` if it checks and `FAIL name` if not, and return the
     number of failures.  A declared relation is reused by every later
     reference, so no body is checked twice."""
-    if env.definition(name) is None:
-        raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
-                             f"paramcheck needs a definition: {name}")
     try:
         translate_definition(env, name)
     except (TypeCheckError, ValueError):

@@ -8,6 +8,11 @@ related results.  Inductives get a freshly declared relation inductive with
 tripled parameters and indices; its constructors relate the source
 constructors pointwise.
 
+The translation is a function of the term: a global maps to its relation
+by name, and a case reads its relation inductive from the environment.
+So each entry point first declares, once each, the relations of the
+globals its terms mention (`_prepare`), and then translates.
+
 Name scheme: the copy of a variable (Var) x is x', its witness x_R; a
 global (Const, Ind, Constr) keeps its name in the copy and gains the _R
 suffix for its relation.  Input terms must not use names with either suffix
@@ -16,7 +21,6 @@ suffix for its relation.  Input terms must not use names with either suffix
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 
 from .syntax import (
@@ -61,8 +65,6 @@ from .kernel import (
     declare_definition,
     declare_inductive,
 )
-
-logger = logging.getLogger(__name__)
 
 PRIME_SUFFIX = "'"
 WITNESS_SUFFIX = "_R"
@@ -114,13 +116,33 @@ def prime(t: Term) -> Term:
     return map_children(t, prime)
 
 
-def _assert_clean(t: Term) -> None:
-    """Reject terms that already use the reserved name suffixes, naming the
-    first such name in sorted order."""
-    for name in sorted(names(t)):
-        if is_reserved(name):
-            raise ValueError(
-                f"cannot translate a term using the reserved name {name!r}")
+def _prepare(env: GlobalEnv, *terms: Term, skip: str = "") -> None:
+    """Make `terms` ready to translate.  Reject a term that already uses
+    the reserved name suffixes, naming the first such name in sorted order,
+    term by term; then declare the relation of every global the terms
+    mention, except the inductive `skip`, once each in order of first
+    mention."""
+    for t in terms:
+        for name in sorted(names(t)):
+            if is_reserved(name):
+                raise ValueError("cannot translate a term using the "
+                                 f"reserved name {name!r}")
+    needed: dict[tuple[type, str], None] = {}
+    for t in terms:
+        for u in subterms(t):
+            kind = type(u)
+            if kind is Const or kind is Ind:
+                needed[kind, u.name] = None
+            elif kind is Case:
+                needed[Ind, u.ind] = None
+            elif kind is Constr and (info := env.constructor(u.name)):
+                needed[Ind, info[0].name] = None
+    needed.pop((Ind, skip), None)
+    for kind, name in needed:
+        if kind is Const:
+            _ensure_definition(env, name)
+        else:
+            translate_inductive(env, _inductive(env, name))
 
 
 def _pick_triple(base: str, avoid: frozenset[str], scope: Term | None = None,
@@ -144,11 +166,10 @@ def translate_term(env: GlobalEnv, t: Term) -> Term:
     """The relational witness of `t`.
 
     References to inductives, constructors, and definitions are redirected
-    to their relations, translating and registering those on demand.  The
-    result is the raw clause-by-clause image; apply beta_normalize for the
-    readable form.
+    to their relations, which are declared first.  The result is the raw
+    clause-by-clause image; apply beta_normalize for the readable form.
     """
-    _assert_clean(t)
+    _prepare(env, t)
     return _translate(env, t)
 
 
@@ -174,24 +195,13 @@ class Alias:
 
 def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
     match t:
-        case Var(name):
-            return Var(relation_name(name))
-        case Const(name):
-            _ensure_definition(env, name)
-            return Const(relation_name(name))
+        case Var(name) | Const(name) | Ind(name) | Constr(name):
+            return type(t)(relation_name(name))
         case SortT(s):
             x = NameTriple.from_base("x")
             return Lam(x.base, t, Lam(x.copy, t,
                        arrow(Var(x.base),
                              arrow(Var(x.copy), SortT(relation_sort(s))))))
-        case Ind(name):
-            _ensure_inductive(env, name)
-            return Ind(relation_name(name))
-        case Constr(name):
-            info = env.constructor(name)
-            if info is not None:
-                _ensure_inductive(env, info[0].name)
-            return Constr(relation_name(name))
         case Prod():
             # A product telescope in one loop: the domains are translated
             # outermost first, then the codomain; the witnesses and copies
@@ -238,17 +248,8 @@ def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
                                body_r)))
         case App():
             return _translate_app(env, t)[0]
-        case Case(ind, scrutinee, params, motive, branches):
-            _ensure_inductive(env, ind)
-            params3: list[Term] = []
-            for q in params:
-                params3 += [q, prime(q), _translate(env, q)]
-            motive_r = _case_motive(env, t, alias)
-            return Case(relation_name(ind),
-                        _translate(env, scrutinee),
-                        tuple(params3),
-                        motive_r,
-                        tuple(_translate(env, b) for b in branches))
+        case Case():
+            return _translate_case(env, t, alias)
         case Fix(binder, annotation, body, decreasing):
             raw, copy = (alias.raw, alias.primed) if alias is not None \
                 else (t, prime(t))
@@ -285,16 +286,15 @@ def _rename_triple(t: Term, old: str, new: NameTriple) -> Term:
                          relation_name(old): Var(new.rel)})
 
 
-def _case_motive(env: GlobalEnv, t: Case, alias: Alias | None = None) -> Term:
-    """The motive of the translated case over the relation inductive.
+def _translate_case(env: GlobalEnv, t: Case, alias: Alias | None) -> Term:
+    """The witness of a case: a case over the relation inductive, which
+    must be declared, with the parameters tripled.
 
-    It abstracts a triple per index of the source inductive, the two related
-    scrutinees, and the relation witness, and returns the motive's own
-    relation applied to both original case expressions.
+    Its motive abstracts a triple per index of the source inductive, the
+    two related scrutinees, and the relation witness, and returns the
+    motive's own relation applied to both original case expressions.
     """
-    rdecl = _ensure_inductive(env, t.ind)
-    src = env.inductive(t.ind)
-    assert src is not None
+    rdecl = _inductive(env, relation_name(t.ind))
     motive_r = _translate(env, t.motive)
     motive_c = prime(t.motive)
     branches_c = tuple(prime(b) for b in t.branches)
@@ -312,12 +312,11 @@ def _case_motive(env: GlobalEnv, t: Case, alias: Alias | None = None) -> Term:
 
     # Instantiate the relation's arity with the tripled parameters, then
     # read off the telescope it expects: three binders per source index,
-    # then the two related scrutinees, then their witness.  A declared
-    # arity is a syntactic product telescope.
-    n_indices = len(strip_prods(src.arity)[0]) - src.params
+    # then the two related scrutinees (the arity's last two binders), then
+    # their witness.  A declared arity is a syntactic product telescope.
     arity_binders, _ = strip_prods(rdecl.arity)
     idx_names: list[str] = []
-    for binder, _ in arity_binders[len(params3):][:3 * n_indices]:
+    for binder, _ in arity_binders[len(params3):-2]:
         name = fresh_name(binder if binder != "_" else "i", avoid)
         avoid.add(name)
         idx_names.append(name)
@@ -338,7 +337,7 @@ def _case_motive(env: GlobalEnv, t: Case, alias: Alias | None = None) -> Term:
         to_left = {v: Var(pair.base)}
         to_right = {primed(v): Var(pair.copy)}
         _, indices = unfold_app(alias.guard_type)
-        for i, index in enumerate(indices[src.params:]):
+        for i, index in enumerate(indices[len(t.params):]):
             if isinstance(index, Var):
                 to_left[index.name] = Var(idx_names[3 * i])
                 to_right[primed(index.name)] = Var(idx_names[3 * i + 1])
@@ -347,17 +346,19 @@ def _case_motive(env: GlobalEnv, t: Case, alias: Alias | None = None) -> Term:
     else:
         left = Case(t.ind, Var(pair.base), t.params, t.motive, t.branches)
         right = Case(t.ind, Var(pair.copy), params_c, motive_c, branches_c)
-    return lams(binders, app(motive_r, *(Var(n) for n in idx_names),
-                             Var(pair.base), Var(pair.copy), Var(pair.rel),
-                             left, right))
+    motive = lams(binders, app(motive_r, *(Var(n) for n in idx_names),
+                               Var(pair.base), Var(pair.copy), Var(pair.rel),
+                               left, right))
+    return Case(rdecl.name, _translate(env, t.scrutinee), tuple(params3),
+                motive, tuple(_translate(env, b) for b in t.branches))
 
 
-def _ensure_inductive(env: GlobalEnv, name: str) -> InductiveDecl:
+def _inductive(env: GlobalEnv, name: str) -> InductiveDecl:
     decl = env.inductive(name)
     if decl is None:
         raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
                              f"unknown inductive {name}")
-    return translate_inductive(env, decl)
+    return decl
 
 
 def translate_definition(env: GlobalEnv, name: str) -> Definition:
@@ -380,8 +381,7 @@ def _ensure_definition(env: GlobalEnv, name: str) -> None:
     if failure is not None:
         raise failure
     try:
-        _assert_clean(defn.type)
-        _assert_clean(defn.body)
+        _prepare(env, defn.type, defn.body)
         # The definition's own name is a definitional alias for its body,
         # which keeps the generated witness referencing `name` instead of
         # copies of the body.
@@ -393,20 +393,6 @@ def _ensure_definition(env: GlobalEnv, name: str) -> None:
     except (TypeCheckError, ValueError) as err:
         env.record_failure(rn, err)
         raise
-
-
-def _ensure_dependencies(env: GlobalEnv, t: Term, skip: str) -> None:
-    """Translate every global `t` mentions, except `skip` itself."""
-    for u in subterms(t):
-        match u:
-            case Const(name):
-                _ensure_definition(env, name)
-            case Ind(name) | Case(name) if name != skip:
-                _ensure_inductive(env, name)
-            case Constr(name):
-                info = env.constructor(name)
-                if info is not None and info[0].name != skip:
-                    _ensure_inductive(env, info[0].name)
 
 
 def translate_inductive(env: GlobalEnv, decl: InductiveDecl) -> InductiveDecl:
@@ -422,20 +408,13 @@ def translate_inductive(env: GlobalEnv, decl: InductiveDecl) -> InductiveDecl:
     if existing is not None:
         return existing
 
-    _assert_clean(decl.arity)
-    for _, cty in decl.constructors:
-        _assert_clean(cty)
-    _ensure_dependencies(env, decl.arity, decl.name)
-    for _, cty in decl.constructors:
-        _ensure_dependencies(env, cty, decl.name)
-
+    _prepare(env, decl.arity, *(cty for _, cty in decl.constructors),
+             skip=decl.name)
     arity_r = beta_normalize(app(_translate(env, decl.arity),
                                  Ind(decl.name), Ind(decl.name)))
-    prov = env.with_provisional(InductiveDecl(rn, 3 * decl.params, arity_r, ()))
     ctors = tuple(
         (relation_name(c),
-         beta_normalize(app(_translate(prov, cty),
-                            Constr(c), Constr(c))))
+         beta_normalize(app(_translate(env, cty), Constr(c), Constr(c))))
         for c, cty in decl.constructors)
     rdecl = InductiveDecl(rn, 3 * decl.params, arity_r, ctors)
     declare_inductive(env, rdecl, STAR)
@@ -446,9 +425,9 @@ def translate_context(env: GlobalEnv, ctx: Context) -> Context:
     """Triple every context entry: the original, its copy, its witness."""
     out = Context()
     for name, ty in ctx:
-        _assert_clean(ty)
         if is_reserved(name):
             raise ValueError(f"context name {name!r} uses a reserved suffix")
+        _prepare(env, ty)
         rel = beta_normalize(app(_translate(env, ty),
                                  Var(name), Var(primed(name))))
         out = out.extend(name, ty)
@@ -465,8 +444,7 @@ def abstraction_check(env: GlobalEnv, ctx: Context, term: Term,
     declared relation is the theorem for it and is reused by later
     references."""
     try:
-        _assert_clean(term)
-        _assert_clean(ty)
+        _prepare(env, term, ty)
         tctx = translate_context(env, ctx)
         check(env, tctx, term, ty, STAR)
         check(env, tctx, prime(term), prime(ty), STAR)
@@ -474,6 +452,5 @@ def abstraction_check(env: GlobalEnv, ctx: Context, term: Term,
         expected = beta_normalize(app(_translate(env, ty), term, prime(term)))
         check(env, tctx, term_r, expected, STAR)
         return True
-    except (TypeCheckError, ValueError) as err:
-        logger.debug("abstraction check failed: %s", err)
+    except (TypeCheckError, ValueError):
         return False

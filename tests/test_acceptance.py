@@ -33,17 +33,16 @@ from rcic import (
     prelude_path,
     print_term,
     relation_name,
-    set_sort,
     sort_of_product,
     subsort,
     subst,
-    translate_term,
     type_sort,
     whnf,
 )
 from rcic.cli import main
 from rcic.frontend import DInductive
-from rcic.syntax import children, map_children, rebuild_binder
+from rcic.param import translate_term
+from rcic.syntax import children, map_children, rebuild_binder, set_sort
 
 from conftest import term_in
 from gen import random_typed

@@ -374,6 +374,16 @@ def test_paramcheck_pragma_inline(prelude, tmp_path, capsys):
     assert "paramcheck needs a definition" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "translate", "param-check"])
+@pytest.mark.parametrize("name", ["nosuch", "Nat"])
+def test_paramcheck_of_no_definition_is_an_error(prelude, tmp_path, capsys,
+                                                 command, name):
+    src = write(tmp_path, "pragma.rcic", f"paramcheck {name}.\n")
+    assert main([command, prelude, src]) == 1
+    assert (f"pragma.rcic:1:1: error: UnboundVariable: paramcheck needs a "
+            f"definition: {name}") in capsys.readouterr().err
+
+
 def test_star_mode_gates_strong_elimination(prelude, tmp_path, capsys):
     bad = write(tmp_path, "bad_elim.rcic", BAD_ELIM)
     assert main(["check", prelude, bad]) == 1

@@ -29,10 +29,10 @@ from rcic import (
     check,
     declare_inductive,
     prelude_path,
-    set_sort,
     translate_definition,
 )
 from rcic.cli import main
+from rcic.syntax import set_sort
 
 SET0 = SortT(set_sort(0))
 

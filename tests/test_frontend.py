@@ -23,7 +23,6 @@ from rcic import (
     infer,
     parse_file,
     parse_term,
-    set_sort,
     type_sort,
 )
 from rcic.frontend import (
@@ -34,6 +33,7 @@ from rcic.frontend import (
     RawMatch,
     tokenize,
 )
+from rcic.syntax import set_sort
 
 from conftest import load_declarations, term_in
 

@@ -44,12 +44,10 @@ from rcic import (
     prelude_path,
     print_inductive,
     print_term,
-    set_sort,
     sort_of_product,
     subsort,
     subst,
     subtype,
-    translate_term,
     type_sort,
     whnf,
 )
@@ -57,8 +55,8 @@ from rcic import (
 from rcic import kernel, syntax
 from rcic.cli import main
 from rcic.frontend import DDef
-from rcic.param import prime
-from rcic.syntax import (children, lams, names, prods, strip_prods,
+from rcic.param import prime, translate_term
+from rcic.syntax import (children, lams, names, prods, set_sort, strip_prods,
                          unfold_app)
 
 from conftest import load_declarations, term_in

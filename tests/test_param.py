@@ -12,10 +12,12 @@ import rcic
 
 from rcic import (
     App,
+    Case,
     Const,
     Constr,
     Context,
     ErrorKind,
+    GlobalEnv,
     Ind,
     Lam,
     PROP,
@@ -40,17 +42,17 @@ from rcic import (
     print_term,
     relation_name,
     relation_sort,
-    set_sort,
     translate_context,
     translate_definition,
     translate_inductive,
-    translate_term,
     type_sort,
 )
+from rcic import param
 from rcic.cli import main
 from rcic.frontend import DDef, DInductive
 from rcic.kernel import FULL, STAR
-from rcic.param import NameTriple, is_reserved
+from rcic.param import NameTriple, is_reserved, translate_term
+from rcic.syntax import set_sort
 
 from conftest import fresh_prelude_env, load_declarations, term_in
 from gen import random_typed
@@ -120,6 +122,33 @@ def test_translate_variable_and_globals(fresh_env):
     rel = translate_term(fresh_env, Const("double"))
     assert rel == Const("double_R")
     assert fresh_env.definition("double_R") is not None
+
+
+def test_translation_declares_nothing(fresh_env):
+    # The clauses rename a global to its relation; only the entry points
+    # declare relations, before they translate.
+    before = fresh_env.names()
+    assert param._translate(fresh_env, Const("double")) == Const("double_R")
+    assert fresh_env.names() == before
+
+
+def test_a_case_parameter_is_translated_once(fresh_env, monkeypatch):
+    # The parameter is a redex that reduces to Nat; no other node of the
+    # case equals it, so the nodes equal to it count its translations.
+    list_nat = App(Ind("List"), NAT)
+    q = App(Lam("B", SortT(set_sort(0)), Var("B")), NAT)
+    t = Case("List", Var("l"), (q,), Lam("k", list_nat, NAT),
+             (Constr("zero"), Lam("h", NAT, Lam("tl", list_nat, Var("h")))))
+    seen = []
+    translate = param._translate
+
+    def spy(env, u, *rest):
+        seen.append(u)
+        return translate(env, u, *rest)
+
+    monkeypatch.setattr(param, "_translate", spy)
+    translate_term(fresh_env, t)
+    assert seen.count(q) == 1
 
 
 def test_translation_binders_avoid_globals(fresh_env):
@@ -284,6 +313,14 @@ def test_translate_inductive_idempotent(fresh_env):
     assert [c for c, _ in first.constructors] == ["zero_R", "succ_R"]
 
 
+def test_translate_inductive_needs_no_provisional_copy(fresh_env):
+    # The one provisional environment is the kernel's, for its own check
+    # of the relation inductive.
+    with counting([(GlobalEnv, "with_provisional")]) as calls:
+        translate_inductive(fresh_env, fresh_env.inductive("List"))
+    assert calls[0] == 1
+
+
 def test_translated_inductives_kernel_check(translated_env):
     # Redeclaring the produced relation in a fresh environment passes the
     # full inductive wellformedness check.
@@ -343,8 +380,8 @@ def test_translate_rejects_reserved_input(fresh_env):
 def test_reserved_name_diagnostic_is_deterministic():
     # The term uses three reserved names; the diagnostic names the first
     # in sorted order, whatever the interpreter's string hashing.
-    code = ("from rcic import GlobalEnv, Lam, PROP, SortT, Var, "
-            "translate_term\n"
+    code = ("from rcic import GlobalEnv, Lam, PROP, SortT, Var\n"
+            "from rcic.param import translate_term\n"
             "P = SortT(PROP)\n"
             "try:\n"
             "    translate_term(GlobalEnv(),"

@@ -24,8 +24,8 @@ from rcic import (
     print_definition,
     print_inductive,
     print_term,
-    set_sort,
 )
+from rcic.syntax import set_sort
 
 from conftest import fresh_prelude_env, load_declarations, term_in
 from gen import random_typed

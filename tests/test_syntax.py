@@ -29,7 +29,6 @@ from rcic import (
     free_vars,
     lams,
     prods,
-    set_sort,
     subst,
     type_sort,
 )
@@ -38,6 +37,7 @@ from rcic.syntax import (
     fresh_name,
     map_children,
     names,
+    set_sort,
     strip_lams,
     strip_prods,
     subst_all,

@@ -32,11 +32,16 @@ The fifth count is of `syntax._subst_all` calls made by the same `rcic
 check`.  The kernel makes none; any are the elaborator's, which reads
 the binder types of a match off the declared telescopes.
 
+The sixth count is of `param.translate_inductive` calls, made by the same
+`rcic param-check` as the third.  Each entry point of the translation
+asks once for the relation of each inductive its terms mention, before it
+translates; the clauses themselves ask for none.
+
     PYTHONPATH=src python tests/walker_counts.py
 
-prints five Markdown lines: the walker counts for b20 and b40 and their
+prints six Markdown lines: the walker counts for b20 and b40 and their
 ratio, the `prime` counts for b100 and b200 and their ratio, the
-param-check count and the two check counts.
+param-check count, the two check counts and the relation inductive count.
 """
 
 import contextlib
@@ -171,3 +176,7 @@ if __name__ == "__main__":
     subst_calls = cli_calls([(syntax, "_subst_all")], "check", CONV_SOURCE)
     sys.stdout.write(f"Substitution walker calls of check on the prelude and "
                      f"numeral proofs: {subst_calls}\n")
+    ind_calls = cli_calls([(param, "translate_inductive")], "param-check",
+                          VEC_SOURCE)
+    sys.stdout.write(f"Relation inductive requests of param-check on the "
+                     f"prelude and Vec: {ind_calls}\n")
