@@ -22,17 +22,9 @@ import sys
 from pathlib import Path
 
 from .syntax import Context, DuplicateNameError, GlobalEnv
-from .kernel import ErrorKind, FULL, STAR, TypeCheckError, infer, infer_sort
-from .frontend import (
-    DCheck,
-    DDef,
-    DInductive,
-    DParamCheck,
-    ParseError,
-    declare,
-    elaborate,
-    parse_file,
-)
+from .kernel import FULL, STAR, TypeCheckError, infer_sort
+from .frontend import (DCheck, DDef, DInductive, DParamCheck, ParseError,
+                       declare, parse_file)
 from .param import translate_definition, translate_inductive
 from .printer import print_definition, print_inductive, print_term
 
@@ -116,36 +108,29 @@ def _process(env: GlobalEnv, decl, args, mode) -> int:
             line += f" : {infer_sort(env, Context(), ty, mode)}"
         print(line)
 
+    result = declare(env, decl, mode)
     match decl:
         case DInductive(name):
-            ind = declare(env, decl, mode)
             if command in ("check", "translate"):
-                show(name, ind.arity)
-                for cname, cty in ind.constructors:
+                show(name, result.arity)
+                for cname, cty in result.constructors:
                     show(cname, cty)
             if command == "translate" and only in (None, name):
-                print(print_inductive(translate_inductive(env, ind), env))
-            return 0
+                print(print_inductive(translate_inductive(env, result), env))
         case DDef(name):
-            defn = declare(env, decl, mode)
             if command in ("check", "translate"):
-                show(name, defn.type)
+                show(name, result.type)
             if command == "translate" and only in (None, name):
                 print(print_definition(translate_definition(env, name), env))
             return _verdict(env, name) if command == "param-check" else 0
-        case DCheck(raw_term):
-            term = elaborate(env, raw_term)
-            ty = infer(env, Context(), term, mode)
+        case DCheck():
             if command in ("check", "translate"):
+                term, ty = result
                 show(print_term(term, env), ty)
-            return 0
         case DParamCheck(name):
-            if env.definition(name) is None:
-                raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
-                                     f"paramcheck needs a definition: {name}")
             # param-check checks every definition as it is declared.
             return 0 if command == "param-check" else _verdict(env, name)
-    raise TypeError(f"not a declaration: {decl!r}")
+    return 0
 
 
 def _verdict(env: GlobalEnv, name: str) -> int:

@@ -6,8 +6,8 @@ Elaboration resolves names against a global environment (free names of
 inductives, constructors and definitions become Ind, Constr and Const),
 renames shadowing binders so binder names are locally unique, and expands
 each RawMatch into a fully annotated case: the motive and branch binders
-get their types from the inductive's declaration.  `declare` elaborates
-and kernel-checks one parsed inductive or definition.
+get their types from the inductive's declaration.  `declare` takes every
+kind of parsed declaration through the kernel.
 
 The lexer makes one pattern match per token (leading whitespace included)
 and returns named tuples; a sort (`Prop`, `Set<n>`, `Type<n>`) is a group of
@@ -16,7 +16,7 @@ character outside a comment is a ParseError, `unexpected character`.  The
 parser tells keywords and symbols apart by a token's value alone: no
 identifier has a keyword's text, and no other token has a symbol's.
 
-Names ending in ' or _R (`param.is_reserved`) are reserved for generated
+Names ending in ' or _R (`syntax.is_reserved`) are reserved for generated
 copies and witnesses and are rejected unless the caller opts in (useful for
 reading generated code back in).
 """
@@ -28,8 +28,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .syntax import (
+    PRIME_SUFFIX,
+    WITNESS_SUFFIX,
     App,
     Case,
+    Context,
     Definition,
     Fix,
     GlobalEnv,
@@ -44,6 +47,7 @@ from .syntax import (
     app,
     children,
     fresh_name,
+    is_reserved,
     lams,
     map_children,
     names,
@@ -52,9 +56,8 @@ from .syntax import (
     rebuild_binder,
     strip_prods,
 )
-from .kernel import (STAR, EliminationMode, declare_definition,
-                     declare_inductive)
-from .param import PRIME_SUFFIX, WITNESS_SUFFIX, is_reserved
+from .kernel import (STAR, EliminationMode, ErrorKind, TypeCheckError,
+                     declare_definition, declare_inductive, infer)
 
 
 class ParseError(Exception):
@@ -596,18 +599,33 @@ def _elab_match(env: GlobalEnv, rm: RawMatch, scope: dict[str, str],
     return Case(rm.ind, scrutinee, params, motive, tuple(branches))
 
 
-def declare(env: GlobalEnv, decl: DInductive | DDef,
-            mode: EliminationMode = STAR) -> InductiveDecl | Definition:
-    """Elaborate one parsed inductive or definition, declare it in `env`
-    through the kernel, and return the checked entry."""
-    if isinstance(decl, DDef):
-        declare_definition(env, decl.name, elaborate(env, decl.type),
-                           elaborate(env, decl.body), mode)
-        return env.definition(decl.name)
-    arity = elaborate(env, decl.arity)
-    # Constructor types see the inductive, not yet its constructors.
-    seed = env.with_provisional(InductiveDecl(decl.name, decl.params, arity, ()))
-    ctors = tuple((c, elaborate(seed, ty)) for c, ty in decl.constructors)
-    ind = InductiveDecl(decl.name, decl.params, arity, ctors)
-    declare_inductive(env, ind, mode)
-    return ind
+def declare(env: GlobalEnv, decl: Decl, mode: EliminationMode = STAR
+            ) -> InductiveDecl | Definition | tuple[Term, Term]:
+    """Process one parsed declaration against `env` through the kernel.
+    An inductive or a definition is elaborated, checked, declared in `env`
+    and returned; a `check` returns its elaborated term and that term's
+    type; a `paramcheck` returns the definition it names."""
+    match decl:
+        case DDef(name):
+            declare_definition(env, name, elaborate(env, decl.type),
+                               elaborate(env, decl.body), mode)
+            return env.definition(name)
+        case DInductive(name, params):
+            arity = elaborate(env, decl.arity)
+            # Constructor types see the inductive, not yet its constructors.
+            seed = env.with_provisional(InductiveDecl(name, params, arity, ()))
+            ctors = tuple((c, elaborate(seed, ty))
+                          for c, ty in decl.constructors)
+            ind = InductiveDecl(name, params, arity, ctors)
+            declare_inductive(env, ind, mode)
+            return ind
+        case DCheck(raw_term):
+            term = elaborate(env, raw_term)
+            return term, infer(env, Context(), term, mode)
+        case DParamCheck(name):
+            defn = env.definition(name)
+            if defn is None:
+                raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
+                                     f"paramcheck needs a definition: {name}")
+            return defn
+    raise TypeError(f"not a declaration: {decl!r}")

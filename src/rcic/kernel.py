@@ -773,26 +773,26 @@ def _mismatch(env: GlobalEnv, ctx: _Ctx, t: Term, ty, mode: EliminationMode,
 
 
 def _check(env: GlobalEnv, ctx: _Ctx, t: Term, ty, mode: EliminationMode,
-           fields: int = 0, end=None) -> bool:
+           end=None) -> bool:
     """Whether `t` has the type value `ty`, up to cumulativity.  A Lam is
     checked against a product binder by binder: its annotation must be
     convertible with the domain, and its body is checked against the
     codomain at a new level.  That is what comparing the Lam's inferred
     product with `ty` decides.  Errors other than the mismatch are raised.
 
-    With `end`, the type is instead made of the first `fields` binders of
-    the product `ty`, a constructor's type past its parameters, and of
-    `end(c, rest)` for the context `c` that binds them and the rest `rest`
-    of `ty`.  Binders left when `t` runs out of Lams are compared with the
-    products of its type."""
+    With `end`, `ty` is a constructor's type past its parameters, whose
+    products are the fields, and the type is instead made of those binders
+    and of `end(c, rest)` for the context `c` that binds them and the
+    conclusion `rest`.  Binders left when `t` runs out of Lams are compared
+    with the products of its type."""
     actual = None  # the type of `t`, once it runs out of Lams
-    while fields if end else type(t) is Lam:
+    while end is not None or type(t) is Lam:
         pi = _unfold_head(env, ty)
-        if actual is None and type(t) is Lam and _is_prod(pi):
+        if not _is_prod(pi):
+            break
+        if actual is None and type(t) is Lam:
             _infer_sort(env, ctx, t.annotation, mode)
             binder, dom = t.binder, _eval(env, ctx.rho, t.annotation)
-        elif end is None:
-            break
         else:
             actual = _unfold_head(env, actual or _infer(env, ctx, t, mode))
             if not _is_prod(actual):
@@ -808,7 +808,6 @@ def _check(env: GlobalEnv, ctx: _Ctx, t: Term, ty, mode: EliminationMode,
             t = t.body
         else:
             actual = _open(env, actual, ctx.levels[-1])
-        fields -= 1
     if end is not None:
         ty = end(ctx, ty)
         if actual is None:
@@ -975,7 +974,7 @@ def _infer_case(env: GlobalEnv, ctx: _Ctx, t: Case, mode: EliminationMode):
     # Each branch takes its constructor's fields and returns the motive at
     # the constructor's indices and the constructor applied to the fields.
     motive = _eval(env, ctx.rho, t.motive)
-    for (cname, cty), branch in zip(decl.constructors, t.branches):
+    for (cname, _), branch in zip(decl.constructors, t.branches):
         ty = _force(env, _global(env, Constr, cname).type)
         for p in params:
             ty = _open(env, ty, p)
@@ -986,21 +985,18 @@ def _infer_case(env: GlobalEnv, ctx: _Ctx, t: Case, mode: EliminationMode):
             return _apply_spine(env, motive, [*concl.spine[decl.params:],
                                               _Thunk(None, None, con)])
 
-        fields = len(strip_prods(cty)[0]) - decl.params
-        if not _check(env, ctx, branch, ty, mode, fields, end):
-            raise _mismatch(env, ctx, branch, ty, mode, expected=_branch_type(
-                env, ctx, ty, fields, end))
+        if not _check(env, ctx, branch, ty, mode, end):
+            raise _mismatch(env, ctx, branch, ty, mode,
+                            expected=_branch_type(env, ctx, ty, end))
 
     return _apply_spine(env, motive, [*scrut_ty.spine[decl.params:],
                                       scrutinee])
 
 
-def _branch_type(env: GlobalEnv, ctx: _Ctx, ty: _Closure, fields: int,
-                 end) -> Term:
-    """The term of the type `_check` checks against with `fields` and
-    `end`."""
+def _branch_type(env: GlobalEnv, ctx: _Ctx, ty: _Closure, end) -> Term:
+    """The term of the type `_check` checks against with `end`."""
     k = len(ctx.levels)
-    for _ in range(fields):
+    while _is_prod(ty):
         ctx = ctx.extend(ty.term.binder, _eval(env, ty.rho, ty.term.domain))
         ty = _open(env, ty, ctx.levels[-1])
     return _telescope(ctx, k, end(ctx, ty))
@@ -1148,16 +1144,12 @@ def is_small(env: GlobalEnv, name: str) -> bool:
 def _strictly_positive(name: str, ty: Term) -> bool:
     """`name` may occur in `ty` only as the head of its conclusion, and not
     at all in the domains along the way."""
-    if not _ind_occurs(name, ty):
-        return True
     binders, core = strip_prods(ty)
-    for _, d in binders:
-        if _ind_occurs(name, d):
-            return False
     head, args = unfold_app(core)
+    parts = [d for _, d in binders] + args
     if not (isinstance(head, Ind) and head.name == name):
-        return False
-    return not any(_ind_occurs(name, a) for a in args)
+        parts.append(head)
+    return not any(_ind_occurs(name, t) for t in parts)
 
 
 def _ind_occurs(name: str, t: Term) -> bool:
@@ -1198,7 +1190,13 @@ def check_inductive(env: GlobalEnv, decl: InductiveDecl,
         if cname in seen:
             raise bad(f"duplicate constructor name {cname}")
         seen.add(cname)
-        _infer_sort(env2, _NO_CTX, cty, mode)
+        # Type the parameter domains as they are bound, then the rest.
+        ctx, t = _NO_CTX, cty
+        while type(t) is Prod and len(ctx.levels) < decl.params:
+            _infer_sort(env2, ctx, t.domain, mode)
+            ctx = ctx.extend(t.binder, _eval(env2, ctx.rho, t.domain))
+            t = t.codomain
+        s_con = _infer_sort(env2, ctx, t, mode)
 
         # The parameter prefix must match the arity's, up to alpha: the
         # constructor's parameter binders are read as the arity's.
@@ -1212,13 +1210,8 @@ def check_inductive(env: GlobalEnv, decl: InductiveDecl,
                 raise bad(f"constructor {cname} disagrees with the arity on "
                           f"parameter {pname}", term=cty,
                           expected=pty, actual=binders[i][1])
-        ctx, t = _NO_CTX, cty
-        for _ in param_binders:
-            ctx = ctx.extend(t.binder, _eval(env2, ctx.rho, t.domain))
-            t = t.codomain
 
         # Size: the post-parameter part must fit the declared sort.
-        s_con = _infer_sort(env2, ctx, t, mode)
         if not subsort(s_con, ind_sort):
             raise bad(f"constructor {cname} lives in {s_con}, which exceeds "
                       f"{ind_sort}", term=cty)

@@ -24,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .syntax import (
+    PRIME_SUFFIX,
     PROP,
+    WITNESS_SUFFIX,
     App,
     Case,
     Const,
@@ -45,6 +47,7 @@ from .syntax import (
     arrow,
     free_vars,
     fresh_name,
+    is_reserved,
     lams,
     map_children,
     names,
@@ -66,9 +69,6 @@ from .kernel import (
     declare_inductive,
 )
 
-PRIME_SUFFIX = "'"
-WITNESS_SUFFIX = "_R"
-
 
 def primed(name: str) -> str:
     return name + PRIME_SUFFIX
@@ -78,10 +78,6 @@ def relation_name(name: str) -> str:
     """The name of a local's witness (a Var) or of a global's relation (a
     Const, Ind or Constr); the node kind tells the two apart."""
     return name + WITNESS_SUFFIX
-
-
-def is_reserved(name: str) -> bool:
-    return name.endswith((PRIME_SUFFIX, WITNESS_SUFFIX))
 
 
 @dataclass(frozen=True)
@@ -153,13 +149,10 @@ def _pick_triple(base: str, avoid: frozenset[str], scope: Term | None = None,
     the base and its copy passes ("", PRIME_SUFFIX).  A `_` base becomes
     `x`, which also avoids the names free in `scope`, the binder's scope."""
     if base == "_":
-        base, avoid = "x", avoid | free_vars(scope)
-    candidate = base
-    i = 0
-    while any(candidate + suffix in avoid for suffix in suffixes):
-        i += 1
-        candidate = f"{base}{i}"
-    return NameTriple.from_base(candidate)
+        avoid = avoid | free_vars(scope)
+    stems = {n[:len(n) - len(s)] for n in avoid for s in suffixes
+             if n.endswith(s)}
+    return NameTriple.from_base(fresh_name(base, stems))
 
 
 def translate_term(env: GlobalEnv, t: Term) -> Term:

@@ -69,7 +69,7 @@ def _render(t: Term, env: GlobalEnv | None) -> tuple[str, int]:
             body: Term = t
             while (isinstance(body, Prod) and body.binder != "_"
                    and body.binder in free_vars(body.codomain)):
-                name, domain, body = _scope(body, env)
+                name, domain, body = _scope(body)
                 binders.append((name, domain))
             if not binders:
                 return (f"{_pr(t.domain, _APP, env)} -> {_pr(t.codomain, _ARROW, env)}",
@@ -80,12 +80,12 @@ def _render(t: Term, env: GlobalEnv | None) -> tuple[str, int]:
             binders = []
             body: Term = t
             while isinstance(body, Lam):
-                name, annotation, body = _scope(body, env)
+                name, annotation, body = _scope(body)
                 binders.append((name, annotation))
             return (f"fun {_groups(binders, env)} => {_pr(body, _BINDER, env)}",
                     _BINDER)
         case Fix(decreasing=decreasing):
-            binder, annotation, body = _scope(t, env)
+            binder, annotation, body = _scope(t)
             return (f"fix {binder} {{struct {decreasing}}} : "
                     f"{_pr(annotation, _BINDER, env)} := {_pr(body, _BINDER, env)}",
                     _BINDER)
@@ -94,16 +94,15 @@ def _render(t: Term, env: GlobalEnv | None) -> tuple[str, int]:
     raise ValueError(f"cannot print {t!r}")
 
 
-def _scope(t: Prod | Lam | Fix, env: GlobalEnv | None) -> tuple[str, Term, Term]:
+def _scope(t: Prod | Lam | Fix) -> tuple[str, Term, Term]:
     """The name `t`'s binder prints under, its domain, and the body it binds.
-    The one place names are kept apart: a binder named like a global of
-    `env` (any global, without one) that occurs in the body would capture
-    it when read back, so it becomes `fresh_name(binder, names(t))`."""
+    The one place names are kept apart: a binder named like a global node
+    (Const, Ind or Constr) that occurs in the body would capture it when
+    read back, so it becomes `fresh_name(binder, names(t))`."""
     binder = t.binder
     dom, body = children(t)
-    if ((env is None or env.taken(binder))
-            and any(type(u) in (Const, Ind, Constr) and u.name == binder
-                    for u in subterms(body))):
+    if any(type(u) in (Const, Ind, Constr) and u.name == binder
+           for u in subterms(body)):
         new = fresh_name(binder, names(t))
         return new, dom, subst(body, binder, Var(new))
     return binder, dom, body
@@ -136,7 +135,7 @@ def _render_case(t: Case, env: GlobalEnv | None) -> str:
         if not isinstance(motive, Lam):
             raise ValueError(
                 f"case motive on {t.ind} must bind {n_indices + 1} name(s)")
-        name, _, motive = _scope(motive, env)
+        name, _, motive = _scope(motive)
         binder_names.append(name)
 
     atoms = [_pr(p, _ATOM, env) for p in t.params] + binder_names[:-1]
@@ -169,7 +168,7 @@ def print_inductive(decl: InductiveDecl, env: GlobalEnv | None = None) -> str:
     scope = prods(params, app(prods(binders[decl.params:], core), *bodies))
     params = []
     for _ in range(decl.params):
-        name, domain, scope = _scope(scope, env)
+        name, domain, scope = _scope(scope)
         params.append((name, domain))
     rest, bodies = unfold_app(scope)
     head = f"inductive {decl.name}"

@@ -414,6 +414,15 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     return f"{base}{i}"
 
 
+PRIME_SUFFIX = "'"
+WITNESS_SUFFIX = "_R"
+
+
+def is_reserved(name: str) -> bool:
+    """Whether `name` ends like the translation's copies and witnesses."""
+    return name.endswith((PRIME_SUFFIX, WITNESS_SUFFIX))
+
+
 def subst(t: Term, name: str, value: Term) -> Term:
     """Capture-avoiding substitution of `value` for free `name` in `t`:
     `subst_all` with a one-entry map."""
@@ -638,9 +647,9 @@ class GlobalEnv:
     def with_provisional(self, decl: InductiveDecl) -> "GlobalEnv":
         """A copy with `decl` visible but its constructors unregistered.
 
-        Used while checking or translating the declaration itself: the type
-        name must resolve, the constructors must not yet (nor those of an
-        inductive of the same name that `decl` hides).
+        Used while elaborating and checking the declaration itself: the
+        type name must resolve, the constructors must not yet (nor those of
+        an inductive of the same name that `decl` hides).
         """
         out = GlobalEnv()
         out._entries = dict(self._entries)

@@ -12,14 +12,12 @@ from rcic import (
     translate_definition,
     translate_inductive,
 )
-from rcic.frontend import DDef, DInductive
 
 
 def load_declarations(env, text):
-    """Parse `text` and declare every inductive and definition into `env`."""
+    """Parse `text` and declare every declaration in it into `env`."""
     for decl in parse_file(text).decls:
-        if isinstance(decl, (DInductive, DDef)):
-            declare(env, decl)
+        declare(env, decl)
     return env
 
 

@@ -8,6 +8,7 @@ from rcic import (
     Const,
     Constr,
     Context,
+    ErrorKind,
     Fix,
     GlobalEnv,
     Ind,
@@ -16,13 +17,17 @@ from rcic import (
     ParseError,
     Prod,
     SortT,
+    TypeCheckError,
     Var,
     alpha_eq,
+    app,
     arrow,
+    declare,
     elaborate,
     infer,
     parse_file,
     parse_term,
+    prelude_path,
     type_sort,
 )
 from rcic.frontend import (
@@ -340,6 +345,18 @@ def test_elaborate_renames_shadowing_binders(prelude_env):
     assert inner.body.branches[1] == Lam("q1", NAT, Var(inner.binder))
 
 
+def test_elaborate_renames_a_field_that_captures_a_parameter(prelude_env):
+    # The field binder A would capture the parameter A free in the type of
+    # the next field, List A, so it is renamed and the match checks.
+    t = term_in(prelude_env,
+                "fun (A : Set0) (l : List A) => match l as l0 in List A "
+                "return Nat with | nil => zero | cons A t => succ zero end")
+    infer(prelude_env, Context(), t)
+    cons = t.body.body.branches[1]
+    assert cons.binder != "A" and cons.body.annotation == App(Ind("List"),
+                                                              Var("A"))
+
+
 def test_elaborate_match_builds_case(prelude_env):
     t = term_in(prelude_env, "fun (n : Nat) => match n as x in Nat return Nat "
                              "with | zero => zero | succ k => k end")
@@ -423,6 +440,22 @@ def test_elaborate_match_index_binders(fresh_env):
           end
     """)
     assert "_" not in str(t.body.body.motive)
+
+
+def test_declare_takes_every_declaration_kind():
+    env = GlobalEnv()
+    *_, checked, paramchecked = (
+        declare(env, decl) for decl in parse_file(
+            prelude_path().read_text()
+            + "check plus one two.\nparamcheck plus.\n").decls)
+    assert checked == (app(Const("plus"), Const("one"), Const("two")), NAT)
+    assert paramchecked is env.definition("plus")
+    with pytest.raises(TypeCheckError) as err:
+        declare(env, parse_file("paramcheck Nat.").decls[0])
+    assert err.value.kind is ErrorKind.UNBOUND_VARIABLE
+    assert str(err.value) == "UnboundVariable: paramcheck needs a definition: Nat"
+    with pytest.raises(TypeError, match="not a declaration"):
+        declare(env, NAT)
 
 
 def test_elaborated_prelude_types(prelude_env):

@@ -65,7 +65,7 @@ from nameless import to_nameless
 from reducts import one_step_reducts, term_whnf
 from term_infer import term_infer
 from translation_gaps import GAPS
-from walker_counts import counting
+from walker_counts import VEC_SOURCE, check_inductive_calls, counting
 
 NAT = Ind("Nat")
 BOOL = Ind("Bool")
@@ -1165,6 +1165,22 @@ def test_fix_nested_call_through_branch(prelude_env):
 def test_check_inductive_accepts_prelude(prelude_env):
     for name in ("Bool", "Nat", "List", "Unit", "Empty"):
         assert prelude_env.inductive(name) is not None
+
+
+def test_check_inductive_types_each_constructor_once():
+    # The check types the arity and each constructor type once: it makes
+    # no more `_infer` calls than inferring the sort of each of them.
+    env = load_declarations(GlobalEnv(),
+                            prelude_path().read_text() + VEC_SOURCE)
+    for name, calls in check_inductive_calls().items():
+        ind = env.inductive(name)
+        seed = env.with_provisional(InductiveDecl(name, ind.params,
+                                                  ind.arity, ()))
+        with counting([(kernel, "_infer")]) as typed:
+            infer_sort(env, Context(), ind.arity)
+            for _, cty in ind.constructors:
+                infer_sort(seed, Context(), cty)
+        assert calls <= typed[0], name
 
 
 def test_inductive_rejections_from_the_command_line(tmp_path, capsys):

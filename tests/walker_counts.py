@@ -37,11 +37,18 @@ The sixth count is of `param.translate_inductive` calls, made by the same
 asks once for the relation of each inductive its terms mention, before it
 translates; the clauses themselves ask for none.
 
+The seventh count is of `kernel._infer` calls made inside
+`kernel.check_inductive` while the prelude and `VEC_SOURCE` are declared.
+The check types the arity and each constructor type once, the parameter
+domains in the loop that binds them, so the count is at most that of
+inferring the sort of each of those types.
+
     PYTHONPATH=src python tests/walker_counts.py
 
-prints six Markdown lines: the walker counts for b20 and b40 and their
+prints seven Markdown lines: the walker counts for b20 and b40 and their
 ratio, the `prime` counts for b100 and b200 and their ratio, the
-param-check count, the two check counts and the relation inductive count.
+param-check count, the two check counts, the relation inductive count and
+the inductive check count.
 """
 
 import contextlib
@@ -53,6 +60,7 @@ from pathlib import Path
 from rcic import (Context, GlobalEnv, abstraction_check, declare, kernel,
                   param, parse_file, prelude_path, syntax)
 from rcic.cli import main
+from rcic.frontend import DInductive
 
 WALKERS = ((syntax, "_subst_all"), (kernel, "_quote"))
 
@@ -159,6 +167,20 @@ def cli_calls(targets, command: str, source: str) -> int:
     return calls[0]
 
 
+def check_inductive_calls() -> dict[str, int]:
+    """The `kernel._infer` calls made in declaring each inductive of the
+    prelude and `VEC_SOURCE`, by name.  Declaring an inductive elaborates
+    it, which the kernel takes no part in, and checks it: every call is
+    made inside `check_inductive`."""
+    env, calls = GlobalEnv(), {}
+    for decl in parse_file(prelude_path().read_text() + VEC_SOURCE).decls:
+        with counting([(kernel, "_infer")]) as count:
+            declare(env, decl)
+        if isinstance(decl, DInductive):
+            calls[decl.name] = count[0]
+    return calls
+
+
 if __name__ == "__main__":
     b20, b40 = walker_calls(20), walker_calls(40)
     sys.stdout.write(f"Substitution and read-back calls: b20 {b20}, b40 {b40}, "
@@ -180,3 +202,6 @@ if __name__ == "__main__":
                           VEC_SOURCE)
     sys.stdout.write(f"Relation inductive requests of param-check on the "
                      f"prelude and Vec: {ind_calls}\n")
+    infer_calls = sum(check_inductive_calls().values())
+    sys.stdout.write(f"Kernel inference calls of the inductive checks of the "
+                     f"prelude and Vec: {infer_calls}\n")
