@@ -24,7 +24,6 @@ reading generated code back in).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .syntax import (
@@ -44,6 +43,8 @@ from .syntax import (
     SortT,
     Term,
     Var,
+    _Record,
+    _set,
     app,
     children,
     fresh_name,
@@ -167,18 +168,24 @@ def _parse_sort(word: str, line: int, col: int) -> Sort:
     return Sort(kind, level)
 
 
-@dataclass(frozen=True)
 class RawMatch(Term):
     """Surface match, before the motive and branch binders are annotated."""
 
-    scrutinee: Term
-    as_name: str
-    ind: str
-    atoms: tuple[Term, ...]  # parameter terms, then index binder names
-    motive: Term
-    branches: tuple[tuple[str, tuple[str, ...], Term], ...]
-    line: int
-    col: int
+    __match_args__ = ("scrutinee", "as_name", "ind", "atoms", "motive",
+                      "branches", "line", "col")
+
+    def __init__(self, scrutinee: Term, as_name: str, ind: str,
+                 atoms: tuple[Term, ...], motive: Term,
+                 branches: tuple[tuple[str, tuple[str, ...], Term], ...],
+                 line: int, col: int) -> None:
+        _set(self, "scrutinee", scrutinee)
+        _set(self, "as_name", as_name)
+        _set(self, "ind", ind)
+        _set(self, "atoms", atoms)  # parameter terms, then index binder names
+        _set(self, "motive", motive)
+        _set(self, "branches", branches)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
     # What syntax.children and syntax.names need of a node kind they do
     # not know.
@@ -190,45 +197,59 @@ class RawMatch(Term):
         return (self.as_name, *(a for _, args, _ in self.branches for a in args))
 
 
-@dataclass(frozen=True)
-class DInductive:
-    name: str
-    params: int
-    arity: Term  # parameter binders included
-    constructors: tuple[tuple[str, Term], ...]  # types include the parameters
-    line: int
-    col: int
+class DInductive(_Record):
+    __match_args__ = ("name", "params", "arity", "constructors", "line", "col")
+
+    def __init__(self, name: str, params: int, arity: Term,
+                 constructors: tuple[tuple[str, Term], ...], line: int,
+                 col: int) -> None:
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "arity", arity)  # parameter binders included
+        # The constructor types include the parameters.
+        _set(self, "constructors", constructors)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
 
-@dataclass(frozen=True)
-class DDef:
-    name: str
-    type: Term
-    body: Term
-    line: int
-    col: int
+class DDef(_Record):
+    __match_args__ = ("name", "type", "body", "line", "col")
+
+    def __init__(self, name: str, type: Term, body: Term, line: int,
+                 col: int) -> None:
+        _set(self, "name", name)
+        _set(self, "type", type)
+        _set(self, "body", body)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
 
-@dataclass(frozen=True)
-class DCheck:
-    term: Term
-    line: int
-    col: int
+class DCheck(_Record):
+    __match_args__ = ("term", "line", "col")
+
+    def __init__(self, term: Term, line: int, col: int) -> None:
+        _set(self, "term", term)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
 
-@dataclass(frozen=True)
-class DParamCheck:
-    name: str
-    line: int
-    col: int
+class DParamCheck(_Record):
+    __match_args__ = ("name", "line", "col")
+
+    def __init__(self, name: str, line: int, col: int) -> None:
+        _set(self, "name", name)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
 
 Decl = DInductive | DDef | DCheck | DParamCheck
 
 
-@dataclass(frozen=True)
-class SourceFile:
-    decls: tuple[Decl, ...]
+class SourceFile(_Record):
+    __match_args__ = ("decls",)
+
+    def __init__(self, decls: tuple[Decl, ...]) -> None:
+        _set(self, "decls", decls)
 
 
 class _Parser:

@@ -1223,11 +1223,6 @@ def check_inductive(env: GlobalEnv, decl: InductiveDecl,
         if not (isinstance(head, Ind) and head.name == decl.name):
             raise bad(f"constructor {cname} does not conclude in {decl.name}",
                       term=core)
-        if len(args) != len(arity_binders):
-            raise TypeCheckError(ErrorKind.ARITY_MISMATCH,
-                                 f"{decl.name}: constructor {cname} applies "
-                                 f"the inductive to {len(args)} arguments, "
-                                 f"expected {len(arity_binders)}")
         for fname, fty in fields:
             ctx = ctx.extend(fname, _eval(env2, ctx.rho, fty))
         for level, arg in enumerate(args[:decl.params]):

@@ -21,8 +21,6 @@ suffix for its relation.  Input terms must not use names with either suffix
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .syntax import (
     PRIME_SUFFIX,
     PROP,
@@ -43,6 +41,8 @@ from .syntax import (
     SortT,
     Term,
     Var,
+    _Record,
+    _set,
     app,
     arrow,
     free_vars,
@@ -50,7 +50,6 @@ from .syntax import (
     is_reserved,
     lams,
     map_children,
-    names,
     open_prods,
     rebuild_binder,
     strip_lams,
@@ -80,13 +79,15 @@ def relation_name(name: str) -> str:
     return name + WITNESS_SUFFIX
 
 
-@dataclass(frozen=True)
-class NameTriple:
+class NameTriple(_Record):
     """The three names a source binder expands to."""
 
-    base: str
-    copy: str
-    rel: str
+    __match_args__ = ("base", "copy", "rel")
+
+    def __init__(self, base: str, copy: str, rel: str) -> None:
+        _set(self, "base", base)
+        _set(self, "copy", copy)
+        _set(self, "rel", rel)
 
     @classmethod
     def from_base(cls, base: str) -> "NameTriple":
@@ -117,14 +118,11 @@ def _prepare(env: GlobalEnv, *terms: Term, skip: str = "") -> None:
     the reserved name suffixes, naming the first such name in sorted order,
     term by term; then declare the relation of every global the terms
     mention, except the inductive `skip`, once each in order of first
-    mention."""
-    for t in terms:
-        for name in sorted(names(t)):
-            if is_reserved(name):
-                raise ValueError("cannot translate a term using the "
-                                 f"reserved name {name!r}")
+    mention.  One walk per term finds both the globals and the names
+    `syntax.names` would list: Vars, Consts and binders."""
     needed: dict[tuple[type, str], None] = {}
     for t in terms:
+        reserved: set[str] = set()
         for u in subterms(t):
             kind = type(u)
             if kind is Const or kind is Ind:
@@ -133,6 +131,17 @@ def _prepare(env: GlobalEnv, *terms: Term, skip: str = "") -> None:
                 needed[Ind, u.ind] = None
             elif kind is Constr and (info := env.constructor(u.name)):
                 needed[Ind, info[0].name] = None
+            if kind is Lam or kind is Prod or kind is Fix:
+                name = u.binder
+            elif kind is Var or kind is Const:
+                name = u.name
+            else:
+                continue
+            if is_reserved(name):
+                reserved.add(name)
+        if reserved:
+            raise ValueError("cannot translate a term using the "
+                             f"reserved name {min(reserved)!r}")
     needed.pop((Ind, skip), None)
     for kind, name in needed:
         if kind is Const:
@@ -166,8 +175,7 @@ def translate_term(env: GlobalEnv, t: Term) -> Term:
     return _translate(env, t)
 
 
-@dataclass(frozen=True)
-class Alias:
+class Alias(_Record):
     """A pair of terms definitionally equal to the subterm being translated,
     threaded from a fix through its body's lambdas.
 
@@ -180,10 +188,14 @@ class Alias:
     binder's annotation, tells which variables of the alias to rebind.
     """
 
-    raw: Term
-    primed: Term
-    guard: str | None = None
-    guard_type: Term | None = None
+    __match_args__ = ("raw", "primed", "guard", "guard_type")
+
+    def __init__(self, raw: Term, primed: Term, guard: str | None = None,
+                 guard_type: Term | None = None) -> None:
+        _set(self, "raw", raw)
+        _set(self, "primed", primed)
+        _set(self, "guard", guard)
+        _set(self, "guard_type", guard_type)
 
 
 def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
@@ -228,8 +240,9 @@ def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
             if (alias is not None and binder != "_"
                     and binder not in free_vars(alias.raw)
                     and primed(binder) not in free_vars(alias.primed)):
-                inner = replace(alias, raw=App(alias.raw, Var(binder)),
-                                primed=App(alias.primed, Var(primed(binder))))
+                inner = Alias(App(alias.raw, Var(binder)),
+                              App(alias.primed, Var(primed(binder))),
+                              alias.guard, alias.guard_type)
             body_r = _translate(env, body, inner)
             x = _pick_triple(binder, free_vars(ann_c) | free_vars(ann_r),
                              body_r)

@@ -27,12 +27,12 @@ from .syntax import (
     children,
     free_vars,
     fresh_name,
+    global_names,
     names,
     prods,
     strip_prods,
     subst,
     subst_all,
-    subterms,
     unfold_app,
 )
 
@@ -101,8 +101,7 @@ def _scope(t: Prod | Lam | Fix) -> tuple[str, Term, Term]:
     read back, so it becomes `fresh_name(binder, names(t))`."""
     binder = t.binder
     dom, body = children(t)
-    if any(type(u) in (Const, Ind, Constr) and u.name == binder
-           for u in subterms(body)):
+    if binder in global_names(body):
         new = fresh_name(binder, names(t))
         return new, dom, subst(body, binder, Var(new))
     return binder, dom, body

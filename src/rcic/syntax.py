@@ -10,10 +10,16 @@ simultaneous: `subst_all` applies a map from names to values in one pass,
 and `subst` is its one-entry case.  A binder that would capture is renamed
 by one more entry of the map, never by another pass (`under_binder`); the
 kernel's beta read-back renames by the same rule.  alpha_eq compares
-terms up to consistent renaming of bound names.  Term nodes are immutable
-and must never be mutated: each carries a lazily filled cache of its free
-variables, which equality, hashing and repr do not see.  GlobalEnv is the
-one mutable value: checked declarations and what is derived from them.
+terms up to consistent renaming of bound names.
+
+Sorts, term nodes and declarations are immutable records (`_Record`):
+plain classes that compare, hash and print by their fields as frozen
+dataclasses would, without importing `dataclasses`.  A term node keeps
+two lazily filled caches in slots, which equality, hashing and repr do
+not see: its free variables (`free_vars`) and the globals it mentions
+(`global_names`, which the printer asks before renaming a binder).
+GlobalEnv is the one mutable value: checked declarations and what is
+derived from them.
 
 Which subterms each node kind has, and in what order, is known only in
 this module.  Walks that treat most kinds alike go through three helpers
@@ -30,7 +36,7 @@ the children of every other kind through `children` or `map_children`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterator, Optional, Union
 
 
@@ -38,25 +44,68 @@ class UniverseError(ValueError):
     """A sort outside the legal hierarchy (e.g. Type0 or a negative level)."""
 
 
-@dataclass(frozen=True)
-class Sort:
+# Assigns a field of a record, which plain assignment refuses.
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the immutable records: sorts, term nodes and declarations.
+
+    A subclass lists its fields, in order, in `__match_args__` (which
+    positional class patterns use) and assigns each in `__init__` through
+    `_set`.  Records compare equal when they are of the same class and
+    their fields are equal, hash their fields, and print as
+    `App(fn=Var(name='x'), arg=...)`.  Assigning or deleting an attribute
+    raises.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if cls.__match_args__:
+            cls._key = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}"
+                           for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Sort(_Record):
     """A sort: Prop, Set at level >= 0, or Type at level >= 1."""
 
-    kind: str
-    level: Optional[int] = None
+    __match_args__ = ("kind", "level")
 
-    def __post_init__(self) -> None:
-        if self.kind == "Prop":
-            if self.level is not None:
+    def __init__(self, kind: str, level: Optional[int] = None) -> None:
+        if kind == "Prop":
+            if level is not None:
                 raise UniverseError("Prop carries no level")
-        elif self.kind == "Set":
-            if self.level is None or self.level < 0:
-                raise UniverseError(f"Set needs a level >= 0, got {self.level}")
-        elif self.kind == "Type":
-            if self.level is None or self.level < 1:
-                raise UniverseError(f"Type needs a level >= 1, got {self.level}")
+        elif kind == "Set":
+            if level is None or level < 0:
+                raise UniverseError(f"Set needs a level >= 0, got {level}")
+        elif kind == "Type":
+            if level is None or level < 1:
+                raise UniverseError(f"Type needs a level >= 1, got {level}")
         else:
-            raise UniverseError(f"unknown sort kind {self.kind!r}")
+            raise UniverseError(f"unknown sort kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "level", level)
 
     def __str__(self) -> str:
         return self.kind if self.level is None else f"{self.kind}{self.level}"
@@ -73,77 +122,97 @@ def type_sort(level: int) -> Sort:
     return Sort("Type", level)
 
 
-class Term:
+class Term(_Record):
     """Base class for term nodes.
+
+    A node keeps its fields in its instance dict, where they read faster
+    than from slots, and two caches in slots, which equality, hashing and
+    repr do not see: its free Vars (`_fv`, see `free_vars`) and the globals
+    it mentions (`_gn`, see `global_names`).
 
     A node kind defined outside this module (the frontend's RawMatch)
     provides `children()` and `binders()`, the names it binds, so that
     `children`, `subterms` and `names` walk through it.
     """
 
-    __slots__ = ()
+    __slots__ = ("_fv", "_gn")
 
 
-@dataclass(frozen=True)
 class Var(Term):
     """A bound or context variable.  Never a reference to a global."""
 
-    name: str
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Const(Term):
     """A reference to a global definition."""
 
-    name: str
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class SortT(Term):
     """A sort used as a term."""
 
-    sort: Sort
+    __match_args__ = ("sort",)
+
+    def __init__(self, sort: Sort) -> None:
+        _set(self, "sort", sort)
 
 
-@dataclass(frozen=True)
 class Prod(Term):
     """Dependent product `forall (binder : domain), codomain`."""
 
-    binder: str
-    domain: Term
-    codomain: Term
+    __match_args__ = ("binder", "domain", "codomain")
+
+    def __init__(self, binder: str, domain: Term, codomain: Term) -> None:
+        _set(self, "binder", binder)
+        _set(self, "domain", domain)
+        _set(self, "codomain", codomain)
 
 
-@dataclass(frozen=True)
 class Lam(Term):
     """Abstraction `fun (binder : annotation) => body`."""
 
-    binder: str
-    annotation: Term
-    body: Term
+    __match_args__ = ("binder", "annotation", "body")
+
+    def __init__(self, binder: str, annotation: Term, body: Term) -> None:
+        _set(self, "binder", binder)
+        _set(self, "annotation", annotation)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class App(Term):
-    fn: Term
-    arg: Term
+    __match_args__ = ("fn", "arg")
+
+    def __init__(self, fn: Term, arg: Term) -> None:
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Ind(Term):
     """A reference to a declared inductive type."""
 
-    name: str
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Constr(Term):
     """A reference to a declared constructor."""
 
-    name: str
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Case(Term):
     """Case analysis over an inductive.
 
@@ -154,14 +223,17 @@ class Case(Term):
     arguments.
     """
 
-    ind: str
-    scrutinee: Term
-    params: tuple[Term, ...]
-    motive: Term
-    branches: tuple[Term, ...]
+    __match_args__ = ("ind", "scrutinee", "params", "motive", "branches")
+
+    def __init__(self, ind: str, scrutinee: Term, params: tuple[Term, ...],
+                 motive: Term, branches: tuple[Term, ...]) -> None:
+        _set(self, "ind", ind)
+        _set(self, "scrutinee", scrutinee)
+        _set(self, "params", params)
+        _set(self, "motive", motive)
+        _set(self, "branches", branches)
 
 
-@dataclass(frozen=True)
 class Fix(Term):
     """Structural fixpoint.
 
@@ -170,14 +242,17 @@ class Fix(Term):
     that must shrink at every recursive call.
     """
 
-    binder: str
-    annotation: Term
-    body: Term
-    decreasing: int
+    __match_args__ = ("binder", "annotation", "body", "decreasing")
+
+    def __init__(self, binder: str, annotation: Term, body: Term,
+                 decreasing: int) -> None:
+        _set(self, "binder", binder)
+        _set(self, "annotation", annotation)
+        _set(self, "body", body)
+        _set(self, "decreasing", decreasing)
 
 
-@dataclass(frozen=True)
-class InductiveDecl:
+class InductiveDecl(_Record):
     """An inductive type: name, parameter count, arity, constructors.
 
     The arity is the full type of the inductive; its first `params` binders
@@ -185,19 +260,25 @@ class InductiveDecl:
     globals) and start with the same parameter binders.
     """
 
-    name: str
-    params: int
-    arity: Term
-    constructors: tuple[tuple[str, Term], ...]
+    __match_args__ = ("name", "params", "arity", "constructors")
+
+    def __init__(self, name: str, params: int, arity: Term,
+                 constructors: tuple[tuple[str, Term], ...]) -> None:
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "arity", arity)
+        _set(self, "constructors", constructors)
 
 
-@dataclass(frozen=True)
-class Definition:
+class Definition(_Record):
     """A transparent global definition."""
 
-    name: str
-    type: Term
-    body: Term
+    __match_args__ = ("name", "type", "body")
+
+    def __init__(self, name: str, type: Term, body: Term) -> None:
+        _set(self, "name", name)
+        _set(self, "type", type)
+        _set(self, "body", body)
 
 
 # ---------------------------------------------------------------------------
@@ -355,38 +436,58 @@ def names(t: Term) -> set[str]:
 # Binding operations
 
 
-# Each node's free-variable set is computed once and kept in the node's
-# instance dict under this key.  It is not a dataclass field, so equality,
-# hashing and repr never see it.  Where a node's set equals a child's, the
-# child's frozenset object is reused, which keeps the cache small.
-_FV = "_fv"
-_NO_FV: frozenset[str] = frozenset()
-_VAR_FV: dict[str, frozenset[str]] = {}
+# Each node's free-variable set is computed once and kept in its `_fv`
+# slot, as the set of global names below it is in its `_gn` slot.  Where a
+# node's set equals a child's, the child's frozenset object is reused, and
+# each one-name set is made once, which keeps the caches small.
+_NO_NAMES: frozenset[str] = frozenset()
+_ONE_NAME: dict[str, frozenset[str]] = {}
+
+
+def _singleton(name: str) -> frozenset[str]:
+    s = _ONE_NAME.get(name)
+    if s is None:
+        s = _ONE_NAME[name] = frozenset((name,))
+    return s
 
 
 def free_vars(t: Term) -> frozenset[str]:
     """The names of `t`'s free Vars, which a binder around `t` must not
     capture; a global (Const, Ind, Constr) is no Var, so it has none."""
-    cache = t.__dict__
-    fv = cache.get(_FV)
+    fv = getattr(t, "_fv", None)
     if fv is not None:
         return fv
     kind = type(t)
     if kind is Var:
-        fv = _VAR_FV.get(t.name)
-        if fv is None:
-            fv = _VAR_FV[t.name] = frozenset((t.name,))
+        fv = _singleton(t.name)
     elif kind is App:
         fv = _union(free_vars(t.fn), free_vars(t.arg))
     elif kind is Prod or kind is Lam or kind is Fix:
         dom, body = children(t)
         fv = _union(free_vars(dom), _minus(free_vars(body), t.binder))
     else:
-        fv = _NO_FV
+        fv = _NO_NAMES
         for c in children(t):
             fv = _union(fv, free_vars(c))
-    cache[_FV] = fv
+    _set(t, "_fv", fv)
     return fv
+
+
+def global_names(t: Term) -> frozenset[str]:
+    """The names of the globals `t` mentions: its Const, Ind and Constr
+    nodes."""
+    gn = getattr(t, "_gn", None)
+    if gn is not None:
+        return gn
+    kind = type(t)
+    if kind is Const or kind is Ind or kind is Constr:
+        gn = _singleton(t.name)
+    else:
+        gn = _NO_NAMES
+        for c in children(t):
+            gn = _union(gn, global_names(c))
+    _set(t, "_gn", gn)
+    return gn
 
 
 def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:

@@ -44,6 +44,18 @@ def write(tmp_path, name, text):
     return str(p)
 
 
+def test_starting_the_cli_imports_no_dataclasses():
+    # Records are plain classes, so a fresh interpreter importing the CLI
+    # loads neither dataclasses nor inspect (which dataclasses imports).
+    # -S keeps site hooks, which might import either, out of the check.
+    env = dict(os.environ, PYTHONPATH=str(Path(rcic.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, rcic.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"],
+        capture_output=True, encoding="utf-8", env=env, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
 def test_check_prelude(prelude, capsys):
     assert main(["check", prelude]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -32,9 +32,19 @@ from rcic import (
     subst,
     type_sort,
 )
+from rcic.frontend import (
+    DCheck,
+    DDef,
+    DInductive,
+    DParamCheck,
+    RawMatch,
+    SourceFile,
+)
+from rcic.param import Alias, NameTriple
 from rcic.syntax import (
     children,
     fresh_name,
+    global_names,
     map_children,
     names,
     set_sort,
@@ -73,6 +83,120 @@ def test_terms_are_immutable_and_hashable():
         v.name = "y"
     seen = {Lam("x", NAT, Var("x")), Lam("x", NAT, Var("x"))}
     assert len(seen) == 1
+
+
+# One of each record class: a maker (called twice, it gives two distinct
+# equal records), the repr a frozen dataclass printed, and the fields in
+# order.
+RECORDS = [
+    (lambda: Sort("Set", 0), "Sort(kind='Set', level=0)", ("kind", "level")),
+    (lambda: Var("x"), "Var(name='x')", ("name",)),
+    (lambda: Const("one"), "Const(name='one')", ("name",)),
+    (lambda: SortT(PROP), "SortT(sort=Sort(kind='Prop', level=None))",
+     ("sort",)),
+    (lambda: Prod("x", NAT, Var("x")),
+     "Prod(binder='x', domain=Ind(name='Nat'), codomain=Var(name='x'))",
+     ("binder", "domain", "codomain")),
+    (lambda: Lam("x", NAT, Var("x")),
+     "Lam(binder='x', annotation=Ind(name='Nat'), body=Var(name='x'))",
+     ("binder", "annotation", "body")),
+    (lambda: App(Var("f"), Var("x")),
+     "App(fn=Var(name='f'), arg=Var(name='x'))", ("fn", "arg")),
+    (lambda: Ind("Nat"), "Ind(name='Nat')", ("name",)),
+    (lambda: Constr("zero"), "Constr(name='zero')", ("name",)),
+    (lambda: Case("Nat", Var("n"), (), Lam("n", NAT, NAT),
+                  (Constr("zero"), Lam("m", NAT, Var("m")))),
+     "Case(ind='Nat', scrutinee=Var(name='n'), params=(), "
+     "motive=Lam(binder='n', annotation=Ind(name='Nat'), "
+     "body=Ind(name='Nat')), branches=(Constr(name='zero'), "
+     "Lam(binder='m', annotation=Ind(name='Nat'), body=Var(name='m'))))",
+     ("ind", "scrutinee", "params", "motive", "branches")),
+    (lambda: Fix("f", arrow(NAT, NAT), Lam("n", NAT, Var("n")), 0),
+     "Fix(binder='f', annotation=Prod(binder='_', domain=Ind(name='Nat'), "
+     "codomain=Ind(name='Nat')), body=Lam(binder='n', "
+     "annotation=Ind(name='Nat'), body=Var(name='n')), decreasing=0)",
+     ("binder", "annotation", "body", "decreasing")),
+    (lambda: InductiveDecl("Unit", 0, SortT(set_sort(0)),
+                           (("tt", Ind("Unit")),)),
+     "InductiveDecl(name='Unit', params=0, "
+     "arity=SortT(sort=Sort(kind='Set', level=0)), "
+     "constructors=(('tt', Ind(name='Unit')),))",
+     ("name", "params", "arity", "constructors")),
+    (lambda: Definition("one", NAT, App(Constr("succ"), Constr("zero"))),
+     "Definition(name='one', type=Ind(name='Nat'), "
+     "body=App(fn=Constr(name='succ'), arg=Constr(name='zero')))",
+     ("name", "type", "body")),
+    (lambda: RawMatch(Var("n"), "m", "Nat", (), Var("Nat"),
+                      (("zero", (), Var("zero")),), 1, 2),
+     "RawMatch(scrutinee=Var(name='n'), as_name='m', ind='Nat', atoms=(), "
+     "motive=Var(name='Nat'), branches=(('zero', (), Var(name='zero')),), "
+     "line=1, col=2)",
+     ("scrutinee", "as_name", "ind", "atoms", "motive", "branches", "line",
+      "col")),
+    (lambda: DInductive("Unit", 0, SortT(set_sort(0)),
+                        (("tt", Var("Unit")),), 1, 1),
+     "DInductive(name='Unit', params=0, "
+     "arity=SortT(sort=Sort(kind='Set', level=0)), "
+     "constructors=(('tt', Var(name='Unit')),), line=1, col=1)",
+     ("name", "params", "arity", "constructors", "line", "col")),
+    (lambda: DDef("one", Var("Nat"), Var("zero"), 2, 1),
+     "DDef(name='one', type=Var(name='Nat'), body=Var(name='zero'), "
+     "line=2, col=1)", ("name", "type", "body", "line", "col")),
+    (lambda: DCheck(Var("one"), 3, 1),
+     "DCheck(term=Var(name='one'), line=3, col=1)", ("term", "line", "col")),
+    (lambda: DParamCheck("one", 4, 1),
+     "DParamCheck(name='one', line=4, col=1)", ("name", "line", "col")),
+    (lambda: SourceFile((DParamCheck("one", 4, 1),)),
+     "SourceFile(decls=(DParamCheck(name='one', line=4, col=1),))",
+     ("decls",)),
+    (lambda: NameTriple("x", "x'", "x_R"),
+     "NameTriple(base='x', copy=\"x'\", rel='x_R')", ("base", "copy", "rel")),
+    (lambda: Alias(Var("f"), Var("f'")),
+     "Alias(raw=Var(name='f'), primed=Var(name=\"f'\"), guard=None, "
+     "guard_type=None)", ("raw", "primed", "guard", "guard_type")),
+]
+
+
+@pytest.mark.parametrize("make, text, fields", RECORDS,
+                         ids=[text.split("(")[0] for _, text, _ in RECORDS])
+def test_records_behave_like_frozen_dataclasses(make, text, fields):
+    r = make()
+    assert type(r).__match_args__ == fields
+    assert repr(r) == text
+    other = make()
+    assert other is not r and other == r and not other != r
+    assert hash(other) == hash(r)
+    for name in fields:
+        value = getattr(r, name)
+        with pytest.raises(AttributeError):
+            setattr(r, name, value)
+        with pytest.raises(AttributeError):
+            delattr(r, name)
+        assert getattr(r, name) is value
+    with pytest.raises(AttributeError):
+        r.extra = 1
+    assert r == make() and repr(r) == text
+
+
+def test_records_of_different_classes_differ():
+    leaves = [Var("x"), Const("x"), Ind("x"), Constr("x")]
+    for a in leaves:
+        for b in leaves:
+            assert (a == b) is (a is b)
+            assert (a != b) is (a is not b)
+    assert Var("x") != Const("x")
+    assert Var("x") != "x" and Definition("d", NAT, NAT) != DDef(
+        "d", NAT, NAT, 1, 1)
+
+
+def test_caches_are_invisible():
+    t = Lam("y", NAT, App(Const("f"), App(Var("x"), Constr("zero"))))
+    before = (repr(t), hash(t))
+    assert free_vars(t) == {"x"}
+    assert global_names(t) == {"Nat", "f", "zero"}
+    assert global_names(t.body.arg) == {"zero"}
+    assert (repr(t), hash(t)) == before and t == Lam(
+        "y", NAT, App(Const("f"), App(Var("x"), Constr("zero"))))
 
 
 def test_construction_helpers():
