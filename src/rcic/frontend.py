@@ -9,12 +9,16 @@ each RawMatch into a fully annotated case: the motive and branch binders
 get their types from the inductive's declaration.  `declare` takes every
 kind of parsed declaration through the kernel.
 
-The lexer makes one pattern match per token (leading whitespace included)
-and returns named tuples; a sort (`Prop`, `Set<n>`, `Type<n>`) is a group of
-that pattern.  Identifiers, numbers and symbols are ASCII; any other
-character outside a comment is a ParseError, `unexpected character`.  The
-parser tells keywords and symbols apart by a token's value alone: no
-identifier has a keyword's text, and no other token has a symbol's.
+The lexer makes one pattern match per token or newline (the spaces after it
+included) and builds one tuple per token, without a Python-level call.  The group that matched is the token's kind, so the pattern tells
+sorts (`Prop`, `Set<n>`, `Type<n>`), identifiers and reserved names apart;
+a keyword is an identifier in KEYWORDS.  Identifiers, numbers and symbols
+are ASCII; any other character outside a comment is a ParseError,
+`unexpected character`.  The parser tells keywords and symbols apart by a
+token's value alone: no identifier has a keyword's text, and no other token
+has a symbol's.  It reads arrow chains, the bodies of `forall`, `fun` and
+`fix`, and application spines in loops, so only parentheses and the other
+parts of a binder form or a match take Python frames per nesting level.
 
 Names ending in ' or _R (`syntax.is_reserved`) are reserved for generated
 copies and witnesses and are rejected unless the caller opts in (useful for
@@ -24,7 +28,10 @@ reading generated code back in).
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from functools import partial
+from operator import itemgetter
+from sys import intern
+from typing import Callable
 
 from .syntax import (
     PRIME_SUFFIX,
@@ -48,7 +55,6 @@ from .syntax import (
     app,
     children,
     fresh_name,
-    is_reserved,
     lams,
     map_children,
     names,
@@ -76,28 +82,41 @@ KEYWORDS = frozenset({
     "with", "end", "def", "inductive", "check", "paramcheck",
 })
 
-# One match per token, whitespace before it included; the name of the group
-# that matched is its kind.  A sort is a whole word (`Set1x` is a word).  A
-# character that starts no ASCII token is junk.
-_TOKEN_RE = re.compile(r"""
-    [ \t\r\n]*
+# One match per token or newline, the spaces after it included; the name of
+# the group that matched is its kind.  A sort is a whole word (`Set1x` is an
+# identifier), and `_parse_sort` rejects `Set` and `Type` without a level.
+# Any other word is an identifier (a keyword if it is in KEYWORDS) unless it
+# ends like a reserved name.  Spaces start a match only at the start of the
+# text and after a comment.  A character that starts no ASCII token is junk.
+_WORD_END = r"(?![A-Za-z0-9_'])"
+_TOKEN_RE = re.compile(rf"""
     (?: (?P<comment>\(\*)
-      | (?P<sort>(?:Prop|Set[0-9]+|Type[0-9]+)(?![A-Za-z0-9_']))
-      | (?P<word>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<symbol>:=|->|=>|[(){{}}:,.|])
+      | (?P<sort>(?:Prop|Set[0-9]*|Type[0-9]*){_WORD_END})
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_']*{_WORD_END}
+                  (?<!{re.escape(PRIME_SUFFIX)})(?<!{re.escape(WITNESS_SUFFIX)}))
+      | (?P<reserved>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<nl>\n)
       | (?P<number>[0-9]+)
-      | (?P<symbol>:=|->|=>|[(){}:,.|])
+      | (?P<space>[ \t\r]+)
       | (?P<eof>\Z)
-      | (?P<junk>[^ \t\r\n]) )
+      | (?P<junk>.) )
+    [ \t\r]*
 """, re.VERBOSE)
 # The delimiters that open and close a nested comment.
 _COMMENT_RE = re.compile(r"\(\*|\*\)")
 
 
-class Token(NamedTuple):
-    kind: str  # "ident", "keyword", "sort", "number", "symbol", "eof"
-    value: object
-    line: int
-    col: int
+class Token(tuple):
+    """A token: its kind ("ident", "keyword", "sort", "number", "symbol" or
+    "eof"), its value, and the line and column where it starts.  A plain
+    tuple subclass, which `tokenize` builds with tuple.__new__."""
+
+    __slots__ = ()
+    kind = property(itemgetter(0))
+    value = property(itemgetter(1))
+    line = property(itemgetter(2))
+    col = property(itemgetter(3))
 
     def describe(self) -> str:
         if self.kind == "eof":
@@ -106,62 +125,73 @@ class Token(NamedTuple):
 
 
 def tokenize(text: str, allow_reserved: bool = False) -> list[Token]:
+    """The tokens of `text`, then an `eof` token where the text ends.
+
+    Every word and symbol is interned, so equal names share one string."""
     tokens: list[Token] = []
-    pos = 0  # where the next match starts
-    seen = 0  # the newlines before `seen` are counted in `line`
+    append = tokens.append
+    new = tuple.__new__
     line = 1
-    line_start = 0  # index of the first character of `line`
+    base = -1  # index of the newline before `line`; col = index - base
+    pos = 0  # where scanning starts: the text's start, then a comment's end
     while True:
-        m = _TOKEN_RE.match(text, pos)
-        kind = m.lastgroup
-        start = m.start(kind)
-        newlines = text.count("\n", seen, start)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", seen, start) + 1
-        seen = start
-        col = start - line_start + 1
-        pos = m.end()
-        word = m.group(kind)
-        if kind == "symbol":
-            tokens.append(Token("symbol", word, line, col))
-        elif kind == "number":
-            tokens.append(Token("number", int(word), line, col))
-        elif kind == "comment":
-            depth = 1
-            for delim in _COMMENT_RE.finditer(text, pos):
-                depth += 1 if delim.group() == "(*" else -1
-                if depth == 0:
-                    pos = delim.end()
-                    break
-            else:
-                raise ParseError("unterminated comment", line, col)
-        elif kind == "eof":
-            tokens.append(Token("eof", None, line, col))
-            return tokens
-        elif kind == "junk":
-            raise ParseError(f"unexpected character {word!r}", line, col)
-        elif kind == "sort":
-            tokens.append(Token("sort", _parse_sort(word, line, col),
-                                line, col))
-        elif word in KEYWORDS:
-            tokens.append(Token("keyword", word, line, col))
-        elif word in ("Set", "Type"):
-            raise ParseError(f"{word} needs an explicit level, like {word}1",
-                             line, col)
-        elif not allow_reserved and is_reserved(word):
-            suffix = (PRIME_SUFFIX if word.endswith(PRIME_SUFFIX)
-                      else WITNESS_SUFFIX)
-            raise ParseError(f"names ending in {suffix} are reserved: {word}",
-                             line, col)
-        else:
-            tokens.append(Token("ident", word, line, col))
+        for m in _TOKEN_RE.finditer(text, pos):
+            kind = m.lastgroup
+            if kind == "ident" or kind == "symbol":
+                word = intern(m[kind])
+                append(new(Token, ("keyword" if word in KEYWORDS else kind,
+                                   word, line, m.start() - base)))
+            elif kind == "nl":
+                line += 1
+                base = m.start()
+            elif kind == "number":
+                append(new(Token, (kind, int(m[kind]), line,
+                                   m.start() - base)))
+            elif kind == "sort":
+                col = m.start() - base
+                append(new(Token, (kind, _parse_sort(m[kind], line, col),
+                                   line, col)))
+            elif kind == "comment":
+                start = m.start()
+                depth = 1
+                for delim in _COMMENT_RE.finditer(text, start + 2):
+                    depth += 1 if delim.group() == "(*" else -1
+                    if depth == 0:
+                        pos = delim.end()
+                        break
+                else:
+                    raise ParseError("unterminated comment", line,
+                                     start - base)
+                newlines = text.count("\n", start, pos)
+                if newlines:
+                    line += newlines
+                    base = text.rindex("\n", start, pos)
+                break  # scan on from the comment's end
+            elif kind == "eof":
+                append(new(Token, (kind, None, line, m.start() - base)))
+                return tokens
+            elif kind == "reserved":
+                word = intern(m[kind])
+                col = m.start() - base
+                if not allow_reserved:
+                    suffix = (PRIME_SUFFIX if word.endswith(PRIME_SUFFIX)
+                              else WITNESS_SUFFIX)
+                    raise ParseError(
+                        f"names ending in {suffix} are reserved: {word}",
+                        line, col)
+                append(new(Token, ("ident", word, line, col)))
+            elif kind == "junk":
+                raise ParseError(f"unexpected character {m[kind]!r}", line,
+                                 m.start() - base)
 
 
 def _parse_sort(word: str, line: int, col: int) -> Sort:
     if word == "Prop":
         return Sort("Prop")
     kind = "Set" if word.startswith("Set") else "Type"
+    if word == kind:
+        raise ParseError(f"{word} needs an explicit level, like {word}1",
+                         line, col)
     level = int(word[len(kind):])
     if kind == "Type" and level < 1:
         raise ParseError("Type levels start at 1", line, col)
@@ -253,9 +283,14 @@ class SourceFile(_Record):
 
 
 class _Parser:
+    """A recursive-descent parser over `tokenize`'s list.  The hot methods,
+    `term` and `application`, read `tokens[pos]` directly."""
+
     def __init__(self, text: str, allow_reserved: bool = False):
         self.tokens = tokenize(text, allow_reserved)
         self.pos = 0
+        # One Var node per name: nodes are immutable, so one can be shared.
+        self.var_nodes: dict[str, Var] = {}
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -275,16 +310,18 @@ class _Parser:
         return self.tokens[self.pos].value == text
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.value != text:
             raise self.error(f"expected {text!r}, found {tok.describe()}")
-        return self.next()
+        self.pos += 1
+        return tok
 
     def expect_ident(self) -> str:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "ident":
             raise self.error(f"expected a name, found {tok.describe()}")
-        return self.next().value
+        self.pos += 1
+        return tok.value
 
     def global_name(self) -> str:
         """The name a declaration gives a global: `_` names nothing."""
@@ -295,52 +332,90 @@ class _Parser:
     # Terms.
 
     def term(self) -> Term:
-        if self.at("forall"):
-            self.next()
-            binders = self.binder_groups(minimum=1)
-            self.expect(",")
-            return prods(binders, self.term())
-        if self.at("fun"):
-            self.next()
-            binders = self.binder_groups(minimum=1)
-            self.expect("=>")
-            return lams(binders, self.term())
-        if self.at("fix"):
-            self.next()
-            name = self.expect_ident()
-            binders = self.binder_groups(minimum=0)
-            self.expect("{")
-            self.expect("struct")
-            tok = self.peek()
-            bound = [b for b, _ in binders]
-            if tok.kind == "number":
-                decreasing = tok.value
-            elif tok.value in bound:
-                decreasing = bound.index(tok.value)
+        """A term.  An arrow's target and the body of a `forall`, `fun` or
+        `fix` extend as far right as they can, so a chain of them is read
+        in one loop and built from the inside out; only parentheses and the
+        other parts of a form nest."""
+        tokens = self.tokens
+        # The forms around the part being read, outermost first, each as
+        # the function that wraps it.
+        outer: list[Callable[[Term], Term]] = []
+        while True:
+            kind, value, _, _ = tokens[self.pos]
+            if kind == "keyword" and value in ("forall", "fun"):
+                self.pos += 1
+                binders = self.binder_groups(minimum=1)
+                self.expect("," if value == "forall" else "=>")
+                outer.append(partial(prods if value == "forall" else lams,
+                                     binders))
+            elif kind == "keyword" and value == "fix":
+                self.pos += 1
+                outer.append(self.fix_heading())
             else:
-                raise self.error(
-                    f"expected an argument index or binder name, found {tok.describe()}")
-            self.next()
-            self.expect("}")
-            self.expect(":")
-            annotation = self.term()
-            self.expect(":=")
-            body = self.term()
-            # Heading binders abbreviate a product annotation and a lambda body.
-            return Fix(name, prods(binders, annotation), lams(binders, body), decreasing)
-        return self.arrow()
+                t = self.application()
+                if tokens[self.pos][1] != "->":
+                    break
+                self.pos += 1
+                outer.append(partial(Prod, "_", t))
+        for wrap in reversed(outer):
+            t = wrap(t)
+        return t
 
-    def arrow(self) -> Term:
-        lhs = self.application()
-        if self.at("->"):
-            self.next()
-            return Prod("_", lhs, self.term())
-        return lhs
+    def fix_heading(self) -> Callable[[Term], Term]:
+        """Read what follows `fix` up to its body; return the function that
+        builds the Fix around the body."""
+        name = self.expect_ident()
+        binders = self.binder_groups(minimum=0)
+        self.expect("{")
+        self.expect("struct")
+        tok = self.peek()
+        bound = [b for b, _ in binders]
+        if tok.kind == "number":
+            decreasing = tok.value
+        elif tok.value in bound:
+            decreasing = bound.index(tok.value)
+        else:
+            raise self.error(
+                f"expected an argument index or binder name, found {tok.describe()}")
+        self.next()
+        self.expect("}")
+        self.expect(":")
+        annotation = self.term()
+        self.expect(":=")
+        # Heading binders abbreviate a product annotation and a lambda body.
+        return lambda body: Fix(name, prods(binders, annotation),
+                                lams(binders, body), decreasing)
 
     def application(self) -> Term:
-        t = self.atom()
-        while self.starts_atom():
-            t = App(t, self.atom())
+        """An application spine, read in a loop: a name, a sort or a
+        parenthesised term is read here, a match (and anything that is no
+        term) by `atom`."""
+        tokens = self.tokens
+        var_nodes = self.var_nodes
+        pos = self.pos
+        t = None
+        while True:
+            kind, value, _, _ = tokens[pos]
+            if kind == "ident" and value != "_":
+                arg = (var_nodes.get(value)
+                       or var_nodes.setdefault(value, Var(value)))
+                pos += 1
+            elif kind == "sort":
+                arg = SortT(value)
+                pos += 1
+            elif value == "(":
+                self.pos = pos + 1
+                arg = self.term()
+                self.expect(")")
+                pos = self.pos
+            elif kind == "ident" or value == "match" or t is None:
+                self.pos = pos
+                arg = self.atom()
+                pos = self.pos
+            else:
+                break
+            t = arg if t is None else App(t, arg)
+        self.pos = pos
         return t
 
     def starts_atom(self) -> bool:
@@ -393,16 +468,17 @@ class _Parser:
                         tuple(branches), start.line, start.col)
 
     def binder_groups(self, minimum: int = 0) -> list[tuple[str, Term]]:
+        tokens = self.tokens
         binders: list[tuple[str, Term]] = []
-        while self.at("("):
-            self.next()
+        while tokens[self.pos][1] == "(":
+            self.pos += 1
             names = [self.expect_ident()]
-            while self.peek().kind == "ident":
+            while tokens[self.pos][0] == "ident":
                 names.append(self.expect_ident())
             self.expect(":")
             ty = self.term()
             self.expect(")")
-            binders.extend((name, ty) for name in names)
+            binders += [(name, ty) for name in names]
         if len(binders) < minimum:
             raise self.error(
                 f"expected a binder like (x : T), found {self.peek().describe()}")

@@ -1,5 +1,8 @@
 """Tests for the lexer, parser, and elaborator."""
 
+import random
+from pathlib import Path
+
 import pytest
 
 from rcic import (
@@ -28,6 +31,7 @@ from rcic import (
     parse_file,
     parse_term,
     prelude_path,
+    print_term,
     type_sort,
 )
 from rcic.frontend import (
@@ -41,8 +45,10 @@ from rcic.frontend import (
 from rcic.syntax import set_sort
 
 from conftest import load_declarations, term_in
+from gen import random_typed
 
 NAT = Ind("Nat")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +147,74 @@ def test_tokenize_positions_and_junk():
         assert str(err.value).startswith(f"{where}: ")
 
 
+def _naive_tokens(text):
+    """(text, line, col) of each token of `text` and of its end, found one
+    character at a time: the oracle for tokenize's positions."""
+    found = []
+    i, line, col = 0, 1, 1
+
+    def skip(n):
+        nonlocal i, line, col
+        for c in text[i:i + n]:
+            line, col = (line + 1, 1) if c == "\n" else (line, col + 1)
+        i += n
+
+    while i < len(text):
+        c = text[i]
+        if c in " \t\r\n":
+            skip(1)
+        elif text.startswith("(*", i):
+            depth, j = 1, i + 2
+            while depth:
+                if text.startswith("(*", j):
+                    depth, j = depth + 1, j + 2
+                elif text.startswith("*)", j):
+                    depth, j = depth - 1, j + 2
+                else:
+                    j += 1
+            skip(j - i)
+        else:
+            j = i + 1
+            if c.isascii() and (c.isalpha() or c == "_"):
+                while j < len(text) and text[j].isascii() and (
+                        text[j].isalnum() or text[j] in "_'"):
+                    j += 1
+            elif c.isdigit():
+                while j < len(text) and text[j].isdigit():
+                    j += 1
+            elif text[i:i + 2] in (":=", "->", "=>"):
+                j = i + 2
+            else:
+                assert c in "(){}:,.|", c
+            found.append((text[i:j], line, col))
+            skip(j - i)
+    found.append(("", line, col))
+    return found
+
+
+def _oracle_inputs(env):
+    yield "x (* a\n (* b *)\n c *) y\r\n\tz (*\n*)w:=(v)", False
+    yield prelude_path().read_text(), False
+    for path in sorted(GOLDEN.glob("*_translate.txt")):
+        yield path.read_text(), True
+    rng = random.Random(20261020)
+    yield "\n".join(print_term(random_typed(rng, depth=4)[0], env)
+                     for _ in range(100)), False
+
+
+def test_token_positions_match_a_naive_lexer(prelude_env):
+    for text, allow_reserved in _oracle_inputs(prelude_env):
+        tokens = tokenize(text, allow_reserved)
+        naive = _naive_tokens(text)
+        assert len(tokens) == len(naive)
+        lines = text.split("\n")
+        for tok, (word, line, col) in zip(tokens, naive):
+            assert (tok.line, tok.col) == (line, col), (tok, word)
+            if tok.kind != "eof":
+                assert lines[tok.line - 1][tok.col - 1:].startswith(
+                    str(tok.value)), tok
+
+
 # ---------------------------------------------------------------------------
 # Term parsing
 
@@ -148,6 +222,27 @@ def test_tokenize_positions_and_junk():
 def test_parse_arrow_right_associative():
     t = parse_term("Nat -> Bool -> Nat")
     assert t == Prod("_", Var("Nat"), Prod("_", Var("Bool"), Var("Nat")))
+
+
+def test_parse_long_chains_in_a_loop():
+    # Arrow chains and the bodies of binder forms are read in a loop, so
+    # their length is not bounded by the interpreter's recursion limit.  The
+    # result is walked, not compared: comparing recurses.
+    n = 5000
+    t = parse_term("Nat -> " * n + "Nat")
+    for _ in range(n):
+        assert type(t) is Prod and (t.binder, t.domain) == ("_", Var("Nat"))
+        t = t.codomain
+    assert t == Var("Nat")
+    t = parse_term("forall (x : Nat), fun (y : x) => Set0 -> " * n + "y")
+    for _ in range(n):
+        assert (type(t), t.binder, t.domain) == (Prod, "x", Var("Nat"))
+        t = t.codomain
+        assert (type(t), t.binder, t.annotation) == (Lam, "y", Var("x"))
+        t = t.body
+        assert (type(t), t.binder, t.domain) == (Prod, "_", SortT(set_sort(0)))
+        t = t.codomain
+    assert t == Var("y")
 
 
 def test_parse_application_left_associative():
@@ -303,6 +398,211 @@ def test_parse_file_positions():
     assert "2:" in str(err.value)
     with pytest.raises(ParseError):
         parse_file("def missing_dot : Nat := zero")
+
+
+# ---------------------------------------------------------------------------
+# Diagnostics
+
+
+# One malformed input per error site of the lexer and the parser, with the
+# exact `line:col: message` it reports.  "term" inputs go to parse_term,
+# "file" inputs to parse_file.  The whole input is lexed before parsing, so
+# a lexer error wins over an earlier syntax error.
+PARSE_ERRORS = [
+    # A failed expect, one per text the parser expects.
+    ("term", 'forall (x : Nat) x',
+     "1:18: expected ',', found 'x'"),
+    ("term", 'fun (x : Nat), x',
+     "1:14: expected '=>', found ','"),
+    ("term", 'fix f (n : Nat) struct n} : Nat := n',
+     "1:17: expected '{', found 'struct'"),
+    ("term", 'fix f (n : Nat) {n} : Nat := n',
+     "1:18: expected 'struct', found 'n'"),
+    ("term", 'fix f (n : Nat) {struct n : Nat := n',
+     "1:27: expected '}', found ':'"),
+    ("term", 'fix f (n : Nat) {struct n} Nat := n',
+     "1:28: expected ':', found 'Nat'"),
+    ("term", 'fix f (n : Nat) {struct n} : Nat => n',
+     "1:34: expected ':=', found '=>'"),
+    ("term", '(zero',
+     "1:6: expected ')', found end of input"),
+    ("term", 'fun (x y) => x',
+     "1:9: expected ':', found ')'"),
+    ("term", 'match n in Nat return Nat with end',
+     "1:9: expected 'as', found 'in'"),
+    ("term", 'match n as m Nat return Nat with end',
+     "1:14: expected 'in', found 'Nat'"),
+    ("term", 'match n as m in Nat with end',
+     "1:21: expected 'return', found 'with'"),
+    ("term", 'match n as m in Nat return Nat | zero => zero end',
+     "1:32: expected 'with', found '|'"),
+    ("term", 'match n as m in Nat return Nat with | zero zero end',
+     "1:49: expected '=>', found 'end'"),
+    ("term", 'match n as m in Nat return Nat with | zero => zero',
+     "1:51: expected 'end', found end of input"),
+    ("file", 'def x : Nat := zero',
+     "1:20: expected '.', found end of input"),
+    ("file", 'def x Nat := zero.',
+     "1:7: expected ':', found 'Nat'"),
+    ("file", 'def x : Nat = zero.',
+     "1:13: unexpected character '='"),
+    ("file", 'inductive U : Set0 := u : U u : U.',
+     "1:31: expected '.', found ':'"),
+    ("file", 'paramcheck plus plus.',
+     "1:17: expected '.', found 'plus'"),
+    # A failed expect, one per kind of token found.
+    ("term", 'fun (x : Nat)\n  =>\n  x x )',
+     "3:7: unexpected ')' after the term"),
+    ("file", 'def x : Nat := zero\ndef',
+     "2:1: expected '.', found 'def'"),
+    ("file", 'def x : Nat := zero 3 :',
+     "1:21: expected '.', found '3'"),
+    ("term", 'forall (x : Nat) 12',
+     "1:18: expected ',', found '12'"),
+    ("term", 'forall (x : Nat) Prop',
+     "1:18: expected ',', found 'Prop'"),
+    ("term", 'forall (x : Nat) Set3',
+     "1:18: expected ',', found 'Set3'"),
+    ("term", 'forall (x : Nat) Type2',
+     "1:18: expected ',', found 'Type2'"),
+    ("term", 'forall (x : Nat)',
+     "1:17: expected ',', found end of input"),
+    # expect_ident.
+    ("term", 'fun (3 : Nat) => x',
+     "1:6: expected a name, found '3'"),
+    ("term", 'fix (n : Nat) {struct n} : Nat := n',
+     "1:5: expected a name, found '('"),
+    ("term", 'match n as fun in Nat return Nat with end',
+     "1:12: expected a name, found 'fun'"),
+    ("term", 'match n as m in 3 return Nat with end',
+     "1:17: expected a name, found '3'"),
+    ("term", 'match n as m in Nat return Nat with | Prop => zero end',
+     "1:39: expected a name, found 'Prop'"),
+    ("file", 'def : Nat := zero.',
+     "1:5: expected a name, found ':'"),
+    ("file", 'inductive U : Set0 := | . ',
+     "1:25: expected a name, found '.'"),
+    ("file", 'paramcheck.',
+     "1:11: expected a name, found '.'"),
+    # global_name's `_`.
+    ("file", 'def _ : Nat := zero.',
+     "1:5: expected a name, found '_'"),
+    ("file", 'inductive _ : Set0 := u : Nat.',
+     "1:11: expected a name, found '_'"),
+    ("file", 'inductive U : Set0 := _ : U.',
+     "1:23: expected a name, found '_'"),
+    ("file", 'inductive U : Set0 :=\n| u : U\n| _ : U.',
+     "3:3: expected a name, found '_'"),
+    ("file", 'paramcheck _.',
+     "1:12: expected a name, found '_'"),
+    # fix ... {struct ...}.
+    ("term", 'fix f (n : Nat) {struct q} : Nat := n',
+     "1:25: expected an argument index or binder name, found 'q'"),
+    ("term", 'fix f (n : Nat) {struct :} : Nat := n',
+     "1:25: expected an argument index or binder name, found ':'"),
+    ("term", 'fix f (n : Nat) {struct Set0} : Nat := n',
+     "1:25: expected an argument index or binder name, found 'Set0'"),
+    ("term", 'fix f (n : Nat) {struct}',
+     "1:24: expected an argument index or binder name, found '}'"),
+    # Expected a term.
+    ("term", '',
+     '1:1: expected a term, found end of input'),
+    ("term", '  \n\n   ',
+     '3:4: expected a term, found end of input'),
+    ("term", 'fun (x : Nat) => )',
+     "1:18: expected a term, found ')'"),
+    ("term", 'plus _ zero',
+     "1:6: expected a term, found '_'"),
+    ("term", 'f (g ,)',
+     "1:6: expected ')', found ','"),
+    ("term", 'forall (x : Nat), =>',
+     "1:19: expected a term, found '=>'"),
+    ("term", '3',
+     "1:1: expected a term, found '3'"),
+    ("file", 'def x : Nat := .',
+     "1:16: expected a term, found '.'"),
+    ("file", 'check with.',
+     "1:7: expected a term, found 'with'"),
+    # Expected a binder.
+    ("term", 'forall x : Nat, x',
+     "1:8: expected a binder like (x : T), found 'x'"),
+    ("term", 'fun => x',
+     "1:5: expected a binder like (x : T), found '=>'"),
+    ("term", 'fun\n  x => x',
+     "2:3: expected a binder like (x : T), found 'x'"),
+    ("term", 'forall , x',
+     "1:8: expected a binder like (x : T), found ','"),
+    # Expected a declaration.
+    ("file", 'zero.',
+     "1:1: expected a declaration, found 'zero'"),
+    ("file", 'def x : Nat := zero.\n  . ',
+     "2:3: expected a declaration, found '.'"),
+    ("file", '(* c *) Set0',
+     "1:9: expected a declaration, found 'Set0'"),
+    ("file", 'def x : Nat := zero. 7',
+     "1:22: expected a declaration, found '7'"),
+    ("file", 'fun',
+     "1:1: expected a declaration, found 'fun'"),
+    # Trailing input after parse_term's term.
+    ("term", 'zero zero.',
+     "1:10: unexpected '.' after the term"),
+    ("term", 'f x )',
+     "1:5: unexpected ')' after the term"),
+    ("term", 'zero\n  :=',
+     "2:3: unexpected ':=' after the term"),
+    ("term", 'zero 4',
+     "1:6: unexpected '4' after the term"),
+    ("term", 'x end',
+     "1:3: unexpected 'end' after the term"),
+    # Lexer errors: comments, characters, sorts and reserved names.
+    ("term", '(* never closed',
+     '1:1: unterminated comment'),
+    ("term", 'zero\n  (*) succ',
+     '2:3: unterminated comment'),
+    ("term", 'a (* (* *) b',
+     '1:3: unterminated comment'),
+    ("term", 'zero *) succ',
+     "1:6: unexpected character '*'"),
+    ("term", 'a ? b',
+     "1:3: unexpected character '?'"),
+    ("term", 'x\n  \t?',
+     "2:4: unexpected character '?'"),
+    ("file", 'def é : Nat := zero.',
+     "1:5: unexpected character 'é'"),
+    ("file", 'def x : Nat :=\r\n ².',
+     "2:2: unexpected character '²'"),
+    ("term", 'Set',
+     '1:1: Set needs an explicit level, like Set1'),
+    ("term", 'f\n Type',
+     '2:2: Type needs an explicit level, like Type1'),
+    ("term", 'Type0',
+     '1:1: Type levels start at 1'),
+    ("term", 'x Type00',
+     '1:3: Type levels start at 1'),
+    ("term", "x'",
+     "1:1: names ending in ' are reserved: x'"),
+    ("term", 'zero\n  foo_R',
+     '2:3: names ending in _R are reserved: foo_R'),
+    ("term", "Set0'",
+     "1:1: names ending in ' are reserved: Set0'"),
+    ("term", "fun'",
+     "1:1: names ending in ' are reserved: fun'"),
+    ("term", 'Set_R',
+     '1:1: names ending in _R are reserved: Set_R'),
+    ("term", 'a [ b',
+     "1:3: unexpected character '['"),
+]
+
+
+@pytest.mark.parametrize("parser, text, message", PARSE_ERRORS)
+def test_parse_error_messages(parser, text, message):
+    parse = parse_term if parser == "term" else parse_file
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+    line, col, rest = message.split(":", 2)
+    assert (err.value.line, err.value.col, err.value.message) == (
+        int(line), int(col), rest[1:])
 
 
 # ---------------------------------------------------------------------------
