@@ -159,10 +159,11 @@ def subsort(a: Sort, b: Sort) -> bool:
 # into the leading binders of the branch or the fix body (`_enter`), with no
 # closure in between.  A neutral takes the arguments left over in one tuple.
 # A thunk whose term applies a variable bound to a thunk not yet forced is a
-# link of a chain (`f ↦ f x`, one link per binder of a translated product
-# telescope); forcing it follows the chain in a loop and computes the links
-# from the inside out, each storing its value, so a chain costs no Python
-# frame per link.
+# link of a chain (`f ↦ f x`, one link per product of a telescope whose
+# relation is written as nested redexes, `(fun f f' => ...) (f x) (f' x')`);
+# forcing it follows the chain in a loop and computes the links from the
+# inside out, each storing its value, so a chain costs no Python frame per
+# link.
 #
 # `beta_normalize` evaluates in an empty global environment, where only beta
 # fires, and reads the value back to a term, renaming a binder by the rule of
@@ -416,11 +417,18 @@ _BETA = GlobalEnv()
 
 
 def beta_normalize(t: Term) -> Term:
-    """Full normalization under beta alone (no delta, iota, or fix), for the
-    administrative redexes of the relational translation; it terminates on
-    well-typed input.  Normal subterms come back as the same objects, and
-    the read-back spends no Python frame per binder or per redex passed."""
-    return _quote(_EMPTY, t)
+    """Full normalization under beta alone (no delta, iota, or fix); it
+    terminates on well-typed input.  A term with no redex (an App whose
+    head is a Lam) comes back as itself after one scan.  Otherwise normal
+    subterms come back as the same objects, and the read-back spends no
+    Python frame per binder or per redex passed."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is App and type(u.fn) is Lam:
+            return _quote(_EMPTY, t)
+        stack.extend(children(u))
+    return t
 
 
 def _quote(rho: dict, t: Term) -> Term:

@@ -13,6 +13,14 @@ by name, and a case reads its relation inductive from the environment.
 So each entry point first declares, once each, the relations of the
 globals its terms mention (`_prepare`), and then translates.
 
+Relations are built in beta normal form: `_relate` gives the relation of
+a type at two terms, `[T] a a'`, directly, as a sort's relation space or a
+product's function space would read once applied and reduced.  The
+binders it makes are named as that reduction would name them.  The
+translation of a term with no redex therefore has none either, and the
+`beta_normalize` at each entry point only contracts the redexes of the
+source and their images.
+
 Name scheme: the copy of a variable (Var) x is x', its witness x_R; a
 global (Const, Ind, Constr) keeps its name in the copy and gains the _R
 suffix for its relation.  Input terms must not use names with either suffix
@@ -151,25 +159,30 @@ def _prepare(env: GlobalEnv, *terms: Term, skip: str = "") -> None:
 
 
 def _pick_triple(base: str, avoid: frozenset[str], scope: Term | None = None,
-                 suffixes: tuple[str, ...] = ("", PRIME_SUFFIX, WITNESS_SUFFIX),
                  ) -> NameTriple:
-    """A binder triple whose base, with each of `suffixes` appended, is
-    not in `avoid`: by default all three names; a caller that uses only
-    the base and its copy passes ("", PRIME_SUFFIX).  A `_` base becomes
-    `x`, which also avoids the names free in `scope`, the binder's scope."""
+    """A binder triple none of whose names is in `avoid`, nor has a name
+    of `avoid` as its base.  A `_` base becomes `x`, which also avoids the
+    names free in `scope`, the binder's scope."""
     if base == "_":
         avoid = avoid | free_vars(scope)
-    stems = {n[:len(n) - len(s)] for n in avoid for s in suffixes
-             if n.endswith(s)}
+    stems = {n[:len(n) - len(s)] for n in avoid
+             for s in ("", PRIME_SUFFIX, WITNESS_SUFFIX) if n.endswith(s)}
     return NameTriple.from_base(fresh_name(base, stems))
+
+
+def _tripled(names: frozenset[str]) -> frozenset[str]:
+    """Each name with its copy and witness: the names free in the
+    translation of a product whose free names are `names`."""
+    return frozenset(n for name in names
+                     for n in (name, primed(name), relation_name(name)))
 
 
 def translate_term(env: GlobalEnv, t: Term) -> Term:
     """The relational witness of `t`.
 
     References to inductives, constructors, and definitions are redirected
-    to their relations, which are declared first.  The result is the raw
-    clause-by-clause image; apply beta_normalize for the readable form.
+    to their relations, which are declared first.  The result is in beta
+    normal form when `t` is; `beta_normalize` contracts what `t` brings.
     """
     _prepare(env, t)
     return _translate(env, t)
@@ -202,40 +215,15 @@ def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
     match t:
         case Var(name) | Const(name) | Ind(name) | Constr(name):
             return type(t)(relation_name(name))
-        case SortT(s):
-            x = NameTriple.from_base("x")
-            return Lam(x.base, t, Lam(x.copy, t,
-                       arrow(Var(x.base),
-                             arrow(Var(x.copy), SortT(relation_sort(s))))))
-        case Prod():
-            # A product telescope in one loop: the domains are translated
-            # outermost first, then the codomain; the witnesses and copies
-            # are built innermost first, each copy from the one below it.
-            levels = []
-            while type(t) is Prod:
-                levels.append((t, prime(t.domain), _translate(env, t.domain)))
-                t = t.codomain
-            cod_r, cod_c = _translate(env, t), prime(t)
-            for node, dom_c, dom_r in reversed(levels):
-                binder = node.binder
-                x = _pick_triple(binder, free_vars(dom_c) | free_vars(dom_r),
-                                 cod_r)
-                if binder != "_" and x.base != binder:
-                    cod_r = _rename_triple(cod_r, binder, x)
-                fn_avoid = (free_vars(node) | free_vars(dom_c)
-                            | free_vars(dom_r) | free_vars(cod_r)
-                            | {x.base, x.copy, x.rel})
-                f = _pick_triple("f", fn_avoid, suffixes=("", PRIME_SUFFIX))
-                cod_c = Prod(primed(binder), dom_c, cod_c)
-                rel = Prod(x.base, node.domain, Prod(x.copy, dom_c, Prod(
-                    x.rel, app(dom_r, Var(x.base), Var(x.copy)),
-                    app(cod_r, App(Var(f.base), Var(x.base)),
-                        App(Var(f.copy), Var(x.copy))))))
-                cod_r = Lam(f.base, node, Lam(f.copy, cod_c, rel))
-            return cod_r
+        case SortT() | Prod():
+            # The relation space fun (f : t) (f' : t') => [t] f f'.  The
+            # pair avoids the names free in t and t's first binder, whose
+            # triple the relation binds around the pair's first use.
+            f = (NameTriple.from_base("x") if type(t) is SortT
+                 else _pick_triple("f", free_vars(t) | {t.binder}))
+            return Lam(f.base, t, Lam(f.copy, prime(t), _relate(
+                env, t, Var(f.base), Var(f.copy))))
         case Lam(binder, annotation, body):
-            ann_c = prime(annotation)
-            ann_r = _translate(env, annotation)
             inner = None
             if (alias is not None and binder != "_"
                     and binder not in free_vars(alias.raw)
@@ -244,13 +232,13 @@ def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
                               App(alias.primed, Var(primed(binder))),
                               alias.guard, alias.guard_type)
             body_r = _translate(env, body, inner)
-            x = _pick_triple(binder, free_vars(ann_c) | free_vars(ann_r),
-                             body_r)
+            x = _pick_triple(binder, free_vars(annotation), body_r)
             if binder != "_" and x.base != binder:
                 body_r = _rename_triple(body_r, binder, x)
             return Lam(x.base, annotation,
-                       Lam(x.copy, ann_c,
-                           Lam(x.rel, app(ann_r, Var(x.base), Var(x.copy)),
+                       Lam(x.copy, prime(annotation),
+                           Lam(x.rel, _relate(env, annotation, Var(x.base),
+                                              Var(x.copy)),
                                body_r)))
         case App():
             return _translate_app(env, t)[0]
@@ -264,10 +252,9 @@ def _translate(env: GlobalEnv, t: Term, alias: Alias | None = None) -> Term:
             if decreasing < len(spine) and spine[decreasing][0] != "_":
                 guard, guard_type = spine[decreasing]
             selves = Alias(raw, copy, guard, guard_type)
-            ann_r = _translate(env, annotation)
             body_r = _translate(env, body, selves)
             rel = Fix(relation_name(binder),
-                      app(ann_r, Var(binder), Var(primed(binder))),
+                      _relate(env, annotation, raw, copy),
                       body_r,
                       3 * decreasing + 2)
             return subst_all(rel, {binder: selves.raw,
@@ -292,16 +279,98 @@ def _rename_triple(t: Term, old: str, new: NameTriple) -> Term:
                          relation_name(old): Var(new.rel)})
 
 
+def _relate(env: GlobalEnv, t: Term, a: Term, a2: Term,
+            ren: dict[str, Term] | None = None,
+            t_r: Term | None = None) -> Term:
+    """`[t] a a2`, the relation of the type `t` at the terms `a` and `a2`:
+    the beta normal form of `app(_translate(env, t), a, a2)`, with the
+    names free in that translation renamed by `ren`, built directly.
+
+    A sort s gives `a -> a2 -> s^`.  A product telescope gives, in one
+    loop, a binder triple x, x', x_R per source binder, x_R ranging over
+    the domain's relation at x and x', and then the codomain's relation at
+    `a x ...` and `a2 x' ...`.  Any other type gives its translation, `t_r`
+    if the caller has it, applied to `a` and `a2`.
+
+    Each triple is the one `_translate` picks for the binder; a name of it
+    is then renamed, on its own, as `kernel.beta_normalize` would rename
+    it in reducing that application (`_bind`), so the relation is the
+    same term, binder names included.
+    """
+    ren = ren or {}
+    levels = []
+    while type(t) is Prod:
+        binder, dom, cod = t.binder, t.domain, t.codomain
+        x = _pick_triple(binder, free_vars(dom), cod)
+        if binder != "_" and x.base != binder:
+            cod = subst_all(cod, {binder: Var(x.base)})
+        dom_c = prime(dom)
+        dom_r, dom_fv = _translated(env, dom)
+        t_r, cod_fv = _translated(env, cod)
+        # The names free in the body of each binder of this level in the
+        # application `app(_translate(env, t), a, a2)`.
+        rel_body = cod_fv | {x.base, x.copy}
+        copy_body = dom_fv | (rel_body - {x.rel})
+        base_body = free_vars(dom_c) | (copy_body - {x.copy})
+        names = free_vars(a) | free_vars(a2)
+        dom_n = subst_all(dom, ren)
+        base, ren = _bind(x.base, base_body, names, ren)
+        dom_c = subst_all(dom_c, ren)
+        copy, ren = _bind(x.copy, copy_body, names, ren)
+        dom_rel = _relate(env, dom, Var(base), Var(copy), ren, dom_r)
+        rel, ren = _bind(x.rel, rel_body, names, ren)
+        levels.append((base, dom_n, copy, dom_c, rel, dom_rel))
+        a, a2, t = App(a, Var(base)), App(a2, Var(copy)), cod
+    if type(t) is SortT:
+        out = arrow(a, arrow(a2, SortT(relation_sort(t.sort))))
+    else:
+        out = app(subst_all(_translate(env, t) if t_r is None else t_r, ren),
+                  a, a2)
+    for base, dom, copy, dom_c, rel, dom_rel in reversed(levels):
+        out = Prod(base, dom, Prod(copy, dom_c, Prod(rel, dom_rel, out)))
+    return out
+
+
+def _translated(env: GlobalEnv, t: Term) -> tuple[Term | None, frozenset[str]]:
+    """The translation of `t`, or None for a sort or a product, which
+    `_relate` relates directly, and the names free in the translation."""
+    if type(t) is SortT:
+        return None, frozenset()
+    if type(t) is Prod:
+        return None, _tripled(free_vars(t))
+    t_r = _translate(env, t)
+    return t_r, free_vars(t_r)
+
+
+def _bind(name: str, body: frozenset[str], names: frozenset[str],
+          ren: dict[str, Term]) -> tuple[str, dict[str, Term]]:
+    """The name a binder `name` takes over a body whose free names are
+    `body` when the names `names` and the renaming `ren` are substituted
+    below it, and the renaming below it, where its own entry shadows any
+    outer one.  It keeps `name` unless that would capture one of the
+    names substituted, and then takes the first fresh name outside those
+    and `body`, as `kernel.beta_normalize` renames a binder."""
+    live = {v.name for k, v in ren.items() if k in body and k != name}
+    new = name
+    if name in names or name in live:
+        new = fresh_name(name, body | names | live)
+    if new == name and name not in ren:
+        return name, ren
+    return new, {**ren, name: Var(new)}
+
+
 def _translate_case(env: GlobalEnv, t: Case, alias: Alias | None) -> Term:
     """The witness of a case: a case over the relation inductive, which
     must be declared, with the parameters tripled.
 
     Its motive abstracts a triple per index of the source inductive, the
     two related scrutinees, and the relation witness, and returns the
-    motive's own relation applied to both original case expressions.
+    relation of the source motive's body at both original case
+    expressions, with the triple of each source motive binder renamed to
+    the matching binders.  A source motive that is not a `fun` per index
+    and scrutinee (a variable, say) has its translation applied instead.
     """
     rdecl = _inductive(env, relation_name(t.ind))
-    motive_r = _translate(env, t.motive)
     motive_c = prime(t.motive)
     branches_c = tuple(prime(b) for b in t.branches)
     params_c = tuple(prime(q) for q in t.params)
@@ -309,7 +378,8 @@ def _translate_case(env: GlobalEnv, t: Case, alias: Alias | None) -> Term:
     for q, q_c in zip(t.params, params_c):
         params3 += [q, q_c, _translate(env, q)]
 
-    avoid = set(free_vars(motive_r) | free_vars(t.motive) | free_vars(motive_c))
+    # The names free in the motive, its copy and its translation.
+    avoid = set(_tripled(free_vars(t.motive)))
     pieces = [*t.branches, *branches_c, *params3]
     if alias is not None:
         pieces += [alias.raw, alias.primed]
@@ -352,9 +422,20 @@ def _translate_case(env: GlobalEnv, t: Case, alias: Alias | None) -> Term:
     else:
         left = Case(t.ind, Var(pair.base), t.params, t.motive, t.branches)
         right = Case(t.ind, Var(pair.copy), params_c, motive_c, branches_c)
-    motive = lams(binders, app(motive_r, *(Var(n) for n in idx_names),
-                               Var(pair.base), Var(pair.copy), Var(pair.rel),
-                               left, right))
+    targets = [*idx_names, pair.base, pair.copy, pair.rel]
+    motive_binders, body = strip_lams(t.motive)
+    if 3 * len(motive_binders) == len(targets):
+        ren = {}
+        for i, (binder, _) in enumerate(motive_binders):
+            if binder != "_":
+                for name, target in zip(
+                        (binder, primed(binder), relation_name(binder)),
+                        targets[3 * i:3 * i + 3]):
+                    ren[name] = Var(target)
+        rel = _relate(env, body, left, right, ren)
+    else:
+        rel = app(_translate(env, t.motive), *map(Var, targets), left, right)
+    motive = lams(binders, rel)
     return Case(rdecl.name, _translate(env, t.scrutinee), tuple(params3),
                 motive, tuple(_translate(env, b) for b in t.branches))
 
@@ -393,8 +474,8 @@ def _ensure_definition(env: GlobalEnv, name: str) -> None:
         # copies of the body.
         self_ref = Alias(Const(name), Const(name))
         body_r = beta_normalize(_translate(env, defn.body, self_ref))
-        ty_r = beta_normalize(app(_translate(env, defn.type),
-                                  Const(name), Const(name)))
+        ty_r = beta_normalize(_relate(env, defn.type, Const(name),
+                                      Const(name)))
         declare_definition(env, rn, ty_r, body_r, STAR)
     except (TypeCheckError, ValueError) as err:
         env.record_failure(rn, err)
@@ -404,7 +485,7 @@ def _ensure_definition(env: GlobalEnv, name: str) -> None:
 def translate_inductive(env: GlobalEnv, decl: InductiveDecl) -> InductiveDecl:
     """Declare (or fetch) the relation inductive of `decl`.
 
-    Its arity is the translated arity applied to two copies of the source
+    Its arity is the arity's relation at two copies of the source
     inductive, its parameter count triples, and each constructor relates a
     source constructor to itself.  The declaration is kernel-checked before
     it is returned.
@@ -416,11 +497,11 @@ def translate_inductive(env: GlobalEnv, decl: InductiveDecl) -> InductiveDecl:
 
     _prepare(env, decl.arity, *(cty for _, cty in decl.constructors),
              skip=decl.name)
-    arity_r = beta_normalize(app(_translate(env, decl.arity),
-                                 Ind(decl.name), Ind(decl.name)))
+    arity_r = beta_normalize(_relate(env, decl.arity, Ind(decl.name),
+                                     Ind(decl.name)))
     ctors = tuple(
         (relation_name(c),
-         beta_normalize(app(_translate(env, cty), Constr(c), Constr(c))))
+         beta_normalize(_relate(env, cty, Constr(c), Constr(c))))
         for c, cty in decl.constructors)
     rdecl = InductiveDecl(rn, 3 * decl.params, arity_r, ctors)
     declare_inductive(env, rdecl, STAR)
@@ -434,8 +515,7 @@ def translate_context(env: GlobalEnv, ctx: Context) -> Context:
         if is_reserved(name):
             raise ValueError(f"context name {name!r} uses a reserved suffix")
         _prepare(env, ty)
-        rel = beta_normalize(app(_translate(env, ty),
-                                 Var(name), Var(primed(name))))
+        rel = beta_normalize(_relate(env, ty, Var(name), Var(primed(name))))
         out = out.extend(name, ty)
         out = out.extend(primed(name), prime(ty))
         out = out.extend(relation_name(name), rel)
@@ -455,7 +535,7 @@ def abstraction_check(env: GlobalEnv, ctx: Context, term: Term,
         check(env, tctx, term, ty, STAR)
         check(env, tctx, prime(term), prime(ty), STAR)
         term_r = _translate(env, term)
-        expected = beta_normalize(app(_translate(env, ty), term, prime(term)))
+        expected = beta_normalize(_relate(env, ty, term, prime(term)))
         check(env, tctx, term_r, expected, STAR)
         return True
     except (TypeCheckError, ValueError):

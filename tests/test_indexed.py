@@ -58,6 +58,28 @@ def sym : forall (A : Set0) (x y : A), Eq A x y -> Eq A y x :=
     end.
 """
 
+# Motives that return functions.  vfn's returns one over the index: its
+# relation is built under the witness motive's binders, which take the
+# match's binder names x1 and x; the product's anonymous binder is first
+# named x too.  vx's mentions x, so the witness motive's index binders,
+# named after Vec_R's x, x' and x_R, must avoid x, its copy and its
+# witness.
+INDEX_FN = """
+def vfn : forall (n : Nat), Vec Nat n -> Nat :=
+  fun (n : Nat) (v : Vec Nat n) =>
+    match v as x in Vec Nat x1 return (Vec Nat x1 -> Nat -> Nat) -> Nat with
+    | vnil => fun (g : Vec Nat zero -> Nat -> Nat) => g (vnil Nat) zero
+    | vcons => fun (m : Nat) (h : Nat) (t : Vec Nat m)
+                   (g : Vec Nat (succ m) -> Nat -> Nat) => h
+    end (fun (w : Vec Nat n) (k : Nat) => k).
+def vx : forall (x n : Nat), Vec Nat n -> Eq Nat x x -> Nat :=
+  fun (x n : Nat) (v : Vec Nat n) =>
+    match v as w in Vec Nat k return Eq Nat x x -> Nat with
+    | vnil => fun (e : Eq Nat x x) => zero
+    | vcons => fun (m h : Nat) (t : Vec Nat m) (e : Eq Nat x x) => h
+    end.
+"""
+
 
 def run(capsys, command, *sources, tmp_path, only=None):
     """Run `rcic command` on the prelude and `sources`; return the exit
@@ -93,6 +115,13 @@ def test_fix_over_a_non_variable_index_fails(capsys, tmp_path):
     assert out.splitlines()[-1] == "FAIL vone"
     code, _ = run(capsys, "check", VEC_SOURCE, VONE, tmp_path=tmp_path)
     assert code == 0
+
+
+def test_motives_returning_functions(capsys, tmp_path):
+    code, out = run(capsys, "param-check", VEC_SOURCE, EQ, INDEX_FN,
+                    tmp_path=tmp_path)
+    assert code == 0
+    assert out.splitlines()[-2:] == ["PASS vfn", "PASS vx"]
 
 
 def test_telescope_behind_a_definition(capsys, tmp_path):

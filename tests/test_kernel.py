@@ -55,9 +55,9 @@ from rcic import (
 from rcic import kernel, syntax
 from rcic.cli import main
 from rcic.frontend import DDef
-from rcic.param import prime, translate_term
-from rcic.syntax import (children, lams, names, prods, set_sort, strip_prods,
-                         unfold_app)
+from rcic.param import _pick_triple, prime, primed, translate_term
+from rcic.syntax import (children, free_vars, lams, names, prods, set_sort,
+                         strip_prods, unfold_app)
 
 from conftest import load_declarations, term_in
 from gen import LIST_NAT, UNIT, random_typed
@@ -289,6 +289,34 @@ def test_beta_normalize():
     assert beta_normalize(t) == Lam("x", NAT, Var("x"))
 
 
+def _redex_relation(env, t):
+    """The relation space of the type `t` with a redex at every product:
+    [forall (x : A), B] is fun f f' => forall (x : A) (x' : A') (x_R : [A]
+    x x'), [B] (f x) (f' x'), with [A] and [B] in this form too, and any
+    other type translates as `translate_term` translates it.  Reducing
+    one applied to two terms gives the relation `param._relate` builds,
+    and exercises every rule of `beta_normalize`: a binder renamed against
+    everything substituted below it, and a chain of `f ↦ f x` thunks, one
+    link per product."""
+    levels = []
+    while type(t) is Prod:
+        levels.append(t)
+        t = t.codomain
+    rel, copy = translate_term(env, t), prime(t)
+    for node in reversed(levels):
+        dom_c, dom_r = prime(node.domain), _redex_relation(env, node.domain)
+        copy = Prod(primed(node.binder), dom_c, copy)
+        x = _pick_triple(node.binder, free_vars(node.domain), node.codomain)
+        f = _pick_triple("f", free_vars(node) | free_vars(dom_r)
+                         | free_vars(rel) | {x.base})
+        rel = Lam(f.base, node, Lam(f.copy, copy, Prod(
+            x.base, node.domain, Prod(x.copy, dom_c, Prod(
+                x.rel, app(dom_r, Var(x.base), Var(x.copy)),
+                app(rel, App(Var(f.base), Var(x.base)),
+                    App(Var(f.copy), Var(x.copy))))))))
+    return rel
+
+
 def _beta_normalize_by_subst(t):
     """The reference beta normaliser: substitute, then normalise again."""
     match t:
@@ -339,7 +367,7 @@ def test_beta_normalize_keeps_names_and_sharing():
     a, b, c = Var("A"), Var("B"), Var("C")
     ty = Prod("A", s0, Prod("B", s0, Prod("C", s0, arrow(
         arrow(b, c), arrow(arrow(a, b), arrow(a, c))))))
-    raw = app(translate_term(GlobalEnv(), ty), Var("f"), Var("f'"))
+    raw = app(_redex_relation(GlobalEnv(), ty), Var("f"), Var("f'"))
     assert print_term(beta_normalize(raw)) == (
         "forall (A A' : Set0) (A_R : A -> A' -> Prop) "
         "(B B' : Set0) (B_R : B -> B' -> Prop) "
@@ -356,15 +384,16 @@ def test_beta_normalize_keeps_names_and_sharing():
 
 
 def test_beta_normalize_matches_reference_on_translations(fresh_env):
-    # The relational translation is where beta_normalize earns its keep:
-    # its raw images are full of administrative redexes.  The reference
-    # renames a binder at each contraction and beta_normalize once, so
-    # they agree up to the names of bound variables.
+    # Relations with a redex at every product, and the witnesses applied
+    # to them.  The reference renames a binder at each contraction and
+    # beta_normalize once, so they agree up to the names of bound
+    # variables.
     for name in ("id", "compose", "flip", "plus", "double", "not_not",
                  "append", "map", "fold_right"):
         defn = fresh_env.definition(name)
-        for raw in (translate_term(fresh_env, defn.body),
-                    translate_term(fresh_env, defn.type)):
+        ty_r = _redex_relation(fresh_env, defn.type)
+        for raw in (ty_r, app(ty_r, Const(name), Const(name)),
+                    app(ty_r, defn.body, prime(defn.body))):
             assert (to_nameless(beta_normalize(raw))
                     == to_nameless(_beta_normalize_by_subst(raw))), name
 
@@ -380,7 +409,7 @@ def test_beta_normalize_matches_reference_on_generated_translations(
     for _ in range(150):
         t, ty = random_typed(rng, depth=4)
         raws = [translate_term(env, t),
-                app(translate_term(env, ty), t, prime(t))]
+                app(_redex_relation(env, ty), t, prime(t))]
         inner = sorted(names(t) - {t.binder}) if type(t) is Lam else []
         if inner:
             v = rng.choice(inner)
@@ -402,7 +431,7 @@ def test_beta_normalize_forces_thunk_chains_in_a_loop(translated_env):
     ty = prods([("_", NAT)] * n, NAT)
     body = lams([(f"x{i}", NAT) for i in range(n)],
                 app(Const("plus"), Var("x0"), Var(f"x{n - 1}")))
-    nf = beta_normalize(app(translate_term(translated_env, ty), body,
+    nf = beta_normalize(app(_redex_relation(translated_env, ty), body,
                             prime(body)))
     binders, codomain = strip_prods(nf)
     assert len(binders) == 3 * n

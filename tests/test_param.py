@@ -31,6 +31,7 @@ from rcic import (
     arrow,
     beta_normalize,
     check,
+    declare_definition,
     elaborate,
     infer,
     infer_sort,
@@ -52,7 +53,7 @@ from rcic.cli import main
 from rcic.frontend import DDef, DInductive
 from rcic.kernel import FULL, STAR
 from rcic.param import NameTriple, is_reserved, translate_term
-from rcic.syntax import set_sort
+from rcic.syntax import set_sort, strip_lams, subterms, unfold_app
 
 from conftest import fresh_prelude_env, load_declarations, term_in
 from gen import random_typed
@@ -196,6 +197,26 @@ def test_translation_renames_a_shadowing_binder_triple(fresh_env):
         "fun (A A' : Set0) (A_R : A -> A' -> Prop) (A1 : A -> A) "
         "(A1' : A' -> A') (A1_R : forall (x : A) (x' : A'), "
         "A_R x x' -> A_R (A1 x) (A1' x')) => A1_R")
+
+
+def test_relations_under_shadowing_binders(fresh_env):
+    # Only the kernel API builds these.  The second A of a product shadows
+    # the first, which its domain uses, so its triple becomes A1 / A1' /
+    # A1_R and the codomain's A follows.  A motive's body rebinds the
+    # motive's own binder n, which then no longer names the scrutinee.
+    env = fresh_env
+    s0 = SortT(set_sort(0))
+    a_, a, p = Var("A"), Var("a"), Var("P")
+    ty = Prod("A", s0, Prod("a", a_, Prod("A", arrow(a_, s0),
+                                          arrow(App(a_, a), NAT))))
+    t = Lam("A", s0, Lam("a", a_, Lam("B", arrow(a_, s0), Lam(
+        "b", App(Var("B"), a), Constr("zero")))))
+    assert abstraction_check(env, Context(), t, ty)
+    motive = Lam("n", NAT, Prod("n", NAT, App(p, Var("n"))))
+    t = Lam("P", arrow(NAT, s0), Lam("f", Prod("m", NAT, App(p, Var("m"))), Lam(
+        "k", NAT, Case("Nat", Var("k"), (), motive,
+                       (Var("f"), Lam("q", NAT, Var("f")))))))
+    assert abstraction_check(env, Context(), t, infer(env, Context(), t))
 
 
 def test_translate_product_clause(fresh_env):
@@ -395,6 +416,137 @@ def test_reserved_name_diagnostic_is_deterministic():
                              text=True, env=env, timeout=60)
         assert run.stdout == ("cannot translate a term using the reserved "
                               "name \"a'\"\n"), seed
+
+
+# ---------------------------------------------------------------------------
+# Relations in normal form
+
+
+def _redexes(t):
+    """The applications in `t` whose head is a Lam."""
+    return [u for u in subterms(t) if type(u) is App and type(u.fn) is Lam]
+
+
+def test_declared_relations_are_normal_by_construction():
+    # Every relation param-check declares for the prelude, for Vec and for
+    # generated terms that have no redex of their own is built with no
+    # redex either: declaring them reads nothing back, and beta_normalize
+    # hands each back as the same object.
+    env = load_declarations(fresh_prelude_env(), VEC_SOURCE)
+    rng = random.Random(20261020)
+    generated = 0
+    while generated < 60:
+        t, ty = random_typed(rng, depth=4)
+        if not _redexes(t):
+            declare_definition(env, f"g{generated}", ty, t)
+            assert not _redexes(translate_term(env, t))
+            generated += 1
+    with counting([(rcic.kernel, "_quote")]) as read_backs:
+        for name in list(env.names()):
+            if env.definition(name) is not None and not is_reserved(name):
+                translate_definition(env, name)
+    assert read_backs == [0]
+    relations = []
+    for name in env.names():
+        if not is_reserved(name):
+            continue
+        ind, defn = env.inductive(name), env.definition(name)
+        if ind is not None:
+            relations += [ind.arity, *(cty for _, cty in ind.constructors)]
+        elif defn is not None:
+            relations += [defn.type, defn.body]
+    assert len(relations) > 2 * (30 + 3 + 60)
+    for rel in relations:
+        assert not _redexes(rel)
+        assert beta_normalize(rel) is rel
+
+
+def test_a_case_over_a_variable_motive(fresh_env):
+    # The kernel takes any motive of the right type.  A variable has no
+    # binders to rename, so the witness's motive applies its relation to
+    # the scrutinee triple and the two cases.
+    p = Var("P")
+    t = Lam("P", arrow(NAT, SortT(set_sort(0))), Lam(
+        "z", App(p, Constr("zero")), Lam(
+            "s", Prod("m", NAT, App(p, App(Constr("succ"), Var("m")))), Lam(
+                "n", NAT, Case("Nat", Var("n"), (), p, (Var("z"), Var("s")))))))
+    ty = infer(fresh_env, Context(), t)
+    assert abstraction_check(fresh_env, Context(), t, ty)
+    _, case = strip_lams(translate_term(fresh_env, t))
+    _, rel = strip_lams(case.motive)
+    head, args = unfold_app(rel)
+    assert head == Var("P_R") and len(args) == 5
+
+
+# Relations as reducing each one from its form with a redex per product
+# names them: built in normal form, they keep every binder name.
+PINNED_RELATIONS = {
+    # A source redex, contracted in the body.
+    "def k : Nat := (fun (x : Nat) => x) zero.":
+        "def k_R : Nat_R k k := zero_R.",
+    # A redex in the type and one under binders.
+    "def k2 : (fun (T : Set0) => T -> T) Nat := fun (y : Nat) => y.":
+        "def k2_R : forall (x x' : Nat), Nat_R x x' -> Nat_R (k2 x) (k2 x') "
+        ":= fun (y y' : Nat) (y_R : Nat_R y y') => y_R.",
+    "def m5 : Nat -> Nat -> Nat :=\n"
+    "  fun (x : Nat) => (fun (y z : Nat) => plus y z) x.":
+        "def m5_R : forall (x x' : Nat), Nat_R x x' -> (forall (x1 x'1 : Nat), "
+        "Nat_R x1 x'1 -> Nat_R (m5 x x1) (m5 x' x'1)) := fun (x x' : Nat) "
+        "(x_R : Nat_R x x') (z z' : Nat) (z_R : Nat_R z z') => "
+        "plus_R x x' x_R z z' z_R.",
+    # An unapplied product, whose relation space's pair avoids the
+    # product's own binder f.
+    "def pf : Set0 := forall (f : Nat), Nat.":
+        "def pf_R : pf -> pf -> Prop := fun (f1 f1' : Nat -> Nat) => forall "
+        "(f f' : Nat), Nat_R f f' -> Nat_R (f1 f) (f1' f').",
+    # A type variable named like a generated name: the binder x1 of its
+    # domain's relation is named over the variable x1, which it does not
+    # capture, as the witness x1_R is all its body uses of it.
+    "def m2 : forall (x1 : Set0), (Nat -> x1 -> Nat -> Nat) -> x1 -> Nat :=\n"
+    "  fun (x1 : Set0) (g : Nat -> x1 -> Nat -> Nat) (y : x1) =>\n"
+    "    g zero y zero.":
+        "def m2_R : forall (x1 x1' : Set0) (x1_R : x1 -> x1' -> Prop) (x : "
+        "Nat -> x1 -> Nat -> Nat) (x' : Nat -> x1' -> Nat -> Nat), (forall "
+        "(x2 x'1 : Nat), Nat_R x2 x'1 -> (forall (x1 : x1) (x'2 : x1'), "
+        "x1_R x1 x'2 -> (forall (x3 x'3 : Nat), Nat_R x3 x'3 -> Nat_R (x x2 "
+        "x1 x3) (x' x'1 x'2 x'3)))) -> (forall (x2 : x1) (x'1 : x1'), x1_R "
+        "x2 x'1 -> Nat_R (m2 x1 x x2) (m2 x1' x' x'1)) := fun (x1 x1' : "
+        "Set0) (x1_R : x1 -> x1' -> Prop) (g : Nat -> x1 -> Nat -> Nat) (g' "
+        ": Nat -> x1' -> Nat -> Nat) (g_R : forall (x x' : Nat), Nat_R x x' "
+        "-> (forall (x1 : x1) (x'1 : x1'), x1_R x1 x'1 -> (forall (x2 x'2 : "
+        "Nat), Nat_R x2 x'2 -> Nat_R (g x x1 x2) (g' x' x'1 x'2)))) (y : x1) "
+        "(y' : x1') (y_R : x1_R y y') => g_R zero zero zero_R y y' y_R zero "
+        "zero zero_R.",
+    # Capture renames: each binder of a triple on its own (x'1, not x1'),
+    # the source binder x1 to x11 but its copy x1' kept, and the inner
+    # relations' x kept where the outer x is not in use.
+    "def k25 : forall (x : Nat), (Nat -> Nat -> Nat) -> forall (x1 : Nat),\n"
+    "    (Nat -> Nat) -> Nat :=\n"
+    "  fun (x : Nat) (g : Nat -> Nat -> Nat) (x1 : Nat) (h : Nat -> Nat) =>\n"
+    "    g x x1.":
+        "def k25_R : forall (x x' : Nat), Nat_R x x' -> (forall (x1 x'1 : Nat "
+        "-> Nat -> Nat), (forall (x x' : Nat), Nat_R x x' -> (forall (x2 x'2 "
+        ": Nat), Nat_R x2 x'2 -> Nat_R (x1 x x2) (x'1 x' x'2))) -> (forall "
+        "(x11 x1' : Nat), Nat_R x11 x1' -> (forall (x2 x'2 : Nat -> Nat), "
+        "(forall (x x' : Nat), Nat_R x x' -> Nat_R (x2 x) (x'2 x')) -> Nat_R "
+        "(k25 x x1 x11 x2) (k25 x' x'1 x1' x'2)))) := fun (x x' : Nat) (x_R "
+        ": Nat_R x x') (g g' : Nat -> Nat -> Nat) (g_R : forall (x x' : "
+        "Nat), Nat_R x x' -> (forall (x1 x'1 : Nat), Nat_R x1 x'1 -> Nat_R "
+        "(g x x1) (g' x' x'1))) (x1 x1' : Nat) (x1_R : Nat_R x1 x1') (h h' : "
+        "Nat -> Nat) (h_R : forall (x x' : Nat), Nat_R x x' -> Nat_R (h x) "
+        "(h' x')) => g_R x x' x_R x1 x1' x1_R.",
+}
+
+
+@pytest.mark.parametrize("source", list(PINNED_RELATIONS),
+                         ids=["redex", "type_redex", "inner_redex",
+                              "relation_space", "named_like_generated",
+                              "capture"])
+def test_relations_keep_their_printed_form(source, capsys, tmp_path):
+    path = tmp_path / "pinned.rcic"
+    path.write_text(source + "\n")
+    assert main(["translate", str(rcic.prelude_path()), str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == PINNED_RELATIONS[source]
 
 
 def test_translated_definitions_check(translated_env):

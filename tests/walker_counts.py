@@ -43,12 +43,17 @@ The check types the arity and each constructor type once, the parameter
 domains in the loop that binds them, so the count is at most that of
 inferring the sort of each of those types.
 
+The eighth count is of `kernel._quote` calls made by the same `rcic
+param-check` as the third.  The translation builds every relation in
+normal form, so `beta_normalize` reads back only the relations that hold
+a redex of the source; the prelude and `Vec` have none.
+
     PYTHONPATH=src python tests/walker_counts.py
 
-prints seven Markdown lines: the walker counts for b20 and b40 and their
+prints eight Markdown lines: the walker counts for b20 and b40 and their
 ratio, the `prime` counts for b100 and b200 and their ratio, the
-param-check count, the two check counts, the relation inductive count and
-the inductive check count.
+param-check count, the two check counts, the relation inductive count,
+the inductive check count and the read-back count.
 """
 
 import contextlib
@@ -205,3 +210,6 @@ if __name__ == "__main__":
     infer_calls = sum(check_inductive_calls().values())
     sys.stdout.write(f"Kernel inference calls of the inductive checks of the "
                      f"prelude and Vec: {infer_calls}\n")
+    quote_calls = cli_calls([(kernel, "_quote")], "param-check", VEC_SOURCE)
+    sys.stdout.write(f"Read-back calls of param-check on the prelude and Vec: "
+                     f"{quote_calls}\n")
