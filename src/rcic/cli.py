@@ -12,12 +12,23 @@ across the files in argument order:
 Exit status: 0 on success, 1 for type errors, abstraction failures and
 declarations nested too deep to check, 2 for parse and I/O errors (a file
 that is not UTF-8 is an I/O error).
-Diagnostics go to stderr as path:line:col: error: ...
+Diagnostics go to stderr as path:line:col: error: ...  A type too deep
+to print in a diagnostic is shown as `<too deep to print>`.
+
+A run pauses the cyclic garbage collector and restores the caller's
+setting when it returns or raises.  Everything a run builds (tokens,
+terms, declarations, kernel values) lives until it ends, so the
+collector's passes over that growing heap find nothing to free.  The only
+reference cycles a run makes are argparse's, about 150 objects, and
+those of the exceptions of failed relations, which the environment keeps
+anyway (`GlobalEnv.record_failure`).  The library itself keeps the
+interpreter's default policy.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -61,39 +72,60 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
-    mode = FULL if args.full_elim else STAR
-    env = GlobalEnv()
-    failures = 0
-    for path in args.files:
+    """Run the command line `argv` with the cyclic garbage collector
+    paused, and return the exit status.  The run is not a function of its
+    own: one more Python frame under every declaration would lower each
+    nesting depth the run can check."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        args = build_arg_parser().parse_args(argv)
+        mode = FULL if args.full_elim else STAR
+        env = GlobalEnv()
+        failures = 0
+        for path in args.files:
+            try:
+                text = Path(path).read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as err:
+                print(f"{path}: error: {err}", file=sys.stderr)
+                return 2
+            try:
+                # Parsing the file and elaborating a declaration raise
+                # ParseError.
+                for decl in parse_file(text).decls:
+                    try:
+                        failures += _process(env, decl, args, mode)
+                    except (TypeCheckError, DuplicateNameError,
+                            ValueError) as err:
+                        _report(env, f"{path}:{decl.line}:{decl.col}", err)
+                        return 1
+                    except RecursionError:
+                        print(f"{path}:{decl.line}:{decl.col}: error: "
+                              "nesting too deep", file=sys.stderr)
+                        return 1
+            except ParseError as err:
+                print(f"{path}:{err.line}:{err.col}: error: {err.message}",
+                      file=sys.stderr)
+                return 2
+        return 1 if failures else 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _report(env: GlobalEnv, where: str, err: Exception) -> None:
+    """Print the error `err` at `where`, then the expected and actual types
+    it compared, if any; a type too deep to print shows a placeholder."""
+    print(f"{where}: error: {err}", file=sys.stderr)
+    for label in ("expected", "actual"):
+        term = getattr(err, label, None)
+        if term is None:
+            continue
         try:
-            text = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as err:
-            print(f"{path}: error: {err}", file=sys.stderr)
-            return 2
-        try:
-            # Parsing the file and elaborating a declaration raise ParseError.
-            for decl in parse_file(text).decls:
-                try:
-                    failures += _process(env, decl, args, mode)
-                except (TypeCheckError, DuplicateNameError, ValueError) as err:
-                    print(f"{path}:{decl.line}:{decl.col}: error: {err}",
-                          file=sys.stderr)
-                    for label in ("expected", "actual"):
-                        term = getattr(err, label, None)
-                        if term is not None:
-                            print(f"  {label}: {print_term(term, env)}",
-                                  file=sys.stderr)
-                    return 1
-                except RecursionError:
-                    print(f"{path}:{decl.line}:{decl.col}: error: "
-                          "nesting too deep", file=sys.stderr)
-                    return 1
-        except ParseError as err:
-            print(f"{path}:{err.line}:{err.col}: error: {err.message}",
-                  file=sys.stderr)
-            return 2
-    return 1 if failures else 0
+            shown = print_term(term, env)
+        except RecursionError:
+            shown = "<too deep to print>"
+        print(f"  {label}: {shown}", file=sys.stderr)
 
 
 def _process(env: GlobalEnv, decl, args, mode) -> int:

@@ -17,9 +17,9 @@ Relations are built in beta normal form: `_relate` gives the relation of
 a type at two terms, `[T] a a'`, directly, as a sort's relation space or a
 product's function space would read once applied and reduced.  The
 binders it makes are named as that reduction would name them.  The
-translation of a term with no redex therefore has none either, and the
-`beta_normalize` at each entry point only contracts the redexes of the
-source and their images.
+translation of a term with no redex therefore has none either, and each
+entry point calls `beta_normalize` only when `_prepare` found a redex in
+its source terms, to contract those redexes and their images.
 
 Name scheme: the copy of a variable (Var) x is x', its witness x_R; a
 global (Const, Ind, Constr) keeps its name in the copy and gains the _R
@@ -121,19 +121,23 @@ def prime(t: Term) -> Term:
     return map_children(t, prime)
 
 
-def _prepare(env: GlobalEnv, *terms: Term, skip: str = "") -> None:
-    """Make `terms` ready to translate.  Reject a term that already uses
+def _prepare(env: GlobalEnv, *terms: Term, skip: str = "") -> bool:
+    """Make `terms` ready to translate, and tell whether any of them holds
+    a redex (an App whose head is a Lam).  Reject a term that already uses
     the reserved name suffixes, naming the first such name in sorted order,
     term by term; then declare the relation of every global the terms
     mention, except the inductive `skip`, once each in order of first
-    mention.  One walk per term finds both the globals and the names
-    `syntax.names` would list: Vars, Consts and binders."""
+    mention.  One walk per term finds the globals, the redexes and the
+    names `syntax.names` would list: Vars, Consts and binders."""
     needed: dict[tuple[type, str], None] = {}
+    redex = False
     for t in terms:
         reserved: set[str] = set()
         for u in subterms(t):
             kind = type(u)
-            if kind is Const or kind is Ind:
+            if kind is App:
+                redex = redex or type(u.fn) is Lam
+            elif kind is Const or kind is Ind:
                 needed[kind, u.name] = None
             elif kind is Case:
                 needed[Ind, u.ind] = None
@@ -156,6 +160,7 @@ def _prepare(env: GlobalEnv, *terms: Term, skip: str = "") -> None:
             _ensure_definition(env, name)
         else:
             translate_inductive(env, _inductive(env, name))
+    return redex
 
 
 def _pick_triple(base: str, avoid: frozenset[str], scope: Term | None = None,
@@ -367,8 +372,10 @@ def _translate_case(env: GlobalEnv, t: Case, alias: Alias | None) -> Term:
     two related scrutinees, and the relation witness, and returns the
     relation of the source motive's body at both original case
     expressions, with the triple of each source motive binder renamed to
-    the matching binders.  A source motive that is not a `fun` per index
-    and scrutinee (a variable, say) has its translation applied instead.
+    the matching binders.  A source motive with fewer binders (a variable,
+    say, or a `fun` over some indices that returns a type family) names the
+    targets it binds, and the translation of its body is applied to the
+    rest and to both cases, so the motive holds no redex.
     """
     rdecl = _inductive(env, relation_name(t.ind))
     motive_c = prime(t.motive)
@@ -424,17 +431,19 @@ def _translate_case(env: GlobalEnv, t: Case, alias: Alias | None) -> Term:
         right = Case(t.ind, Var(pair.copy), params_c, motive_c, branches_c)
     targets = [*idx_names, pair.base, pair.copy, pair.rel]
     motive_binders, body = strip_lams(t.motive)
-    if 3 * len(motive_binders) == len(targets):
-        ren = {}
-        for i, (binder, _) in enumerate(motive_binders):
-            if binder != "_":
-                for name, target in zip(
-                        (binder, primed(binder), relation_name(binder)),
-                        targets[3 * i:3 * i + 3]):
-                    ren[name] = Var(target)
+    bound = 3 * len(motive_binders)
+    ren = {}
+    for i, (binder, _) in enumerate(motive_binders):
+        if binder != "_":
+            for name, target in zip(
+                    (binder, primed(binder), relation_name(binder)),
+                    targets[3 * i:3 * i + 3]):
+                ren[name] = Var(target)
+    if bound == len(targets):
         rel = _relate(env, body, left, right, ren)
     else:
-        rel = app(_translate(env, t.motive), *map(Var, targets), left, right)
+        rel = app(subst_all(_translate(env, body), ren),
+                  *map(Var, targets[bound:]), left, right)
     motive = lams(binders, rel)
     return Case(rdecl.name, _translate(env, t.scrutinee), tuple(params3),
                 motive, tuple(_translate(env, b) for b in t.branches))
@@ -468,14 +477,15 @@ def _ensure_definition(env: GlobalEnv, name: str) -> None:
     if failure is not None:
         raise failure
     try:
-        _prepare(env, defn.type, defn.body)
+        redex = _prepare(env, defn.type, defn.body)
         # The definition's own name is a definitional alias for its body,
         # which keeps the generated witness referencing `name` instead of
         # copies of the body.
         self_ref = Alias(Const(name), Const(name))
-        body_r = beta_normalize(_translate(env, defn.body, self_ref))
-        ty_r = beta_normalize(_relate(env, defn.type, Const(name),
-                                      Const(name)))
+        body_r = _translate(env, defn.body, self_ref)
+        ty_r = _relate(env, defn.type, Const(name), Const(name))
+        if redex:
+            body_r, ty_r = beta_normalize(body_r), beta_normalize(ty_r)
         declare_definition(env, rn, ty_r, body_r, STAR)
     except (TypeCheckError, ValueError) as err:
         env.record_failure(rn, err)
@@ -495,15 +505,15 @@ def translate_inductive(env: GlobalEnv, decl: InductiveDecl) -> InductiveDecl:
     if existing is not None:
         return existing
 
-    _prepare(env, decl.arity, *(cty for _, cty in decl.constructors),
-             skip=decl.name)
-    arity_r = beta_normalize(_relate(env, decl.arity, Ind(decl.name),
-                                     Ind(decl.name)))
-    ctors = tuple(
-        (relation_name(c),
-         beta_normalize(_relate(env, cty, Constr(c), Constr(c))))
-        for c, cty in decl.constructors)
-    rdecl = InductiveDecl(rn, 3 * decl.params, arity_r, ctors)
+    redex = _prepare(env, decl.arity,
+                     *(cty for _, cty in decl.constructors), skip=decl.name)
+    arity_r = _relate(env, decl.arity, Ind(decl.name), Ind(decl.name))
+    ctors = [(relation_name(c), _relate(env, cty, Constr(c), Constr(c)))
+             for c, cty in decl.constructors]
+    if redex:
+        arity_r = beta_normalize(arity_r)
+        ctors = [(c, beta_normalize(rel)) for c, rel in ctors]
+    rdecl = InductiveDecl(rn, 3 * decl.params, arity_r, tuple(ctors))
     declare_inductive(env, rdecl, STAR)
     return rdecl
 
@@ -514,8 +524,10 @@ def translate_context(env: GlobalEnv, ctx: Context) -> Context:
     for name, ty in ctx:
         if is_reserved(name):
             raise ValueError(f"context name {name!r} uses a reserved suffix")
-        _prepare(env, ty)
-        rel = beta_normalize(_relate(env, ty, Var(name), Var(primed(name))))
+        redex = _prepare(env, ty)
+        rel = _relate(env, ty, Var(name), Var(primed(name)))
+        if redex:
+            rel = beta_normalize(rel)
         out = out.extend(name, ty)
         out = out.extend(primed(name), prime(ty))
         out = out.extend(relation_name(name), rel)
@@ -530,12 +542,16 @@ def abstraction_check(env: GlobalEnv, ctx: Context, term: Term,
     declared relation is the theorem for it and is reused by later
     references."""
     try:
-        _prepare(env, term, ty)
+        redex = _prepare(env, term, ty)
         tctx = translate_context(env, ctx)
         check(env, tctx, term, ty, STAR)
         check(env, tctx, prime(term), prime(ty), STAR)
         term_r = _translate(env, term)
-        expected = beta_normalize(_relate(env, ty, term, prime(term)))
+        expected = _relate(env, ty, term, prime(term))
+        # A `fun` term applied to the binders of a product's relation is a
+        # redex too, which the kernel contracts as it checks.
+        if redex:
+            expected = beta_normalize(expected)
         check(env, tctx, term_r, expected, STAR)
         return True
     except (TypeCheckError, ValueError):

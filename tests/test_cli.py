@@ -1,17 +1,22 @@
 """Tests for the command line driver: outputs and exit codes."""
 
+import gc
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import rcic
-from rcic import prelude_path
+from rcic import cli, prelude_path, print_term
 from rcic.cli import main
 
-from walker_counts import binder_depth_source
+from conftest import fresh_prelude_env
+from gen import random_typed
+from walker_counts import CONV_SOURCE, VEC_SOURCE, binder_depth_source
 
 GOOD = """
 inductive Pair (A B : Set0) : Set0 := pair : A -> B -> Pair A B.
@@ -211,6 +216,18 @@ def test_translate_200_binders(prelude, tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1].startswith("def b200_R : ")
+
+
+def test_check_495_binders(prelude, tmp_path):
+    # Printing the type of b495, two Python frames per arrow, must fit the
+    # interpreter's default recursion limit under `main`.
+    src = write(tmp_path, "b495.rcic", binder_depth_source(495))
+    env = dict(os.environ, PYTHONPATH=str(Path(rcic.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "rcic.cli", "check", prelude, src],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1].startswith("b495 : Nat -> ")
 
 
 def test_check_missing_file(capsys):
@@ -417,3 +434,102 @@ def test_param_check_not_required_in_full_mode(prelude, tmp_path, capsys):
     assert code == 1
     assert "FAIL unbox" in out
     assert "PASS rev" in out
+
+
+def test_a_type_too_deep_to_print_is_a_placeholder(prelude, tmp_path):
+    # Printing an arrow chain takes two Python frames per arrow, so the
+    # expected type of this error is too deep to print; the diagnostic
+    # shows a placeholder in its place.
+    deep = write(tmp_path, "deep_type.rcic",
+                 f"def bad : {'Nat -> ' * 600}Nat := zero.")
+    env = dict(os.environ, PYTHONPATH=str(Path(rcic.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "rcic.cli", "check", prelude, deep],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert run.stderr == (
+        f"{deep}:1:1: error: NotConvertible: term does not have the "
+        "expected type\n"
+        "  expected: <too deep to print>\n"
+        "  actual: Nat\n")
+
+
+@pytest.fixture(scope="module")
+def seeded(tmp_path_factory):
+    """A file of 40 seeded generated definitions, the indexed family Vec
+    with definitions over it, and proofs by conversion."""
+    env, rng = fresh_prelude_env(), random.Random(1)
+    defs = []
+    for i in range(40):
+        t, ty = random_typed(rng)
+        defs.append(f"def g{i} : {print_term(ty, env)} := "
+                    f"{print_term(t, env)}.\n")
+    path = tmp_path_factory.mktemp("seeded") / "seeded.rcic"
+    path.write_text("".join(defs) + VEC_SOURCE + CONV_SOURCE)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["check", "translate", "param-check"])
+def test_a_run_leaves_no_rcic_object_in_cyclic_garbage(command, prelude,
+                                                      seeded, capsys):
+    # Why a run may pause the cyclic collector: no term, record, kernel
+    # value or environment it builds ends up in a reference cycle, so once
+    # the run returns everything it built is freed without the collector.
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main([command, prelude, seeded]) == 0
+        gc.collect()
+        found = Counter(type(o).__qualname__ for o in gc.garbage
+                        if type(o).__module__.partition(".")[0] == "rcic")
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert found == Counter()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_a_run_pauses_the_collector_and_restores_it(enabled, prelude,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+    declared = []
+    declare = cli.declare
+
+    def spy(env, decl, mode):
+        declared.append(gc.isenabled())
+        if getattr(decl, "name", None) == "escapes":
+            raise RuntimeError("an exception rcic does not handle")
+        return declare(env, decl, mode)
+
+    monkeypatch.setattr(cli, "declare", spy)
+    # Printing the type of a definition with 600 binders runs out of
+    # Python frames.
+    deep = binder_depth_source(600).replace("plus x0 x599", "x0")
+    runs = [
+        (["check", prelude], 0),
+        (["check", prelude, write(tmp_path, "bad.rcic",
+                                  "def oops : Nat := true.")], 1),
+        (["check", prelude, write(tmp_path, "deep.rcic", deep)], 1),
+        (["check", write(tmp_path, "parse.rcic", "def oops : := zero.")], 2),
+        (["check", str(tmp_path / "missing.rcic")], 2),
+        (["--help"], SystemExit),
+        (["check", write(tmp_path, "escapes.rcic",
+                         "def escapes : Set0 := Set0.")], RuntimeError),
+    ]
+    was = gc.isenabled()
+    try:
+        for argv, outcome in runs:
+            (gc.enable if enabled else gc.disable)()
+            if type(outcome) is int:
+                assert main(argv) == outcome
+            else:
+                with pytest.raises(outcome):
+                    main(argv)
+            assert gc.isenabled() is enabled, argv
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert "nesting too deep" in capsys.readouterr().err
+    # Declarations are processed with the collector paused.
+    assert len(declared) > 30 and not any(declared)

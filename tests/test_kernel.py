@@ -421,6 +421,23 @@ def test_beta_normalize_matches_reference_on_generated_translations(
     assert renamed >= 10
 
 
+def test_read_back_work_grows_at_most_quadratically(translated_env):
+    # The relation of b{n}'s type applied to b{n} and its copy: twice the
+    # binders may cost at most three times the read-back calls, as the
+    # read-back renames a capturing binder once, by one more entry of its
+    # environment, not by another pass over the body.
+    calls = []
+    for n in (20, 40):
+        ty = prods([("_", NAT)] * n, NAT)
+        body = lams([(f"x{i}", NAT) for i in range(n)],
+                    app(Const("plus"), Var("x0"), Var(f"x{n - 1}")))
+        rel = app(_redex_relation(translated_env, ty), body, prime(body))
+        with counting([(kernel, "_quote")]) as quotes:
+            beta_normalize(rel)
+        calls.append(quotes[0])
+    assert calls[1] / calls[0] <= 3.0
+
+
 def test_beta_normalize_forces_thunk_chains_in_a_loop(translated_env):
     # The relation of b480's type applied to b480 and its copy: contracting
     # it binds `f` to `f x` once per arrow, a chain of 480 thunks that is

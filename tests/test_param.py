@@ -53,7 +53,7 @@ from rcic.cli import main
 from rcic.frontend import DDef, DInductive
 from rcic.kernel import FULL, STAR
 from rcic.param import NameTriple, is_reserved, translate_term
-from rcic.syntax import set_sort, strip_lams, subterms, unfold_app
+from rcic.syntax import lams, set_sort, strip_lams, subterms, unfold_app
 
 from conftest import fresh_prelude_env, load_declarations, term_in
 from gen import random_typed
@@ -441,11 +441,18 @@ def test_declared_relations_are_normal_by_construction():
             declare_definition(env, f"g{generated}", ty, t)
             assert not _redexes(translate_term(env, t))
             generated += 1
-    with counting([(rcic.kernel, "_quote")]) as read_backs:
+    # No source redex, so no relation is even scanned for one.
+    with counting([(rcic.kernel, "_quote")]) as read_backs, \
+            counting([(param, "beta_normalize")]) as normalised:
         for name in list(env.names()):
             if env.definition(name) is not None and not is_reserved(name):
                 translate_definition(env, name)
-    assert read_backs == [0]
+        ctx = Context()
+        for i in range(generated):
+            ctx = ctx.extend(f"c{i}", env.definition(f"g{i}").type)
+        tctx = translate_context(env, ctx)
+    assert read_backs == [0] and normalised == [0]
+    assert all(not _redexes(ty) for _, ty in tctx)
     relations = []
     for name in env.names():
         if not is_reserved(name):
@@ -459,6 +466,57 @@ def test_declared_relations_are_normal_by_construction():
     for rel in relations:
         assert not _redexes(rel)
         assert beta_normalize(rel) is rel
+
+
+def test_relations_of_a_source_redex_are_normal():
+    # A redex in a constructor type or a context entry's type is
+    # contracted in its relation, and only there.
+    env = load_declarations(fresh_prelude_env(), """
+inductive W (A : Set0) : Set0 := w : (fun (T : Set0) => T -> T) A -> W A.
+""")
+    with counting([(param, "beta_normalize")]) as normalised:
+        rdecl = translate_inductive(env, env.inductive("W"))
+    assert normalised == [2]
+    assert print_inductive(rdecl, env) == (
+        "inductive W_R (A A' : Set0) (A_R : A -> A' -> Prop) : W A -> W A' "
+        "-> Prop := w_R : forall (x : A -> A) (x' : A' -> A'), (forall (x1 : "
+        "A) (x'1 : A'), A_R x1 x'1 -> A_R (x x1) (x' x'1)) -> W_R A A' A_R "
+        "(w A x) (w A' x').")
+    ty = term_in(env, "(fun (T : Set0) => T -> T) Nat")
+    tctx = translate_context(env, Context().extend("f", ty))
+    assert print_term(tctx.lookup("f_R"), env) == (
+        "forall (x x' : Nat), Nat_R x x' -> Nat_R (f x) (f' x')")
+    assert abstraction_check(env, Context().extend("f", ty), Var("f"), ty)
+
+
+def test_a_motive_over_fewer_binders_than_the_case(fresh_env):
+    # The kernel takes a motive that binds the index and returns a family
+    # over the scrutinee.  Its binder names the index triple, and the
+    # translated family is applied to the scrutinee triple and the two
+    # cases: the witness holds no redex.
+    env = load_declarations(fresh_env, VEC_SOURCE)
+    vec, p = App(Ind("Vec"), Var("A")), Var("P")
+    step = Prod("m", NAT, Prod("h", Var("A"), Prod(
+        "t", App(vec, Var("m")),
+        app(p, App(Constr("succ"), Var("m")),
+            app(Constr("vcons"), Var("A"), Var("m"), Var("h"), Var("t"))))))
+    case = Case("Vec", Var("v"), (Var("A"),),
+                Lam("k", NAT, App(p, Var("k"))), (Var("z"), Var("s")))
+    t = lams([("A", SortT(set_sort(0))),
+              ("P", Prod("k", NAT, arrow(App(vec, Var("k")),
+                                         SortT(set_sort(0))))),
+              ("z", app(p, Constr("zero"), App(Constr("vnil"), Var("A")))),
+              ("s", step), ("n", NAT), ("v", App(vec, Var("n")))], case)
+    ty = infer(env, Context(), t)
+    assert abstraction_check(env, Context(), t, ty)
+    witness = translate_term(env, t)
+    assert not _redexes(witness)
+    _, case_r = strip_lams(witness)
+    binders, rel = strip_lams(case_r.motive)
+    head, args = unfold_app(rel)
+    assert head == Var("P_R")
+    assert args[:6] == [Var(name) for name, _ in binders]
+    assert len(args) == 8
 
 
 def test_a_case_over_a_variable_motive(fresh_env):
@@ -702,9 +760,10 @@ def test_abstraction_theorem_on_generated_terms(translated_env):
 
 
 def test_substitution_work_grows_at_most_quadratically():
-    # Twice the binders may cost at most three times the walker calls:
-    # the read-back renames a capturing binder once, by one more entry of
-    # its environment, not by another pass over the body.
+    # Twice the binders may cost at most three times the walker calls.
+    # b{n} holds no redex, so its relations are built in normal form and
+    # nothing is read back; `test_read_back_work_grows_at_most_quadratically`
+    # in test_kernel.py scales the read-back.
     assert walker_calls(40) / walker_calls(20) <= 3.0
 
 

@@ -5,7 +5,9 @@ whose translation nests a binder triple per source binder.  The walkers are
 `syntax._subst_all` (behind `subst` and `subst_all`) and `kernel._quote`,
 the read-back behind `beta_normalize`.  The read-back follows binder
 bodies, substituted variables and contracted redexes in a loop, so one of
-its calls can cover many nodes.  Both are called through their module
+its calls can cover many nodes.  b{n} holds no redex, so nothing is read
+back: the kernel contracts the body applied to the binders of its type's
+relation as it checks.  Both are called through their module
 globals, so wrapping those globals counts every call.  The count does not
 depend on the machine, so its growth from b20 to b40 is a scaling check
 that needs no timing.
@@ -48,15 +50,20 @@ param-check` as the third.  The translation builds every relation in
 normal form, so `beta_normalize` reads back only the relations that hold
 a redex of the source; the prelude and `Vec` have none.
 
+The ninth count is of the passes of the cyclic garbage collector made
+during the same `rcic check` as the fourth, from `gc.get_stats()`.  A run
+pauses the collector, so it makes none.
+
     PYTHONPATH=src python tests/walker_counts.py
 
-prints eight Markdown lines: the walker counts for b20 and b40 and their
+prints nine Markdown lines: the walker counts for b20 and b40 and their
 ratio, the `prime` counts for b100 and b200 and their ratio, the
 param-check count, the two check counts, the relation inductive count,
-the inductive check count and the read-back count.
+the inductive check count, the read-back count and the collector count.
 """
 
 import contextlib
+import gc
 import io
 import sys
 import tempfile
@@ -159,17 +166,32 @@ def walker_calls(n: int, targets=WALKERS) -> int:
     return calls[0]
 
 
-def cli_calls(targets, command: str, source: str) -> int:
-    """Calls of the `targets` globals made by `rcic <command>` of the
-    prelude plus `source`, which must exit 0."""
+@contextlib.contextmanager
+def cli_run(command: str, source: str):
+    """A block that runs `rcic <command>` of the prelude plus `source`
+    when it calls the function it yields, which returns the exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "source.rcic"
         path.write_text(source)
-        with counting(targets) as calls, \
-                contextlib.redirect_stdout(io.StringIO()):
-            code = main([command, str(prelude_path()), str(path)])
-    assert code == 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            yield lambda: main([command, str(prelude_path()), str(path)])
+
+
+def cli_calls(targets, command: str, source: str) -> int:
+    """Calls of the `targets` globals made by `rcic <command>` of the
+    prelude plus `source`, which must exit 0."""
+    with cli_run(command, source) as run, counting(targets) as calls:
+        assert run() == 0
     return calls[0]
+
+
+def collector_passes(command: str, source: str) -> int:
+    """Passes of the cyclic garbage collector, over all generations, made
+    by `rcic <command>` of the prelude plus `source`, which must exit 0."""
+    with cli_run(command, source) as run:
+        before = sum(gen["collections"] for gen in gc.get_stats())
+        assert run() == 0
+        return sum(gen["collections"] for gen in gc.get_stats()) - before
 
 
 def check_inductive_calls() -> dict[str, int]:
@@ -213,3 +235,6 @@ if __name__ == "__main__":
     quote_calls = cli_calls([(kernel, "_quote")], "param-check", VEC_SOURCE)
     sys.stdout.write(f"Read-back calls of param-check on the prelude and Vec: "
                      f"{quote_calls}\n")
+    passes = collector_passes("check", CONV_SOURCE)
+    sys.stdout.write(f"Cyclic collector passes of check on the prelude and "
+                     f"numeral proofs: {passes}\n")
