@@ -616,10 +616,20 @@ def _elab(env: GlobalEnv, t: Term, scope: dict[str, str],
         return App(_elab(env, t.fn, scope, taken),
                    _elab(env, t.arg, scope, taken))
     if kind is Prod or kind is Lam or kind is Fix:
-        dom, body = children(t)
-        dom = _elab(env, dom, scope, taken)
-        new, inner = _bind(t.binder, scope, taken)
-        return rebuild_binder(t, new, dom, _elab(env, body, inner, taken))
+        # A binder telescope is read in a loop: one frame per telescope,
+        # not one per binder.
+        levels = []
+        while kind is Prod or kind is Lam or kind is Fix:
+            dom, body = children(t)
+            dom = _elab(env, dom, scope, taken)
+            new, scope = _bind(t.binder, scope, taken)
+            levels.append((t, new, dom))
+            t = body
+            kind = type(t)
+        out = _elab(env, t, scope, taken)
+        for node, new, dom in reversed(levels):
+            out = rebuild_binder(node, new, dom, out)
+        return out
     if kind is RawMatch:
         return _elab_match(env, t, scope, taken)
     return map_children(t, lambda c: _elab(env, c, scope, taken))

@@ -503,13 +503,18 @@ def _minus(s: frozenset[str], name: str) -> frozenset[str]:
     return s - {name} if name in s else s
 
 
-def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
-    """The first of base, base1, base2, ... not in `avoid`."""
+def fresh_name(base: str, avoid: frozenset[str] | set[str],
+               start: int = 0) -> str:
+    """The first of base, base1, base2, ... not in `avoid`, probing from
+    base{start} on (base0 is base itself) when the caller knows that the
+    names before it are in `avoid`.  A `_` base becomes `x`."""
     if base == "_":
         base = "x"
-    if base not in avoid:
-        return base
-    i = 1
+    if start == 0:
+        if base not in avoid:
+            return base
+        start = 1
+    i = start
     while f"{base}{i}" in avoid:
         i += 1
     return f"{base}{i}"

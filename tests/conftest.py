@@ -12,6 +12,7 @@ from rcic import (
     translate_definition,
     translate_inductive,
 )
+from rcic import param
 
 
 def load_declarations(env, text):
@@ -24,6 +25,15 @@ def load_declarations(env, text):
 def term_in(env, source):
     """Parse and elaborate a single term against `env`."""
     return elaborate(env, parse_term(source))
+
+
+def translate_term(env, t):
+    """The relational witness of `t`, as the translation's entry points
+    make it: the relations of the globals `t` mentions are declared first.
+    It is in beta normal form when `t` is; `beta_normalize` contracts what
+    `t` brings."""
+    param._prepare(env, t)
+    return param._translate(env, t)
 
 
 def fresh_prelude_env():

@@ -41,10 +41,9 @@ from rcic import (
 )
 from rcic.cli import main
 from rcic.frontend import DInductive
-from rcic.param import translate_term
 from rcic.syntax import children, map_children, rebuild_binder, set_sort
 
-from conftest import term_in
+from conftest import term_in, translate_term
 from gen import random_typed
 from reducts import one_step_reducts
 

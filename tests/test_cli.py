@@ -173,22 +173,25 @@ def test_check_deep_nesting_is_a_parse_error(prelude, tmp_path, capsys):
 
 
 def test_param_check_too_deep_is_a_diagnostic(prelude, tmp_path):
-    # The elaborator and the translation recurse once per binder of the
-    # body, and past about 980 binders that overflows the interpreter's
-    # recursion limit.  Each command reports it at the declaration.
-    n = 1100
-    text = (f"def f : {' -> '.join(['Nat'] * (n + 1))} :=\n"
-            f"  fun ({' '.join(f'y{i}' for i in range(n))} : Nat) => y0.\n")
-    deep = write(tmp_path, "binders.rcic", text)
+    # The kernel's check recurses once per nested argument, and a numeral
+    # of 400 succs overflows the interpreter's recursion limit.  Each
+    # command reports it at the declaration.  `check` also prints each
+    # declaration's type, and the printer recurses once per arrow, so a
+    # telescope of 1,100 binders is too deep for `check` as well.
+    n = 400
+    numeral = write(tmp_path, "numeral.rcic",
+                    f"def f : Nat := {'succ (' * n}zero{')' * n}.\n")
+    binders = write(tmp_path, "binders.rcic", binder_depth_source(1100))
     env = dict(os.environ, PYTHONPATH=str(Path(rcic.__file__).parents[1]))
 
-    def run(command):
+    def run(command, deep):
         return subprocess.run(
             [sys.executable, "-m", "rcic.cli", command, prelude, deep],
             capture_output=True, text=True, env=env, timeout=120)
 
-    for command in ("param-check", "check"):
-        failed = run(command)
+    for command, deep in (("param-check", numeral), ("check", numeral),
+                          ("check", binders)):
+        failed = run(command, deep)
         assert failed.returncode == 1
         assert f"{deep}:1:1: error: nesting too deep" in failed.stderr
         assert "Traceback" not in failed.stderr
@@ -204,6 +207,19 @@ def test_param_check_250_binders(prelude, tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "PASS b250"
+
+
+def test_param_check_1100_binders(prelude, tmp_path):
+    # The elaborator, the translation and the relation's product telescope
+    # read binder telescopes in loops, so a depth of 1,100 binders, past
+    # the interpreter's recursion limit, needs no frame per binder.
+    src = write(tmp_path, "b1100.rcic", binder_depth_source(1100))
+    env = dict(os.environ, PYTHONPATH=str(Path(rcic.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "rcic.cli", "param-check", prelude, src],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "PASS b1100"
 
 
 def test_translate_200_binders(prelude, tmp_path):
@@ -308,6 +324,18 @@ def test_translate_binder_depth_matches_golden(prelude, tmp_path, capsys):
     src = write(tmp_path, "b8.rcic", binder_depth_source(8))
     assert main(["translate", "--def", "b8", prelude, src]) == 0
     golden = Path(__file__).with_name("golden") / "b8_translate.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_translate_renaming_paths_matches_golden(prelude, capsys):
+    # The relations of definitions that take every renaming path of the
+    # translation: `_` binders, binders named like the names it picks or
+    # like a global, higher-order arrows, a Vec match with index binders,
+    # and fixes under outer binders whose names generated binders must
+    # not capture.  The names are pinned byte for byte.
+    src = Path(__file__).with_name("renaming_paths.rcic")
+    assert main(["translate", prelude, str(src)]) == 0
+    golden = Path(__file__).with_name("golden") / "renaming_translate.txt"
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
@@ -476,18 +504,26 @@ def test_a_run_leaves_no_rcic_object_in_cyclic_garbage(command, prelude,
     # Why a run may pause the cyclic collector: no term, record, kernel
     # value or environment it builds ends up in a reference cycle, so once
     # the run returns everything it built is freed without the collector.
+    # argparse's parser is a cycle, which the run's own pass over the young
+    # objects collects (and, with DEBUG_SAVEALL, saves) before it goes on.
     gc.collect()
     flags = gc.get_debug()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         assert main([command, prelude, seeded]) == 0
+        during = len(gc.garbage)
         gc.collect()
-        found = Counter(type(o).__qualname__ for o in gc.garbage
-                        if type(o).__module__.partition(".")[0] == "rcic")
+        modules = [type(o).__module__.partition(".")[0] for o in gc.garbage]
+        found = Counter(type(o).__qualname__
+                        for o, module in zip(gc.garbage[during:],
+                                             modules[during:])
+                        if module in ("rcic", "argparse"))
+        collected = modules[:during].count("argparse")
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
     assert found == Counter()
+    assert collected > 0
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

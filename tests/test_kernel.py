@@ -55,11 +55,11 @@ from rcic import (
 from rcic import kernel, syntax
 from rcic.cli import main
 from rcic.frontend import DDef
-from rcic.param import _pick_triple, prime, primed, translate_term
+from rcic.param import _pick_triple, prime, primed
 from rcic.syntax import (children, free_vars, lams, names, prods, set_sort,
                          strip_prods, unfold_app)
 
-from conftest import load_declarations, term_in
+from conftest import load_declarations, term_in, translate_term
 from gen import LIST_NAT, UNIT, random_typed
 from nameless import to_nameless
 from reducts import one_step_reducts, term_whnf

@@ -52,16 +52,17 @@ from rcic import param
 from rcic.cli import main
 from rcic.frontend import DDef, DInductive
 from rcic.kernel import FULL, STAR
-from rcic.param import NameTriple, is_reserved, translate_term
+from rcic.param import NameTriple, is_reserved
 from rcic.syntax import lams, set_sort, strip_lams, subterms, unfold_app
 
-from conftest import fresh_prelude_env, load_declarations, term_in
+from conftest import (fresh_prelude_env, load_declarations, term_in,
+                      translate_term)
 from gen import random_typed
 from test_free_theorems import EX
 from test_indexed import VONE
 from translation_gaps import GAPS
 from walker_counts import (VEC_SOURCE, binder_depth_source, counting,
-                           walker_calls)
+                           name_probes, walker_calls)
 
 NAT = Ind("Nat")
 
@@ -189,11 +190,13 @@ def test_translation_renames_a_shadowing_binder_triple(fresh_env):
     t = Lam("A", SortT(set_sort(0)),
             Lam("A", Prod("_", Var("A"), Var("A")), Var("A")))
     ty = infer(fresh_env, Context(), t)
-    with counting([(rcic.param, "_rename_triple")]) as calls:
-        assert abstraction_check(fresh_env, Context(), t, ty)
+    assert abstraction_check(fresh_env, Context(), t, ty)
+    # The translation renames the inner triple once, as it enters the
+    # inner binder, and builds the body with the new names.
+    with counting([(rcic.param._Renaming, "bind")]) as calls:
+        rel = translate_term(fresh_env, t)
     assert calls == [1]
-    assert print_term(beta_normalize(translate_term(fresh_env, t)),
-                      fresh_env) == (
+    assert print_term(beta_normalize(rel), fresh_env) == (
         "fun (A A' : Set0) (A_R : A -> A' -> Prop) (A1 : A -> A) "
         "(A1' : A' -> A') (A1_R : forall (x : A) (x' : A'), "
         "A_R x x' -> A_R (A1 x) (A1' x')) => A1_R")
@@ -402,10 +405,10 @@ def test_reserved_name_diagnostic_is_deterministic():
     # The term uses three reserved names; the diagnostic names the first
     # in sorted order, whatever the interpreter's string hashing.
     code = ("from rcic import GlobalEnv, Lam, PROP, SortT, Var\n"
-            "from rcic.param import translate_term\n"
+            "from rcic.param import _prepare\n"
             "P = SortT(PROP)\n"
             "try:\n"
-            "    translate_term(GlobalEnv(),"
+            "    _prepare(GlobalEnv(),"
             " Lam(\"a'\", P, Lam('b_R', P, Var('c_R'))))\n"
             "except ValueError as err:\n"
             "    print(err)\n")
@@ -775,17 +778,29 @@ def test_copy_work_grows_linearly():
 
 
 def test_copy_of_nested_arguments_grows_linearly():
-    # Twice the nesting may cost at most 2.2 times the `prime` calls: an
-    # application's copy is built from its argument's, so the numeral
-    # succ (... (succ zero)) is copied once, not once per succ above it.
+    # Twice the nesting may cost at most 2.2 times the copies made (calls
+    # of `_copy`, through which every copy is made, and of `prime`, which
+    # walks what it hands over): an application's copy is built from its
+    # argument's, so the numeral succ (... (succ zero)) is copied once,
+    # not once per succ above it.
     copies = []
     for n in (50, 100):
         env = load_declarations(fresh_prelude_env(), f"def s{n} : Nat := "
                                 + "succ (" * n + "zero" + ")" * n + ".")
-        with counting([(rcic.param, "prime")]) as calls:
+        with counting([(rcic.param, "_copy"),
+                       (rcic.param, "prime")]) as calls:
             translate_definition(env, f"s{n}")
         copies.append(calls[0])
     assert copies[1] / copies[0] <= 2.2
+
+
+def test_fresh_names_grow_linearly_in_binder_depth():
+    # Each level of b{n}'s type renames its triple past the names of the
+    # levels before it (x, x1, x2, ...).  A search for a fresh name resumes
+    # where the last one for the same name stopped, so twice the binders
+    # may cost at most 2.2 times the names probed.
+    b64, b128 = name_probes(64), name_probes(128)
+    assert b128 / b64 <= 2.2
 
 
 # ---------------------------------------------------------------------------

@@ -52,14 +52,22 @@ a redex of the source; the prelude and `Vec` have none.
 
 The ninth count is of the passes of the cyclic garbage collector made
 during the same `rcic check` as the fourth, from `gc.get_stats()`.  A run
-pauses the collector, so it makes none.
+pauses the collector; it makes one pass, over the young objects, to free
+argparse's reference cycles right after it parses its arguments.
+
+The tenth count is of the names the translation probes in its searches
+for a fresh name (`param`'s calls of `fresh_name`) while it translates
+b64 and b128.  Each level of b{n}'s type renames its binder triple past
+the names of the levels before it; a search resumes where the last one
+for the same name stopped, so the count grows linearly in n.
 
     PYTHONPATH=src python tests/walker_counts.py
 
-prints nine Markdown lines: the walker counts for b20 and b40 and their
+prints ten Markdown lines: the walker counts for b20 and b40 and their
 ratio, the `prime` counts for b100 and b200 and their ratio, the
 param-check count, the two check counts, the relation inductive count,
-the inductive check count, the read-back count and the collector count.
+the inductive check count, the read-back count, the collector count, and
+the name probes for b64 and b128 and their ratio.
 """
 
 import contextlib
@@ -194,6 +202,36 @@ def collector_passes(command: str, source: str) -> int:
         return sum(gen["collections"] for gen in gc.get_stats()) - before
 
 
+def name_probes(n: int) -> int:
+    """The names probed by `param`'s fresh-name searches while it
+    translates b{n}, after the relations of the prelude, which are declared
+    first and not counted.  A search from base{start} that returns base{i}
+    probes i - start + 1 names; one that starts at the base itself probes
+    i + 1, the base counting as base0."""
+    env = GlobalEnv()
+    for decl in parse_file(prelude_path().read_text() +
+                           binder_depth_source(n)).decls:
+        declare(env, decl)
+    for name in list(env.names()):
+        if env.definition(name) is not None and name != f"b{n}":
+            param.translate_definition(env, name)
+    probes = [0]
+    search = param.fresh_name
+
+    def counted(base, avoid, start=0):
+        found = search(base, avoid, start)
+        index = int(found[len("x" if base == "_" else base):] or 0)
+        probes[0] += index - start + 1 if start else index + 1
+        return found
+
+    param.fresh_name = counted
+    try:
+        param.translate_definition(env, f"b{n}")
+    finally:
+        param.fresh_name = search
+    return probes[0]
+
+
 def check_inductive_calls() -> dict[str, int]:
     """The `kernel._infer` calls made in declaring each inductive of the
     prelude and `VEC_SOURCE`, by name.  Declaring an inductive elaborates
@@ -238,3 +276,6 @@ if __name__ == "__main__":
     passes = collector_passes("check", CONV_SOURCE)
     sys.stdout.write(f"Cyclic collector passes of check on the prelude and "
                      f"numeral proofs: {passes}\n")
+    b64, b128 = name_probes(64), name_probes(128)
+    sys.stdout.write(f"Fresh-name probes of the translation: b64 {b64}, "
+                     f"b128 {b128}, ratio {b128 / b64:.2f}\n")
