@@ -36,10 +36,7 @@ from .syntax import (
     app,
     arrow,
     free_vars,
-    lams,
-    prods,
     subst,
-    type_sort,
 )
 from .kernel import (
     FULL,
@@ -47,7 +44,6 @@ from .kernel import (
     EliminationMode,
     ErrorKind,
     TypeCheckError,
-    axiom_sort,
     beta_normalize,
     check,
     check_inductive,
@@ -56,20 +52,12 @@ from .kernel import (
     declare_inductive,
     infer,
     infer_sort,
-    is_small,
-    sort_of_product,
-    subsort,
     subtype,
     whnf,
 )
 from .param import (
-    NameTriple,
     abstraction_check,
     prime,
-    primed,
-    relation_name,
-    relation_sort,
-    translate_context,
     translate_definition,
     translate_inductive,
 )
@@ -100,7 +88,6 @@ __all__ = [
     "Ind",
     "InductiveDecl",
     "Lam",
-    "NameTriple",
     "ParseError",
     "Prod",
     "STAR",
@@ -114,7 +101,6 @@ __all__ = [
     "alpha_eq",
     "app",
     "arrow",
-    "axiom_sort",
     "beta_normalize",
     "check",
     "check_inductive",
@@ -126,26 +112,16 @@ __all__ = [
     "free_vars",
     "infer",
     "infer_sort",
-    "is_small",
-    "lams",
     "parse_file",
     "parse_term",
     "prelude_path",
     "prime",
-    "primed",
     "print_definition",
     "print_inductive",
     "print_term",
-    "prods",
-    "relation_name",
-    "relation_sort",
-    "sort_of_product",
-    "subsort",
     "subst",
     "subtype",
-    "translate_context",
     "translate_definition",
     "translate_inductive",
-    "type_sort",
     "whnf",
 ]

@@ -18,17 +18,21 @@ The translation is one pass over the source.  It carries a renaming
 stand for them in the output: a source binder whose triple must be
 renamed, a fix's name and copy (which stand for the definition being
 translated), a case's motive binders.  Every node is built with its
-final names, so nothing is substituted over the output afterwards, and the
-names a new binder must avoid come from the source's cached free
-variables, mapped through the renaming, never from a walk over nodes just
-built.  `fun` telescopes, product telescopes and application spines are
-read in loops, and the search for a fresh binder name along a telescope
-resumes where the last one stopped, so the cost is linear in the output.
+final names, so nothing is substituted over the output afterwards.
+
+Every binder the output makes is named by one rule, Barendregt's variable
+convention: it keeps its name unless the name is free in an image of the
+renaming (its `taken` set), and then takes the first fresh name outside
+`taken` and the source variables free in its scope, with their copies and
+witnesses.  A binder of a relation also avoids the names free in the
+related terms.  `fun` telescopes, product telescopes and application
+spines are read in loops, and the search for a fresh binder name along a
+telescope resumes where the last one stopped, so the cost is linear in
+the output.
 
 Relations are built in beta normal form: `_relate` gives the relation of
 a type at two terms, `[T] a a'`, directly, as a sort's relation space or a
 product's function space would read once applied and reduced.  The
-binders it makes are named as that reduction would name them.  The
 translation of a term with no redex therefore has none either, and each
 entry point calls `beta_normalize` only when `_prepare` found a redex in
 its source terms, to contract those redexes and their images.
@@ -124,13 +128,15 @@ def relation_sort(s: Sort) -> Sort:
 
 def prime(t: Term) -> Term:
     """Rename every variable x to x', bound or free, leaving references to
-    globals unchanged."""
+    globals and anonymous binders `_` unchanged."""
     kind = type(t)
     if kind is Var:
         return Var(primed(t.name))
     if kind is Prod or kind is Lam or kind is Fix:
         dom, body = children(t)
-        return rebuild_binder(t, primed(t.binder), prime(dom), prime(body))
+        binder = t.binder
+        return rebuild_binder(t, binder if binder == "_" else primed(binder),
+                              prime(dom), prime(body))
     return map_children(t, prime)
 
 
@@ -227,10 +233,8 @@ class _Renaming:
     stand for the definition being translated) and a case's motive
     binders (which become the case's index and scrutinee triples) add
     entries.  The output is built with the images in place, so nothing is
-    substituted over it afterwards.  A binder the output makes is named as
-    a capture-avoiding substitution of the images would name it
-    (`_avoiding`); `taken` makes that test one set lookup when it cannot
-    capture.
+    substituted over it afterwards.  A binder the output makes keeps its
+    name unless `taken` holds it, one set lookup (`_avoiding`).
     """
 
     __slots__ = ("images", "taken")
@@ -271,14 +275,6 @@ class _Renaming:
 _NO_RENAMING = _Renaming({}, frozenset())
 
 
-def _renamed(ren: _Renaming, *pairs: tuple[str, str]) -> _Renaming:
-    """`ren` with each name the output picked for a binder, `(picked,
-    final)`, renamed to the name it took to capture no image: the terms
-    built around the picked names then see the final ones."""
-    entries = {old: Var(new) for old, new in pairs if old != new}
-    return ren.bind(entries) if entries else ren
-
-
 # The leaves with no free variable: a copy or a renaming keeps them.
 _CLOSED = frozenset((Const, Ind, Constr, SortT))
 _NO_NAMES: frozenset[str] = frozenset()
@@ -316,66 +312,18 @@ def _copy(t: Term, ren: _Renaming) -> Term:
     return prime(t)
 
 
-def _in_translation(t: Term, name: str,
-                    fv: frozenset[str] | None = None) -> bool:
-    """Whether `name`, a source variable x, its copy x' or its witness
-    x_R, is free in the translation of `t`, from `t`'s free variables: the
-    witness of every free variable is, and a variable itself and its copy
-    are unless `t` uses it only as the head of an application or as a
-    scrutinee, which the translation replaces by its witness.  `fv` are
-    the names free in `t`, if the caller has them."""
-    kind = type(t)
-    if kind is SortT:
-        return False
-    y = _stem(name)
-    if y not in (free_vars(t) if fv is None else fv):
-        return False
-    if kind is Prod or name.endswith(WITNESS_SUFFIX):
-        return True
-    while True:
-        kind = type(t)
-        if kind is App:
-            t, args = unfold_app(t)
-            if any(y in free_vars(arg) for arg in args):
-                return True
-        elif kind is Lam:
-            if y in free_vars(t.annotation):
-                return True
-            if t.binder == y:
-                return False
-            t = t.body
-        elif kind is Case:
-            if any(y in free_vars(u) for u in (*t.params, t.motive,
-                                                *t.branches)):
-                return True
-            t = t.scrutinee
-        else:
-            return kind is not Var
-
-
-def _avoiding(name: str, ren: _Renaming, full: frozenset[str],
-              scope: Term | None = None, own: str = "") -> str:
-    """The name an output binder `name` keeps when the images of `ren`
-    are in place below it, as capture-avoiding substitution of them would
-    leave it: `name` itself unless an image it would capture is live in
-    its scope, and then the first fresh name outside the scope's names,
-    the live entries and their images' names.  The scope holds the
-    variables of `full`, with their copies and witnesses, and the
-    translation of `scope`, where the source binder `own` shadows."""
-    if name not in ren.taken:
+def _avoiding(name: str, taken: frozenset[str] | set[str],
+              *scope: frozenset[str]) -> str:
+    """The name an output binder `name` takes: itself unless `taken` (the
+    names free in the terms the output holds below it for source
+    variables) holds it, and then the first fresh name outside `taken` and
+    the source names of `scope`, those free in the binder's scope, with
+    their copies and witnesses."""
+    if name not in taken:
         return name
-    live = [(k, v) for k, v in ren.images.items()
-            if k != name and _stem(k) != own
-            and (_stem(k) in full
-                 or scope is not None and _in_translation(scope, k))]
-    if not any(name in free_vars(v) for _, v in live):
-        return name
-    avoid = _tripled(full)
-    if scope is not None:
-        avoid |= _tripled(free_vars(scope) - {own})
-    avoid.update(k for k, _ in live)
-    for _, v in live:
-        avoid |= free_vars(v)
+    avoid = set(taken)
+    for names in scope:
+        avoid |= _tripled(names)
     return fresh_name(name, avoid)
 
 
@@ -384,18 +332,21 @@ class Alias(_Record):
     threaded from a fix through its body's lambdas.
 
     The motive of a case over the fix's decreasing argument (and only that
-    case: `guard` names it) embeds the alias instead of copies of the case,
-    which is what lets the generated fixpoint check against its own
-    annotation: at the bound variable the two sides agree syntactically, and
-    at each constructor instance guarded unfolding closes the gap.  The
-    motive binds the case's indices afresh, so `guard_type`, the decreasing
-    binder's annotation, tells which variables of the alias to rebind.
+    case: `guard` holds the names the argument and its copy take in the
+    output) embeds the alias instead of copies of the case, which is what
+    lets the generated fixpoint check against its own annotation: at the
+    bound variable the two sides agree syntactically, and at each
+    constructor instance guarded unfolding closes the gap.  The motive
+    binds the case's indices afresh, so `guard_type`, the argument's
+    annotation and its copy as the output holds them, tells which
+    variables of the alias and of its copy to rebind.
     """
 
     __match_args__ = ("raw", "primed", "guard", "guard_type")
 
-    def __init__(self, raw: Term, primed: Term, guard: str | None = None,
-                 guard_type: Term | None = None) -> None:
+    def __init__(self, raw: Term, primed: Term,
+                 guard: tuple[str, str] | None = None,
+                 guard_type: tuple[Term, Term] | None = None) -> None:
         _set(self, "raw", raw)
         _set(self, "primed", primed)
         _set(self, "guard", guard)
@@ -425,21 +376,22 @@ def _translate(env: GlobalEnv, t: Term, ren: _Renaming = _NO_RENAMING,
         fv = free_vars(t)
         f = "x" if kind is SortT else fresh_name("f", fv | {t.binder})
         f_c = f + PRIME_SUFFIX
-        base, copy = _avoiding(f, ren, fv), _avoiding(f_c, ren, fv)
+        base, copy = (_avoiding(n, ren.taken, fv) for n in (f, f_c))
         return Lam(base, _kept(t, ren), Lam(copy, _copy(t, ren), _relate(
-            env, t, Var(base), Var(copy), (f, f_c),
-            _renamed(ren, (f, base), (f_c, copy)))))
+            env, t, Var(base), Var(copy), (base, copy), ren)))
     if kind is Fix:
         return _translate_fix(env, t, ren, alias)
     raise TypeError(f"not a term: {t!r}")
 
 
 def _translate_lams(env: GlobalEnv, t: Lam, ren: _Renaming,
-                    alias: Alias | None) -> Term:
+                    alias: Alias | None, guard_at: int = -1) -> Term:
     """The witness of a `fun` telescope, read in one loop: a triple per
     source binder, the last ranging over the annotation's relation, around
-    the witness of the body.  A `_` binder becomes x, x1, ..., avoiding
-    the names its scope uses.  An alias grows by the binder's pair."""
+    the witness of the body.  A `_` binder becomes x, x1, ..., and a
+    binder its annotation uses is renamed alike, avoiding the names its
+    scope uses.  An alias grows by the binder's pair, and records the
+    binder at position `guard_at`, a fix's decreasing argument."""
     levels = []
     if alias is not None:
         # The names free in the alias and in its copy, as it grows.
@@ -448,34 +400,36 @@ def _translate_lams(env: GlobalEnv, t: Lam, ren: _Renaming,
     while type(t) is Lam:
         binder, ann, body = t.binder, t.annotation, t.body
         fv_ann = _NO_NAMES if type(ann) in _CLOSED else free_vars(ann)
-        if binder == "_":
-            x = fresh_name("_", fv_ann | free_vars(body))
-        elif binder in fv_ann:
-            x = fresh_name(binder, fv_ann)
+        if binder == "_" or binder in fv_ann:
+            x = fresh_name(binder, fv_ann | free_vars(body))
         else:
             x = binder
-        x_c, x_r = x + PRIME_SUFFIX, x + WITNESS_SUFFIX
-        base, copy, rel = x, x_c, x_r
-        inner = ren
-        if ren.taken:
-            base = _avoiding(x, ren, fv_ann, body, binder)
-            copy = _avoiding(x_c, ren, fv_ann, body, binder)
-            rel = _avoiding(x_r, ren, fv_ann, body, binder)
-            inner = _renamed(ren, (x, base), (x_c, copy))
-        levels.append((base, _kept(ann, ren), copy, _copy(ann, ren), rel,
-                       _relate(env, ann, Var(base), Var(copy), (x, x_c),
-                               inner)))
-        if (alias is not None and binder != "_"
-                and base not in raw_names and copy not in copy_names):
+        base, copy, rel = x, x + PRIME_SUFFIX, x + WITNESS_SUFFIX
+        taken = ren.taken
+        grows = alias is not None and binder != "_"
+        if grows and (base in raw_names or copy in copy_names):
+            # The alias the binder grows holds these names below it.
+            taken = taken | raw_names | copy_names
+        if taken:
+            base, copy, rel = (_avoiding(n, taken, fv_ann, free_vars(body))
+                               for n in (base, copy, rel))
+        ann_l, ann_c = _kept(ann, ren), _copy(ann, ren)
+        levels.append((base, ann_l, copy, ann_c, rel,
+                       _relate(env, ann, Var(base), Var(copy), (base, copy),
+                               ren)))
+        if grows:
+            guard = alias.guard, alias.guard_type
+            if guard_at == 0:
+                guard = (base, copy), (ann_l, ann_c)
             alias = Alias(App(alias.raw, Var(base)),
-                          App(alias.primed, Var(copy)), alias.guard,
-                          alias.guard_type)
+                          App(alias.primed, Var(copy)), *guard)
             raw_names.add(base)
             copy_names.add(copy)
         else:
             alias = None
         if binder != "_":
             ren = ren.rebind(binder, base, copy, rel)
+        guard_at -= 1
         t = body
     out = _translate(env, t, ren, alias)
     for base, ann, copy, ann_c, rel, ann_r in reversed(levels):
@@ -490,14 +444,13 @@ def _translate_fix(env: GlobalEnv, t: Fix, ren: _Renaming,
     witness."""
     raw, copy = ((alias.raw, alias.primed) if alias is not None
                  else (_kept(t, ren), _copy(t, ren)))
-    spine, _ = strip_lams(t.body)
-    guard = guard_type = None
-    if t.decreasing < len(spine) and spine[t.decreasing][0] != "_":
-        guard, guard_type = spine[t.decreasing]
     rel = relation_name(t.binder)
     inner = ren.bind({t.binder: raw, primed(t.binder): copy, rel: Var(rel)})
-    body_r = _translate(env, t.body, inner,
-                        Alias(raw, copy, guard, guard_type))
+    if type(t.body) is Lam:
+        body_r = _translate_lams(env, t.body, inner, Alias(raw, copy),
+                                 t.decreasing)
+    else:
+        body_r = _translate(env, t.body, inner, Alias(raw, copy))
     return Fix(rel, _relate(env, t.annotation, raw, copy,
                             free_vars(raw) | free_vars(copy), ren),
                body_r, 3 * t.decreasing + 2)
@@ -532,8 +485,9 @@ def _relate(env: GlobalEnv, t: Term, a: Term, a2: Term,
             ren: _Renaming = _NO_RENAMING) -> Term:
     """`[t] a a2`, the relation of the type `t` at the terms `a` and `a2`:
     the beta normal form of `app(_translate(env, t), a, a2)`, with the
-    source variables renamed by `ren`, built directly.  `names` are the
-    names free in `a` and `a2`, as the source names them.
+    source variables renamed by `ren`, built directly.  `names` holds the
+    names free in `a` and `a2`, or more; those in `ren.taken` may be left
+    out.
 
     A sort s gives `a -> a2 -> s^`.  A product telescope gives, in one
     loop, a binder triple x, x', x_R per source binder, x_R ranging over
@@ -542,11 +496,10 @@ def _relate(env: GlobalEnv, t: Term, a: Term, a2: Term,
     applied to `a` and `a2`.
 
     Each triple is the one `_translate` picks for the binder; a name of it
-    is then renamed, on its own, as `kernel.beta_normalize` would rename
-    it in reducing that application (`_bind`), so the relation is the
-    same term, binder names included.  The names a binder must avoid grow
-    along the telescope, and the search for a fresh one resumes where the
-    last one for the same base stopped, so each level costs the same.
+    that is one of `names` or in `ren.taken` is then renamed on its own
+    (`_bind`).  The names a binder must avoid grow along the telescope,
+    and the search for a fresh one resumes where the last one for the same
+    base stopped, so each level costs the same.
     """
     if type(t) is not Prod:
         if type(t) is SortT:
@@ -559,24 +512,19 @@ def _relate(env: GlobalEnv, t: Term, a: Term, a2: Term,
     while type(t) is Prod:
         binder, dom, cod = t.binder, t.domain, t.codomain
         fv_dom = _NO_NAMES if type(dom) in _CLOSED else free_vars(dom)
-        if fv_cods is None and binder == "_":
-            fv_cods = _codomain_names(t)
+        x = binder
+        if binder == "_" or binder in fv_dom:
+            if fv_cods is None:
+                fv_cods = _codomain_names(t)
+            x = fresh_name(binder, fv_dom | fv_cods[-1])
         fv_cod = fv_cods.pop() if fv_cods is not None else None
-        if binder == "_":
-            x = fresh_name("_", fv_dom | fv_cod)
-        elif binder in fv_dom:
-            x = fresh_name(binder, fv_dom)
-        else:
-            x = binder
         base, copy, rel = x, x + PRIME_SUFFIX, x + WITNESS_SUFFIX
         if ren.taken or base in names or copy in names or rel in names:
             if fv_cod is None:
                 fv_cods = _codomain_names(t)
                 fv_cod = fv_cods.pop()
-            level = (base, copy, rel, dom, cod, fv_dom, fv_cod)
-            base = _bind(base, 0, level, names, ren, resume)
-            copy = _bind(copy, 1, level, names, ren, resume)
-            rel = _bind(rel, 2, level, names, ren, resume)
+            base, copy, rel = (_bind(n, names, ren.taken, resume, fv_dom,
+                                     fv_cod) for n in (base, copy, rel))
         v, v2 = Var(base), Var(copy)
         levels.append((base, _kept(dom, ren), copy, _copy(dom, ren), rel,
                        _relate(env, dom, v, v2, (base, copy), ren)))
@@ -606,67 +554,22 @@ def _codomain_names(t: Prod) -> list[frozenset[str]]:
     return [free_vars(cod) for cod in reversed(cods)]
 
 
-def _in_level(name: str, part: int, level: tuple) -> bool:
-    """Whether `name` is free in the body of the base (`part` 0), copy (1)
-    or witness (2) binder of a level of `app(_translate(env, t), a, a2)`
-    for a product telescope `t`, before it is reduced: the witness binder
-    is over the codomain's relation at x and x', the copy binder also over
-    the domain's relation, the base binder also over the domain's copy.
-    A level is the triple's names, the domain, the codomain and the names
-    free in each."""
-    base, copy, rel, dom, cod, fv_dom, fv_cod = level
-    if part == 0:
-        if name.endswith(PRIME_SUFFIX) and _stem(name) in fv_dom:
-            return True
-        if name == copy:
-            return False
-        part = 1
-    if part == 1:
-        if _in_translation(dom, name, fv_dom):
-            return True
-        if name == rel:
-            return False
-    return (name == base or name == copy
-            or _in_translation(cod, name, fv_cod))
-
-
-def _bind(name: str, part: int, level: tuple,
-          names: set[str], ren: _Renaming, resume: dict[str, int]) -> str:
-    """The name a binder `name` of a level takes over its body when the
-    names `names` (those free in the related terms) and the images of
-    `ren` are substituted below it.
-
-    It keeps `name` unless that would capture one of `names` or an image
-    live in the body, and then takes the first fresh name outside those
-    and the body's free names, as `kernel.beta_normalize` renames a binder.
-    The search starts where the last one for `name` found the first
-    candidate outside `names`, which only grow along the telescope.  An
-    image live only through the related terms is captured as substitution
-    would capture it, and the name is then renamed as `_avoiding` does."""
-    live: set[str] = set()
-    if ren.taken and (name in names or name in ren.taken):
-        for k, v in ren.images.items():
-            if k != name and _in_level(k, part, level):
-                live |= free_vars(v)
-    new = name
-    if name in names or name in live:
-        new = fresh_name(name, names, resume.get(name, 1))
-        resume[name] = int(new[len(name):])
-        while new in live or _in_level(new, part, level):
-            new = fresh_name(name, names, int(new[len(name):]) + 1)
-    if new in ren.taken:
-        through = [(k, v) for k, v in ren.images.items()
-                   if k != new and k in names]
-        if any(new in free_vars(v) for _, v in through):
-            avoid = names | live
-            avoid.update(k for k, _ in through)
-            for _, v in through:
-                avoid |= free_vars(v)
-            captured = new
-            new = fresh_name(captured, avoid)
-            while _in_level(new, part, level):
-                avoid.add(new)
-                new = fresh_name(captured, avoid)
+def _bind(name: str, names: set[str], taken: frozenset[str],
+          resume: dict[str, int], fv_dom: frozenset[str],
+          fv_cod: frozenset[str]) -> str:
+    """The name a binder `name` of a relation's level takes: itself unless
+    it is one of `names` (those free in the related terms) or of `taken`
+    (those free in the renaming's images), and then the first fresh name
+    outside those and the source names free in the level's domain and
+    codomain, with their copies and witnesses.  The search starts where
+    the last one for `name` found the first candidate outside `names`,
+    which only grow along the telescope."""
+    if name not in names and name not in taken:
+        return name
+    new = fresh_name(name, names, resume.get(name, 1))
+    resume[name] = int(new[len(name):])
+    while new in taken or _stem(new) in fv_dom or _stem(new) in fv_cod:
+        new = fresh_name(name, names, int(new[len(name):]) + 1)
     return new
 
 
@@ -690,10 +593,11 @@ def _translate_case(env: GlobalEnv, t: Case, ren: _Renaming,
         params3 += [_kept(q, ren), _copy(q, ren), _translate(env, q, ren)]
     guarded = (alias is not None and alias.guard is not None
                and type(t.scrutinee) is Var
-               and t.scrutinee.name == alias.guard)
+               and _kept(t.scrutinee, ren) == Var(alias.guard[0]))
 
-    # The names, as the source names them, free in the motive, its copy
-    # and its translation, in the branches and their copies, in the
+    # The names the motive's binders avoid: those free in the images of
+    # `ren`, and, as the source names them, those free in the motive, its
+    # copy and its translation, in the branches and their copies, in the
     # tripled parameters, and in the alias.
     fv_params = frozenset().union(*map(free_vars, t.params))
     fv_branches = frozenset().union(*map(free_vars, t.branches))
@@ -701,6 +605,7 @@ def _translate_case(env: GlobalEnv, t: Case, ren: _Renaming,
     avoid = _tripled(fv_motive | fv_params)
     avoid |= fv_branches
     avoid.update(map(primed, fv_branches))
+    avoid |= ren.taken
     if alias is not None:
         alias_names = free_vars(alias.raw)
         avoid |= alias_names | free_vars(alias.primed)
@@ -717,34 +622,32 @@ def _translate_case(env: GlobalEnv, t: Case, ren: _Renaming,
         idx_names.append(name)
     pair = _pick_triple("a", frozenset(avoid))
     targets = [*idx_names, pair.base, pair.copy, pair.rel]
-    scope = fv_params | fv_motive | (alias_names if guarded else fv_branches)
-    final = [_avoiding(n, ren, scope) for n in targets]
-    binders = open_prods(rdecl.arity, params3, final[:-1])
-    rel_ty = app(Ind(rdecl.name), *params3, *map(Var, final[:-1]))
-    binders.append((final[-1], rel_ty))
+    binders = open_prods(rdecl.arity, params3, targets[:-1])
+    rel_ty = app(Ind(rdecl.name), *params3, *map(Var, targets[:-1]))
+    binders.append((targets[-1], rel_ty))
 
     if guarded:
-        # The alias at the motive's own scrutinee and indices: an index of
-        # the guard's type that is a variable becomes the index binder.  An
-        # index that is not a variable stays, and the case fails to check.
-        to_left = {t.scrutinee.name: (pair.base, final[-3])}
-        to_right = {t.scrutinee.name: (pair.copy, final[-2])}
-        _, indices = unfold_app(alias.guard_type)
-        for i, index in enumerate(indices[len(t.params):]):
-            if type(index) is Var:
-                to_left[index.name] = idx_names[3 * i], final[3 * i]
-                to_right[index.name] = idx_names[3 * i + 1], final[3 * i + 1]
-        left = subst_all(alias.raw, _image_map(ren, to_left, ""))
-        right = subst_all(alias.primed,
-                          _image_map(ren, to_right, PRIME_SUFFIX))
-        names = {to_left[n][0] if n in to_left else n for n in alias_names}
-        names.update(to_right[n[:-1]][0] if n[:-1] in to_right else n
+        # The alias at the motive's own scrutinee and indices: the guard,
+        # and each index of its type that is a variable, become the
+        # motive's binders, in the alias and in its copy.  An index that is
+        # not a variable stays, and the case fails to check.
+        (guard, guard_c), types = alias.guard, alias.guard_type
+        to_left, to_right = {guard: Var(pair.base)}, {guard_c: Var(pair.copy)}
+        indices = [unfold_app(ty)[1][len(t.params):] for ty in types]
+        for i, (index, index_c) in enumerate(zip(*indices)):
+            if type(index) is Var and type(index_c) is Var:
+                to_left[index.name] = Var(idx_names[3 * i])
+                to_right[index_c.name] = Var(idx_names[3 * i + 1])
+        left = subst_all(alias.raw, to_left)
+        right = subst_all(alias.primed, to_right)
+        names = {to_left[n].name if n in to_left else n for n in alias_names}
+        names.update(to_right[n].name if n in to_right else n
                      for n in free_vars(alias.primed))
     else:
-        left = Case(t.ind, Var(final[-3]), tuple(params3[0::3]),
+        left = Case(t.ind, Var(pair.base), tuple(params3[0::3]),
                     _kept(t.motive, ren),
                     tuple(_kept(b, ren) for b in t.branches))
-        right = Case(t.ind, Var(final[-2]), tuple(params3[1::3]),
+        right = Case(t.ind, Var(pair.copy), tuple(params3[1::3]),
                      _copy(t.motive, ren),
                      tuple(_copy(b, ren) for b in t.branches))
         names = _tripled(fv_params | fv_motive | fv_branches)
@@ -761,29 +664,16 @@ def _translate_case(env: GlobalEnv, t: Case, ren: _Renaming,
         triple = (binder, primed(binder), relation_name(binder))
         if binder != "_" and (binder in fv_body
                               or not ren.images.keys().isdisjoint(triple)):
-            entries.update(zip(triple, map(Var, final[3 * i:3 * i + 3])))
-    inner = _renamed(ren.bind(entries) if entries else ren,
-                     *zip(targets, final))
+            entries.update(zip(triple, map(Var, targets[3 * i:3 * i + 3])))
+    inner = ren.bind(entries)
     if bound == len(targets):
         rel = _relate(env, body, left, right, names, inner)
     else:
-        rel = app(_translate(env, body, inner), *map(Var, final[bound:]),
+        rel = app(_translate(env, body, inner), *map(Var, targets[bound:]),
                   left, right)
     motive = lams(binders, rel)
     return Case(rdecl.name, _translate(env, t.scrutinee, ren), tuple(params3),
                 motive, tuple(_translate(env, b, ren) for b in t.branches))
-
-
-def _image_map(ren: _Renaming, targets: dict[str, tuple[str, str]],
-               suffix: str) -> dict[str, Term]:
-    """The map that rebinds, in an alias built with the images of `ren`,
-    the image of each source variable `y` of `targets` (its copy's, with
-    `suffix` a prime) to the Var of the final name `targets[y]` gives."""
-    out = {}
-    for y, (_, target) in targets.items():
-        image = ren.images.get(y + suffix)
-        out[image.name if type(image) is Var else y + suffix] = Var(target)
-    return out
 
 
 def _inductive(env: GlobalEnv, name: str) -> InductiveDecl:

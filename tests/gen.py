@@ -23,9 +23,8 @@ from rcic import (
     Var,
     alpha_eq,
     app,
-    type_sort,
 )
-from rcic.syntax import set_sort
+from rcic.syntax import set_sort, type_sort
 
 NAMES = ("a", "b", "c", "x", "y", "z")
 SORTS = (PROP, set_sort(0), set_sort(1), type_sort(1), type_sort(2))

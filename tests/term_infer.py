@@ -29,17 +29,13 @@ from rcic import (
     TypeCheckError,
     Var,
     app,
-    axiom_sort,
     conv,
     free_vars,
-    is_small,
-    prods,
-    sort_of_product,
     subtype,
     whnf,
 )
-from rcic.kernel import check_guard
-from rcic.syntax import fresh_name, subst_all, unfold_app
+from rcic.kernel import axiom_sort, check_guard, is_small, sort_of_product
+from rcic.syntax import fresh_name, prods, subst_all, unfold_app
 
 
 def term_infer(env, ctx, t, mode=STAR):

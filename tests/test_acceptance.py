@@ -32,16 +32,15 @@ from rcic import (
     parse_file,
     prelude_path,
     print_term,
-    relation_name,
-    sort_of_product,
-    subsort,
     subst,
-    type_sort,
     whnf,
 )
 from rcic.cli import main
 from rcic.frontend import DInductive
-from rcic.syntax import children, map_children, rebuild_binder, set_sort
+from rcic.kernel import sort_of_product, subsort
+from rcic.param import relation_name
+from rcic.syntax import (children, map_children, rebuild_binder, set_sort,
+                         type_sort)
 
 from conftest import term_in, translate_term
 from gen import random_typed

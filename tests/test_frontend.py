@@ -32,7 +32,6 @@ from rcic import (
     parse_term,
     prelude_path,
     print_term,
-    type_sort,
 )
 from rcic.frontend import (
     DCheck,
@@ -42,7 +41,7 @@ from rcic.frontend import (
     RawMatch,
     tokenize,
 )
-from rcic.syntax import set_sort
+from rcic.syntax import set_sort, type_sort
 
 from conftest import load_declarations, term_in
 from gen import random_typed

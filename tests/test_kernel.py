@@ -29,7 +29,6 @@ from rcic import (
     alpha_eq,
     app,
     arrow,
-    axiom_sort,
     beta_normalize,
     check,
     check_inductive,
@@ -39,25 +38,22 @@ from rcic import (
     elaborate,
     infer,
     infer_sort,
-    is_small,
     parse_file,
     prelude_path,
     print_inductive,
     print_term,
-    sort_of_product,
-    subsort,
     subst,
     subtype,
-    type_sort,
     whnf,
 )
 
 from rcic import kernel, syntax
 from rcic.cli import main
 from rcic.frontend import DDef
+from rcic.kernel import axiom_sort, is_small, sort_of_product, subsort
 from rcic.param import _pick_triple, prime, primed
 from rcic.syntax import (children, free_vars, lams, names, prods, set_sort,
-                         strip_prods, unfold_app)
+                         strip_prods, type_sort, unfold_app)
 
 from conftest import load_declarations, term_in, translate_term
 from gen import LIST_NAT, UNIT, random_typed

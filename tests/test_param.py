@@ -1,5 +1,6 @@
 """Tests for the relational translation and the abstraction check."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -17,6 +18,7 @@ from rcic import (
     Constr,
     Context,
     ErrorKind,
+    Fix,
     GlobalEnv,
     Ind,
     Lam,
@@ -33,27 +35,26 @@ from rcic import (
     check,
     declare_definition,
     elaborate,
+    free_vars,
     infer,
     infer_sort,
     parse_file,
     prime,
-    primed,
     print_definition,
     print_inductive,
     print_term,
-    relation_name,
-    relation_sort,
-    translate_context,
     translate_definition,
     translate_inductive,
-    type_sort,
 )
 from rcic import param
 from rcic.cli import main
 from rcic.frontend import DDef, DInductive
 from rcic.kernel import FULL, STAR
-from rcic.param import NameTriple, is_reserved
-from rcic.syntax import lams, set_sort, strip_lams, subterms, unfold_app
+from rcic.param import (NameTriple, is_reserved, primed, relation_name,
+                        relation_sort, translate_context)
+from rcic.syntax import (children, fresh_name, lams, map_children,
+                         rebuild_binder, set_sort, strip_lams, subterms,
+                         type_sort, unfold_app)
 
 from conftest import (fresh_prelude_env, load_declarations, term_in,
                       translate_term)
@@ -93,6 +94,9 @@ def test_prime():
     # A binder named like a global is still renamed, and so are its uses.
     shadow = Lam("f", NAT, App(Const("f"), Var("f")))
     assert prime(shadow) == Lam("f'", NAT, App(Const("f"), Var("f'")))
+    # An anonymous binder binds nothing, and its copy stays anonymous.
+    anon = Lam("_", NAT, App(Var("f"), Var("x")))
+    assert prime(anon) == Lam("_", NAT, App(Var("f'"), Var("x'")))
 
 
 def test_relation_sort():
@@ -560,27 +564,29 @@ PINNED_RELATIONS = {
     "def pf : Set0 := forall (f : Nat), Nat.":
         "def pf_R : pf -> pf -> Prop := fun (f1 f1' : Nat -> Nat) => forall "
         "(f f' : Nat), Nat_R f f' -> Nat_R (f1 f) (f1' f').",
-    # A type variable named like a generated name: the binder x1 of its
-    # domain's relation is named over the variable x1, which it does not
-    # capture, as the witness x1_R is all its body uses of it.
+    # A type variable named like a generated name: a binder of a relation
+    # never takes the name of a source variable free in its scope, so the
+    # binder over the domain x1 is x3 (x2 in g_R's type), while the binder
+    # of the last Nat, whose scope does not use x1, is x1.
     "def m2 : forall (x1 : Set0), (Nat -> x1 -> Nat -> Nat) -> x1 -> Nat :=\n"
     "  fun (x1 : Set0) (g : Nat -> x1 -> Nat -> Nat) (y : x1) =>\n"
     "    g zero y zero.":
         "def m2_R : forall (x1 x1' : Set0) (x1_R : x1 -> x1' -> Prop) (x : "
         "Nat -> x1 -> Nat -> Nat) (x' : Nat -> x1' -> Nat -> Nat), (forall "
-        "(x2 x'1 : Nat), Nat_R x2 x'1 -> (forall (x1 : x1) (x'2 : x1'), "
-        "x1_R x1 x'2 -> (forall (x3 x'3 : Nat), Nat_R x3 x'3 -> Nat_R (x x2 "
-        "x1 x3) (x' x'1 x'2 x'3)))) -> (forall (x2 : x1) (x'1 : x1'), x1_R "
-        "x2 x'1 -> Nat_R (m2 x1 x x2) (m2 x1' x' x'1)) := fun (x1 x1' : "
-        "Set0) (x1_R : x1 -> x1' -> Prop) (g : Nat -> x1 -> Nat -> Nat) (g' "
-        ": Nat -> x1' -> Nat -> Nat) (g_R : forall (x x' : Nat), Nat_R x x' "
-        "-> (forall (x1 : x1) (x'1 : x1'), x1_R x1 x'1 -> (forall (x2 x'2 : "
-        "Nat), Nat_R x2 x'2 -> Nat_R (g x x1 x2) (g' x' x'1 x'2)))) (y : x1) "
+        "(x2 x'1 : Nat), Nat_R x2 x'1 -> (forall (x3 : x1) (x'2 : x1'), x1_R "
+        "x3 x'2 -> (forall (x1 x'3 : Nat), Nat_R x1 x'3 -> Nat_R (x x2 x3 "
+        "x1) (x' x'1 x'2 x'3)))) -> (forall (x2 : x1) (x'1 : x1'), x1_R x2 "
+        "x'1 -> Nat_R (m2 x1 x x2) (m2 x1' x' x'1)) := fun (x1 x1' : Set0) "
+        "(x1_R : x1 -> x1' -> Prop) (g : Nat -> x1 -> Nat -> Nat) (g' : Nat "
+        "-> x1' -> Nat -> Nat) (g_R : forall (x x' : Nat), Nat_R x x' -> "
+        "(forall (x2 : x1) (x'1 : x1'), x1_R x2 x'1 -> (forall (x1 x'2 : "
+        "Nat), Nat_R x1 x'2 -> Nat_R (g x x2 x1) (g' x' x'1 x'2)))) (y : x1) "
         "(y' : x1') (y_R : x1_R y y') => g_R zero zero zero_R y y' y_R zero "
         "zero zero_R.",
-    # Capture renames: each binder of a triple on its own (x'1, not x1'),
-    # the source binder x1 to x11 but its copy x1' kept, and the inner
-    # relations' x kept where the outer x is not in use.
+    # A binder of a relation that is free in the related terms is renamed,
+    # each binder of a triple on its own (x'1, not x1'): the source binder
+    # x1 to x11 but its copy x1' kept.  The inner relations' x is kept: it
+    # is free neither in their related terms nor in an image.
     "def k25 : forall (x : Nat), (Nat -> Nat -> Nat) -> forall (x1 : Nat),\n"
     "    (Nat -> Nat) -> Nat :=\n"
     "  fun (x : Nat) (g : Nat -> Nat -> Nat) (x1 : Nat) (h : Nat -> Nat) =>\n"
@@ -760,6 +766,134 @@ def test_abstraction_theorem_on_generated_terms(translated_env):
             t, ty = random_typed(rng, depth=4)
             assert abstraction_check(translated_env, Context(), t, ty), \
                 (seed, t)
+
+
+# Names the translation also picks, or that its relations bind (x, x1, a,
+# f, i), and names of prelude binders (A, n).
+SHADOWING = ("x", "x1", "x2", "a", "a1", "f", "i", "A", "n")
+
+
+def _rebound(t, pick, scope=None):
+    """`t` with each binder `b` renamed to `pick(b, used)`, where `used`
+    are the new names of the outer binders its scope refers to, and each
+    Var with its binder.  A name outside `used` captures nothing, so the
+    result is alpha-equivalent to `t`.  A `fun` binder `_` stays, as it
+    ends the alias of a fix's body (`param.Alias`)."""
+    scope = scope or {}
+    kind = type(t)
+    if kind is Var:
+        return Var(scope.get(t.name, t.name))
+    if kind is Prod or kind is Lam or kind is Fix:
+        dom, body = children(t)
+        new = t.binder
+        if new != "_" or kind is Prod:
+            new = pick(new, {scope.get(y, y) for y in free_vars(body)
+                             if y != t.binder})
+        return rebuild_binder(t, new, _rebound(dom, pick, scope),
+                              _rebound(body, pick, {**scope, t.binder: new}))
+    return map_children(t, lambda c: _rebound(c, pick, scope))
+
+
+def _apart():
+    """A `pick` that names binders u0, u1, ..., each once."""
+    count = itertools.count()
+    return lambda name, used: f"u{next(count)}"
+
+
+def _relations(env, t, ty, alias=None, a=None):
+    """The witness of `t` and the relation of `ty` at `a` (or at `t`) and
+    its copy, as the translation's entry points build them: normalised only
+    if the source holds a redex."""
+    redex = param._prepare(env, t, ty)
+    a = t if a is None else a
+    witness = param._translate(env, t, alias=alias)
+    fv = free_vars(a)
+    expected = param._relate(env, ty, a, prime(a),
+                             fv | {primed(n) for n in fv})
+    if redex:
+        witness, expected = beta_normalize(witness), beta_normalize(expected)
+    return witness, expected
+
+
+# Definitions whose translations rename a binder for a reason that
+# renaming_paths.rcic does not reach: an inner binder named like the
+# relation space's pair f (pair_inner); a relation binder g whose first
+# fresh name g1 is a source variable of its scope (inner_g); a `_` binder,
+# under the images of a fix, whose first fresh name x1 is one too
+# (fix_x1); and, once renamed to shadow, an outer binder b named like the
+# unused a that the fix's alias holds (unused_outer).
+RENAMED_BINDERS = """\
+def pair_inner : Set0 := forall (a : Nat) (f : Nat), Nat.
+def inner_g : forall (g1 : Set0), (forall (g : Nat), List g1) -> Nat :=
+  fun (g1 : Set0) (g : forall (g : Nat), List g1) => zero.
+def fix_x1 : forall (x : Nat), Nat -> Nat -> Nat :=
+  fun (x : Nat) =>
+    fix go {struct 0} : Nat -> Nat -> Nat :=
+      fun (n x1 : Nat) =>
+        match n as w in Nat return Nat with
+        | zero => x
+        | succ => fun (m : Nat) =>
+            match m as u in Nat return Nat with
+            | zero => go m x1
+            | succ => fun (_ : Nat) => plus x1 (go m x1)
+            end
+        end.
+def unused_outer : Nat -> Nat -> Nat -> Nat :=
+  fun (a b : Nat) =>
+    fix go {struct 0} : Nat -> Nat :=
+      fun (n : Nat) =>
+        match n as w in Nat return Nat with
+        | zero => b
+        | succ => fun (m : Nat) => go m
+        end.
+"""
+
+
+def test_translation_respects_alpha_equivalence():
+    # Renaming every binder apart changes no witness or relation beyond
+    # its binder names: the binders the translation makes capture nothing,
+    # whatever names the source binds.  Every definition of the prelude, of
+    # the renaming paths and of RENAMED_BINDERS, as written, with each
+    # binder named by the first of SHADOWING that captures nothing, and five
+    # times with its binders renamed at random to shadow one another and
+    # the names the translation picks, then 300 generated terms renamed so.
+    env = load_declarations(fresh_prelude_env(), (Path(__file__).with_name(
+        "renaming_paths.rcic")).read_text() + RENAMED_BINDERS)
+    rng = random.Random(0)
+
+    def shadow(name, used, choose=rng.choice):
+        names = [n for n in SHADOWING if n not in used]
+        return choose(names) if names else fresh_name(name, used)
+
+    def first(name, used):
+        return shadow(name, used, lambda names: names[0])
+
+    definitions = 0
+    for name in list(env.names()):
+        d = env.definition(name)
+        if d is None:
+            continue
+        self_ref = param.Alias(Const(name), Const(name))
+        pick = _apart()
+        apart = _relations(env, _rebound(d.body, pick), _rebound(d.type, pick),
+                           self_ref, Const(name))
+        shadowed = [(_rebound(d.body, pick), _rebound(d.type, pick))
+                    for pick in [first] + [shadow] * 5]
+        for body, ty in [(d.body, d.type), *shadowed]:
+            old = _relations(env, body, ty, self_ref, Const(name))
+            assert alpha_eq(old[0], apart[0]), name
+            assert alpha_eq(old[1], apart[1]), name
+        definitions += 1
+    assert definitions == 47
+    for seed in range(3):
+        rng.seed(seed)
+        for _ in range(100):
+            t, ty = random_typed(rng, depth=4)
+            t = _rebound(t, shadow)
+            pick = _apart()
+            old = _relations(env, t, ty)
+            new = _relations(env, _rebound(t, pick), _rebound(ty, pick))
+            assert alpha_eq(old[0], new[0]) and alpha_eq(old[1], new[1]), t
 
 
 def test_substitution_work_grows_at_most_quadratically():

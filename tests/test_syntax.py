@@ -27,10 +27,7 @@ from rcic import (
     app,
     arrow,
     free_vars,
-    lams,
-    prods,
     subst,
-    type_sort,
 )
 from rcic.frontend import (
     DCheck,
@@ -45,13 +42,16 @@ from rcic.syntax import (
     children,
     fresh_name,
     global_names,
+    lams,
     map_children,
     names,
+    prods,
     set_sort,
     strip_lams,
     strip_prods,
     subst_all,
     subterms,
+    type_sort,
     unfold_app,
 )
 
