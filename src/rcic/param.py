@@ -20,22 +20,26 @@ renamed, a fix's name and copy (which stand for the definition being
 translated), a case's motive binders.  Every node is built with its
 final names, so nothing is substituted over the output afterwards.
 
-Every binder the output makes is named by one rule, Barendregt's variable
-convention: it keeps its name unless the name is free in an image of the
-renaming (its `taken` set), and then takes the first fresh name outside
-`taken` and the source variables free in its scope, with their copies and
-witnesses.  A binder of a relation also avoids the names free in the
-related terms.  `fun` telescopes, product telescopes and application
-spines are read in loops, and the search for a fresh binder name along a
-telescope resumes where the last one stopped, so the cost is linear in
-the output.
+Every binder the output makes is named by one function, `_bind`, and one
+rule, Barendregt's variable convention: it keeps its name unless the name
+is free in what the output holds below it in place of source variables
+(the images of the renaming, its `taken` set, and a relation's related
+terms), and then takes the first fresh name outside those names and the
+source variables free in its scope.  A binder that stands for no source
+binder (a relation space's pair, a case's motive binders) also avoids
+every name its scope may use.  `fun` telescopes, product telescopes and
+application spines are read in loops, and the search for a fresh binder
+name along a telescope resumes where the last one stopped, so the cost is
+linear in the output.
 
 Relations are built in beta normal form: `_relate` gives the relation of
 a type at two terms, `[T] a a'`, directly, as a sort's relation space or a
 product's function space would read once applied and reduced.  The
-translation of a term with no redex therefore has none either, and each
-entry point calls `beta_normalize` only when `_prepare` found a redex in
-its source terms, to contract those redexes and their images.
+translation commutes with beta (the relation of `(fun x => b) a` reduces
+to that of `b[a/x]`), so `_prepare` normalises a source term that holds a
+redex, and the entry points translate the normal forms: the witnesses and
+relations they declare hold no redex, and each of their binders is named
+once.
 
 Name scheme: the copy of a variable (Var) x is x', its witness x_R; a
 global (Const, Ind, Constr) keeps its name in the copy and gains the _R
@@ -103,21 +107,6 @@ def relation_name(name: str) -> str:
     return name + WITNESS_SUFFIX
 
 
-class NameTriple(_Record):
-    """The three names a source binder expands to."""
-
-    __match_args__ = ("base", "copy", "rel")
-
-    def __init__(self, base: str, copy: str, rel: str) -> None:
-        _set(self, "base", base)
-        _set(self, "copy", copy)
-        _set(self, "rel", rel)
-
-    @classmethod
-    def from_base(cls, base: str) -> "NameTriple":
-        return cls(base, primed(base), relation_name(base))
-
-
 def relation_sort(s: Sort) -> Sort:
     """Where the relation over a type of sort `s` lands: proof-irrelevant
     relations over Prop and Set, level-preserving over Type."""
@@ -140,18 +129,22 @@ def prime(t: Term) -> Term:
     return map_children(t, prime)
 
 
-def _prepare(env: GlobalEnv, *terms: Term, skip: str = "") -> bool:
-    """Make `terms` ready to translate, and tell whether any of them holds
-    a redex (an App whose head is a Lam).  Reject a term that already uses
-    the reserved name suffixes, naming the first such name in sorted order,
-    term by term; then declare the relation of every global the terms
-    mention, except the inductive `skip`, once each in order of first
-    mention.  One walk per term finds the globals, the redexes and the
-    names `syntax.names` would list: Vars, Consts and binders."""
+def _prepare(env: GlobalEnv, *terms: Term, skip: str = "",
+             ) -> tuple[Term, ...]:
+    """Make `terms` ready to translate, and return them in beta normal
+    form.  Reject a term that already uses the reserved name suffixes,
+    naming the first such name in sorted order, term by term; then declare
+    the relation of every global the terms mention, except the inductive
+    `skip`, once each in order of first mention.  One walk per term finds
+    the globals, the names `syntax.names` would list (Vars, Consts and
+    binders) and whether it holds a redex (an App whose head is a Lam),
+    which `beta_normalize` then contracts; a term with none is returned
+    as it is."""
     needed: dict[tuple[type, str], None] = {}
-    redex = False
+    normal = []
     for t in terms:
         used: set[str] = set()
+        redex = False
         stack = [t]
         while stack:
             u = stack.pop()
@@ -187,40 +180,14 @@ def _prepare(env: GlobalEnv, *terms: Term, skip: str = "") -> bool:
         if reserved:
             raise ValueError("cannot translate a term using the "
                              f"reserved name {min(reserved)!r}")
+        normal.append(beta_normalize(t) if redex else t)
     needed.pop((Ind, skip), None)
     for kind, name in needed:
         if kind is Const:
             _ensure_definition(env, name)
         else:
             translate_inductive(env, _inductive(env, name))
-    return redex
-
-
-def _pick_triple(base: str, avoid: frozenset[str], scope: Term | None = None,
-                 ) -> NameTriple:
-    """A binder triple none of whose names is in `avoid`, nor has a name
-    of `avoid` as its base.  A `_` base becomes `x`, which also avoids the
-    names free in `scope`, the binder's scope."""
-    if base == "_" and scope is not None:
-        avoid = avoid | free_vars(scope)
-    stems = {n[:len(n) - len(s)] for n in avoid
-             for s in ("", PRIME_SUFFIX, WITNESS_SUFFIX) if n.endswith(s)}
-    return NameTriple.from_base(fresh_name(base, stems))
-
-
-def _tripled(names: frozenset[str] | set[str]) -> set[str]:
-    """Each name with its copy and witness."""
-    return {n for name in names
-            for n in (name, primed(name), relation_name(name))}
-
-
-def _stem(name: str) -> str:
-    """The source name whose copy or witness `name` is, or `name`."""
-    if name.endswith(PRIME_SUFFIX):
-        return name[:-len(PRIME_SUFFIX)]
-    if name.endswith(WITNESS_SUFFIX):
-        return name[:-len(WITNESS_SUFFIX)]
-    return name
+    return tuple(normal)
 
 
 class _Renaming:
@@ -233,8 +200,8 @@ class _Renaming:
     stand for the definition being translated) and a case's motive
     binders (which become the case's index and scrutinee triples) add
     entries.  The output is built with the images in place, so nothing is
-    substituted over it afterwards.  A binder the output makes keeps its
-    name unless `taken` holds it, one set lookup (`_avoiding`).
+    substituted over it afterwards.  A binder the output makes for a
+    source binder keeps its name unless `taken` holds it (`_bind`).
     """
 
     __slots__ = ("images", "taken")
@@ -312,19 +279,29 @@ def _copy(t: Term, ren: _Renaming) -> Term:
     return prime(t)
 
 
-def _avoiding(name: str, taken: frozenset[str] | set[str],
-              *scope: frozenset[str]) -> str:
-    """The name an output binder `name` takes: itself unless `taken` (the
-    names free in the terms the output holds below it for source
-    variables) holds it, and then the first fresh name outside `taken` and
-    the source names of `scope`, those free in the binder's scope, with
-    their copies and witnesses."""
+def _bind(name: str, taken: frozenset[str] | set[str],
+          *scope: frozenset[str], resume: dict[str, int] | None = None,
+          ) -> str:
+    """The name an output binder `name` takes: itself unless `taken` holds
+    it, and then the first fresh name `name{i}` outside `taken` and the
+    names of `scope`.
+
+    `taken` holds the names free in what the output holds below the
+    binder in place of source variables: the images of the renaming, the
+    related terms of a relation, and, for a binder that stands for no
+    source binder, every name its scope may use.  `scope` holds the source
+    variables free in the binder's scope.  A candidate ends in a digit, so
+    it is never the copy or the witness of one of them.  With `resume`, the
+    search starts where the last one for `name` found the first candidate
+    outside `taken`, which only grows along a telescope."""
     if name not in taken:
         return name
-    avoid = set(taken)
-    for names in scope:
-        avoid |= _tripled(names)
-    return fresh_name(name, avoid)
+    new = fresh_name(name, taken, resume.get(name, 1) if resume else 1)
+    if resume is not None:
+        resume[name] = int(new[len(name):])
+    while any(new in names for names in scope):
+        new = fresh_name(name, taken, int(new[len(name):]) + 1)
+    return new
 
 
 class Alias(_Record):
@@ -374,11 +351,12 @@ def _translate(env: GlobalEnv, t: Term, ren: _Renaming = _NO_RENAMING,
         # pair avoids the names free in t and t's first binder, whose
         # triple the relation binds around the pair's first use.
         fv = free_vars(t)
-        f = "x" if kind is SortT else fresh_name("f", fv | {t.binder})
-        f_c = f + PRIME_SUFFIX
-        base, copy = (_avoiding(n, ren.taken, fv) for n in (f, f_c))
+        if kind is Prod:
+            fv = fv | {t.binder}
+        base = _bind("x" if kind is SortT else "f", ren.taken | fv)
+        copy = _bind(primed(base), ren.taken, fv)
         return Lam(base, _kept(t, ren), Lam(copy, _copy(t, ren), _relate(
-            env, t, Var(base), Var(copy), (base, copy), ren)))
+            env, t, Var(base), Var(copy), ren)))
     if kind is Fix:
         return _translate_fix(env, t, ren, alias)
     raise TypeError(f"not a term: {t!r}")
@@ -411,12 +389,11 @@ def _translate_lams(env: GlobalEnv, t: Lam, ren: _Renaming,
             # The alias the binder grows holds these names below it.
             taken = taken | raw_names | copy_names
         if taken:
-            base, copy, rel = (_avoiding(n, taken, fv_ann, free_vars(body))
+            base, copy, rel = (_bind(n, taken, fv_ann, free_vars(body))
                                for n in (base, copy, rel))
         ann_l, ann_c = _kept(ann, ren), _copy(ann, ren)
         levels.append((base, ann_l, copy, ann_c, rel,
-                       _relate(env, ann, Var(base), Var(copy), (base, copy),
-                               ren)))
+                       _relate(env, ann, Var(base), Var(copy), ren)))
         if grows:
             guard = alias.guard, alias.guard_type
             if guard_at == 0:
@@ -441,19 +418,20 @@ def _translate_fix(env: GlobalEnv, t: Fix, ren: _Renaming,
                    alias: Alias | None) -> Term:
     """The witness of a fix: a fix over its relation, whose name and copy
     stand for the fix itself (or for the alias it is given) in the body's
-    witness."""
+    witness.  The fix's own witness is bound like any other binder, so it
+    captures no image of the renaming."""
     raw, copy = ((alias.raw, alias.primed) if alias is not None
                  else (_kept(t, ren), _copy(t, ren)))
     rel = relation_name(t.binder)
-    inner = ren.bind({t.binder: raw, primed(t.binder): copy, rel: Var(rel)})
+    rel_r = _bind(rel, ren.taken, free_vars(t), free_vars(raw))
+    inner = ren.bind({t.binder: raw, primed(t.binder): copy, rel: Var(rel_r)})
     if type(t.body) is Lam:
         body_r = _translate_lams(env, t.body, inner, Alias(raw, copy),
                                  t.decreasing)
     else:
         body_r = _translate(env, t.body, inner, Alias(raw, copy))
-    return Fix(rel, _relate(env, t.annotation, raw, copy,
-                            free_vars(raw) | free_vars(copy), ren),
-               body_r, 3 * t.decreasing + 2)
+    return Fix(rel_r, _relate(env, t.annotation, raw, copy, ren), body_r,
+               3 * t.decreasing + 2)
 
 
 def _translate_app(env: GlobalEnv, t: Term,
@@ -481,13 +459,10 @@ def _translate_app(env: GlobalEnv, t: Term,
 
 
 def _relate(env: GlobalEnv, t: Term, a: Term, a2: Term,
-            names: tuple[str, ...] | frozenset[str] | set[str],
             ren: _Renaming = _NO_RENAMING) -> Term:
     """`[t] a a2`, the relation of the type `t` at the terms `a` and `a2`:
     the beta normal form of `app(_translate(env, t), a, a2)`, with the
-    source variables renamed by `ren`, built directly.  `names` holds the
-    names free in `a` and `a2`, or more; those in `ren.taken` may be left
-    out.
+    source variables renamed by `ren`, built directly.
 
     A sort s gives `a -> a2 -> s^`.  A product telescope gives, in one
     loop, a binder triple x, x', x_R per source binder, x_R ranging over
@@ -496,19 +471,20 @@ def _relate(env: GlobalEnv, t: Term, a: Term, a2: Term,
     applied to `a` and `a2`.
 
     Each triple is the one `_translate` picks for the binder; a name of it
-    that is one of `names` or in `ren.taken` is then renamed on its own
-    (`_bind`).  The names a binder must avoid grow along the telescope,
-    and the search for a fresh one resumes where the last one for the same
-    base stopped, so each level costs the same.
+    that is free in `a` or `a2` or in `ren.taken` is then renamed on its
+    own (`_bind`).  The names a binder must avoid grow along the
+    telescope, and the search for a fresh one resumes where the last one
+    for the same base stopped, so each level costs the same.
     """
-    if type(t) is not Prod:
-        if type(t) is SortT:
-            return arrow(a, arrow(a2, SortT(relation_sort(t.sort))))
-        return App(App(_translate(env, t, ren), a), a2)
-    names = set(names)
-    resume: dict[str, int] = {}
     levels = []
-    fv_cods = None  # the names free in each codomain left, once needed
+    if type(t) is Prod:
+        # The names the binders avoid: those free in the images of `ren`
+        # and in the related terms, which grow along the telescope.
+        taken = set(ren.taken)
+        taken |= free_vars(a)
+        taken |= free_vars(a2)
+        resume: dict[str, int] = {}
+        fv_cods = None  # the names free in each codomain left, once needed
     while type(t) is Prod:
         binder, dom, cod = t.binder, t.domain, t.codomain
         fv_dom = _NO_NAMES if type(dom) in _CLOSED else free_vars(dom)
@@ -519,20 +495,23 @@ def _relate(env: GlobalEnv, t: Term, a: Term, a2: Term,
             x = fresh_name(binder, fv_dom | fv_cods[-1])
         fv_cod = fv_cods.pop() if fv_cods is not None else None
         base, copy, rel = x, x + PRIME_SUFFIX, x + WITNESS_SUFFIX
-        if ren.taken or base in names or copy in names or rel in names:
+        if base in taken or copy in taken or rel in taken:
             if fv_cod is None:
                 fv_cods = _codomain_names(t)
                 fv_cod = fv_cods.pop()
-            base, copy, rel = (_bind(n, names, ren.taken, resume, fv_dom,
-                                     fv_cod) for n in (base, copy, rel))
+            base, copy, rel = (_bind(n, taken, fv_dom, fv_cod, resume=resume)
+                               for n in (base, copy, rel))
         v, v2 = Var(base), Var(copy)
         levels.append((base, _kept(dom, ren), copy, _copy(dom, ren), rel,
-                       _relate(env, dom, v, v2, (base, copy), ren)))
+                       _relate(env, dom, v, v2, ren)))
         a, a2 = App(a, v), App(a2, v2)
-        names.add(base)
-        names.add(copy)
+        taken.add(base)
+        taken.add(copy)
         if binder != "_":
-            ren = ren.rebind(binder, base, copy, rel)
+            inner = ren.rebind(binder, base, copy, rel)
+            if inner.taken is not ren.taken:
+                taken |= inner.taken
+            ren = inner
         t = cod
     if type(t) is SortT:
         out = arrow(a, arrow(a2, SortT(relation_sort(t.sort))))
@@ -552,25 +531,6 @@ def _codomain_names(t: Prod) -> list[frozenset[str]]:
         t = t.codomain
         cods.append(t)
     return [free_vars(cod) for cod in reversed(cods)]
-
-
-def _bind(name: str, names: set[str], taken: frozenset[str],
-          resume: dict[str, int], fv_dom: frozenset[str],
-          fv_cod: frozenset[str]) -> str:
-    """The name a binder `name` of a relation's level takes: itself unless
-    it is one of `names` (those free in the related terms) or of `taken`
-    (those free in the renaming's images), and then the first fresh name
-    outside those and the source names free in the level's domain and
-    codomain, with their copies and witnesses.  The search starts where
-    the last one for `name` found the first candidate outside `names`,
-    which only grow along the telescope."""
-    if name not in names and name not in taken:
-        return name
-    new = fresh_name(name, names, resume.get(name, 1))
-    resume[name] = int(new[len(name):])
-    while new in taken or _stem(new) in fv_dom or _stem(new) in fv_cod:
-        new = fresh_name(name, names, int(new[len(name):]) + 1)
-    return new
 
 
 def _translate_case(env: GlobalEnv, t: Case, ren: _Renaming,
@@ -595,33 +555,29 @@ def _translate_case(env: GlobalEnv, t: Case, ren: _Renaming,
                and type(t.scrutinee) is Var
                and _kept(t.scrutinee, ren) == Var(alias.guard[0]))
 
-    # The names the motive's binders avoid: those free in the images of
-    # `ren`, and, as the source names them, those free in the motive, its
-    # copy and its translation, in the branches and their copies, in the
-    # tripled parameters, and in the alias.
-    fv_params = frozenset().union(*map(free_vars, t.params))
-    fv_branches = frozenset().union(*map(free_vars, t.branches))
-    fv_motive = free_vars(t.motive)
-    avoid = _tripled(fv_motive | fv_params)
-    avoid |= fv_branches
-    avoid.update(map(primed, fv_branches))
-    avoid |= ren.taken
-    if alias is not None:
-        alias_names = free_vars(alias.raw)
-        avoid |= alias_names | free_vars(alias.primed)
+    # The names the motive's binders avoid: the source variables free in
+    # the case, with their copies and witnesses, the names free in the
+    # images of `ren`, and, in a guarded case, those free in the alias,
+    # which its motive holds.
+    taken = {n for y in free_vars(t)
+             for n in (y, primed(y), relation_name(y))}
+    taken |= ren.taken
+    if guarded:
+        taken |= free_vars(alias.raw)
+        taken |= free_vars(alias.primed)
 
     # Instantiate the relation's arity with the tripled parameters, then
     # read off the telescope it expects: three binders per source index,
     # then the two related scrutinees (the arity's last two binders), then
     # their witness.  A declared arity is a syntactic product telescope.
     arity_binders, _ = strip_prods(rdecl.arity)
-    idx_names: list[str] = []
+    targets: list[str] = []
     for binder, _ in arity_binders[len(params3):-2]:
-        name = fresh_name(binder if binder != "_" else "i", avoid)
-        avoid.add(name)
-        idx_names.append(name)
-    pair = _pick_triple("a", frozenset(avoid))
-    targets = [*idx_names, pair.base, pair.copy, pair.rel]
+        targets.append(_bind(binder if binder != "_" else "i", taken))
+        taken.add(targets[-1])
+    a = _bind("a", taken)
+    a_c = _bind(primed(a), taken)
+    targets += [a, a_c, _bind(relation_name(a), taken)]
     binders = open_prods(rdecl.arity, params3, targets[:-1])
     rel_ty = app(Ind(rdecl.name), *params3, *map(Var, targets[:-1]))
     binders.append((targets[-1], rel_ty))
@@ -632,28 +588,21 @@ def _translate_case(env: GlobalEnv, t: Case, ren: _Renaming,
         # motive's binders, in the alias and in its copy.  An index that is
         # not a variable stays, and the case fails to check.
         (guard, guard_c), types = alias.guard, alias.guard_type
-        to_left, to_right = {guard: Var(pair.base)}, {guard_c: Var(pair.copy)}
+        to_left, to_right = {guard: Var(a)}, {guard_c: Var(a_c)}
         indices = [unfold_app(ty)[1][len(t.params):] for ty in types]
         for i, (index, index_c) in enumerate(zip(*indices)):
             if type(index) is Var and type(index_c) is Var:
-                to_left[index.name] = Var(idx_names[3 * i])
-                to_right[index_c.name] = Var(idx_names[3 * i + 1])
+                to_left[index.name] = Var(targets[3 * i])
+                to_right[index_c.name] = Var(targets[3 * i + 1])
         left = subst_all(alias.raw, to_left)
         right = subst_all(alias.primed, to_right)
-        names = {to_left[n].name if n in to_left else n for n in alias_names}
-        names.update(to_right[n].name if n in to_right else n
-                     for n in free_vars(alias.primed))
     else:
-        left = Case(t.ind, Var(pair.base), tuple(params3[0::3]),
+        left = Case(t.ind, Var(a), tuple(params3[0::3]),
                     _kept(t.motive, ren),
                     tuple(_kept(b, ren) for b in t.branches))
-        right = Case(t.ind, Var(pair.copy), tuple(params3[1::3]),
+        right = Case(t.ind, Var(a_c), tuple(params3[1::3]),
                      _copy(t.motive, ren),
                      tuple(_copy(b, ren) for b in t.branches))
-        names = _tripled(fv_params | fv_motive | fv_branches)
-        names -= {relation_name(n) for n in fv_params | fv_motive
-                  | fv_branches}
-        names.update((pair.base, pair.copy))
     motive_binders, body = strip_lams(t.motive)
     bound = 3 * len(motive_binders)
     # The triple of a motive binder becomes the matching targets; one the
@@ -667,7 +616,7 @@ def _translate_case(env: GlobalEnv, t: Case, ren: _Renaming,
             entries.update(zip(triple, map(Var, targets[3 * i:3 * i + 3])))
     inner = ren.bind(entries)
     if bound == len(targets):
-        rel = _relate(env, body, left, right, names, inner)
+        rel = _relate(env, body, left, right, inner)
     else:
         rel = app(_translate(env, body, inner), *map(Var, targets[bound:]),
                   left, right)
@@ -704,15 +653,13 @@ def _ensure_definition(env: GlobalEnv, name: str) -> None:
     if failure is not None:
         raise failure
     try:
-        redex = _prepare(env, defn.type, defn.body)
+        ty, body = _prepare(env, defn.type, defn.body)
         # The definition's own name is a definitional alias for its body,
         # which keeps the generated witness referencing `name` instead of
         # copies of the body.
         self_ref = Alias(Const(name), Const(name))
-        body_r = _translate(env, defn.body, alias=self_ref)
-        ty_r = _relate(env, defn.type, Const(name), Const(name), ())
-        if redex:
-            body_r, ty_r = beta_normalize(body_r), beta_normalize(ty_r)
+        body_r = _translate(env, body, alias=self_ref)
+        ty_r = _relate(env, ty, Const(name), Const(name))
         declare_definition(env, rn, ty_r, body_r, STAR)
     except (TypeCheckError, ValueError) as err:
         env.record_failure(rn, err)
@@ -732,15 +679,14 @@ def translate_inductive(env: GlobalEnv, decl: InductiveDecl) -> InductiveDecl:
     if existing is not None:
         return existing
 
-    redex = _prepare(env, decl.arity,
-                     *(cty for _, cty in decl.constructors), skip=decl.name)
-    arity_r = _relate(env, decl.arity, Ind(decl.name), Ind(decl.name), ())
-    ctors = [(relation_name(c), _relate(env, cty, Constr(c), Constr(c), ()))
-             for c, cty in decl.constructors]
-    if redex:
-        arity_r = beta_normalize(arity_r)
-        ctors = [(c, beta_normalize(rel)) for c, rel in ctors]
-    rdecl = InductiveDecl(rn, 3 * decl.params, arity_r, tuple(ctors))
+    arity, *ctys = _prepare(env, decl.arity,
+                            *(cty for _, cty in decl.constructors),
+                            skip=decl.name)
+    ctors = tuple((relation_name(c), _relate(env, cty, Constr(c), Constr(c)))
+                  for (c, _), cty in zip(decl.constructors, ctys))
+    rdecl = InductiveDecl(rn, 3 * decl.params,
+                          _relate(env, arity, Ind(decl.name), Ind(decl.name)),
+                          ctors)
     declare_inductive(env, rdecl, STAR)
     return rdecl
 
@@ -751,11 +697,8 @@ def translate_context(env: GlobalEnv, ctx: Context) -> Context:
     for name, ty in ctx:
         if is_reserved(name):
             raise ValueError(f"context name {name!r} uses a reserved suffix")
-        redex = _prepare(env, ty)
-        rel = _relate(env, ty, Var(name), Var(primed(name)),
-                      (name, primed(name)))
-        if redex:
-            rel = beta_normalize(rel)
+        (normal,) = _prepare(env, ty)
+        rel = _relate(env, normal, Var(name), Var(primed(name)))
         out = out.extend(name, ty)
         out = out.extend(primed(name), prime(ty))
         out = out.extend(relation_name(name), rel)
@@ -770,19 +713,14 @@ def abstraction_check(env: GlobalEnv, ctx: Context, term: Term,
     declared relation is the theorem for it and is reused by later
     references."""
     try:
-        redex = _prepare(env, term, ty)
+        normal, normal_ty = _prepare(env, term, ty)
         tctx = translate_context(env, ctx)
         check(env, tctx, term, ty, STAR)
         check(env, tctx, prime(term), prime(ty), STAR)
-        term_r = _translate(env, term)
-        fv = free_vars(term)
-        expected = _relate(env, ty, term, prime(term),
-                           fv | {primed(n) for n in fv})
         # A `fun` term applied to the binders of a product's relation is a
-        # redex too, which the kernel contracts as it checks.
-        if redex:
-            expected = beta_normalize(expected)
-        check(env, tctx, term_r, expected, STAR)
+        # redex, which the kernel contracts as it checks.
+        expected = _relate(env, normal_ty, normal, prime(normal))
+        check(env, tctx, _translate(env, normal), expected, STAR)
         return True
     except (TypeCheckError, ValueError):
         return False

@@ -28,10 +28,10 @@ def term_in(env, source):
 
 
 def translate_term(env, t):
-    """The relational witness of `t`, as the translation's entry points
-    make it: the relations of the globals `t` mentions are declared first.
-    It is in beta normal form when `t` is; `beta_normalize` contracts what
-    `t` brings."""
+    """The relational witness of `t` itself: the relations of the globals
+    `t` mentions are declared first.  It is in beta normal form when `t`
+    is; the translation's entry points translate the normal form of their
+    terms, and `beta_normalize` contracts what `t` brings."""
     param._prepare(env, t)
     return param._translate(env, t)
 

@@ -51,9 +51,9 @@ from rcic import kernel, syntax
 from rcic.cli import main
 from rcic.frontend import DDef
 from rcic.kernel import axiom_sort, is_small, sort_of_product, subsort
-from rcic.param import _pick_triple, prime, primed
-from rcic.syntax import (children, free_vars, lams, names, prods, set_sort,
-                         strip_prods, type_sort, unfold_app)
+from rcic.param import prime, primed, relation_name
+from rcic.syntax import (children, free_vars, fresh_name, lams, names, prods,
+                         set_sort, strip_prods, type_sort, unfold_app)
 
 from conftest import load_declarations, term_in, translate_term
 from gen import LIST_NAT, UNIT, random_typed
@@ -285,6 +285,17 @@ def test_beta_normalize():
     assert beta_normalize(t) == Lam("x", NAT, Var("x"))
 
 
+def _triple(base, avoid, scope=None):
+    """The names x, x', x_R of a binder triple none of which is in `avoid`,
+    nor has a name of `avoid` as its base.  A `_` base becomes `x`, which
+    also avoids the names free in `scope`, the binder's scope."""
+    if base == "_" and scope is not None:
+        avoid = avoid | free_vars(scope)
+    stems = {n.removesuffix(s) for n in avoid for s in ("'", "_R", "")}
+    x = fresh_name(base, stems)
+    return x, primed(x), relation_name(x)
+
+
 def _redex_relation(env, t):
     """The relation space of the type `t` with a redex at every product:
     [forall (x : A), B] is fun f f' => forall (x : A) (x' : A') (x_R : [A]
@@ -302,14 +313,14 @@ def _redex_relation(env, t):
     for node in reversed(levels):
         dom_c, dom_r = prime(node.domain), _redex_relation(env, node.domain)
         copy = Prod(primed(node.binder), dom_c, copy)
-        x = _pick_triple(node.binder, free_vars(node.domain), node.codomain)
-        f = _pick_triple("f", free_vars(node) | free_vars(dom_r)
-                         | free_vars(rel) | {x.base})
-        rel = Lam(f.base, node, Lam(f.copy, copy, Prod(
-            x.base, node.domain, Prod(x.copy, dom_c, Prod(
-                x.rel, app(dom_r, Var(x.base), Var(x.copy)),
-                app(rel, App(Var(f.base), Var(x.base)),
-                    App(Var(f.copy), Var(x.copy))))))))
+        x, x_c, x_r = _triple(node.binder, free_vars(node.domain),
+                              node.codomain)
+        f, f_c, _ = _triple("f", free_vars(node) | free_vars(dom_r)
+                            | free_vars(rel) | {x})
+        rel = Lam(f, node, Lam(f_c, copy, Prod(
+            x, node.domain, Prod(x_c, dom_c, Prod(
+                x_r, app(dom_r, Var(x), Var(x_c)),
+                app(rel, App(Var(f), Var(x)), App(Var(f_c), Var(x_c))))))))
     return rel
 
 

@@ -50,12 +50,13 @@ from rcic import param
 from rcic.cli import main
 from rcic.frontend import DDef, DInductive
 from rcic.kernel import FULL, STAR
-from rcic.param import (NameTriple, is_reserved, primed, relation_name,
+from rcic.param import (is_reserved, primed, relation_name,
                         relation_sort, translate_context)
 from rcic.syntax import (children, fresh_name, lams, map_children,
                          rebuild_binder, set_sort, strip_lams, subterms,
                          type_sort, unfold_app)
 
+import capture_files
 from conftest import (fresh_prelude_env, load_declarations, term_in,
                       translate_term)
 from gen import random_typed
@@ -80,8 +81,6 @@ def test_name_scheme():
     assert is_reserved("x'")
     assert is_reserved("plus_R")
     assert not is_reserved("plain")
-    triple = NameTriple.from_base("n")
-    assert (triple.base, triple.copy, triple.rel) == ("n", "n'", "n_R")
 
 
 def test_prime():
@@ -477,13 +476,15 @@ def test_declared_relations_are_normal_by_construction():
 
 def test_relations_of_a_source_redex_are_normal():
     # A redex in a constructor type or a context entry's type is
-    # contracted in its relation, and only there.
+    # contracted in the source, before it is translated, and only there:
+    # the arity holds none, so of W's two types only the constructor's is
+    # normalised.
     env = load_declarations(fresh_prelude_env(), """
 inductive W (A : Set0) : Set0 := w : (fun (T : Set0) => T -> T) A -> W A.
 """)
     with counting([(param, "beta_normalize")]) as normalised:
         rdecl = translate_inductive(env, env.inductive("W"))
-    assert normalised == [2]
+    assert normalised == [1]
     assert print_inductive(rdecl, env) == (
         "inductive W_R (A A' : Set0) (A_R : A -> A' -> Prop) : W A -> W A' "
         "-> Prop := w_R : forall (x : A -> A) (x' : A' -> A'), (forall (x1 : "
@@ -559,6 +560,21 @@ PINNED_RELATIONS = {
         "Nat_R x1 x'1 -> Nat_R (m5 x x1) (m5 x' x'1)) := fun (x x' : Nat) "
         "(x_R : Nat_R x x') (z z' : Nat) (z_R : Nat_R z z') => "
         "plus_R x x' x_R z z' z_R.",
+    # A redex in the type that the relation's product takes: the source
+    # is normalised before it is translated, so the product's binders are
+    # named once (x2), not once by the translation and again by
+    # contracting the relation (x11).
+    "def m4 : forall (A : Set0), (fun (T : Set0) => T -> T -> T) A -> A -> A"
+    " :=\n  fun (A : Set0) (g : A -> A -> A) (y : A) => g y y.":
+        "def m4_R : forall (A A' : Set0) (A_R : A -> A' -> Prop) (x : A -> A "
+        "-> A) (x' : A' -> A' -> A'), (forall (x1 : A) (x'1 : A'), A_R x1 x'1 "
+        "-> (forall (x2 : A) (x'2 : A'), A_R x2 x'2 -> A_R (x x1 x2) (x' x'1 "
+        "x'2))) -> (forall (x1 : A) (x'1 : A'), A_R x1 x'1 -> A_R (m4 A x x1) "
+        "(m4 A' x' x'1)) := fun (A A' : Set0) (A_R : A -> A' -> Prop) (g : A "
+        "-> A -> A) (g' : A' -> A' -> A') (g_R : forall (x : A) (x' : A'), "
+        "A_R x x' -> (forall (x1 : A) (x'1 : A'), A_R x1 x'1 -> A_R (g x x1) "
+        "(g' x' x'1))) (y : A) (y' : A') (y_R : A_R y y') => g_R y y' y_R y "
+        "y' y_R.",
     # An unapplied product, whose relation space's pair avoids the
     # product's own binder f.
     "def pf : Set0 := forall (f : Nat), Nat.":
@@ -607,7 +623,7 @@ PINNED_RELATIONS = {
 
 @pytest.mark.parametrize("source", list(PINNED_RELATIONS),
                          ids=["redex", "type_redex", "inner_redex",
-                              "relation_space", "named_like_generated",
+                              "type_redex_product", "relation_space", "named_like_generated",
                               "capture"])
 def test_relations_keep_their_printed_form(source, capsys, tmp_path):
     path = tmp_path / "pinned.rcic"
@@ -802,17 +818,12 @@ def _apart():
 
 def _relations(env, t, ty, alias=None, a=None):
     """The witness of `t` and the relation of `ty` at `a` (or at `t`) and
-    its copy, as the translation's entry points build them: normalised only
-    if the source holds a redex."""
-    redex = param._prepare(env, t, ty)
+    its copy, as the translation's entry points build them: from the
+    source's normal form."""
+    t, ty = param._prepare(env, t, ty)
     a = t if a is None else a
-    witness = param._translate(env, t, alias=alias)
-    fv = free_vars(a)
-    expected = param._relate(env, ty, a, prime(a),
-                             fv | {primed(n) for n in fv})
-    if redex:
-        witness, expected = beta_normalize(witness), beta_normalize(expected)
-    return witness, expected
+    return (param._translate(env, t, alias=alias),
+            param._relate(env, ty, a, prime(a)))
 
 
 # Definitions whose translations rename a binder for a reason that
@@ -894,6 +905,49 @@ def test_translation_respects_alpha_equivalence():
             old = _relations(env, t, ty)
             new = _relations(env, _rebound(t, pick), _rebound(ty, pick))
             assert alpha_eq(old[0], new[0]) and alpha_eq(old[1], new[1]), t
+
+
+def test_no_binder_captures_a_renamed_witness():
+    # A second x whose annotation uses the first is renamed to x1 in the
+    # output, so its witness is x1_R.  Neither the witness of a fix x1 nor
+    # the witness binder of a later x1 in a product's relation may capture
+    # it.  Only the kernel API builds such terms: the elaborator renames a
+    # binder that shadows another.
+    env = load_declarations(fresh_prelude_env(), VEC_SOURCE + (
+        "def P : Nat -> Set0 := fun (n : Nat) => Nat.\n"))
+
+    def vec(n):
+        return app(Ind("Vec"), NAT, n)
+
+    def fix_term(outer, inner, fix):
+        inner_case = Case(
+            "Vec", Var(inner), (NAT,), Lam("k", NAT, Lam("w", vec(Var("k")),
+                                                          NAT)),
+            (Constr("zero"), lams([("m", NAT), ("h", NAT),
+                                   ("t", vec(Var("m")))], Var("m"))))
+        body = Lam("n", NAT, Case("Nat", Var("n"), (), Lam("w", NAT, NAT),
+                                  (inner_case, Lam("k", NAT, Var("k")))))
+        return Lam(outer, NAT, Lam(inner, vec(Var(outer)),
+                                   Fix(fix, arrow(NAT, NAT), body, 0)))
+
+    ty = Prod("x", NAT, Prod("x", vec(Var("x")), arrow(NAT, NAT)))
+    for names in [("x", "x", "x1"), ("u0", "u1", "u2"), ("x", "x", "g")]:
+        assert abstraction_check(env, Context(), fix_term(*names), ty), names
+    # P x is Nat, so y's annotation uses the second x.
+    p_x = App(Const("P"), Var("x"))
+    ty = Prod("x", NAT, Prod("x", p_x, Prod("x1", NAT, Prod(
+        "y", vec(Var("x")), NAT))))
+    t = lams([("x", NAT), ("x", p_x), ("x1", NAT), ("y", vec(Var("x")))],
+             Constr("zero"))
+    assert abstraction_check(env, Context(), t, ty)
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_capture_files_pass(seed):
+    # Fixes under binders named like the names the translation picks (see
+    # capture_files.py): every definition of the file and of the prelude
+    # passes param-check.
+    assert capture_files.verdicts(seed) == (30 + capture_files.DEFINITIONS, 0)
 
 
 def test_substitution_work_grows_at_most_quadratically():

@@ -37,7 +37,7 @@ from rcic.frontend import (
     RawMatch,
     SourceFile,
 )
-from rcic.param import Alias, NameTriple
+from rcic.param import Alias
 from rcic.syntax import (
     children,
     fresh_name,
@@ -149,8 +149,6 @@ RECORDS = [
     (lambda: SourceFile((DParamCheck("one", 4, 1),)),
      "SourceFile(decls=(DParamCheck(name='one', line=4, col=1),))",
      ("decls",)),
-    (lambda: NameTriple("x", "x'", "x_R"),
-     "NameTriple(base='x', copy=\"x'\", rel='x_R')", ("base", "copy", "rel")),
     (lambda: Alias(Var("f"), Var("f'")),
      "Alias(raw=Var(name='f'), primed=Var(name=\"f'\"), guard=None, "
      "guard_type=None)", ("raw", "primed", "guard", "guard_type")),
