@@ -39,7 +39,8 @@ translation commutes with beta (the relation of `(fun x => b) a` reduces
 to that of `b[a/x]`), so `_prepare` normalises a source term that holds a
 redex, and the entry points translate the normal forms: the witnesses and
 relations they declare hold no redex, and each of their binders is named
-once.
+once.  Normalisation ends only on a well-typed term, so
+`abstraction_check` has the kernel check its context, type and term first.
 
 Name scheme: the copy of a variable (Var) x is x', its witness x_R; a
 global (Const, Ind, Constr) keeps its name in the copy and gains the _R
@@ -94,6 +95,7 @@ from .kernel import (
     check,
     declare_definition,
     declare_inductive,
+    infer_sort,
 )
 
 
@@ -713,10 +715,18 @@ def abstraction_check(env: GlobalEnv, ctx: Context, term: Term,
     declared relation is the theorem for it and is reused by later
     references."""
     try:
-        normal, normal_ty = _prepare(env, term, ty)
+        # Only well-typed terms are sure to have a beta normal form, so the
+        # kernel checks the context, the type and the term before
+        # `translate_context` and `_prepare` normalise them.
+        scope = Context()
+        for name, entry in ctx:
+            infer_sort(env, scope, entry, STAR)
+            scope = scope.extend(name, entry)
+        infer_sort(env, ctx, ty, STAR)
+        check(env, ctx, term, ty, STAR)
         tctx = translate_context(env, ctx)
-        check(env, tctx, term, ty, STAR)
         check(env, tctx, prime(term), prime(ty), STAR)
+        normal, normal_ty = _prepare(env, term, ty)
         # A `fun` term applied to the binders of a product's relation is a
         # redex, which the kernel contracts as it checks.
         expected = _relate(env, normal_ty, normal, prime(normal))

@@ -17,7 +17,8 @@ renaming paths.  Every definition passes `rcic param-check`.
 
 prints one Markdown line per file: its seed and the PASS and FAIL counts
 of `rcic param-check` on the prelude plus the file (30 of the PASSes are
-the prelude's).
+the prelude's).  It exits with status 1 unless every file reads PASSES
+PASS and 0 FAIL.
 
     PYTHONPATH=src python tests/capture_files.py --write DIR
 
@@ -38,6 +39,8 @@ OUTER = ("x", "x1", "a", "a1", "f", "i", "k")
 MOTIVE = ("n", "m", "w")
 SEEDS = range(11)
 DEFINITIONS = 40
+# The PASS count of a file: the prelude's 30 and each definition's.
+PASSES = 30 + DEFINITIONS
 
 
 def _nat(rng: random.Random, scope: list[str]) -> str:
@@ -136,7 +139,11 @@ if __name__ == "__main__":
         for seed in SEEDS:
             (out_dir / f"capture{seed}.rcic").write_text(capture_file(seed))
     else:
+        status = 0
         for seed in SEEDS:
             passed, failed = verdicts(seed)
             sys.stdout.write(f"Capture file {seed}: {passed} PASS, "
                              f"{failed} FAIL\n")
+            if (passed, failed) != (PASSES, 0):
+                status = 1
+        sys.exit(status)

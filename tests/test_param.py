@@ -677,6 +677,18 @@ def test_abstraction_check_rejects_ill_typed(translated_env):
                                  Var("missing"), NAT)
 
 
+def test_abstraction_check_rejects_an_ill_typed_redex(translated_env):
+    # Beta normalisation of the self-application never ends, so the kernel
+    # must reject it before it is normalised, as a term, a type or the type
+    # of a context entry.
+    omega = Lam("x", NAT, App(Var("x"), Var("x")))
+    loop = App(omega, omega)
+    assert not abstraction_check(translated_env, Context(), loop, NAT)
+    assert not abstraction_check(translated_env, Context(), Var("n"), loop)
+    assert not abstraction_check(translated_env, Context().extend("n", loop),
+                                 Var("n"), NAT)
+
+
 def test_abstraction_check_rejects_reserved_names(translated_env):
     assert not abstraction_check(translated_env, Context(), Var("x'"), NAT)
 
@@ -947,7 +959,7 @@ def test_capture_files_pass(seed):
     # Fixes under binders named like the names the translation picks (see
     # capture_files.py): every definition of the file and of the prelude
     # passes param-check.
-    assert capture_files.verdicts(seed) == (30 + capture_files.DEFINITIONS, 0)
+    assert capture_files.verdicts(seed) == (capture_files.PASSES, 0)
 
 
 def test_substitution_work_grows_at_most_quadratically():
