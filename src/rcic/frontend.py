@@ -51,7 +51,6 @@ from .syntax import (
     Term,
     Var,
     _Record,
-    _set,
     app,
     children,
     fresh_name,
@@ -201,21 +200,14 @@ def _parse_sort(word: str, line: int, col: int) -> Sort:
 class RawMatch(Term):
     """Surface match, before the motive and branch binders are annotated."""
 
-    __match_args__ = ("scrutinee", "as_name", "ind", "atoms", "motive",
-                      "branches", "line", "col")
-
-    def __init__(self, scrutinee: Term, as_name: str, ind: str,
-                 atoms: tuple[Term, ...], motive: Term,
-                 branches: tuple[tuple[str, tuple[str, ...], Term], ...],
-                 line: int, col: int) -> None:
-        _set(self, "scrutinee", scrutinee)
-        _set(self, "as_name", as_name)
-        _set(self, "ind", ind)
-        _set(self, "atoms", atoms)  # parameter terms, then index binder names
-        _set(self, "motive", motive)
-        _set(self, "branches", branches)
-        _set(self, "line", line)
-        _set(self, "col", col)
+    scrutinee: Term
+    as_name: str
+    ind: str
+    atoms: tuple[Term, ...]  # parameter terms, then index binder names
+    motive: Term
+    branches: tuple[tuple[str, tuple[str, ...], Term], ...]
+    line: int
+    col: int
 
     # What syntax.children and syntax.names need of a node kind they do
     # not know.
@@ -228,58 +220,40 @@ class RawMatch(Term):
 
 
 class DInductive(_Record):
-    __match_args__ = ("name", "params", "arity", "constructors", "line", "col")
-
-    def __init__(self, name: str, params: int, arity: Term,
-                 constructors: tuple[tuple[str, Term], ...], line: int,
-                 col: int) -> None:
-        _set(self, "name", name)
-        _set(self, "params", params)
-        _set(self, "arity", arity)  # parameter binders included
-        # The constructor types include the parameters.
-        _set(self, "constructors", constructors)
-        _set(self, "line", line)
-        _set(self, "col", col)
+    name: str
+    params: int
+    arity: Term  # parameter binders included
+    # The constructor types include the parameters.
+    constructors: tuple[tuple[str, Term], ...]
+    line: int
+    col: int
 
 
 class DDef(_Record):
-    __match_args__ = ("name", "type", "body", "line", "col")
-
-    def __init__(self, name: str, type: Term, body: Term, line: int,
-                 col: int) -> None:
-        _set(self, "name", name)
-        _set(self, "type", type)
-        _set(self, "body", body)
-        _set(self, "line", line)
-        _set(self, "col", col)
+    name: str
+    type: Term
+    body: Term
+    line: int
+    col: int
 
 
 class DCheck(_Record):
-    __match_args__ = ("term", "line", "col")
-
-    def __init__(self, term: Term, line: int, col: int) -> None:
-        _set(self, "term", term)
-        _set(self, "line", line)
-        _set(self, "col", col)
+    term: Term
+    line: int
+    col: int
 
 
 class DParamCheck(_Record):
-    __match_args__ = ("name", "line", "col")
-
-    def __init__(self, name: str, line: int, col: int) -> None:
-        _set(self, "name", name)
-        _set(self, "line", line)
-        _set(self, "col", col)
+    name: str
+    line: int
+    col: int
 
 
 Decl = DInductive | DDef | DCheck | DParamCheck
 
 
 class SourceFile(_Record):
-    __match_args__ = ("decls",)
-
-    def __init__(self, decls: tuple[Decl, ...]) -> None:
-        _set(self, "decls", decls)
+    decls: tuple[Decl, ...]
 
 
 class _Parser:

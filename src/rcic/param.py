@@ -321,7 +321,10 @@ class Alias(_Record):
     variables of the alias and of its copy to rebind.
     """
 
-    __match_args__ = ("raw", "primed", "guard", "guard_type")
+    raw: Term
+    primed: Term
+    guard: tuple[str, str] | None
+    guard_type: tuple[Term, Term] | None
 
     def __init__(self, raw: Term, primed: Term,
                  guard: tuple[str, str] | None = None,
@@ -364,14 +367,15 @@ def _translate(env: GlobalEnv, t: Term, ren: _Renaming = _NO_RENAMING,
     raise TypeError(f"not a term: {t!r}")
 
 
-def _translate_lams(env: GlobalEnv, t: Lam, ren: _Renaming,
+def _translate_lams(env: GlobalEnv, t: Term, ren: _Renaming,
                     alias: Alias | None, guard_at: int = -1) -> Term:
-    """The witness of a `fun` telescope, read in one loop: a triple per
-    source binder, the last ranging over the annotation's relation, around
-    the witness of the body.  A `_` binder becomes x, x1, ..., and a
-    binder its annotation uses is renamed alike, avoiding the names its
-    scope uses.  An alias grows by the binder's pair, and records the
-    binder at position `guard_at`, a fix's decreasing argument."""
+    """The witness of a `fun` telescope (of none if `t` is no Lam), read
+    in one loop: a triple per source binder, the last ranging over the
+    annotation's relation, around the witness of the body.  A `_` binder
+    becomes x, x1, ..., and a binder its annotation uses is renamed
+    alike, avoiding the names its scope uses.  An alias grows by the
+    binder's pair, and records the binder at position `guard_at`, a fix's
+    decreasing argument."""
     levels = []
     if alias is not None:
         # The names free in the alias and in its copy, as it grows.
@@ -427,11 +431,8 @@ def _translate_fix(env: GlobalEnv, t: Fix, ren: _Renaming,
     rel = relation_name(t.binder)
     rel_r = _bind(rel, ren.taken, free_vars(t), free_vars(raw))
     inner = ren.bind({t.binder: raw, primed(t.binder): copy, rel: Var(rel_r)})
-    if type(t.body) is Lam:
-        body_r = _translate_lams(env, t.body, inner, Alias(raw, copy),
-                                 t.decreasing)
-    else:
-        body_r = _translate(env, t.body, inner, Alias(raw, copy))
+    body_r = _translate_lams(env, t.body, inner, Alias(raw, copy),
+                             t.decreasing)
     return Fix(rel_r, _relate(env, t.annotation, raw, copy, ren), body_r,
                3 * t.decreasing + 2)
 
@@ -694,7 +695,14 @@ def translate_inductive(env: GlobalEnv, decl: InductiveDecl) -> InductiveDecl:
 
 
 def translate_context(env: GlobalEnv, ctx: Context) -> Context:
-    """Triple every context entry: the original, its copy, its witness."""
+    """Triple every context entry: the original, its copy, its witness.
+    Only well-typed terms are sure to have a beta normal form, so the
+    kernel checks each entry's type, entry by entry, before `_prepare`
+    normalises any of them."""
+    scope = Context()
+    for name, ty in ctx:
+        infer_sort(env, scope, ty, STAR)
+        scope = scope.extend(name, ty)
     out = Context()
     for name, ty in ctx:
         if is_reserved(name):
@@ -715,16 +723,11 @@ def abstraction_check(env: GlobalEnv, ctx: Context, term: Term,
     declared relation is the theorem for it and is reused by later
     references."""
     try:
-        # Only well-typed terms are sure to have a beta normal form, so the
-        # kernel checks the context, the type and the term before
-        # `translate_context` and `_prepare` normalise them.
-        scope = Context()
-        for name, entry in ctx:
-            infer_sort(env, scope, entry, STAR)
-            scope = scope.extend(name, entry)
+        # `translate_context` checks the context; the kernel checks the
+        # type and the term before `_prepare` normalises them.
+        tctx = translate_context(env, ctx)
         infer_sort(env, ctx, ty, STAR)
         check(env, ctx, term, ty, STAR)
-        tctx = translate_context(env, ctx)
         check(env, tctx, prime(term), prime(ty), STAR)
         normal, normal_ty = _prepare(env, term, ty)
         # A `fun` term applied to the binders of a product's relation is a

@@ -13,8 +13,9 @@ kernel's beta read-back renames by the same rule.  alpha_eq compares
 terms up to consistent renaming of bound names.
 
 Sorts, term nodes and declarations are immutable records (`_Record`):
-plain classes that compare, hash and print by their fields as frozen
-dataclasses would, without importing `dataclasses`.  A term node keeps
+plain classes that declare their fields as annotations, and compare, hash
+and print by them as frozen dataclasses would, without importing
+`dataclasses`.  A term node keeps
 two lazily filled caches in slots, which equality, hashing and repr do
 not see: its free variables (`free_vars`) and the globals it mentions
 (`global_names`, which the printer asks before renaming a binder).
@@ -51,21 +52,34 @@ _set = object.__setattr__
 class _Record:
     """Base of the immutable records: sorts, term nodes and declarations.
 
-    A subclass lists its fields, in order, in `__match_args__` (which
-    positional class patterns use) and assigns each in `__init__` through
-    `_set`.  Records compare equal when they are of the same class and
-    their fields are equal, hash their fields, and print as
-    `App(fn=Var(name='x'), arg=...)`.  Assigning or deleting an attribute
-    raises.
+    A subclass declares its fields, in order, as annotations in its class
+    body; they become its `__match_args__`, which positional class patterns
+    use.  A subclass that defines no `__init__` gets the one that takes its
+    fields in order and assigns each through `_set`; one that validates its
+    input or has defaults writes its own.  Records compare equal when they
+    are of the same class and their fields are equal, hash their fields,
+    and print as `App(fn=Var(name='x'), arg=...)`.  Assigning or deleting
+    an attribute raises.
     """
 
     __slots__ = ()
-    __match_args__: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        if cls.__match_args__:
-            cls._key = attrgetter(*cls.__match_args__)
+        fields = tuple(vars(cls).get("__annotations__", ()))
+        if not fields:
+            return
+        cls.__match_args__ = fields
+        cls._key = attrgetter(*fields)
+        if "__init__" not in vars(cls):
+            # The constructor one would write by hand, made from the field
+            # names alone, as `collections.namedtuple` makes its methods.
+            sets = "".join(f"\n    _set(record, {f!r}, {f})" for f in fields)
+            scope: dict = {}
+            exec(f"def __init__(record, {', '.join(fields)}):{sets}",
+                 {"_set": _set}, scope)
+            cls.__init__ = scope["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -90,7 +104,8 @@ class _Record:
 class Sort(_Record):
     """A sort: Prop, Set at level >= 0, or Type at level >= 1."""
 
-    __match_args__ = ("kind", "level")
+    kind: str
+    level: Optional[int]
 
     def __init__(self, kind: str, level: Optional[int] = None) -> None:
         if kind == "Prop":
@@ -141,76 +156,52 @@ class Term(_Record):
 class Var(Term):
     """A bound or context variable.  Never a reference to a global."""
 
-    __match_args__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
+    name: str
 
 
 class Const(Term):
     """A reference to a global definition."""
 
-    __match_args__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
+    name: str
 
 
 class SortT(Term):
     """A sort used as a term."""
 
-    __match_args__ = ("sort",)
-
-    def __init__(self, sort: Sort) -> None:
-        _set(self, "sort", sort)
+    sort: Sort
 
 
 class Prod(Term):
     """Dependent product `forall (binder : domain), codomain`."""
 
-    __match_args__ = ("binder", "domain", "codomain")
-
-    def __init__(self, binder: str, domain: Term, codomain: Term) -> None:
-        _set(self, "binder", binder)
-        _set(self, "domain", domain)
-        _set(self, "codomain", codomain)
+    binder: str
+    domain: Term
+    codomain: Term
 
 
 class Lam(Term):
     """Abstraction `fun (binder : annotation) => body`."""
 
-    __match_args__ = ("binder", "annotation", "body")
-
-    def __init__(self, binder: str, annotation: Term, body: Term) -> None:
-        _set(self, "binder", binder)
-        _set(self, "annotation", annotation)
-        _set(self, "body", body)
+    binder: str
+    annotation: Term
+    body: Term
 
 
 class App(Term):
-    __match_args__ = ("fn", "arg")
-
-    def __init__(self, fn: Term, arg: Term) -> None:
-        _set(self, "fn", fn)
-        _set(self, "arg", arg)
+    fn: Term
+    arg: Term
 
 
 class Ind(Term):
     """A reference to a declared inductive type."""
 
-    __match_args__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
+    name: str
 
 
 class Constr(Term):
     """A reference to a declared constructor."""
 
-    __match_args__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
+    name: str
 
 
 class Case(Term):
@@ -223,15 +214,11 @@ class Case(Term):
     arguments.
     """
 
-    __match_args__ = ("ind", "scrutinee", "params", "motive", "branches")
-
-    def __init__(self, ind: str, scrutinee: Term, params: tuple[Term, ...],
-                 motive: Term, branches: tuple[Term, ...]) -> None:
-        _set(self, "ind", ind)
-        _set(self, "scrutinee", scrutinee)
-        _set(self, "params", params)
-        _set(self, "motive", motive)
-        _set(self, "branches", branches)
+    ind: str
+    scrutinee: Term
+    params: tuple[Term, ...]
+    motive: Term
+    branches: tuple[Term, ...]
 
 
 class Fix(Term):
@@ -242,14 +229,10 @@ class Fix(Term):
     that must shrink at every recursive call.
     """
 
-    __match_args__ = ("binder", "annotation", "body", "decreasing")
-
-    def __init__(self, binder: str, annotation: Term, body: Term,
-                 decreasing: int) -> None:
-        _set(self, "binder", binder)
-        _set(self, "annotation", annotation)
-        _set(self, "body", body)
-        _set(self, "decreasing", decreasing)
+    binder: str
+    annotation: Term
+    body: Term
+    decreasing: int
 
 
 class InductiveDecl(_Record):
@@ -260,25 +243,18 @@ class InductiveDecl(_Record):
     globals) and start with the same parameter binders.
     """
 
-    __match_args__ = ("name", "params", "arity", "constructors")
-
-    def __init__(self, name: str, params: int, arity: Term,
-                 constructors: tuple[tuple[str, Term], ...]) -> None:
-        _set(self, "name", name)
-        _set(self, "params", params)
-        _set(self, "arity", arity)
-        _set(self, "constructors", constructors)
+    name: str
+    params: int
+    arity: Term
+    constructors: tuple[tuple[str, Term], ...]
 
 
 class Definition(_Record):
     """A transparent global definition."""
 
-    __match_args__ = ("name", "type", "body")
-
-    def __init__(self, name: str, type: Term, body: Term) -> None:
-        _set(self, "name", name)
-        _set(self, "type", type)
-        _set(self, "body", body)
+    name: str
+    type: Term
+    body: Term
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,12 @@ def test_parse_match_with_atoms():
                    "with | nil => zero | cons h t => zero end")
     assert isinstance(t, RawMatch)
     assert t.atoms == (Var("Nat"),)
+    # A parameter atom may be a sort or a parenthesised term.
+    for atom, expected in (("Set0", SortT(set_sort(0))), ("(Nat)", Var("Nat")),
+                           ("(List Nat)", App(Var("List"), Var("Nat")))):
+        t = parse_term(f"match l as x in List {atom} return Nat "
+                       "with | nil => zero | cons h t => zero end")
+        assert t.atoms == (expected,)
 
 
 def test_parse_errors_have_positions():
@@ -739,6 +745,15 @@ def test_elaborate_match_index_binders(fresh_env):
           end
     """)
     assert "_" not in str(t.body.body.motive)
+    with pytest.raises(ParseError,
+                       match="match indices must be fresh binder names"):
+        term_in(fresh_env, """
+            fun (v : Vec Nat (succ zero)) =>
+              match v as w in Vec Nat (succ zero) return Nat with
+              | vnil => zero
+              | vcons m h t => m
+              end
+        """)
 
 
 def test_declare_takes_every_declaration_kind():

@@ -201,6 +201,18 @@ def test_whnf_fix_needs_all_arguments(prelude_env):
     assert whnf(prelude_env, partial) == partial
 
 
+def test_a_sort_applied_to_an_argument_is_stuck(prelude_env):
+    # Ill typed, but whnf and conv take terms unchecked: the application
+    # is a stuck value, read back as it was and compared by its head and
+    # its arguments.
+    stuck = App(SortT(set_sort(0)), Constr("zero"))
+    assert whnf(prelude_env, stuck) == stuck
+    redex = App(Lam("x", NAT, Var("x")), Constr("zero"))
+    assert conv(prelude_env, App(SortT(set_sort(0)), redex), stuck)
+    assert not conv(prelude_env, stuck, App(SortT(set_sort(1)),
+                                            Constr("zero")))
+
+
 def test_whnf_reads_back_like_the_term_oracle(prelude_env):
     env = prelude_env
     # A case stuck on a reducible scrutinee keeps it in weak head normal
@@ -1116,6 +1128,12 @@ def test_case_rejections_from_the_command_line(tmp_path, capsys):
                  "def f : List Nat -> Nat := fun (l : List Nat) =>\n"
                  "  match l as x in List Bool return Nat with\n"
                  "  | nil => zero | cons h t => zero end.\n",
+                 ErrorKind.NOT_CONVERTIBLE,
+                 "case parameters disagree with the scrutinee")
+    # A parameter that is a sort applied to an argument is a stuck value.
+    _cli_rejects(tmp_path, capsys,
+                 "check match nil Nat as l in List (Set0 Nat) return Nat "
+                 "with\n  | nil => zero | cons h t => zero end.\n",
                  ErrorKind.NOT_CONVERTIBLE,
                  "case parameters disagree with the scrutinee")
     _cli_rejects(tmp_path, capsys,
