@@ -687,6 +687,10 @@ def test_abstraction_check_rejects_an_ill_typed_redex(translated_env):
     assert not abstraction_check(translated_env, Context(), Var("n"), loop)
     assert not abstraction_check(translated_env, Context().extend("n", loop),
                                  Var("n"), NAT)
+    # translate_context checks the context itself, so a direct call fails
+    # as the check does, not by exhausting the stack.
+    with pytest.raises(TypeCheckError):
+        translate_context(translated_env, Context().extend("n", loop))
 
 
 def test_a_binder_shadowing_its_sibling_translates(fresh_env):
@@ -699,15 +703,6 @@ def test_a_binder_shadowing_its_sibling_translates(fresh_env):
     translate_definition(fresh_env, "dup")
     assert fresh_env.definition("dup_R") is not None
     assert abstraction_check(fresh_env, Context(), body, ty)
-
-
-def test_translate_context_rejects_an_ill_typed_redex(translated_env):
-    # The kernel checks each entry before it is normalised, so a direct
-    # call fails as abstraction_check does, not by exhausting the stack.
-    omega = Lam("x", NAT, App(Var("x"), Var("x")))
-    loop = App(omega, omega)
-    with pytest.raises(TypeCheckError):
-        translate_context(translated_env, Context().extend("n", loop))
 
 
 def test_abstraction_check_rejects_reserved_names(translated_env):
