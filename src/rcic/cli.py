@@ -9,9 +9,11 @@ across the files in argument order:
                does, printing PASS if it checks and FAIL if not; a
                declared relation is reused by every later reference
 
+Options may come before or among the files; `rcic --help` lists them.
+
 Exit status: 0 on success, 1 for type errors, abstraction failures and
-declarations nested too deep to check, 2 for parse and I/O errors (a file
-that is not UTF-8 is an I/O error).
+declarations nested too deep to check, 2 for usage, parse and I/O errors
+(a file that is not UTF-8 is an I/O error).
 Diagnostics go to stderr as path:line:col: error: ...  A type too deep
 to print in a diagnostic is shown as `<too deep to print>`.
 
@@ -19,16 +21,13 @@ A run pauses the cyclic garbage collector and restores the caller's
 setting when it returns or raises.  Everything a run builds (tokens,
 terms, declarations, kernel values) lives until it ends, so the
 collector's passes over that growing heap find nothing to free.  The only
-reference cycles a run makes are argparse's, about 150 objects, which one
-pass over the young objects frees right after the arguments are parsed,
-and those of the exceptions of failed relations, which the environment
-keeps anyway (`GlobalEnv.record_failure`).  The library itself keeps the
-interpreter's default policy.
+reference cycles a run makes are those of the exceptions of failed
+relations, which the environment keeps anyway (`GlobalEnv.record_failure`).
+The library itself keeps the interpreter's default policy.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 from pathlib import Path
@@ -41,35 +40,83 @@ from .param import translate_definition, translate_inductive
 from .printer import print_definition, print_inductive, print_term
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rcic",
-        description="Type checker and relational translator for a small "
-                    "dependently typed language.")
-    sub = parser.add_subparsers(dest="command", required=True)
+_HELP = """\
+usage: rcic {check,translate,param-check} [options] FILE...
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("files", nargs="+", help="source files, processed in order")
-        p.add_argument("--full-elim", action="store_true",
-                       help="allow strong elimination over non-small inductives")
+Type checker and relational translator for a small dependently typed
+language.  The FILEs are source files, processed in order.
 
-    p_check = sub.add_parser("check", help="type check declarations")
-    common(p_check)
-    p_check.add_argument("--print-universes", action="store_true",
-                         help="also print the sort of every printed type")
+commands:
+  check        type check declarations
+  translate    type check and print relation declarations
+  param-check  run the abstraction check on every definition
 
-    p_translate = sub.add_parser(
-        "translate", help="type check and print relation declarations")
-    common(p_translate)
-    p_translate.add_argument("--print-universes", action="store_true",
-                             help="also print the sort of every printed type")
-    p_translate.add_argument("--def", dest="only", metavar="NAME",
-                             help="only print the translation of this global")
+options:
+  -h, --help         show this help and exit
+  --full-elim        allow strong elimination over non-small inductives
+  --print-universes  (check, translate) also print the sort of every
+                     printed type
+  --def NAME         (translate) only print the translation of this global
+"""
+# The options each command takes.
+_OPTIONS = {
+    "check": ("--full-elim", "--print-universes"),
+    "translate": ("--full-elim", "--print-universes", "--def"),
+    "param-check": ("--full-elim",),
+}
 
-    p_param = sub.add_parser(
-        "param-check", help="run the abstraction check on every definition")
-    common(p_param)
-    return parser
+
+class Arguments:
+    """A command line read by `read_args`; every field is set."""
+
+    def __init__(self, command: str) -> None:
+        self.command = command
+        self.files: list[str] = []
+        self.full_elim = False
+        self.print_universes = False
+        self.only: str | None = None
+
+
+def read_args(argv: list[str] | None = None) -> Arguments:
+    """Read `rcic COMMAND [options] FILE...` from `argv`, or from
+    `sys.argv[1:]` if it is None; options may come before or among the
+    files.  `-h` or `--help` prints the help to stdout and raises
+    SystemExit(0).  A usage error prints the usage line and `rcic: error:
+    ...` to stderr and raises SystemExit(2)."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if "-h" in argv or "--help" in argv:
+        print(_HELP, end="")
+        raise SystemExit(0)
+    if not argv or argv[0] not in _OPTIONS:
+        _usage_error(f"unknown command {argv[0]!r}" if argv
+                     else "a command is required")
+    args = Arguments(argv[0])
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            args.files.append(arg)
+        elif arg not in _OPTIONS[args.command]:
+            _usage_error(f"{args.command} takes no option {arg!r}")
+        elif arg == "--full-elim":
+            args.full_elim = True
+        elif arg == "--print-universes":
+            args.print_universes = True
+        else:
+            args.only = next(rest, None)
+            if args.only is None or args.only.startswith("-"):
+                _usage_error("--def expects a NAME")
+    if not args.files:
+        _usage_error("no FILE given")
+    return args
+
+
+def _usage_error(message: str) -> None:
+    """Print the usage line and the usage error `message` to stderr, and
+    exit 2."""
+    print(_HELP.partition("\n")[0], f"rcic: error: {message}", sep="\n",
+          file=sys.stderr)
+    raise SystemExit(2)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -80,11 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_arg_parser().parse_args(argv)
-        # The parser, its actions and the help formatters it made are
-        # reference cycles; one pass over the young objects frees them
-        # before the run's heap grows.
-        gc.collect(0)
+        args = read_args(argv)
         mode = FULL if args.full_elim else STAR
         env = GlobalEnv()
         failures = 0
@@ -133,11 +176,11 @@ def _report(env: GlobalEnv, where: str, err: Exception) -> None:
         print(f"  {label}: {shown}", file=sys.stderr)
 
 
-def _process(env: GlobalEnv, decl, args, mode) -> int:
+def _process(env: GlobalEnv, decl, args: Arguments, mode) -> int:
     """Handle one declaration; returns the number of abstraction failures."""
     command = args.command
-    universes = getattr(args, "print_universes", False)
-    only = getattr(args, "only", None)
+    universes = args.print_universes
+    only = args.only
 
     def show(name: str, ty) -> None:
         line = f"{name} : {print_term(ty, env)}"

@@ -49,16 +49,60 @@ def write(tmp_path, name, text):
     return str(p)
 
 
-def test_starting_the_cli_imports_no_dataclasses():
-    # Records are plain classes, so a fresh interpreter importing the CLI
-    # loads neither dataclasses nor inspect (which dataclasses imports).
-    # -S keeps site hooks, which might import either, out of the check.
+def modules_loaded_with_the_cli(names: set[str]) -> str:
+    """The sorted list of those of `names` that a fresh interpreter has
+    loaded once it imports the CLI, as printed.  -S keeps site hooks, which
+    might import any of them, out of the check."""
     env = dict(os.environ, PYTHONPATH=str(Path(rcic.__file__).parents[1]))
     run = subprocess.run(
         [sys.executable, "-S", "-c", "import sys, rcic.cli; "
-         "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"],
+         f"print(sorted({names!r} & sys.modules.keys()))"],
         capture_output=True, encoding="utf-8", env=env, timeout=60)
-    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+    assert (run.returncode, run.stderr) == (0, "")
+    return run.stdout
+
+
+def test_starting_the_cli_imports_no_dataclasses():
+    # Records are plain classes, so a fresh interpreter importing the CLI
+    # loads neither dataclasses nor inspect (which dataclasses imports).
+    assert modules_loaded_with_the_cli({"dataclasses", "inspect"}) == "[]\n"
+
+
+def test_starting_the_cli_imports_no_argparse():
+    # The command line is read by hand, so a fresh interpreter importing
+    # the CLI loads neither argparse nor gettext (which argparse imports).
+    assert modules_loaded_with_the_cli({"argparse", "gettext"}) == "[]\n"
+
+
+def test_command_line_outcomes(prelude, capsys):
+    usage_errors = [
+        [],                                   # no command
+        ["verify", prelude],                  # an unknown command
+        ["check", "--bogus", prelude],        # an unknown option
+        ["check", "--def", "negb", prelude],  # an option check does not take
+        ["translate", prelude, "--def"],      # --def without a name
+        ["translate", "--def", "--full-elim", prelude],  # an option, no name
+        ["check", "--full-elim"],             # no file
+    ]
+    for argv in usage_errors:
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (raised.value.code, out) == (2, ""), argv
+        assert err.startswith("usage: rcic"), argv
+        assert "\nrcic: error: " in err, argv
+    for argv in (["-h"], ["check", prelude, "--help"]):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (raised.value.code, err) == (0, ""), argv
+        assert out.startswith("usage: rcic"), argv
+    # Options may come before or among the files.
+    assert main(["check", prelude, "--full-elim"]) == 0
+    assert "plus : Nat -> Nat -> Nat" in capsys.readouterr().out
+    assert main(["translate", "--def", "negb", prelude]) == 0
+    out = capsys.readouterr().out
+    assert "def negb_R :" in out and "def plus_R :" not in out
 
 
 def test_check_prelude(prelude, capsys):
@@ -504,26 +548,33 @@ def test_a_run_leaves_no_rcic_object_in_cyclic_garbage(command, prelude,
     # Why a run may pause the cyclic collector: no term, record, kernel
     # value or environment it builds ends up in a reference cycle, so once
     # the run returns everything it built is freed without the collector.
-    # argparse's parser is a cycle, which the run's own pass over the young
-    # objects collects (and, with DEBUG_SAVEALL, saves) before it goes on.
+    # Nor does the run start a pass of its own.  The collector is off for
+    # the whole run, so a pass recorded while it runs is one it asked for.
+    passes = []
+
+    def record(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
     gc.collect()
-    flags = gc.get_debug()
+    was, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
+    gc.callbacks.append(record)
     try:
-        assert main([command, prelude, seeded]) == 0
-        during = len(gc.garbage)
+        try:
+            assert main([command, prelude, seeded]) == 0
+        finally:
+            gc.callbacks.remove(record)
         gc.collect()
-        modules = [type(o).__module__.partition(".")[0] for o in gc.garbage]
-        found = Counter(type(o).__qualname__
-                        for o, module in zip(gc.garbage[during:],
-                                             modules[during:])
-                        if module in ("rcic", "argparse"))
-        collected = modules[:during].count("argparse")
+        found = Counter(type(o).__qualname__ for o in gc.garbage
+                        if type(o).__module__.partition(".")[0] == "rcic")
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
+        (gc.enable if was else gc.disable)()
     assert found == Counter()
-    assert collected > 0
+    assert passes == []
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

@@ -52,8 +52,9 @@ a redex of the source; the prelude and `Vec` have none.
 
 The ninth count is of the passes of the cyclic garbage collector made
 during the same `rcic check` as the fourth, from `gc.get_stats()`.  A run
-pauses the collector; it makes one pass, over the young objects, to free
-argparse's reference cycles right after it parses its arguments.
+pauses the collector and makes no pass of its own, so the count is 0; a
+pass that the run's allocations made due may still start as soon as the
+run re-enables the collector, and would be counted.
 
 The tenth count is of the names the translation probes in its searches
 for a fresh name (`param`'s calls of `fresh_name`) while it translates
