@@ -10,8 +10,6 @@ The pieces:
 - cli: the rcic command
 """
 
-from pathlib import Path
-
 from .syntax import (
     PROP,
     App,
@@ -66,8 +64,11 @@ from .frontend import ParseError, declare, elaborate, parse_file, parse_term
 from .printer import print_definition, print_inductive, print_term
 
 
-def prelude_path() -> Path:
-    """The bundled standard prelude of inductives and definitions."""
+def prelude_path():
+    """The bundled standard prelude of inductives and definitions, as a
+    pathlib.Path.  pathlib is imported here, not with the package: the
+    command line does not need it."""
+    from pathlib import Path
     return Path(__file__).with_name("prelude.rcic")
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import gc
 import sys
-from pathlib import Path
 
 from .syntax import Context, DuplicateNameError, GlobalEnv
 from .kernel import FULL, STAR, TypeCheckError, infer_sort
@@ -133,7 +132,8 @@ def main(argv: list[str] | None = None) -> int:
         failures = 0
         for path in args.files:
             try:
-                text = Path(path).read_text(encoding="utf-8")
+                with open(path, encoding="utf-8") as file:
+                    text = file.read()
             except (OSError, UnicodeDecodeError) as err:
                 print(f"{path}: error: {err}", file=sys.stderr)
                 return 2

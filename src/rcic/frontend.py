@@ -9,16 +9,24 @@ each RawMatch into a fully annotated case: the motive and branch binders
 get their types from the inductive's declaration.  `declare` takes every
 kind of parsed declaration through the kernel.
 
-The lexer makes one pattern match per token or newline (the spaces after it
-included) and builds one tuple per token, without a Python-level call.  The group that matched is the token's kind, so the pattern tells
-sorts (`Prop`, `Set<n>`, `Type<n>`), identifiers and reserved names apart;
-a keyword is an identifier in KEYWORDS.  Identifiers, numbers and symbols
-are ASCII; any other character outside a comment is a ParseError,
-`unexpected character`.  The parser tells keywords and symbols apart by a
-token's value alone: no identifier has a keyword's text, and no other token
-has a symbol's.  It reads arrow chains, the bodies of `forall`, `fun` and
-`fix`, and application spines in loops, so only parentheses and the other
-parts of a binder form or a match take Python frames per nesting level.
+The lexer does no Python-level work per token.  One `findall` splits each
+line of a stretch of text between comments into words; each distinct word
+is classified once, into one Token that all its occurrences share, and
+`map` puts the words' tokens in a list.  A name is a sort if the whole word
+is one (`Prop`, `Set<n>`, `Type<n>`), and otherwise a reserved name, a
+keyword (a name in KEYWORDS) or an identifier.  Names, numbers and symbols
+are ASCII; any other
+character outside a comment is a ParseError, `unexpected character`.  An
+error is reported at the first offending token in the text.  A token holds
+its kind and value only: `Tokens.position` finds its line and column when
+asked, from the index of each line's first token and a scan of that one
+line, and the parser asks at declaration starts, at `match` and on errors.
+
+The parser tells keywords and symbols apart by a token's value alone: no
+identifier has a keyword's text, and no other token has a symbol's.  It
+reads arrow chains, the bodies of `forall`, `fun` and `fix`, and
+application spines in loops, so only parentheses and the other parts of a
+binder form or a match take Python frames per nesting level.
 
 Names ending in ' or _R (`syntax.is_reserved`) are reserved for generated
 copies and witnesses and are rejected unless the caller opts in (useful for
@@ -28,7 +36,9 @@ reading generated code back in).
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from functools import partial
+from itertools import accumulate, chain
 from operator import itemgetter
 from sys import intern
 from typing import Callable
@@ -54,6 +64,7 @@ from .syntax import (
     app,
     children,
     fresh_name,
+    is_reserved,
     lams,
     map_children,
     names,
@@ -81,41 +92,32 @@ KEYWORDS = frozenset({
     "with", "end", "def", "inductive", "check", "paramcheck",
 })
 
-# One match per token or newline, the spaces after it included; the name of
-# the group that matched is its kind.  A sort is a whole word (`Set1x` is an
-# identifier), and `_parse_sort` rejects `Set` and `Type` without a level.
-# Any other word is an identifier (a keyword if it is in KEYWORDS) unless it
-# ends like a reserved name.  Spaces start a match only at the start of the
-# text and after a comment.  A character that starts no ASCII token is junk.
-_WORD_END = r"(?![A-Za-z0-9_'])"
-_TOKEN_RE = re.compile(rf"""
-    (?: (?P<comment>\(\*)
-      | (?P<symbol>:=|->|=>|[(){{}}:,.|])
-      | (?P<sort>(?:Prop|Set[0-9]*|Type[0-9]*){_WORD_END})
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_']*{_WORD_END}
-                  (?<!{re.escape(PRIME_SUFFIX)})(?<!{re.escape(WITNESS_SUFFIX)}))
-      | (?P<reserved>[A-Za-z_][A-Za-z0-9_']*)
-      | (?P<nl>\n)
-      | (?P<number>[0-9]+)
-      | (?P<space>[ \t\r]+)
-      | (?P<eof>\Z)
-      | (?P<junk>.) )
-    [ \t\r]*
-""", re.VERBOSE)
+# A word is a name (letters, digits, `_` and `'`, not starting with a digit),
+# a number, a two-character symbol, or any other character but a space or a
+# newline: a one-character symbol, or junk.  Every other character of a line
+# outside a comment is in one word, so one `findall` splits it into tokens.
+_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|[0-9]+|:=|->|=>|[^ \t\r\n]")
+# A sort is a whole word (`Set1x` is a name); `_sort` rejects `Set` and
+# `Type` without a level.
+_SORT_RE = re.compile(r"Prop|Set[0-9]*|Type[0-9]*")
 # The delimiters that open and close a nested comment.
 _COMMENT_RE = re.compile(r"\(\*|\*\)")
+_SYMBOLS = frozenset({":=", "->", "=>", *"(){}:,.|"})
+_NAME_START = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
 class Token(tuple):
     """A token: its kind ("ident", "keyword", "sort", "number", "symbol" or
-    "eof"), its value, and the line and column where it starts.  A plain
-    tuple subclass, which `tokenize` builds with tuple.__new__."""
+    "eof") and its value.  A plain pair; every occurrence of a word shares
+    one Token."""
 
     __slots__ = ()
     kind = property(itemgetter(0))
     value = property(itemgetter(1))
-    line = property(itemgetter(2))
-    col = property(itemgetter(3))
+
+    def __new__(cls, kind: str, value: object) -> Token:
+        return tuple.__new__(cls, (kind, value))
 
     def describe(self) -> str:
         if self.kind == "eof":
@@ -123,77 +125,146 @@ class Token(tuple):
         return repr(str(self.value))
 
 
-def tokenize(text: str, allow_reserved: bool = False) -> list[Token]:
+_EOF = Token("eof", None)
+
+
+class Tokens(list):
+    """`tokenize`'s tokens, eof last.  It records the index of each line's
+    first token, so `position` finds where a token starts only when asked."""
+
+    __slots__ = ("text", "line_first", "comments", "_line_starts")
+
+    def __init__(self, text: str):
+        super().__init__()
+        self.text = text
+        # line_first[n] is the index of the first token at or after the
+        # start of line n + 1.
+        self.line_first: list[int] = [0]
+        # The start and end offsets of each outermost comment, in order.
+        self.comments: list[int] = []
+        self._line_starts: list[int] = []
+
+    def position(self, i: int) -> tuple[int, int]:
+        """The line and column (both from 1, a column in characters) where
+        token `i` starts; end of input is where the text ends.  Only the
+        token's line is scanned again."""
+        text = self.text
+        starts = self._line_starts
+        if not starts:
+            # The offset of each line's start, then of the text's end + 1.
+            starts += accumulate(map((1).__add__, map(len, text.split("\n"))),
+                                 initial=0)
+        line = bisect_right(self.line_first, i)
+        start = starts[line - 1]
+        if i == len(self) - 1:
+            return line, len(text) - start + 1
+        skip = i - self.line_first[line - 1]
+        stop = starts[line] - 1
+        # Scan from the line's start, or from the end of a comment that
+        # holds it.
+        comments = self.comments
+        c = bisect_right(comments, start)
+        pos = comments[c] if c % 2 else start
+        while True:
+            comment = text.find("(*", pos, stop)
+            for m in _WORD_RE.finditer(text, pos,
+                                       stop if comment < 0 else comment):
+                if not skip:
+                    return line, m.start() - start + 1
+                skip -= 1
+            pos = comments[bisect_right(comments, comment)]
+
+
+def tokenize(text: str, allow_reserved: bool = False) -> Tokens:
     """The tokens of `text`, then an `eof` token where the text ends.
 
-    Every word and symbol is interned, so equal names share one string."""
-    tokens: list[Token] = []
-    append = tokens.append
-    new = tuple.__new__
-    line = 1
-    base = -1  # index of the newline before `line`; col = index - base
-    pos = 0  # where scanning starts: the text's start, then a comment's end
+    Equal names share one interned string and one Token.  An error (junk,
+    a reserved name, a bad sort, an unterminated comment) is raised at the
+    first one in the text."""
+    tokens = Tokens(text)
+    line_first = tokens.line_first
+    words: list[str] = []
+    pos = 0
     while True:
-        for m in _TOKEN_RE.finditer(text, pos):
-            kind = m.lastgroup
-            if kind == "ident" or kind == "symbol":
-                word = intern(m[kind])
-                append(new(Token, ("keyword" if word in KEYWORDS else kind,
-                                   word, line, m.start() - base)))
-            elif kind == "nl":
-                line += 1
-                base = m.start()
-            elif kind == "number":
-                append(new(Token, (kind, int(m[kind]), line,
-                                   m.start() - base)))
-            elif kind == "sort":
-                col = m.start() - base
-                append(new(Token, (kind, _parse_sort(m[kind], line, col),
-                                   line, col)))
-            elif kind == "comment":
-                start = m.start()
-                depth = 1
-                for delim in _COMMENT_RE.finditer(text, start + 2):
-                    depth += 1 if delim.group() == "(*" else -1
-                    if depth == 0:
-                        pos = delim.end()
-                        break
-                else:
-                    raise ParseError("unterminated comment", line,
-                                     start - base)
-                newlines = text.count("\n", start, pos)
-                if newlines:
-                    line += newlines
-                    base = text.rindex("\n", start, pos)
-                break  # scan on from the comment's end
-            elif kind == "eof":
-                append(new(Token, (kind, None, line, m.start() - base)))
-                return tokens
-            elif kind == "reserved":
-                word = intern(m[kind])
-                col = m.start() - base
-                if not allow_reserved:
-                    suffix = (PRIME_SUFFIX if word.endswith(PRIME_SUFFIX)
-                              else WITNESS_SUFFIX)
-                    raise ParseError(
-                        f"names ending in {suffix} are reserved: {word}",
-                        line, col)
-                append(new(Token, ("ident", word, line, col)))
-            elif kind == "junk":
-                raise ParseError(f"unexpected character {m[kind]!r}", line,
-                                 m.start() - base)
+        start = text.find("(*", pos)
+        end = start if start >= 0 else len(text)
+        lines = list(map(_WORD_RE.findall, text[pos:end].split("\n")))
+        # Each line after the stretch's first starts at the number of words
+        # before it.
+        line_first += list(accumulate(map(len, lines),
+                                      initial=len(words)))[1:-1]
+        words += chain.from_iterable(lines)
+        if start < 0:
+            break
+        depth = 1
+        for delim in _COMMENT_RE.finditer(text, start + 2):
+            depth += 1 if delim.group() == "(*" else -1
+            if depth == 0:
+                pos = delim.end()
+                break
+        else:
+            # An error before the comment is the one to report.
+            _classify(tokens, words, allow_reserved)
+            raise ParseError("unterminated comment",
+                             text.count("\n", 0, start) + 1,
+                             start - text.rfind("\n", 0, start))
+        tokens.comments += start, pos
+        line_first += [len(words)] * text.count("\n", start, pos)
+    tokens += map(_classify(tokens, words, allow_reserved).__getitem__, words)
+    tokens.append(_EOF)
+    return tokens
 
 
-def _parse_sort(word: str, line: int, col: int) -> Sort:
+def _classify(tokens: Tokens, words: list[str],
+              allow_reserved: bool) -> dict[str, Token]:
+    """Map each distinct word of `words`, the words of `tokens` in text
+    order, to its token.  Raise the error of the first word that is no
+    token."""
+    table: dict[str, Token] = {}
+    errors: dict[str, str] = {}
+    for word in set(words):
+        if word in _SYMBOLS:
+            table[word] = Token("symbol", _interned(word))
+        elif "0" <= word[0] <= "9":
+            table[word] = Token("number", int(word))
+        elif word[0] not in _NAME_START:
+            errors[word] = f"unexpected character {word!r}"
+        elif _SORT_RE.fullmatch(word):
+            sort = _sort(word)
+            if isinstance(sort, str):
+                errors[word] = sort
+            else:
+                table[word] = Token("sort", sort)
+        elif is_reserved(word) and not allow_reserved:
+            suffix = (PRIME_SUFFIX if word.endswith(PRIME_SUFFIX)
+                      else WITNESS_SUFFIX)
+            errors[word] = f"names ending in {suffix} are reserved: {word}"
+        else:
+            table[word] = Token("keyword" if word in KEYWORDS else "ident",
+                                _interned(word))
+    if errors:
+        first = min(map(words.index, errors))
+        raise ParseError(errors[words[first]], *tokens.position(first))
+    return table
+
+
+def _interned(word: str) -> str:
+    """The interned copy of `word`.  A copy, so that no string cut from the
+    text outlives `tokenize`: one that did would keep the memory of the
+    words around it from being reused."""
+    return intern(word.encode().decode())
+
+
+def _sort(word: str) -> Sort | str:
+    """The sort `word` names, or the message of the error it is."""
     if word == "Prop":
         return Sort("Prop")
     kind = "Set" if word.startswith("Set") else "Type"
     if word == kind:
-        raise ParseError(f"{word} needs an explicit level, like {word}1",
-                         line, col)
+        return f"{word} needs an explicit level, like {word}1"
     level = int(word[len(kind):])
     if kind == "Type" and level < 1:
-        raise ParseError("Type levels start at 1", line, col)
+        return "Type levels start at 1"
     return Sort(kind, level)
 
 
@@ -261,7 +332,11 @@ class _Parser:
     `term` and `application`, read `tokens[pos]` directly."""
 
     def __init__(self, text: str, allow_reserved: bool = False):
-        self.tokens = tokenize(text, allow_reserved)
+        tokens = tokenize(text, allow_reserved)
+        self.position = tokens.position
+        # A plain list (a slice of one is one), which the interpreter
+        # indexes faster than a subclass.
+        self.tokens = tokens[:]
         self.pos = 0
         # One Var node per name: nodes are immutable, so one can be shared.
         self.var_nodes: dict[str, Var] = {}
@@ -275,9 +350,9 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def error(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def error(self, message: str) -> ParseError:
+        """A ParseError at the next token."""
+        return ParseError(message, *self.position(self.pos))
 
     def at(self, text: str) -> bool:
         """Whether the next token is the keyword or symbol `text`."""
@@ -315,7 +390,7 @@ class _Parser:
         # the function that wraps it.
         outer: list[Callable[[Term], Term]] = []
         while True:
-            kind, value, _, _ = tokens[self.pos]
+            kind, value = tokens[self.pos]
             if kind == "keyword" and value in ("forall", "fun"):
                 self.pos += 1
                 binders = self.binder_groups(minimum=1)
@@ -369,7 +444,7 @@ class _Parser:
         pos = self.pos
         t = None
         while True:
-            kind, value, _, _ = tokens[pos]
+            kind, value = tokens[pos]
             if kind == "ident" and value != "_":
                 arg = (var_nodes.get(value)
                        or var_nodes.setdefault(value, Var(value)))
@@ -414,7 +489,8 @@ class _Parser:
         raise self.error(f"expected a term, found {tok.describe()}")
 
     def match_expr(self) -> Term:
-        start = self.expect("match")
+        line, col = self.position(self.pos)
+        self.expect("match")
         scrutinee = self.term()
         self.expect("as")
         as_name = self.expect_ident()
@@ -439,7 +515,7 @@ class _Parser:
             branches.append((cname, tuple(args), self.term()))
         self.expect("end")
         return RawMatch(scrutinee, as_name, ind, tuple(atoms), motive,
-                        tuple(branches), start.line, start.col)
+                        tuple(branches), line, col)
 
     def binder_groups(self, minimum: int = 0) -> list[tuple[str, Term]]:
         tokens = self.tokens
@@ -468,6 +544,7 @@ class _Parser:
 
     def decl(self) -> Decl:
         tok = self.peek()
+        line, col = self.position(self.pos)
         if self.at("def"):
             self.next()
             name = self.global_name()
@@ -476,7 +553,7 @@ class _Parser:
             self.expect(":=")
             body = self.term()
             self.expect(".")
-            return DDef(name, ty, body, tok.line, tok.col)
+            return DDef(name, ty, body, line, col)
         if self.at("inductive"):
             self.next()
             name = self.global_name()
@@ -498,17 +575,17 @@ class _Parser:
                     self.next()
             self.expect(".")
             return DInductive(name, len(binders), prods(binders, arity),
-                              tuple(constructors), tok.line, tok.col)
+                              tuple(constructors), line, col)
         if self.at("check"):
             self.next()
             t = self.term()
             self.expect(".")
-            return DCheck(t, tok.line, tok.col)
+            return DCheck(t, line, col)
         if self.at("paramcheck"):
             self.next()
             name = self.global_name()
             self.expect(".")
-            return DParamCheck(name, tok.line, tok.col)
+            return DParamCheck(name, line, col)
         raise self.error(
             f"expected a declaration, found {tok.describe()}")
 

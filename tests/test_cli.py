@@ -74,6 +74,14 @@ def test_starting_the_cli_imports_no_argparse():
     assert modules_loaded_with_the_cli({"argparse", "gettext"}) == "[]\n"
 
 
+def test_starting_the_cli_imports_no_pathlib():
+    # The CLI reads files with open() and the package imports pathlib only
+    # in prelude_path(), so a fresh interpreter importing the CLI does not
+    # load pathlib (nor fnmatch, urllib.parse and ipaddress, which it
+    # imports).
+    assert modules_loaded_with_the_cli({"pathlib"}) == "[]\n"
+
+
 def test_command_line_outcomes(prelude, capsys):
     usage_errors = [
         [],                                   # no command

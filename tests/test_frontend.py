@@ -1,6 +1,7 @@
 """Tests for the lexer, parser, and elaborator."""
 
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,7 +63,8 @@ def test_tokenize_basics():
         ("eof", None),
     ]
     toks = tokenize("Set0 3 x (")
-    assert [(t.kind, t.value, t.line, t.col, t.describe()) for t in toks] == [
+    assert [(t.kind, t.value, *toks.position(i), t.describe())
+            for i, t in enumerate(toks)] == [
         ("sort", set_sort(0), 1, 1, "'Set0'"), ("number", 3, 1, 6, "'3'"),
         ("ident", "x", 1, 8, "'x'"), ("symbol", "(", 1, 10, "'('"),
         ("eof", None, 1, 11, "end of input"),
@@ -130,12 +132,14 @@ def test_tokenize_positions_and_junk():
                         ("(* a\n (* b\n *) c *) succ", (3, 10)),
                         ("zero\r\nsucc", (2, 1)),
                         ("zero\r\n\tsucc", (2, 2))):
-        tok = tokenize(text)[-2]
-        assert (tok.value, tok.line, tok.col) == ("succ", *where)
+        toks = tokenize(text)
+        assert (toks[-2].value, *toks.position(len(toks) - 2)) == (
+            "succ", *where)
     # End of input is where the text ends, after any comment and whitespace.
     for text, where in (("x (* a\n b *)  ", (2, 8)), ("x\n\n", (3, 1))):
-        tok = tokenize(text)[-1]
-        assert (tok.kind, tok.line, tok.col) == ("eof", *where)
+        toks = tokenize(text)
+        assert (toks[-1].kind, *toks.position(len(toks) - 1)) == (
+            "eof", *where)
     # Identifiers and numbers are ASCII; any other character is an error.
     for text, where in (("a ? b", "1:3"),
                         ("x\n  \t?", "2:4"),
@@ -144,6 +148,37 @@ def test_tokenize_positions_and_junk():
         with pytest.raises(ParseError, match="unexpected character") as err:
             tokenize(text)
         assert str(err.value).startswith(f"{where}: ")
+
+
+def _profiled_calls(fn, *args):
+    """The number of Python and builtin calls made while `fn(*args)` runs,
+    as `sys.setprofile` sees them."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_tokenize_does_no_python_work_per_token():
+    # Doubling the tokens of every line (the same words on the same lines)
+    # leaves the number of calls unchanged: the work is per line and per
+    # distinct word, not per token.
+    lines = [f"def g{i} : Nat -> Nat := fun (x{i} : Nat) => plus x{i} "
+             f"(succ (g{i // 2} zero))." for i in range(200)]
+    text = "\n".join(lines)
+    doubled = "\n".join(f"{line} {line}" for line in lines)
+    assert len(tokenize(doubled)) == 2 * len(tokenize(text)) - 1
+    assert _profiled_calls(tokenize, doubled) == _profiled_calls(tokenize,
+                                                                 text)
 
 
 def _naive_tokens(text):
@@ -199,6 +234,28 @@ def _oracle_inputs(env):
     rng = random.Random(20261020)
     yield "\n".join(print_term(random_typed(rng, depth=4)[0], env)
                      for _ in range(100)), False
+    yield _bulk_with_comments(random.Random(20261021), env), False
+
+
+def _bulk_with_comments(rng, env):
+    """Generated definitions laid out like the bulk-check benchmark's, with
+    comments between words: some inside a line, some across lines, some
+    nested and some with no space around them."""
+    text = "\n\n".join(f"def g{i} : {print_term(ty, env)} :=\n  "
+                        f"{print_term(term, env)}."
+                        for i, (term, ty) in enumerate(
+                            random_typed(rng, depth=4) for _ in range(200)))
+    out = []
+    for word in text.split(" "):
+        out.append(word)
+        roll = rng.random()
+        if roll < 0.05:
+            out.append("(* note *)")
+        elif roll < 0.08:
+            out.append("(* a\n  (* b *)\n   c *)")
+        elif roll < 0.1:
+            out[-1] += "(*x*)"
+    return " ".join(out)
 
 
 def test_token_positions_match_a_naive_lexer(prelude_env):
@@ -207,10 +264,10 @@ def test_token_positions_match_a_naive_lexer(prelude_env):
         naive = _naive_tokens(text)
         assert len(tokens) == len(naive)
         lines = text.split("\n")
-        for tok, (word, line, col) in zip(tokens, naive):
-            assert (tok.line, tok.col) == (line, col), (tok, word)
+        for i, (tok, (word, line, col)) in enumerate(zip(tokens, naive)):
+            assert tokens.position(i) == (line, col), (tok, word)
             if tok.kind != "eof":
-                assert lines[tok.line - 1][tok.col - 1:].startswith(
+                assert lines[line - 1][col - 1:].startswith(
                     str(tok.value)), tok
 
 
@@ -596,6 +653,22 @@ PARSE_ERRORS = [
      '1:1: names ending in _R are reserved: Set_R'),
     ("term", 'a [ b',
      "1:3: unexpected character '['"),
+    # Of several lexer errors, the first in the text, whatever its kind:
+    # each distinct word is classified once, but in no particular order.
+    ("file", 'def x : Nat := ? (* never closed',
+     "1:16: unexpected character '?'"),
+    ("file", 'a\n  b ² (* open\n *)(*',
+     "2:5: unexpected character '²'"),
+    ("file", "x (* a\n (* b *)\n c *) y' ?\nfoo_R",
+     "3:7: names ending in ' are reserved: y'"),
+    ("file", "(* x' ? *) ok (* Type0\n *) zero_R x'",
+     "2:5: names ending in _R are reserved: zero_R"),
+    ("file", "Type1\r\n  Set0 Type0 x'\r\n?",
+     "2:8: Type levels start at 1"),
+    ("file", 'Set1 x\r\n\t(* Set *) Set é',
+     "2:12: Set needs an explicit level, like Set1"),
+    ("file", "one two x' two x'",
+     "1:9: names ending in ' are reserved: x'"),
 ]
 
 
