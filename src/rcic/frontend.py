@@ -10,17 +10,21 @@ get their types from the inductive's declaration.  `declare` takes every
 kind of parsed declaration through the kernel.
 
 The lexer does no Python-level work per token.  One `findall` splits each
-line of a stretch of text between comments into words; each distinct word
-is classified once, into one Token that all its occurrences share, and
-`map` puts the words' tokens in a list.  A name is a sort if the whole word
-is one (`Prop`, `Set<n>`, `Type<n>`), and otherwise a reserved name, a
-keyword (a name in KEYWORDS) or an identifier.  Names, numbers and symbols
-are ASCII; any other
-character outside a comment is a ParseError, `unexpected character`.  An
-error is reported at the first offending token in the text.  A token holds
-its kind and value only: `Tokens.position` finds its line and column when
-asked, from the index of each line's first token and a scan of that one
-line, and the parser asks at declaration starts, at `match` and on errors.
+stretch of text between comments into words; each distinct word is
+classified once, into one Token that all its occurrences share, and `map`
+puts the words' tokens in a list.  A name is a sort if the whole word is
+one (`Prop`, `Set<n>`, `Type<n>`), and otherwise a reserved name, a keyword
+(a name in KEYWORDS) or an identifier.  Names, numbers and symbols are
+ASCII; any other character outside a comment is a ParseError, `unexpected
+character`.  An error is reported at the first offending token in the
+text.
+
+Positions are worked out only to report an error.  A token holds its kind
+and value only, and a declaration or a match keeps the index of its first
+token (`at`) and the `Source` it was read from, whose `position` finds the
+line and column when `line` or `col` is read.  The first time a Source is
+asked, it builds from the text a table of each line's first token; each
+answer then scans one line again.
 
 The parser tells keywords and symbols apart by a token's value alone: no
 identifier has a keyword's text, and no other token has a symbol's.  It
@@ -38,10 +42,10 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import itemgetter
 from sys import intern
-from typing import Callable
+from typing import Callable, Iterable
 
 from .syntax import (
     PRIME_SUFFIX,
@@ -94,9 +98,13 @@ KEYWORDS = frozenset({
 
 # A word is a name (letters, digits, `_` and `'`, not starting with a digit),
 # a number, a two-character symbol, or any other character but a space or a
-# newline: a one-character symbol, or junk.  Every other character of a line
-# outside a comment is in one word, so one `findall` splits it into tokens.
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|[0-9]+|:=|->|=>|[^ \t\r\n]")
+# newline: a one-character symbol, or junk.  Every other character of a
+# stretch between comments is in one word, so one `findall` splits it into
+# tokens.  The pattern matches the spaces before a word too, which the
+# regular expression engine skips faster than a search does; its group is
+# the word.
+_WORD_RE = re.compile(
+    r"[ \t\r\n]*([A-Za-z_][A-Za-z0-9_']*|[0-9]+|:=|->|=>|[^ \t\r\n])")
 # A sort is a whole word (`Set1x` is a name); `_sort` rejects `Set` and
 # `Type` without a level.
 _SORT_RE = re.compile(r"Prop|Set[0-9]*|Type[0-9]*")
@@ -128,37 +136,51 @@ class Token(tuple):
 _EOF = Token("eof", None)
 
 
-class Tokens(list):
-    """`tokenize`'s tokens, eof last.  It records the index of each line's
-    first token, so `position` finds where a token starts only when asked."""
+class Source:
+    """Where a parse's tokens are: the text it read, and the start and end
+    offsets of each outermost comment in it, in order (an unterminated
+    comment ends with the text).  `position` finds where a token starts
+    from its index.  The table of each line's first token that it needs is
+    built from the text the first time it is asked, so a parse that reports
+    no error builds none.
 
-    __slots__ = ("text", "line_first", "comments", "_line_starts")
+    Sources are equal when their texts are, so records parsed from equal
+    texts are equal."""
 
-    def __init__(self, text: str):
-        super().__init__()
+    __slots__ = ("text", "comments", "_line_first", "_line_starts", "_count")
+
+    def __init__(self, text: str, comments: list[int]) -> None:
         self.text = text
-        # line_first[n] is the index of the first token at or after the
-        # start of line n + 1.
-        self.line_first: list[int] = [0]
-        # The start and end offsets of each outermost comment, in order.
-        self.comments: list[int] = []
+        self.comments = comments
+        # _line_first[n] is the index of the first token at or after the
+        # start of line n + 1, _line_starts[n] the offset of that start;
+        # _count is the number of tokens before end of input.
+        self._line_first: list[int] = []
         self._line_starts: list[int] = []
+        self._count = 0
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is Source and self.text == other.text
+
+    def __hash__(self) -> int:
+        return hash(self.text)
+
+    def __repr__(self) -> str:
+        return f"<Source of {len(self.text)} characters>"
 
     def position(self, i: int) -> tuple[int, int]:
         """The line and column (both from 1, a column in characters) where
         token `i` starts; end of input is where the text ends.  Only the
         token's line is scanned again."""
+        if not self._line_starts:
+            self._build()
         text = self.text
         starts = self._line_starts
-        if not starts:
-            # The offset of each line's start, then of the text's end + 1.
-            starts += accumulate(map((1).__add__, map(len, text.split("\n"))),
-                                 initial=0)
-        line = bisect_right(self.line_first, i)
+        line = bisect_right(self._line_first, i)
         start = starts[line - 1]
-        if i == len(self) - 1:
+        if i == self._count:
             return line, len(text) - start + 1
-        skip = i - self.line_first[line - 1]
+        skip = i - self._line_first[line - 1]
         stop = starts[line] - 1
         # Scan from the line's start, or from the end of a comment that
         # holds it.
@@ -170,9 +192,47 @@ class Tokens(list):
             for m in _WORD_RE.finditer(text, pos,
                                        stop if comment < 0 else comment):
                 if not skip:
-                    return line, m.start() - start + 1
+                    return line, m.start(1) - start + 1
                 skip -= 1
             pos = comments[bisect_right(comments, comment)]
+
+    def _build(self) -> None:
+        """Fill the line table, splitting each stretch between comments
+        into lines and each line into words again."""
+        text = self.text
+        # The offset of each line's start, then of the text's end + 1.
+        self._line_starts = list(accumulate(
+            map((1).__add__, map(len, text.split("\n"))), initial=0))
+        self._line_first = first = [0]
+        count = 0
+        # The stretches between comments: bounds[k] to bounds[k + 1] for
+        # each even k, and the comment bounds[k - 1] to bounds[k] before it.
+        bounds = [0, *self.comments, len(text)]
+        for k in range(0, len(bounds), 2):
+            if k:
+                first += [count] * text.count("\n", bounds[k - 1], bounds[k])
+            stretch = text[bounds[k]:bounds[k + 1]]
+            lines = list(map(len, map(_WORD_RE.findall, stretch.split("\n"))))
+            # Each line after the stretch's first starts at the number of
+            # words before it.
+            first += list(accumulate(lines, initial=count))[1:-1]
+            count += sum(lines)
+        self._count = count
+
+
+class Tokens(list):
+    """`tokenize`'s tokens, eof last, and the `Source` they were read from,
+    which finds where a token starts only when asked."""
+
+    __slots__ = ("source",)
+
+    def __init__(self, tokens: Iterable[Token], source: Source) -> None:
+        super().__init__(tokens)
+        self.source = source
+
+    def position(self, i: int) -> tuple[int, int]:
+        """Where token `i` starts, as `Source.position` finds it."""
+        return self.source.position(i)
 
 
 def tokenize(text: str, allow_reserved: bool = False) -> Tokens:
@@ -181,19 +241,14 @@ def tokenize(text: str, allow_reserved: bool = False) -> Tokens:
     Equal names share one interned string and one Token.  An error (junk,
     a reserved name, a bad sort, an unterminated comment) is raised at the
     first one in the text."""
-    tokens = Tokens(text)
-    line_first = tokens.line_first
+    comments: list[int] = []
+    source = Source(text, comments)
     words: list[str] = []
     pos = 0
     while True:
         start = text.find("(*", pos)
-        end = start if start >= 0 else len(text)
-        lines = list(map(_WORD_RE.findall, text[pos:end].split("\n")))
-        # Each line after the stretch's first starts at the number of words
-        # before it.
-        line_first += list(accumulate(map(len, lines),
-                                      initial=len(words)))[1:-1]
-        words += chain.from_iterable(lines)
+        words += _WORD_RE.findall(text, pos,
+                                  start if start >= 0 else len(text))
         if start < 0:
             break
         depth = 1
@@ -203,21 +258,22 @@ def tokenize(text: str, allow_reserved: bool = False) -> Tokens:
                 pos = delim.end()
                 break
         else:
+            comments += start, len(text)
             # An error before the comment is the one to report.
-            _classify(tokens, words, allow_reserved)
+            _classify(source, words, allow_reserved)
             raise ParseError("unterminated comment",
                              text.count("\n", 0, start) + 1,
                              start - text.rfind("\n", 0, start))
-        tokens.comments += start, pos
-        line_first += [len(words)] * text.count("\n", start, pos)
-    tokens += map(_classify(tokens, words, allow_reserved).__getitem__, words)
+        comments += start, pos
+    tokens = Tokens(map(_classify(source, words, allow_reserved).__getitem__,
+                        words), source)
     tokens.append(_EOF)
     return tokens
 
 
-def _classify(tokens: Tokens, words: list[str],
+def _classify(source: Source, words: list[str],
               allow_reserved: bool) -> dict[str, Token]:
-    """Map each distinct word of `words`, the words of `tokens` in text
+    """Map each distinct word of `words`, the words of `source` in text
     order, to its token.  Raise the error of the first word that is no
     token."""
     table: dict[str, Token] = {}
@@ -244,7 +300,7 @@ def _classify(tokens: Tokens, words: list[str],
                                 _interned(word))
     if errors:
         first = min(map(words.index, errors))
-        raise ParseError(errors[words[first]], *tokens.position(first))
+        raise ParseError(errors[words[first]], *source.position(first))
     return table
 
 
@@ -268,7 +324,22 @@ def _sort(word: str) -> Sort | str:
     return Sort(kind, level)
 
 
-class RawMatch(Term):
+class _Located:
+    """A record read from a source: `at` is the index of its first token in
+    `source`, which finds its `line` and `col` when they are read."""
+
+    __slots__ = ()
+
+    @property
+    def line(self) -> int:
+        return self.source.position(self.at)[0]
+
+    @property
+    def col(self) -> int:
+        return self.source.position(self.at)[1]
+
+
+class RawMatch(Term, _Located):
     """Surface match, before the motive and branch binders are annotated."""
 
     scrutinee: Term
@@ -277,8 +348,8 @@ class RawMatch(Term):
     atoms: tuple[Term, ...]  # parameter terms, then index binder names
     motive: Term
     branches: tuple[tuple[str, tuple[str, ...], Term], ...]
-    line: int
-    col: int
+    at: int
+    source: Source
 
     # What syntax.children and syntax.names need of a node kind they do
     # not know.
@@ -290,34 +361,34 @@ class RawMatch(Term):
         return (self.as_name, *(a for _, args, _ in self.branches for a in args))
 
 
-class DInductive(_Record):
+class DInductive(_Record, _Located):
     name: str
     params: int
     arity: Term  # parameter binders included
     # The constructor types include the parameters.
     constructors: tuple[tuple[str, Term], ...]
-    line: int
-    col: int
+    at: int
+    source: Source
 
 
-class DDef(_Record):
+class DDef(_Record, _Located):
     name: str
     type: Term
     body: Term
-    line: int
-    col: int
+    at: int
+    source: Source
 
 
-class DCheck(_Record):
+class DCheck(_Record, _Located):
     term: Term
-    line: int
-    col: int
+    at: int
+    source: Source
 
 
-class DParamCheck(_Record):
+class DParamCheck(_Record, _Located):
     name: str
-    line: int
-    col: int
+    at: int
+    source: Source
 
 
 Decl = DInductive | DDef | DCheck | DParamCheck
@@ -333,7 +404,7 @@ class _Parser:
 
     def __init__(self, text: str, allow_reserved: bool = False):
         tokens = tokenize(text, allow_reserved)
-        self.position = tokens.position
+        self.source = tokens.source
         # A plain list (a slice of one is one), which the interpreter
         # indexes faster than a subclass.
         self.tokens = tokens[:]
@@ -352,7 +423,7 @@ class _Parser:
 
     def error(self, message: str) -> ParseError:
         """A ParseError at the next token."""
-        return ParseError(message, *self.position(self.pos))
+        return ParseError(message, *self.source.position(self.pos))
 
     def at(self, text: str) -> bool:
         """Whether the next token is the keyword or symbol `text`."""
@@ -489,7 +560,7 @@ class _Parser:
         raise self.error(f"expected a term, found {tok.describe()}")
 
     def match_expr(self) -> Term:
-        line, col = self.position(self.pos)
+        at = self.pos
         self.expect("match")
         scrutinee = self.term()
         self.expect("as")
@@ -515,7 +586,7 @@ class _Parser:
             branches.append((cname, tuple(args), self.term()))
         self.expect("end")
         return RawMatch(scrutinee, as_name, ind, tuple(atoms), motive,
-                        tuple(branches), line, col)
+                        tuple(branches), at, self.source)
 
     def binder_groups(self, minimum: int = 0) -> list[tuple[str, Term]]:
         tokens = self.tokens
@@ -544,7 +615,7 @@ class _Parser:
 
     def decl(self) -> Decl:
         tok = self.peek()
-        line, col = self.position(self.pos)
+        at = self.pos
         if self.at("def"):
             self.next()
             name = self.global_name()
@@ -553,7 +624,7 @@ class _Parser:
             self.expect(":=")
             body = self.term()
             self.expect(".")
-            return DDef(name, ty, body, line, col)
+            return DDef(name, ty, body, at, self.source)
         if self.at("inductive"):
             self.next()
             name = self.global_name()
@@ -575,17 +646,17 @@ class _Parser:
                     self.next()
             self.expect(".")
             return DInductive(name, len(binders), prods(binders, arity),
-                              tuple(constructors), line, col)
+                              tuple(constructors), at, self.source)
         if self.at("check"):
             self.next()
             t = self.term()
             self.expect(".")
-            return DCheck(t, line, col)
+            return DCheck(t, at, self.source)
         if self.at("paramcheck"):
             self.next()
             name = self.global_name()
             self.expect(".")
-            return DParamCheck(name, line, col)
+            return DParamCheck(name, at, self.source)
         raise self.error(
             f"expected a declaration, found {tok.describe()}")
 

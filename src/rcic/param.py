@@ -670,13 +670,20 @@ def _ensure_definition(env: GlobalEnv, name: str) -> None:
 
 
 def translate_inductive(env: GlobalEnv, decl: InductiveDecl) -> InductiveDecl:
-    """Declare (or fetch) the relation inductive of `decl`.
+    """Declare (or fetch) the relation inductive of `decl`, which must be
+    the declaration `env` holds under its name: any other, even one equal
+    to it, raises TypeCheckError (unknown inductive) before anything is
+    normalised, since only a checked declaration is sure to have a normal
+    form.
 
     Its arity is the arity's relation at two copies of the source
     inductive, its parameter count triples, and each constructor relates a
     source constructor to itself.  The declaration is kernel-checked before
     it is returned.
     """
+    if env.inductive(decl.name) is not decl:
+        raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
+                             f"unknown inductive {decl.name}")
     rn = relation_name(decl.name)
     existing = env.inductive(rn)
     if existing is not None:

@@ -54,43 +54,43 @@ def _pr(t: Term, level: int, env: GlobalEnv | None) -> str:
 
 
 def _render(t: Term, env: GlobalEnv | None) -> tuple[str, int]:
-    match t:
-        case Var(name) | Ind(name) | Constr(name) | Const(name):
-            return name, _ATOM
-        case SortT(s):
-            return str(s), _ATOM
-        case App():
-            head, args = unfold_app(t)
-            parts = [_pr(head, _APP, env)]
-            parts += [_pr(a, _ATOM, env) for a in args]
-            return " ".join(parts), _APP
-        case Prod():
-            binders = []
-            body: Term = t
-            while (isinstance(body, Prod) and body.binder != "_"
-                   and body.binder in free_vars(body.codomain)):
-                name, domain, body = _scope(body)
-                binders.append((name, domain))
-            if not binders:
-                return (f"{_pr(t.domain, _APP, env)} -> {_pr(t.codomain, _ARROW, env)}",
-                        _ARROW)
-            return (f"forall {_groups(binders, env)}, {_pr(body, _BINDER, env)}",
-                    _BINDER)
-        case Lam():
-            binders = []
-            body: Term = t
-            while isinstance(body, Lam):
-                name, annotation, body = _scope(body)
-                binders.append((name, annotation))
-            return (f"fun {_groups(binders, env)} => {_pr(body, _BINDER, env)}",
-                    _BINDER)
-        case Fix(decreasing=decreasing):
-            binder, annotation, body = _scope(t)
-            return (f"fix {binder} {{struct {decreasing}}} : "
-                    f"{_pr(annotation, _BINDER, env)} := {_pr(body, _BINDER, env)}",
-                    _BINDER)
-        case Case():
-            return _render_case(t, env), _ATOM
+    kind = type(t)
+    if kind is Var or kind is Ind or kind is Constr or kind is Const:
+        return t.name, _ATOM
+    if kind is App:
+        head, args = unfold_app(t)
+        parts = [_pr(head, _APP, env)]
+        parts += [_pr(a, _ATOM, env) for a in args]
+        return " ".join(parts), _APP
+    if kind is Prod:
+        binders = []
+        body: Term = t
+        while (isinstance(body, Prod) and body.binder != "_"
+               and body.binder in free_vars(body.codomain)):
+            name, domain, body = _scope(body)
+            binders.append((name, domain))
+        if not binders:
+            return (f"{_pr(t.domain, _APP, env)} -> "
+                    f"{_pr(t.codomain, _ARROW, env)}", _ARROW)
+        return (f"forall {_groups(binders, env)}, {_pr(body, _BINDER, env)}",
+                _BINDER)
+    if kind is Lam:
+        binders = []
+        body = t
+        while isinstance(body, Lam):
+            name, annotation, body = _scope(body)
+            binders.append((name, annotation))
+        return (f"fun {_groups(binders, env)} => {_pr(body, _BINDER, env)}",
+                _BINDER)
+    if kind is SortT:
+        return str(t.sort), _ATOM
+    if kind is Fix:
+        binder, annotation, body = _scope(t)
+        return (f"fix {binder} {{struct {t.decreasing}}} : "
+                f"{_pr(annotation, _BINDER, env)} := "
+                f"{_pr(body, _BINDER, env)}", _BINDER)
+    if kind is Case:
+        return _render_case(t, env), _ATOM
     raise ValueError(f"cannot print {t!r}")
 
 

@@ -16,7 +16,8 @@ from rcic.cli import main
 
 from conftest import fresh_prelude_env
 from gen import random_typed
-from walker_counts import CONV_SOURCE, VEC_SOURCE, binder_depth_source
+from walker_counts import (CONV_SOURCE, VEC_SOURCE, binder_depth_source,
+                           commented_bulk_source, position_work)
 
 GOOD = """
 inductive Pair (A B : Set0) : Set0 := pair : A -> B -> Pair A B.
@@ -548,6 +549,20 @@ def seeded(tmp_path_factory):
     path = tmp_path_factory.mktemp("seeded") / "seeded.rcic"
     path.write_text("".join(defs) + VEC_SOURCE + CONV_SOURCE)
     return str(path)
+
+
+def test_a_successful_run_resolves_no_position(capsys):
+    # A declaration and a match keep their first token's index; a line
+    # table is built and a position resolved only to report an error.
+    text = commented_bulk_source(200)
+    assert text.count(" match ") == 100 and text.count("(*") == 335
+    assert position_work(text) == (0, 0)
+    # The same counts see the one error a failing run reports: its line
+    # and its column.
+    assert position_work(text + "def bad : Nat := tt.\n", status=1) == (1, 2)
+    assert capsys.readouterr().err.endswith(
+        f":{text.count(chr(10)) + 1}:1: error: NotConvertible: term does not "
+        "have the expected type\n  expected: Nat\n  actual: Unit\n")
 
 
 @pytest.mark.parametrize("command", ["check", "translate", "param-check"])

@@ -34,6 +34,7 @@ from rcic import (
     prelude_path,
     print_term,
 )
+from rcic.cli import main
 from rcic.frontend import (
     DCheck,
     DDef,
@@ -46,6 +47,7 @@ from rcic.syntax import set_sort, type_sort
 
 from conftest import load_declarations, term_in
 from gen import random_typed
+from walker_counts import binder_depth_source
 
 NAT = Ind("Nat")
 GOLDEN = Path(__file__).parent / "golden"
@@ -269,6 +271,47 @@ def test_token_positions_match_a_naive_lexer(prelude_env):
             if tok.kind != "eof":
                 assert lines[line - 1][col - 1:].startswith(
                     str(tok.value)), tok
+
+
+# For each kind of record, a file whose error `rcic check` reports at one:
+# the record's first token and which occurrence of it, the location printed,
+# the exit status and the first line of the message.  A record keeps its
+# token's index, and the location is worked out only when it is printed.
+LATE_LOCATIONS = [
+    # A kernel error in a `def`, after nested comments across CRLF lines.
+    ("(* one\r\n  (* two\r\n   *) three *)\r\ndef ok : Nat := zero.\r\n"
+     "  (* a\r\n (* b *) *) def bad : Nat := tt.\r\n", "def", 1, "6:13", 1,
+     "NotConvertible: term does not have the expected type"),
+    ("(* c *)\n\n   inductive Nat : Set0 := zz : Nat.\n", "inductive", 0,
+     "3:4", 1, "Nat is already declared"),
+    ("def x : Nat := zero. (* c *) check plus tt.\n", "check", 0, "1:30", 1,
+     "NotConvertible: argument type mismatch"),
+    ("\t(* x *)paramcheck nothing.\n", "paramcheck", 0, "1:9", 1,
+     "UnboundVariable: paramcheck needs a definition: nothing"),
+    # An elaboration error in a match in mid line, after a comment.
+    ("def f : Nat -> Nat :=\n  fun (n : Nat) => (* c *) match n as m in Foo "
+     "return Nat with | zero => n end.\n", "match", 0, "2:28", 2,
+     "unknown inductive Foo"),
+    # A type too deep to check or print, after comments and indentation.
+    ("(* a\n (* b *) *)\n\n  (* c *) " + binder_depth_source(1100), "def", 0,
+     "4:11", 1, "nesting too deep"),
+]
+
+
+@pytest.mark.parametrize("text, word, nth, where, status, message",
+                         LATE_LOCATIONS,
+                         ids=["DDef", "DInductive", "DCheck", "DParamCheck",
+                              "RawMatch", "nesting"])
+def test_late_resolved_locations_match_a_naive_lexer(
+        text, word, nth, where, status, message, tmp_path, capsys):
+    path = tmp_path / "late.rcic"
+    path.write_bytes(text.encode())
+    assert main(["check", str(prelude_path()), str(path)]) == status
+    line, col = [(line, col) for found, line, col in _naive_tokens(text)
+                 if found == word][nth]
+    assert where == f"{line}:{col}"
+    assert capsys.readouterr().err.splitlines()[0] == (
+        f"{path}:{where}: error: {message}")
 
 
 # ---------------------------------------------------------------------------

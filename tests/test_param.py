@@ -21,6 +21,7 @@ from rcic import (
     Fix,
     GlobalEnv,
     Ind,
+    InductiveDecl,
     Lam,
     PROP,
     Prod,
@@ -34,6 +35,7 @@ from rcic import (
     beta_normalize,
     check,
     declare_definition,
+    declare_inductive,
     elaborate,
     free_vars,
     infer,
@@ -346,6 +348,28 @@ def test_translate_inductive_needs_no_provisional_copy(fresh_env):
     with counting([(GlobalEnv, "with_provisional")]) as calls:
         translate_inductive(fresh_env, fresh_env.inductive("List"))
     assert calls[0] == 1
+
+
+def test_translate_inductive_takes_only_the_declared_inductive(fresh_env):
+    # The field's type holds a self-application whose beta normalisation
+    # never ends.  The kernel rejects the declaration, and the translation
+    # refuses it before normalising anything, as it refuses a copy of a
+    # declared inductive.
+    omega = Lam("x", NAT, App(Var("x"), Var("x")))
+    loop = InductiveDecl("Loop", 0, SortT(set_sort(0)),
+                         (("mk", arrow(App(omega, omega), Ind("Loop"))),))
+    with pytest.raises(TypeCheckError) as err:
+        declare_inductive(fresh_env, loop)
+    assert err.value.kind is ErrorKind.NOT_A_FUNCTION
+    nat = fresh_env.inductive("Nat")
+    for decl in (loop, InductiveDecl(nat.name, nat.params, nat.arity,
+                                     nat.constructors)):
+        with pytest.raises(TypeCheckError,
+                           match=f"^UnboundVariable: unknown inductive "
+                                 f"{decl.name}$"):
+            translate_inductive(fresh_env, decl)
+    assert fresh_env.inductive("Loop_R") is None
+    assert fresh_env.inductive("Nat_R") is None
 
 
 def test_translated_inductives_kernel_check(translated_env):

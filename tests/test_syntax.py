@@ -35,6 +35,7 @@ from rcic.frontend import (
     DInductive,
     DParamCheck,
     RawMatch,
+    Source,
     SourceFile,
 )
 from rcic.param import Alias
@@ -59,6 +60,12 @@ from gen import random_term, random_typed
 from nameless import subst_free, to_nameless
 
 NAT = Ind("Nat")
+
+
+def source():
+    """A new Source of the text the frontend's records below were read
+    from: sources of equal texts are equal."""
+    return Source("(* records *) check one.\nparamcheck one.", [0, 13])
 
 
 def test_sort_validation():
@@ -127,27 +134,32 @@ RECORDS = [
      "body=App(fn=Constr(name='succ'), arg=Constr(name='zero')))",
      ("name", "type", "body")),
     (lambda: RawMatch(Var("n"), "m", "Nat", (), Var("Nat"),
-                      (("zero", (), Var("zero")),), 1, 2),
+                      (("zero", (), Var("zero")),), 1, source()),
      "RawMatch(scrutinee=Var(name='n'), as_name='m', ind='Nat', atoms=(), "
      "motive=Var(name='Nat'), branches=(('zero', (), Var(name='zero')),), "
-     "line=1, col=2)",
-     ("scrutinee", "as_name", "ind", "atoms", "motive", "branches", "line",
-      "col")),
+     "at=1, source=<Source of 40 characters>)",
+     ("scrutinee", "as_name", "ind", "atoms", "motive", "branches", "at",
+      "source")),
     (lambda: DInductive("Unit", 0, SortT(set_sort(0)),
-                        (("tt", Var("Unit")),), 1, 1),
+                        (("tt", Var("Unit")),), 0, source()),
      "DInductive(name='Unit', params=0, "
      "arity=SortT(sort=Sort(kind='Set', level=0)), "
-     "constructors=(('tt', Var(name='Unit')),), line=1, col=1)",
-     ("name", "params", "arity", "constructors", "line", "col")),
-    (lambda: DDef("one", Var("Nat"), Var("zero"), 2, 1),
+     "constructors=(('tt', Var(name='Unit')),), at=0, "
+     "source=<Source of 40 characters>)",
+     ("name", "params", "arity", "constructors", "at", "source")),
+    (lambda: DDef("one", Var("Nat"), Var("zero"), 0, source()),
      "DDef(name='one', type=Var(name='Nat'), body=Var(name='zero'), "
-     "line=2, col=1)", ("name", "type", "body", "line", "col")),
-    (lambda: DCheck(Var("one"), 3, 1),
-     "DCheck(term=Var(name='one'), line=3, col=1)", ("term", "line", "col")),
-    (lambda: DParamCheck("one", 4, 1),
-     "DParamCheck(name='one', line=4, col=1)", ("name", "line", "col")),
-    (lambda: SourceFile((DParamCheck("one", 4, 1),)),
-     "SourceFile(decls=(DParamCheck(name='one', line=4, col=1),))",
+     "at=0, source=<Source of 40 characters>)",
+     ("name", "type", "body", "at", "source")),
+    (lambda: DCheck(Var("one"), 0, source()),
+     "DCheck(term=Var(name='one'), at=0, source=<Source of 40 characters>)",
+     ("term", "at", "source")),
+    (lambda: DParamCheck("one", 3, source()),
+     "DParamCheck(name='one', at=3, source=<Source of 40 characters>)",
+     ("name", "at", "source")),
+    (lambda: SourceFile((DParamCheck("one", 3, source()),)),
+     "SourceFile(decls=(DParamCheck(name='one', at=3, "
+     "source=<Source of 40 characters>),))",
      ("decls",)),
     (lambda: Alias(Var("f"), Var("f'")),
      "Alias(raw=Var(name='f'), primed=Var(name=\"f'\"), guard=None, "
@@ -184,7 +196,7 @@ def test_records_of_different_classes_differ():
             assert (a != b) is (a is not b)
     assert Var("x") != Const("x")
     assert Var("x") != "x" and Definition("d", NAT, NAT) != DDef(
-        "d", NAT, NAT, 1, 1)
+        "d", NAT, NAT, 0, source())
 
 
 def test_caches_are_invisible():

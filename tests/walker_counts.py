@@ -62,13 +62,20 @@ b64 and b128.  Each level of b{n}'s type renames its binder triple past
 the names of the levels before it; a search resumes where the last one
 for the same name stopped, so the count grows linearly in n.
 
+The eleventh count is of the source positions worked out during `rcic
+check` of the prelude plus `commented_bulk_source(200)`: the line tables
+built (`frontend.Source._build`) and the token positions resolved
+(`Source.position`).  A declaration and a match keep the index of their
+first token, and a position is resolved only to report an error, so a run
+that succeeds makes neither.
+
     PYTHONPATH=src python tests/walker_counts.py
 
-prints ten Markdown lines: the walker counts for b20 and b40 and their
+prints eleven Markdown lines: the walker counts for b20 and b40 and their
 ratio, the `prime` counts for b100 and b200 and their ratio, the
 param-check count, the two check counts, the relation inductive count,
-the inductive check count, the read-back count, the collector count, and
-the name probes for b64 and b128 and their ratio.
+the inductive check count, the read-back count, the collector count, the
+name probes for b64 and b128 and their ratio, and the position counts.
 """
 
 import contextlib
@@ -81,7 +88,7 @@ from pathlib import Path
 from rcic import (Context, GlobalEnv, abstraction_check, declare, kernel,
                   param, parse_file, prelude_path, syntax)
 from rcic.cli import main
-from rcic.frontend import DInductive
+from rcic.frontend import DInductive, Source
 
 WALKERS = ((syntax, "_subst_all"), (kernel, "_quote"))
 
@@ -130,6 +137,27 @@ def p1 : Eq Nat (mult n4 n6) n24 := refl Nat n24.
 def p2 : Eq Nat (plus n11 n13) (plus n13 n11) := refl Nat (plus n11 n13).
 def p3 : Eq Nat (mult n6 n4) (mult n4 n6) := refl Nat (mult n6 n4).
 """)
+
+
+def commented_bulk_source(count: int) -> str:
+    """`count` short definitions laid out like the bulk-check workload's,
+    each after a comment, then a `check`.  In every third definition a
+    nested comment across lines comes before the body; every other body is
+    a match in mid line, a third of them right after such a comment."""
+    out = ["(* commented bulk *)\n"]
+    for i in range(count):
+        prev = f"g{i - 1} n" if i else "n"
+        out.append(f"(* g{i} *)\ndef g{i} : Nat -> Nat :=\n"
+                   f"  fun (n : Nat) => ")
+        if i % 3 == 0:
+            out.append("(* a\n  (* nested *)\n  comment *) ")
+        if i % 2:
+            out.append(f"match n as m in Nat return Nat with "
+                       f"| zero => {prev} | succ k => plus k ({prev}) end.\n")
+        else:
+            out.append(f"succ ({prev}).\n")
+    out.append(f"check g{count - 1} (succ zero).\n")
+    return "".join(out)
 
 
 def binder_depth_source(n: int) -> str:
@@ -192,6 +220,16 @@ def cli_calls(targets, command: str, source: str) -> int:
     with cli_run(command, source) as run, counting(targets) as calls:
         assert run() == 0
     return calls[0]
+
+
+def position_work(source: str, status: int = 0) -> tuple[int, int]:
+    """The line tables built and the token positions resolved by `rcic
+    check` of the prelude plus `source`, which must exit `status`."""
+    with (cli_run("check", source) as run,
+          counting([(Source, "_build")]) as builds,
+          counting([(Source, "position")]) as lookups):
+        assert run() == status
+    return builds[0], lookups[0]
 
 
 def collector_passes(command: str, source: str) -> int:
@@ -280,3 +318,7 @@ if __name__ == "__main__":
     b64, b128 = name_probes(64), name_probes(128)
     sys.stdout.write(f"Fresh-name probes of the translation: b64 {b64}, "
                      f"b128 {b128}, ratio {b128 / b64:.2f}\n")
+    builds, lookups = position_work(commented_bulk_source(200))
+    sys.stdout.write(f"Source positions worked out by check of the prelude "
+                     f"and a commented bulk text: {builds} line tables, "
+                     f"{lookups} token positions\n")
