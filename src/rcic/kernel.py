@@ -623,7 +623,7 @@ def conv(env: GlobalEnv, a: Term, b: Term) -> bool:
     evaluated to closures and neutrals and compared on their weak head
     forms, recursing on the parts, with lazy delta: applications of the
     same global are compared argument by argument before either is
-    unfolded.
+    unfolded.  It terminates on well-typed input.
     """
     return alpha_eq(a, b) or _conv(env, 0, _eval(env, _EMPTY, a),
                                    _eval(env, _EMPTY, b))
@@ -634,7 +634,7 @@ def subtype(env: GlobalEnv, a: Term, b: Term) -> bool:
     with convertible domains and subtyped codomains.
 
     Decided like `conv`, on values with lazy delta, after the same
-    alpha-equality fast path."""
+    alpha-equality fast path; it terminates on well-typed input."""
     return alpha_eq(a, b) or _conv(env, 0, _eval(env, _EMPTY, a),
                                    _eval(env, _EMPTY, b), True)
 
@@ -738,14 +738,16 @@ def _thunk(ctx: _Ctx, t: Term) -> _Thunk:
 def infer(env: GlobalEnv, ctx: Context, t: Term,
           mode: EliminationMode = STAR) -> Term:
     """The principal type of `t`: its head reduced, nothing below the head
-    normalised, a Lam's product included."""
+    normalised, a Lam's product included.  `ctx` is taken as checked."""
     c = _context(env, ctx)
     return _term(c, _unfold_head(env, _infer(env, c, t, mode)))
 
 
 def check(env: GlobalEnv, ctx: Context, t: Term, expected: Term,
           mode: EliminationMode = STAR) -> None:
-    """Check `t` against `expected` up to cumulativity."""
+    """Check `t` against `expected` up to cumulativity.  `ctx` and
+    `expected` are taken as checked: reducing an ill-typed one may not
+    end."""
     c = _context(env, ctx)
     ty = _eval(env, c.rho, expected)
     if not _check(env, c, t, ty, mode):
@@ -754,7 +756,8 @@ def check(env: GlobalEnv, ctx: Context, t: Term, expected: Term,
 
 def infer_sort(env: GlobalEnv, ctx: Context, t: Term,
                mode: EliminationMode = STAR) -> Sort:
-    """The sort of the type `t`, or NotASort."""
+    """The sort of the type `t`, or NotASort.  `ctx` is taken as
+    checked."""
     return _infer_sort(env, _context(env, ctx), t, mode)
 
 

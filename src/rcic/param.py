@@ -13,6 +13,11 @@ by name, and a case reads its relation inductive from the environment.
 So each entry point first declares, once each, the relations of the
 globals its terms mention (`_prepare`), and then translates.
 
+The abstraction theorem is decided one way, for a closed term that is its
+own copy (`_relation`): a definition's relation is `[T] c c` at its name
+`c`, and an open term is closed over its context, `fun ctx => t : forall
+ctx, T`, whose relation is checked without being declared.
+
 The translation is one pass over the source.  It carries a renaming
 (`_Renaming`) from the source's variables to the names and terms that
 stand for them in the output: a source binder whose triple must be
@@ -40,7 +45,7 @@ to that of `b[a/x]`), so `_prepare` normalises a source term that holds a
 redex, and the entry points translate the normal forms: the witnesses and
 relations they declare hold no redex, and each of their binders is named
 once.  Normalisation ends only on a well-typed term, so
-`abstraction_check` has the kernel check its context, type and term first.
+`abstraction_check` has the kernel check the term's closure first.
 
 Name scheme: the copy of a variable (Var) x is x', its witness x_R; a
 global (Const, Ind, Constr) keeps its name in the copy and gains the _R
@@ -81,6 +86,7 @@ from .syntax import (
     lams,
     map_children,
     open_prods,
+    prods,
     rebuild_binder,
     strip_lams,
     strip_prods,
@@ -186,7 +192,7 @@ def _prepare(env: GlobalEnv, *terms: Term, skip: str = "",
     needed.pop((Ind, skip), None)
     for kind, name in needed:
         if kind is Const:
-            _ensure_definition(env, name)
+            translate_definition(env, name)
         else:
             translate_inductive(env, _inductive(env, name))
     return tuple(normal)
@@ -636,37 +642,42 @@ def _inductive(env: GlobalEnv, name: str) -> InductiveDecl:
     return decl
 
 
+def _relation(env: GlobalEnv, ty: Term, body: Term, alias: Alias | None,
+              a: Term) -> tuple[Term, Term]:
+    """The relation `[ty] a a` and the witness of `body`, which the kernel
+    must have checked at `ty`: the abstraction theorem for the closed term
+    `a`, whose copy is itself."""
+    ty, body = _prepare(env, ty, body)
+    return _relate(env, ty, a, a), _translate(env, body, alias=alias)
+
+
 def translate_definition(env: GlobalEnv, name: str) -> Definition:
     """Declare (or fetch) the relation witness of the definition `name`:
-    a new definition relating the body to itself at the translated type."""
-    _ensure_definition(env, name)
-    return env.definition(relation_name(name))
-
-
-def _ensure_definition(env: GlobalEnv, name: str) -> None:
+    a new definition relating the body to itself at the translated type.
+    A relation that failed to declare fails again at once, with its
+    error."""
     defn = env.definition(name)
     if defn is None:
         raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE,
                              f"unknown definition {name}")
     rn = relation_name(name)
     if env.taken(rn):
-        return
-    # A relation that failed to declare fails again at once, with its error.
+        return env.definition(rn)
     failure = env.failure(rn)
     if failure is not None:
         raise failure
     try:
-        ty, body = _prepare(env, defn.type, defn.body)
         # The definition's own name is a definitional alias for its body,
         # which keeps the generated witness referencing `name` instead of
         # copies of the body.
-        self_ref = Alias(Const(name), Const(name))
-        body_r = _translate(env, body, alias=self_ref)
-        ty_r = _relate(env, ty, Const(name), Const(name))
+        ref = Const(name)
+        ty_r, body_r = _relation(env, defn.type, defn.body, Alias(ref, ref),
+                                 ref)
         declare_definition(env, rn, ty_r, body_r, STAR)
     except (TypeCheckError, ValueError) as err:
         env.record_failure(rn, err)
         raise
+    return env.definition(rn)
 
 
 def translate_inductive(env: GlobalEnv, decl: InductiveDecl) -> InductiveDecl:
@@ -701,46 +712,27 @@ def translate_inductive(env: GlobalEnv, decl: InductiveDecl) -> InductiveDecl:
     return rdecl
 
 
-def translate_context(env: GlobalEnv, ctx: Context) -> Context:
-    """Triple every context entry: the original, its copy, its witness.
-    Only well-typed terms are sure to have a beta normal form, so the
-    kernel checks each entry's type, entry by entry, before `_prepare`
-    normalises any of them."""
-    scope = Context()
-    for name, ty in ctx:
-        infer_sort(env, scope, ty, STAR)
-        scope = scope.extend(name, ty)
-    out = Context()
-    for name, ty in ctx:
-        if is_reserved(name):
-            raise ValueError(f"context name {name!r} uses a reserved suffix")
-        (normal,) = _prepare(env, ty)
-        rel = _relate(env, normal, Var(name), Var(primed(name)))
-        out = out.extend(name, ty)
-        out = out.extend(primed(name), prime(ty))
-        out = out.extend(relation_name(name), rel)
-    return out
-
-
 def abstraction_check(env: GlobalEnv, ctx: Context, term: Term,
                       ty: Term) -> bool:
-    """Whether term, its copy, and its witness all check in the tripled
-    context: the executable face of the abstraction theorem for an open
-    term.  A closed global is decided by `translate_definition`, whose
-    declared relation is the theorem for it and is reused by later
-    references."""
+    """Whether `term`, of type `ty` in `ctx`, is related to itself: the
+    executable face of the abstraction theorem for an open term.
+
+    The term is closed over its context, `fun ctx => term : forall ctx,
+    ty`, so its copy is itself, and the kernel makes two judgments: the
+    closure at its type, then the closure's witness at its relation, both
+    built as `translate_definition` builds a global's, and not declared.
+    Only a checked term is sure to normalise, so the first judgment comes
+    before `_prepare`, which then refuses a reserved name in the context as
+    in the term.  Any TypeCheckError or ValueError gives False."""
+    entries = list(ctx)
+    closure, closed = lams(entries, term), prods(entries, ty)
     try:
-        # `translate_context` checks the context; the kernel checks the
-        # type and the term before `_prepare` normalises them.
-        tctx = translate_context(env, ctx)
-        infer_sort(env, ctx, ty, STAR)
-        check(env, ctx, term, ty, STAR)
-        check(env, tctx, prime(term), prime(ty), STAR)
-        normal, normal_ty = _prepare(env, term, ty)
-        # A `fun` term applied to the binders of a product's relation is a
-        # redex, which the kernel contracts as it checks.
-        expected = _relate(env, normal_ty, normal, prime(normal))
-        check(env, tctx, _translate(env, normal), expected, STAR)
+        infer_sort(env, Context(), closed, STAR)
+        check(env, Context(), closure, closed, STAR)
+        ty_r, witness = _relation(env, closed, closure, None, closure)
+        # The relation applies the closure to its binders: redexes, which
+        # the kernel contracts as it checks.
+        check(env, Context(), witness, ty_r, STAR)
         return True
     except (TypeCheckError, ValueError):
         return False

@@ -14,6 +14,7 @@ import rcic
 from rcic import cli, prelude_path, print_term
 from rcic.cli import main
 
+import fuzz_files
 from conftest import fresh_prelude_env
 from gen import random_typed
 from walker_counts import (CONV_SOURCE, VEC_SOURCE, binder_depth_source,
@@ -643,3 +644,13 @@ def test_a_run_pauses_the_collector_and_restores_it(enabled, prelude,
     assert "nesting too deep" in capsys.readouterr().err
     # Declarations are processed with the collector paused.
     assert len(declared) > 30 and not any(declared)
+
+
+def test_fuzzed_files_end_in_a_status():
+    # The first 24 mutants of tests/fuzz_files.py: token edits and
+    # identifier swaps of the prelude and the golden inputs.  Each run of
+    # check, translate and param-check returns 0, 1 or 2 within the time
+    # limit, and the sample reaches all three.
+    statuses, _, failures = fuzz_files.fuzz(24)
+    assert failures == []
+    assert all(set(counts) == {0, 1, 2} for counts in statuses.values())

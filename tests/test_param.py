@@ -52,11 +52,10 @@ from rcic import param
 from rcic.cli import main
 from rcic.frontend import DDef, DInductive
 from rcic.kernel import FULL, STAR
-from rcic.param import (is_reserved, primed, relation_name,
-                        relation_sort, translate_context)
-from rcic.syntax import (children, fresh_name, lams, map_children,
-                         rebuild_binder, set_sort, strip_lams, subterms,
-                         type_sort, unfold_app)
+from rcic.param import is_reserved, primed, relation_name, relation_sort
+from rcic.syntax import (children, fresh_name, lams, map_children, prods,
+                         rebuild_binder, set_sort, strip_lams, strip_prods,
+                         subterms, type_sort, unfold_app)
 
 import capture_files
 from conftest import (fresh_prelude_env, load_declarations, term_in,
@@ -65,8 +64,9 @@ from gen import random_typed
 from test_free_theorems import EX
 from test_indexed import VONE
 from translation_gaps import GAPS
-from walker_counts import (VEC_SOURCE, binder_depth_source, counting,
-                           name_probes, walker_calls)
+from walker_counts import (VEC_SOURCE, binder_depth_source,
+                           copy_depth_source, counting, name_probes,
+                           walker_calls)
 
 NAT = Ind("Nat")
 
@@ -457,6 +457,13 @@ def _redexes(t):
     return [u for u in subterms(t) if type(u) is App and type(u.fn) is Lam]
 
 
+def _closure_relation(env, ctx, term, ty):
+    """The relation and the witness `abstraction_check` builds for `term`
+    at `ty` in `ctx`, from its closure over the context."""
+    closure = lams(list(ctx), term)
+    return param._relation(env, prods(list(ctx), ty), closure, None, closure)
+
+
 def test_declared_relations_are_normal_by_construction():
     # Every relation param-check declares for the prelude, for Vec and for
     # generated terms that have no redex of their own is built with no
@@ -471,18 +478,25 @@ def test_declared_relations_are_normal_by_construction():
             declare_definition(env, f"g{generated}", ty, t)
             assert not _redexes(translate_term(env, t))
             generated += 1
+    ctx = Context()
+    for i in range(generated):
+        ctx = ctx.extend(f"c{i}", env.definition(f"g{i}").type)
+    last = f"c{generated - 1}"
     # No source redex, so no relation is even scanned for one.
     with counting([(rcic.kernel, "_quote")]) as read_backs, \
             counting([(param, "beta_normalize")]) as normalised:
         for name in list(env.names()):
             if env.definition(name) is not None and not is_reserved(name):
                 translate_definition(env, name)
-        ctx = Context()
-        for i in range(generated):
-            ctx = ctx.extend(f"c{i}", env.definition(f"g{i}").type)
-        tctx = translate_context(env, ctx)
+        assert abstraction_check(env, ctx, Var(last), ctx.lookup(last))
     assert read_backs == [0] and normalised == [0]
-    assert all(not _redexes(ty) for _, ty in tctx)
+    # The relation of the closure over the context relates each entry in
+    # normal form: its binder triples' types hold no redex.
+    ty_r, witness = _closure_relation(env, ctx, Var(last), ctx.lookup(last))
+    binders, _ = strip_prods(ty_r)
+    assert len(binders) >= 3 * generated
+    assert all(not _redexes(ty) for _, ty in binders)
+    assert not _redexes(witness)
     relations = []
     for name in env.names():
         if not is_reserved(name):
@@ -514,11 +528,22 @@ inductive W (A : Set0) : Set0 := w : (fun (T : Set0) => T -> T) A -> W A.
         "-> Prop := w_R : forall (x : A -> A) (x' : A' -> A'), (forall (x1 : "
         "A) (x'1 : A'), A_R x1 x'1 -> A_R (x x1) (x' x'1)) -> W_R A A' A_R "
         "(w A x) (w A' x').")
+    # The closure over a context entry whose type is that redex holds it
+    # twice, in its type and in its binder's annotation: each is contracted
+    # once.  The binders of the closure's relation and its witness hold no
+    # redex; only the related terms, the closure applied, do.
     ty = term_in(env, "(fun (T : Set0) => T -> T) Nat")
-    tctx = translate_context(env, Context().extend("f", ty))
-    assert print_term(tctx.lookup("f_R"), env) == (
+    ctx = Context().extend("f", ty)
+    with counting([(param, "beta_normalize")]) as normalised:
+        ty_r, witness = _closure_relation(env, ctx, Var("f"), ty)
+    assert normalised == [2]
+    binders, _ = strip_prods(ty_r)
+    assert [name for name, _ in binders[:3]] == ["f", "f'", "f_R"]
+    assert print_term(binders[2][1], env) == (
         "forall (x x' : Nat), Nat_R x x' -> Nat_R (f x) (f' x')")
-    assert abstraction_check(env, Context().extend("f", ty), Var("f"), ty)
+    assert all(not _redexes(dom) for _, dom in binders)
+    assert not _redexes(witness)
+    assert abstraction_check(env, ctx, Var("f"), ty)
 
 
 def test_a_motive_over_fewer_binders_than_the_case(fresh_env):
@@ -669,8 +694,12 @@ def test_translated_definitions_check(translated_env):
 
 
 def test_translate_context(fresh_env):
-    ctx = Context().extend("A", SortT(set_sort(0))).extend("x", Var("A"))
-    out = list(translate_context(fresh_env, ctx))
+    # A telescope's binders become triples in its relation, each ranging
+    # over its type's relation at the binder and its copy.
+    telescope = [("A", SortT(set_sort(0))), ("x", Var("A"))]
+    declare_definition(fresh_env, "pick", prods(telescope, Var("A")),
+                       lams(telescope, Var("x")))
+    out, _ = strip_prods(translate_definition(fresh_env, "pick").type)
     names = [n for n, _ in out]
     assert names == ["A", "A'", "A_R", "x", "x'", "x_R"]
     tys = dict(out)
@@ -711,10 +740,6 @@ def test_abstraction_check_rejects_an_ill_typed_redex(translated_env):
     assert not abstraction_check(translated_env, Context(), Var("n"), loop)
     assert not abstraction_check(translated_env, Context().extend("n", loop),
                                  Var("n"), NAT)
-    # translate_context checks the context itself, so a direct call fails
-    # as the check does, not by exhausting the stack.
-    with pytest.raises(TypeCheckError):
-        translate_context(translated_env, Context().extend("n", loop))
 
 
 def test_a_binder_shadowing_its_sibling_translates(fresh_env):
@@ -1012,8 +1037,10 @@ def test_substitution_work_grows_at_most_quadratically():
 
 def test_copy_work_grows_linearly():
     # Twice the binders may cost at most 2.2 times the `prime` calls: the
-    # translation of a product telescope copies each suffix once.
-    copies = [walker_calls(n, [(rcic.param, "prime")]) for n in (100, 200)]
+    # translation of a product telescope copies each suffix once.  Each
+    # domain of c{n} names a variable, so each needs a copy.
+    copies = [walker_calls(n, [(rcic.param, "prime")], copy_depth_source)
+              for n in (100, 200)]
     assert copies[1] / copies[0] <= 2.2
 
 

@@ -12,11 +12,14 @@ globals, so wrapping those globals counts every call.  The count does not
 depend on the machine, so its growth from b20 to b40 is a scaling check
 that needs no timing.
 
-The second count is of `param.prime` calls, also made by
-`abstraction_check` of b{n}, for b100 and b200.  `prime` renames a term
-to its copy; the translation of a product telescope builds the copy of each
-suffix once, from the copy of the suffix below it, so the count grows
-linearly in the binder depth.
+The second count is of `param.prime` calls made by `abstraction_check`
+of c{n}, `fun (A : Set0) (f0 ... f{n-1} : A -> A) (a : A) => f0 a` at
+`forall (A : Set0), (A -> A) -> ... -> A -> A`, for c100 and c200.
+`prime` renames a term to its copy.  A closed term is its own copy, so
+b{n}, whose types name no variable, needs none; each domain `A -> A` of
+c{n} names `A`, and the translation of a product telescope builds the copy
+of each suffix once, from the copy of the suffix below it, so the count
+grows linearly in n.
 
 The third count is of `syntax._subst_all` calls alone, made by
 `rcic param-check` of the prelude plus the indexed family `Vec` and three
@@ -72,7 +75,7 @@ that succeeds makes neither.
     PYTHONPATH=src python tests/walker_counts.py
 
 prints eleven Markdown lines: the walker counts for b20 and b40 and their
-ratio, the `prime` counts for b100 and b200 and their ratio, the
+ratio, the `prime` counts for c100 and c200 and their ratio, the
 param-check count, the two check counts, the relation inductive count,
 the inductive check count, the read-back count, the collector count, the
 name probes for b64 and b128 and their ratio, and the position counts.
@@ -167,6 +170,13 @@ def binder_depth_source(n: int) -> str:
             f"  fun ({binders} : Nat) => plus x0 x{n - 1}.\n")
 
 
+def copy_depth_source(n: int) -> str:
+    arrows = " -> ".join(["(A -> A)"] * n + ["A -> A"])
+    binders = " ".join(f"f{i}" for i in range(n))
+    return (f"def c{n} : forall (A : Set0), {arrows} :=\n"
+            f"  fun (A : Set0) ({binders} : A -> A) (a : A) => f0 a.\n")
+
+
 @contextlib.contextmanager
 def counting(targets):
     """Count the calls of each `(module, name)` global in `targets` while
@@ -189,15 +199,16 @@ def counting(targets):
             setattr(mod, name, fn)
 
 
-def walker_calls(n: int, targets=WALKERS) -> int:
+def walker_calls(n: int, targets=WALKERS, family=binder_depth_source) -> int:
     """Calls of the `targets` globals (by default the walkers) made by
-    `abstraction_check` of b{n} against a fresh prelude environment; the
-    declarations themselves are not counted."""
+    `abstraction_check` of the definition `family(n)` (by default b{n})
+    against a fresh prelude environment; the declarations themselves are
+    not counted."""
     env = GlobalEnv()
-    for decl in parse_file(prelude_path().read_text() +
-                           binder_depth_source(n)).decls:
+    decls = parse_file(prelude_path().read_text() + family(n)).decls
+    for decl in decls:
         declare(env, decl)
-    defn = env.definition(f"b{n}")
+    defn = env.definition(decls[-1].name)
     with counting(targets) as calls:
         assert abstraction_check(env, Context(), defn.body, defn.type)
     return calls[0]
@@ -289,9 +300,10 @@ if __name__ == "__main__":
     b20, b40 = walker_calls(20), walker_calls(40)
     sys.stdout.write(f"Substitution and read-back calls: b20 {b20}, b40 {b40}, "
                      f"ratio {b40 / b20:.2f}\n")
-    b100, b200 = (walker_calls(n, [(param, "prime")]) for n in (100, 200))
-    sys.stdout.write(f"Copy (prime) calls: b100 {b100}, b200 {b200}, "
-                     f"ratio {b200 / b100:.2f}\n")
+    c100, c200 = (walker_calls(n, [(param, "prime")], copy_depth_source)
+                  for n in (100, 200))
+    sys.stdout.write(f"Copy (prime) calls: c100 {c100}, c200 {c200}, "
+                     f"ratio {c200 / c100:.2f}\n")
     subst_calls = cli_calls([(syntax, "_subst_all")], "param-check",
                             VEC_SOURCE)
     sys.stdout.write(f"Substitution walker calls of param-check on the "
